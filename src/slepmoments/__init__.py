@@ -6,11 +6,10 @@ from the moment moduli, and ships an experiment harness for rotation stability,
 noise robustness, and feature-based classification.
 """
 
-from .classifier import LinearModel, train_classifier as train_on_arrays
+from .classifier import LinearModel, train_classifier
 from .dpss import (
     DpssBasis,
     DpssParams,
-    SpectrumSample,
     compute_dpss,
     concentration_ratio,
     dpss_spectrum,
@@ -30,7 +29,6 @@ from .harness import (
     load_labeled_directory,
     make_synthetic_dataset,
     rotation_stability,
-    train_classifier,
 )
 from .imaging import (
     GENERATOR_NAME,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["LinearModel", "train_classifier", "predict"]
+__all__ = ["LinearModel", "train_classifier"]
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,11 @@ def train_classifier(
     labels: np.ndarray,
     reg: float = 1e-3,
     epochs: int = 300,
-    seed: int = 0,
 ) -> LinearModel:
     """Fit one hinge-loss separator per class on standardized features.
 
     The standardization is folded back into the returned weights and biases, so
-    the model scores raw features directly. Training is deterministic; the seed
-    is recorded in the model metadata for provenance.
+    the model scores raw features directly. Training is deterministic.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -88,9 +86,5 @@ def train_classifier(
         classes=classes,
         weights=w_raw,
         biases=b_raw,
-        meta={"reg": reg, "epochs": epochs, "seed": seed},
+        meta={"reg": reg, "epochs": epochs},
     )
-
-
-def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    return model.predict(features)

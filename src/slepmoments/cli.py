@@ -29,7 +29,7 @@ from .harness import (
     rotation_stability,
     synthetic_images,
 )
-from .imaging import NoiseSpec, read_pgm, rotate_image, write_pgm
+from .imaging import NoiseSpec, read_pgm, rotate_image, to_polar, write_pgm
 from .moments import (
     compute_moments,
     invariants,
@@ -38,7 +38,7 @@ from .moments import (
     moments_to_json,
     reconstruct,
 )
-from .imaging import to_polar
+from .synthetic import smooth_test_image
 
 __all__ = ["run", "main"]
 
@@ -59,6 +59,10 @@ def _write_atomic(path: str | Path, data: bytes | str) -> None:
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
+        # mkstemp creates the file as 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,11 +96,14 @@ def _basis_json(basis: DpssBasis) -> str:
     return json.dumps(doc, indent=1)
 
 
-def _parse_angles(text: str) -> list[float]:
+def _parse_reals(flag: str, text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise _UsageError(f"--angles: cannot parse {text!r} as comma-separated reals")
+        raise _UsageError(f"{flag}: cannot parse {text!r} as comma-separated reals")
+    if not np.isfinite(values).all():
+        raise _UsageError(f"{flag}: values must be finite, got {text!r}")
+    return values
 
 
 def _parse_orders(text: str) -> list[tuple[int, int]]:
@@ -114,13 +121,6 @@ def _parse_orders(text: str) -> list[tuple[int, int]]:
         )
 
 
-def _parse_fractions(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"--fractions: cannot parse {text!r}")
-
-
 def _read_image(path: str):
     try:
         return read_pgm(Path(path).read_bytes())
@@ -131,8 +131,6 @@ def _read_image(path: str):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="64-bit seed for all randomness (fixed default)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; computation is deterministic regardless")
     p.add_argument("--precision", type=int, default=None,
                    help="fixed decimal places in CSV tables (default: shortest round-trip)")
 
@@ -183,7 +181,8 @@ def _build_parser() -> _Parser:
         ("noise-test", "rotation-stability table under Gaussian noise"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--image", required=True, help="input PGM path")
+        p.add_argument("--image", default=None,
+                       help="input PGM path (default: built-in 128x128 test pattern)")
         p.add_argument("--basis", default=None, help="basis JSON path (default: built-in)")
         p.add_argument("--angles", default=",".join(str(a) for a in PROTOCOL_ANGLES_DEG),
                        help="comma-separated rotation angles in degrees")
@@ -289,9 +288,9 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_stability(args, force_noise: bool) -> int:
     _validate_positive(args, {"--radial": args.radial, "--angular": args.angular})
-    angles = _parse_angles(args.angles)
+    angles = _parse_reals("--angles", args.angles)
     orders = _parse_orders(args.orders)
-    image = _read_image(args.image)
+    image = _read_image(args.image) if args.image else smooth_test_image(128)
     basis = _load_basis(args.basis) if args.basis else default_basis()
     noise = None
     if force_noise or args.snr_db is not None:
@@ -309,7 +308,7 @@ def _cmd_stability(args, force_noise: bool) -> int:
 def _cmd_classify(args) -> int:
     _validate_positive(args, {"--repeats": args.repeats, "--epochs": args.epochs,
                               "--radial": args.radial, "--angular": args.angular})
-    fractions = _parse_fractions(args.fractions)
+    fractions = _parse_reals("--fractions", args.fractions)
     if any(not (0.0 < p < 1.0) for p in fractions):
         raise _UsageError("--fractions: values must lie strictly between 0 and 1")
     basis = _load_basis(args.basis) if args.basis else default_basis()
@@ -353,8 +352,6 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "dpss":
             return _cmd_dpss_gen(args)
         if args.command == "moments":
@@ -377,9 +374,10 @@ def run(argv) -> int:
         return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # ValueError covers the package's parameter/domain/format/aliasing
-        # errors plus malformed JSON; KeyError covers missing document fields
+        # errors plus malformed JSON; KeyError covers missing document fields;
+        # OSError covers unreadable inputs and unwritable outputs
         print(f"slepmoments: error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,19 +9,15 @@ dense sinc kernel.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal, matmul_toeplitz
 
 from .errors import DomainError, ParameterError
 
 __all__ = [
     "DpssParams",
     "DpssBasis",
-    "SpectrumSample",
     "sinc_kernel",
     "compute_dpss",
     "dpss_spectrum",
@@ -58,8 +54,8 @@ class DpssBasis:
     """K orthonormal sequences of length N with concentration eigenvalues in (0, 1).
 
     Rows of ``sequences`` are sign-fixed so the first nonzero entry is positive,
-    and ``eigenvalues`` are strictly decreasing. Identity-based equality keeps
-    the instance hashable for caching.
+    and ``eigenvalues`` are strictly decreasing. Instances compare by identity:
+    field-wise equality would compare the arrays elementwise.
     """
 
     params: DpssParams
@@ -70,14 +66,6 @@ class DpssBasis:
     def basis_id(self) -> str:
         p = self.params
         return f"dpss-n{p.n_len}-w{p.half_bandwidth:g}-k{p.n_seq}"
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Value of the sequence spectrum at one frequency u in [-0.5, 0.5]."""
-
-    u: float
-    value: complex
 
 
 def sinc_kernel(n_len: int, half_bandwidth: float) -> np.ndarray:
@@ -139,6 +127,9 @@ def compute_dpss(params: DpssParams) -> DpssBasis:
     Rayleigh quotients v^T A v against the sinc kernel A, evaluated with an
     FFT-based Toeplitz product.
     """
+    # imported here so the moment, invariant and reconstruction paths never load scipy
+    from scipy.linalg import eigh_tridiagonal, matmul_toeplitz
+
     n, w, k = params.n_len, params.half_bandwidth, params.n_seq
     if n == 1:
         seqs = np.ones((1, 1))
@@ -158,39 +149,25 @@ def compute_dpss(params: DpssParams) -> DpssBasis:
     return DpssBasis(params=params, sequences=seqs, eigenvalues=lam)
 
 
-_PHASE_CACHE: "weakref.WeakKeyDictionary[DpssBasis, dict]" = weakref.WeakKeyDictionary()
-
-
-def _phase_matrix(basis: DpssBasis, u: np.ndarray) -> np.ndarray:
-    """exp(-i pi u (N-1-2m)), cached per basis and frequency grid."""
-    per_basis = _PHASE_CACHE.setdefault(basis, {})
-    key = u.tobytes()
-    if key not in per_basis:
-        n = basis.params.n_len
-        freqs = n - 1 - 2 * np.arange(n)
-        per_basis[key] = np.exp(-1j * np.pi * np.outer(u, freqs))
-        if len(per_basis) > 8:  # bound the per-basis footprint
-            per_basis.pop(next(iter(per_basis)))
-    return per_basis[key]
-
-
-def _spectrum_values(basis: DpssBasis, k: int, u: np.ndarray) -> np.ndarray:
-    eps_k = 1.0 if k % 2 == 0 else 1.0j
-    return eps_k * (_phase_matrix(basis, u) @ basis.sequences[k])
-
-
-def dpss_spectrum(basis: DpssBasis, k: int, u_grid) -> list[SpectrumSample]:
+def dpss_spectrum(basis: DpssBasis, k: int, u_grid) -> np.ndarray:
     """Evaluate f_k(u) = eps_k * sum_m v_m exp(-i pi (N-1-2m) u) on a frequency grid.
 
-    eps_k is 1 for even k and the imaginary unit for odd k, which keeps the
-    inverse relation v_m = (1/eps_k) integral of f_k exp(+i pi (N-1-2m) u) du
-    valid for every k.
+    Returns one complex value per grid frequency. eps_k is 1 for even k and the
+    imaginary unit for odd k, which keeps the inverse relation
+    v_m = (1/eps_k) integral of f_k exp(+i pi (N-1-2m) u) du valid for every k.
     """
     if not (0 <= k < basis.params.n_seq):
         raise IndexError(f"sequence index {k} out of range [0, {basis.params.n_seq})")
     u = np.asarray(u_grid, dtype=float)
-    vals = _spectrum_values(basis, k, u)
-    return [SpectrumSample(u=float(ui), value=complex(vi)) for ui, vi in zip(u, vals)]
+    n = basis.params.n_len
+    eps_k = 1.0 if k % 2 == 0 else 1.0j
+    phase = np.exp(-1j * np.pi * np.outer(u, n - 1 - 2 * np.arange(n)))
+    return eps_k * (phase @ basis.sequences[k])
+
+
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule over an odd number of samples spaced h apart."""
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
 def concentration_ratio(basis: DpssBasis, k: int, quad_points: int) -> float:
@@ -199,17 +176,16 @@ def concentration_ratio(basis: DpssBasis, k: int, quad_points: int) -> float:
     Composite Simpson on both intervals; the result reproduces the eigenvalue
     lambda_k up to quadrature error.
     """
-    if not (0 <= k < basis.params.n_seq):
-        raise IndexError(f"sequence index {k} out of range [0, {basis.params.n_seq})")
     if quad_points < 3:
         raise ParameterError(f"quad_points must be >= 3, got {quad_points}")
     npts = quad_points + (quad_points + 1) % 2  # odd point count
-    w = basis.params.half_bandwidth
-    u_in = np.linspace(-w, w, npts)
-    u_all = np.linspace(-0.5, 0.5, npts)
-    num = simpson(np.abs(_spectrum_values(basis, k, u_in)) ** 2, x=u_in)
-    den = simpson(np.abs(_spectrum_values(basis, k, u_all)) ** 2, x=u_all)
-    ratio = float(num / den)
+
+    def energy(half_width: float) -> float:
+        u = np.linspace(-half_width, half_width, npts)
+        power = np.abs(dpss_spectrum(basis, k, u)) ** 2
+        return _simpson(power, 2.0 * half_width / (npts - 1))
+
+    ratio = float(energy(basis.params.half_bandwidth) / energy(0.5))
     return min(max(ratio, np.finfo(float).tiny), np.nextafter(1.0, 0.0))
 
 

@@ -11,8 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import LinearModel
-from .classifier import train_classifier as _train_on_arrays
+from .classifier import train_classifier
 from .dpss import DpssBasis, DpssParams, compute_dpss
 from .errors import ParameterError
 from .imaging import (
@@ -35,7 +34,6 @@ __all__ = [
     "LabeledDataset",
     "ClassificationReport",
     "rotation_stability",
-    "train_classifier",
     "classification_sweep",
     "make_synthetic_dataset",
     "synthetic_images",
@@ -183,14 +181,6 @@ class LabeledDataset:
         return x, y
 
 
-def train_classifier(
-    train: LabeledDataset, reg: float = 1e-3, epochs: int = 300, seed: int = DEFAULT_SEED
-) -> LinearModel:
-    """Fit the one-vs-rest maximum-margin model on a labeled dataset."""
-    x, y = train.arrays()
-    return _train_on_arrays(x, y, reg=reg, epochs=epochs, seed=seed)
-
-
 # --- classification sweep ------------------------------------------------------
 
 
@@ -282,7 +272,7 @@ def classification_sweep(
                 tr, te = _stratified_split(y, p, rng, ds.class_names)
             else:
                 tr, te = _plain_split(y, p, rng)
-            model = _train_on_arrays(x[tr], y[tr], reg=reg, epochs=epochs, seed=seed)
+            model = train_classifier(x[tr], y[tr], reg=reg, epochs=epochs)
             accs.append(float((model.predict(x[te]) == y[te]).mean()))
         means.append(float(np.mean(accs)))
         stds.append(float(np.std(accs)))
@@ -318,26 +308,15 @@ def make_synthetic_dataset(
 ) -> LabeledDataset:
     """Generate labeled rotation-invariant features from synthetic shape classes.
 
-    Every (class, item, rotation) triple gets an independent child seed, so the
-    dataset is reproducible item by item. Labels run 1..n_classes.
+    The images are those of ``synthetic_images``; class ``classK`` gets label K,
+    so labels run 1..n_classes.
     """
-    if n_classes < 2:
-        raise ParameterError(f"n_classes must be >= 2, got {n_classes}")
-    if per_class < 1 or rotations_per_item < 1:
-        raise ParameterError("per_class and rotations_per_item must be >= 1")
     if basis is None:
         basis = default_basis()
-    items = []
-    for cid in range(n_classes):
-        for item in range(per_class):
-            for rot in range(rotations_per_item):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(cid, item, rot))
-                )
-                img = shape_class_image(cid, rng, size=image_size)
-                vec = feature_vector(img, basis, grid=grid)
-                items.append((vec, cid + 1))
     names = {cid + 1: f"class{cid + 1}" for cid in range(n_classes)}
+    labels = {name: label for label, name in names.items()}
+    images = synthetic_images(n_classes, per_class, rotations_per_item, seed, image_size)
+    items = [(feature_vector(img, basis, grid=grid), labels[name]) for name, _, img in images]
     return LabeledDataset(items=items, class_names=names)
 
 
@@ -348,9 +327,15 @@ def synthetic_images(
     seed: int = DEFAULT_SEED,
     image_size: int = 96,
 ):
-    """Yield (class_name, file_stem, RasterImage) for the synthetic dataset."""
+    """Yield (class_name, file_stem, RasterImage) for the synthetic dataset.
+
+    Every (class, item, rotation) triple gets an independent child seed, so the
+    dataset is reproducible item by item.
+    """
     if n_classes < 2:
         raise ParameterError(f"n_classes must be >= 2, got {n_classes}")
+    if per_class < 1 or rotations_per_item < 1:
+        raise ParameterError("per_class and rotations_per_item must be >= 1")
     for cid in range(n_classes):
         for item in range(per_class):
             for rot in range(rotations_per_item):

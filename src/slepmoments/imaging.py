@@ -79,10 +79,6 @@ class PolarImage:
     def radii(self) -> np.ndarray:
         return (np.arange(self.n_radial) + 0.5) / self.n_radial
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dpss import DpssBasis, radial_basis
-from .errors import AliasingError, ParameterError
+from .errors import AliasingError, FormatError, ParameterError
 from .imaging import PolarImage, RasterImage, to_polar
 
 __all__ = [
@@ -203,20 +203,42 @@ def moments_to_json(ms: MomentSet) -> str:
 
 
 def moments_from_json(text: str) -> MomentSet:
+    """Parse ``moments_to_json`` output.
+
+    M and L are taken from the largest m and n present, and every order with
+    0 <= m < M and |n| <= L must appear exactly once.
+    """
     doc = json.loads(text)
-    meta = doc["metadata"]
-    entries = doc["moments"]
-    max_radial = max(e["m"] for e in entries) + 1
-    max_angular = max(e["n"] for e in entries)
+    try:
+        meta = doc["metadata"]
+        grid, basis_id = tuple(meta["grid"]), meta["basis_id"]
+        orders = [(e["m"], e["n"]) for e in doc["moments"]]
+        coeffs = [e["re"] + 1j * e["im"] for e in doc["moments"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed moment document ({type(exc).__name__}: {exc})")
+    if not orders:
+        raise FormatError("moment document holds no moments")
+    if any(type(order) is not int for pair in orders for order in pair):
+        raise FormatError("moment orders m and n must be integers")
+    max_radial = max(m for m, _ in orders) + 1
+    max_angular = max(n for _, n in orders)
+    # the length test comes first, so the expected set is never larger than the document
+    if len(orders) != max_radial * (2 * max_angular + 1) or set(orders) != {
+        (m, n) for m in range(max_radial) for n in range(-max_angular, max_angular + 1)
+    }:
+        raise FormatError(
+            f"moment orders must cover 0 <= m < {max_radial} and |n| <= {max_angular} "
+            f"once each; the document holds {len(orders)} entries"
+        )
     values = np.zeros((max_radial, 2 * max_angular + 1), dtype=complex)
-    for e in entries:
-        values[e["m"], max_angular + e["n"]] = e["re"] + 1j * e["im"]
+    for (m, n), coeff in zip(orders, coeffs):
+        values[m, max_angular + n] = coeff
     return MomentSet(
         max_radial=max_radial,
         max_angular=max_angular,
         values=values,
-        grid=tuple(meta["grid"]),
-        basis_id=meta["basis_id"],
+        grid=grid,
+        basis_id=basis_id,
     )
 
 

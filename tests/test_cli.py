@@ -1,9 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slepmoments import smooth_test_image, write_pgm
+import slepmoments
+from slepmoments import (
+    PROTOCOL_ORDERS,
+    default_basis,
+    rotation_stability,
+    smooth_test_image,
+    write_pgm,
+)
 from slepmoments.cli import run
 
 
@@ -162,3 +173,82 @@ def test_identical_invocations_identical_bytes(tmp_path, image_path):
     assert run(cmd + ["--out", str(a)]) == 0
     assert run(cmd + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_default_image_is_the_bundled_pattern(tmp_path):
+    out = tmp_path / "table.csv"
+    assert run(["rotate-test", "--angles", "0,90", "--radial", "32", "--angular", "64",
+                "--out", str(out)]) == 0
+    report = rotation_stability(smooth_test_image(128), (0.0, 90.0), PROTOCOL_ORDERS,
+                                default_basis(), (32, 64))
+    assert out.read_text() == report.to_csv()
+
+
+def test_directory_as_image_exits_one(tmp_path, capsys):
+    rc = run(["rotate-test", "--image", str(tmp_path), "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slepmoments: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["rotate-test", "--angles", "0,nan"],
+    ["classify", "--fractions", "0.5,inf"],
+], ids=["angles-nan", "fractions-inf"])
+def test_non_finite_reals_exit_two(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert argv[1] in err and "finite" in err
+
+
+def test_invalid_moment_document_exits_one(tmp_path):
+    doc = {"metadata": {"grid": [4, 8], "basis_id": "b"},
+           "moments": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}] * 2}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    assert run(["invariants", "--moments", str(path), "--out", str(tmp_path / "p.csv")]) == 1
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_outputs_follow_umask(tmp_path, umask, mode):
+    out = tmp_path / "b.json"
+    old = os.umask(umask)
+    try:
+        assert run(["dpss", "gen", "--n", "8", "--w", "0.2", "--k", "2",
+                    "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+
+
+_SCIPY_FREE = """
+import sys
+from slepmoments.cli import run
+
+def check(step):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, (step, loaded[:5])
+
+check("import")
+image, basis, out = sys.argv[1:]
+assert run(["moments", "compute", "--image", image, "--basis", basis, "--m", "3",
+            "--l", "2", "--radial", "16", "--angular", "32", "--out", out + "/s.json"]) == 0
+check("moments compute")
+assert run(["invariants", "--moments", out + "/s.json", "--out", out + "/p.csv"]) == 0
+check("invariants")
+assert run(["reconstruct", "--moments", out + "/s.json", "--basis", basis,
+            "--radial", "16", "--angular", "32", "--out", out + "/r.json"]) == 0
+check("reconstruct")
+"""
+
+
+def test_lean_commands_never_load_scipy(tmp_path, image_path, basis_path):
+    src = str(Path(slepmoments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE, str(image_path), str(basis_path), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

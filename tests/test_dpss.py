@@ -12,6 +12,7 @@ from slepmoments import (
     radial_basis,
     sinc_kernel,
 )
+from slepmoments.dpss import _simpson
 from slepmoments.errors import DomainError
 
 
@@ -104,14 +105,14 @@ def test_index_reversal_symmetry():
 def test_spectrum_at_zero_frequency_even_k():
     basis = compute_dpss(DpssParams(24, 0.2, 4))
     for k in (0, 2):
-        (sample,) = dpss_spectrum(basis, k, [0.0])
-        assert sample.value == pytest.approx(basis.sequences[k].sum(), abs=1e-12)
+        value = dpss_spectrum(basis, k, [0.0])[0]
+        assert value == pytest.approx(basis.sequences[k].sum(), abs=1e-12)
 
 
 def test_spectrum_two_point_value():
     basis = compute_dpss(DpssParams(2, 0.25, 1))
-    (sample,) = dpss_spectrum(basis, 0, [0.0])
-    assert sample.value == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    value = dpss_spectrum(basis, 0, [0.0])[0]
+    assert value == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_spectrum_inversion_round_trip():
@@ -119,7 +120,7 @@ def test_spectrum_inversion_round_trip():
     n = 16
     basis = compute_dpss(DpssParams(n, 0.2, 3))
     u = np.linspace(-0.5, 0.5, 4097)
-    vals = np.array([s.value for s in dpss_spectrum(basis, 0, u)])
+    vals = dpss_spectrum(basis, 0, u)
     rec = np.empty(n)
     for m in range(n):
         integrand = vals * np.exp(1j * np.pi * (n - 1 - 2 * m) * u)
@@ -146,6 +147,17 @@ def test_concentration_matches_eigenvalue():
         for k in range(n_seq):
             ratio = concentration_ratio(basis, k, 8192)
             assert abs(ratio - basis.eigenvalues[k]) < tol
+
+
+@pytest.mark.parametrize("npts", [3, 5, 101, 8193])
+def test_simpson_matches_scipy(npts):
+    simpson = pytest.importorskip("scipy.integrate").simpson
+    basis = compute_dpss(DpssParams(24, 0.15, 3))
+    for k, half_width in ((0, 0.15), (1, 0.5), (2, 0.5)):
+        u = np.linspace(-half_width, half_width, npts)
+        power = np.abs(dpss_spectrum(basis, k, u)) ** 2
+        assert _simpson(power, 2.0 * half_width / (npts - 1)) == pytest.approx(
+            simpson(power, x=u), rel=1e-12)
 
 
 def test_concentration_decreases_with_order():

@@ -141,8 +141,8 @@ def test_synthetic_dataset_rejects_single_class():
 
 def test_train_classifier_on_dataset(basis64):
     ds = make_synthetic_dataset(3, 4, 1, seed=2, basis=basis64, grid=GRID)
-    model = train_classifier(ds, reg=1e-3, epochs=200, seed=2)
     x, y = ds.arrays()
+    model = train_classifier(x, y, reg=1e-3, epochs=200)
     assert (model.predict(x) == y).mean() == 1.0
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from slepmoments import (
     AliasingError,
+    FormatError,
     InvariantVector,
     MomentSet,
     ParameterError,
@@ -245,6 +248,34 @@ def test_moment_json_round_trip(basis32, rng):
     assert back.grid == ms.grid
     assert back.basis_id == ms.basis_id
     assert np.abs(back.values - ms.values).max() < 1e-15
+
+
+def _moment_doc():
+    ms = MomentSet(2, 1, np.arange(6).reshape(2, 3) + 0.5j, (4, 8), "b")
+    return json.loads(moments_to_json(ms))
+
+
+def _set_order(entry, key, value):
+    entry[key] = value
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: _set_order(d["moments"][0], "n", -3),
+    lambda d: _set_order(d["moments"][0], "m", -1),
+    lambda d: d["moments"].append(dict(d["moments"][1])),
+    lambda d: d["moments"].pop(2),
+    lambda d: _set_order(d["moments"][0], "n", -1.0),
+    lambda d: _set_order(d["moments"][0], "m", True),
+    lambda d: d["moments"][0].pop("re"),
+    lambda d: d.pop("metadata"),
+    lambda d: d.update(moments=[]),
+], ids=["n-beyond-max", "negative-m", "duplicate", "missing", "float-order",
+        "bool-order", "missing-re", "missing-metadata", "no-moments"])
+def test_moment_json_rejects_malformed_documents(corrupt):
+    doc = _moment_doc()
+    corrupt(doc)
+    with pytest.raises(FormatError):
+        moments_from_json(json.dumps(doc))
 
 
 def test_invariants_csv_layout():
