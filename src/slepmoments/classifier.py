@@ -54,8 +54,8 @@ def train_classifier(
         raise ParameterError("training set must be a nonempty 2-D feature matrix")
     if x.shape[0] != y.shape[0]:
         raise ParameterError("feature and label counts differ")
-    if reg < 0:
-        raise ParameterError(f"reg must be >= 0, got {reg}")
+    if not (0.0 <= reg < np.inf):
+        raise ParameterError(f"reg must be finite and >= 0, got {reg}")
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
     classes = np.unique(y)

@@ -1,8 +1,12 @@
 """Command-line interface: one executable exposing the pipeline as subcommands.
 
 Exit codes: 0 success, 1 computation/format/input errors, 2 usage errors.
-All randomness flows from --seed (fixed default, never time-based) and every
-output file is written atomically, so identical invocations are byte-identical.
+Each flag is checked once, by its argparse type, so a bad value exits 2 with
+one line naming the flag. Only the commands that draw random numbers
+(noise-test, classify, synth) take --seed, with a fixed default that is never
+time-based, and only the commands that write tables (rotate-test, noise-test,
+classify) take --precision. Every output file is written atomically, so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -71,17 +75,31 @@ def _write_atomic(path: str | Path, data: bytes | str) -> None:
 
 
 def _load_basis(path: str) -> DpssBasis:
+    """Read a basis file and check what the ``DpssBasis`` docstring promises.
+
+    Orthogonality is not checked, because the Gram matrix would add a K x K x N
+    product to every load (K=80, N=4096 for the largest bases in use).
+    """
     doc = json.loads(Path(path).read_text())
     try:
-        params = DpssParams(
-            n_len=int(doc["n"]), half_bandwidth=float(doc["w"]), n_seq=int(doc["k"])
-        )
+        n, w, k = doc["n"], float(doc["w"]), doc["k"]
         seqs = np.asarray(doc["sequences"], dtype=float)
         eig = np.asarray(doc["eigenvalues"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"basis file {path} is missing field {exc}")
-    if seqs.shape != (params.n_seq, params.n_len) or eig.shape != (params.n_seq,):
+    if type(n) is not int or type(k) is not int:
+        raise FormatError(f"basis file {path}: n and k must be integers, got {n!r}, {k!r}")
+    params = DpssParams(n_len=n, half_bandwidth=w, n_seq=k)
+    if seqs.shape != (k, n) or eig.shape != (k,):
         raise FormatError(f"basis file {path} has inconsistent array shapes")
+    if not (np.isfinite(seqs).all() and np.isfinite(eig).all()):
+        raise FormatError(f"basis file {path} holds non-finite values")
+    if np.abs(np.linalg.norm(seqs, axis=1) - 1.0).max() > 1e-9:
+        raise FormatError(f"basis file {path}: sequences must have unit norm")
+    if not (0.0 < eig[-1] and eig[0] < 1.0 and (np.diff(eig) < 0.0).all()):
+        raise FormatError(
+            f"basis file {path}: eigenvalues must decrease strictly within (0, 1)"
+        )
     return DpssBasis(params=params, sequences=seqs, eigenvalues=eig)
 
 
@@ -96,17 +114,46 @@ def _basis_json(basis: DpssBasis) -> str:
     return json.dumps(doc, indent=1)
 
 
-def _parse_reals(flag: str, text: str) -> list[float]:
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_count = _int_at_least(1)
+_natural = _int_at_least(0)
+
+
+def _finite(text: str) -> float:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        value = float(text)
     except ValueError:
-        raise _UsageError(f"{flag}: cannot parse {text!r} as comma-separated reals")
-    if not np.isfinite(values).all():
-        raise _UsageError(f"{flag}: values must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _reals(text: str) -> list[float]:
+    return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def _fractions(text: str) -> list[float]:
+    values = _reals(text)
+    if any(not (0.0 < p < 1.0) for p in values):
+        raise argparse.ArgumentTypeError(
+            f"values must lie strictly between 0 and 1, got {text!r}"
+        )
     return values
 
 
-def _parse_orders(text: str) -> list[tuple[int, int]]:
+def _orders(text: str) -> list[tuple[int, int]]:
     try:
         pairs = []
         for chunk in text.split(";"):
@@ -116,9 +163,7 @@ def _parse_orders(text: str) -> list[tuple[int, int]]:
             pairs.append((int(m), int(n)))
         return pairs
     except ValueError:
-        raise _UsageError(
-            f"--orders: cannot parse {text!r}; expected 'm,n;m,n;...'"
-        )
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected 'm,n;m,n;...'")
 
 
 def _read_image(path: str):
@@ -128,11 +173,10 @@ def _read_image(path: str):
         raise FormatError(f"input image {path} does not exist")
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="64-bit seed for all randomness (fixed default)")
-    p.add_argument("--precision", type=int, default=None,
-                   help="fixed decimal places in CSV tables (default: shortest round-trip)")
+_SEED = dict(type=_natural, default=DEFAULT_SEED,
+             help="64-bit seed for all randomness (fixed default)")
+_PRECISION = dict(type=_natural, default=None,
+                  help="fixed decimal places in CSV tables (default: shortest round-trip)")
 
 
 def _build_parser() -> _Parser:
@@ -142,39 +186,40 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dpss", help="sequence basis tools")
     dsub = p.add_subparsers(dest="dpss_command", required=True, parser_class=_Parser)
     g = dsub.add_parser("gen", help="generate a basis file")
-    g.add_argument("--n", type=int, required=True, help="sequence length N")
-    g.add_argument("--w", type=float, required=True, help="half bandwidth in (0, 0.5)")
-    g.add_argument("--k", type=int, required=True, help="number of sequences K <= N")
+    g.add_argument("--n", type=_count, required=True, help="sequence length N")
+    g.add_argument("--w", type=_finite, required=True, help="half bandwidth in (0, 0.5)")
+    g.add_argument("--k", type=_count, required=True, help="number of sequences K <= N")
     g.add_argument("--out", required=True, help="output basis JSON path")
-    _add_common(g)
+    g.set_defaults(run=_cmd_dpss_gen)
 
     p = sub.add_parser("moments", help="moment computation")
     msub = p.add_subparsers(dest="moments_command", required=True, parser_class=_Parser)
     c = msub.add_parser("compute", help="compute moments of a PGM image")
     c.add_argument("--image", required=True, help="input PGM (binary P5) path")
     c.add_argument("--basis", required=True, help="basis JSON path")
-    c.add_argument("--m", type=int, required=True, help="radial orders 0..M-1")
-    c.add_argument("--l", type=int, required=True, help="angular orders -L..L")
-    c.add_argument("--radial", type=int, default=128, help="polar grid rings R")
-    c.add_argument("--angular", type=int, default=256, help="polar grid spokes T")
-    c.add_argument("--angle", type=float, default=0.0, help="rotate image first (degrees)")
+    c.add_argument("--m", type=_count, required=True, help="radial orders 0..M-1")
+    c.add_argument("--l", type=_natural, required=True, help="angular orders -L..L")
+    c.add_argument("--radial", type=_count, default=128, help="polar grid rings R")
+    c.add_argument("--angular", type=_count, default=256, help="polar grid spokes T")
+    c.add_argument("--angle", type=_finite, default=0.0,
+                   help="rotate image first (degrees)")
     c.add_argument("--out", required=True, help="output moment JSON path")
-    _add_common(c)
+    c.set_defaults(run=_cmd_moments_compute)
 
     p = sub.add_parser("invariants",
                        help="rotation invariants of a moment file")
     p.add_argument("--moments", required=True, help="moment JSON path")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p)
+    p.set_defaults(run=_cmd_invariants)
 
     p = sub.add_parser("reconstruct",
                        help="truncated series reconstruction from moments")
     p.add_argument("--moments", required=True, help="moment JSON path")
     p.add_argument("--basis", required=True, help="basis JSON path")
-    p.add_argument("--radial", type=int, required=True, help="target rings R")
-    p.add_argument("--angular", type=int, required=True, help="target spokes T")
+    p.add_argument("--radial", type=_count, required=True, help="target rings R")
+    p.add_argument("--angular", type=_count, required=True, help="target spokes T")
     p.add_argument("--out", required=True, help="output JSON path")
-    _add_common(p)
+    p.set_defaults(run=_cmd_reconstruct)
 
     for name, help_text in (
         ("rotate-test", "rotation-stability table"),
@@ -184,60 +229,60 @@ def _build_parser() -> _Parser:
         p.add_argument("--image", default=None,
                        help="input PGM path (default: built-in 128x128 test pattern)")
         p.add_argument("--basis", default=None, help="basis JSON path (default: built-in)")
-        p.add_argument("--angles", default=",".join(str(a) for a in PROTOCOL_ANGLES_DEG),
+        p.add_argument("--angles", type=_reals,
+                       default=",".join(str(a) for a in PROTOCOL_ANGLES_DEG),
                        help="comma-separated rotation angles in degrees")
-        p.add_argument("--orders", default=";".join(f"{m},{n}" for m, n in PROTOCOL_ORDERS),
+        p.add_argument("--orders", type=_orders,
+                       default=";".join(f"{m},{n}" for m, n in PROTOCOL_ORDERS),
                        help="semicolon-separated m,n pairs")
-        p.add_argument("--radial", type=int, default=128, help="polar grid rings R")
-        p.add_argument("--angular", type=int, default=256, help="polar grid spokes T")
+        p.add_argument("--radial", type=_count, default=128, help="polar grid rings R")
+        p.add_argument("--angular", type=_count, default=256, help="polar grid spokes T")
         if name == "noise-test":
-            p.add_argument("--snr-db", type=float, default=30.0,
+            p.add_argument("--snr-db", type=_finite, default=30.0,
                            help="Gaussian noise level in dB")
-        else:
-            p.add_argument("--snr-db", type=float, default=None,
-                           help="optional Gaussian noise level in dB")
+            p.add_argument("--seed", **_SEED)
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--json-out", default=None, help="optional JSON report path")
-        _add_common(p)
+        p.add_argument("--precision", **_PRECISION)
+        p.set_defaults(run=_cmd_stability)
 
     p = sub.add_parser("classify",
                        help="train-fraction classification sweep")
     p.add_argument("--data-dir", default=None,
                    help="directory tree <root>/<class>/<image>.pgm; "
                         "omit to use the synthetic dataset")
-    p.add_argument("--classes", type=int, default=6, help="synthetic class count")
-    p.add_argument("--per-class", type=int, default=8, help="synthetic items per class")
-    p.add_argument("--rotations", type=int, default=1, help="synthetic rotations per item")
-    p.add_argument("--fractions", default="0.2,0.3,0.4,0.5",
+    p.add_argument("--classes", type=_int_at_least(2), default=6,
+                   help="synthetic class count")
+    p.add_argument("--per-class", type=_count, default=8, help="synthetic items per class")
+    p.add_argument("--rotations", type=_count, default=1,
+                   help="synthetic rotations per item")
+    p.add_argument("--fractions", type=_fractions, default="0.2,0.3,0.4,0.5",
                    help="comma-separated training fractions in (0, 1)")
-    p.add_argument("--repeats", type=int, default=10, help="splits per fraction")
+    p.add_argument("--repeats", type=_count, default=10, help="splits per fraction")
     p.add_argument("--basis", default=None, help="basis JSON path (default: built-in)")
-    p.add_argument("--radial", type=int, default=64, help="feature grid rings R")
-    p.add_argument("--angular", type=int, default=128, help="feature grid spokes T")
-    p.add_argument("--reg", type=float, default=1e-3, help="hinge-loss regularization")
-    p.add_argument("--epochs", type=int, default=300, help="training epochs")
+    p.add_argument("--radial", type=_count, default=64, help="feature grid rings R")
+    p.add_argument("--angular", type=_count, default=128, help="feature grid spokes T")
+    p.add_argument("--reg", type=_finite, default=1e-3, help="hinge-loss regularization")
+    p.add_argument("--epochs", type=_count, default=300, help="training epochs")
     p.add_argument("--no-stratify", action="store_true",
                    help="use plain random splits instead of per-class stratification")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--json-out", default=None, help="optional JSON report path")
-    _add_common(p)
+    p.add_argument("--seed", **_SEED)
+    p.add_argument("--precision", **_PRECISION)
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("synth",
                        help="write the synthetic dataset as PGM files")
-    p.add_argument("--classes", type=int, default=6, help="class count")
-    p.add_argument("--per-class", type=int, default=8, help="items per class")
-    p.add_argument("--rotations", type=int, default=1, help="rotations per item")
-    p.add_argument("--size", type=int, default=96, help="image side length")
+    p.add_argument("--classes", type=_int_at_least(2), default=6, help="class count")
+    p.add_argument("--per-class", type=_count, default=8, help="items per class")
+    p.add_argument("--rotations", type=_count, default=1, help="rotations per item")
+    p.add_argument("--size", type=_count, default=96, help="image side length")
     p.add_argument("--out-dir", required=True, help="output directory root")
-    _add_common(p)
+    p.add_argument("--seed", **_SEED)
+    p.set_defaults(run=_cmd_synth)
 
     return top
-
-
-def _validate_positive(args, names: dict[str, int]) -> None:
-    for flag, value in names.items():
-        if value < 1:
-            raise _UsageError(f"{flag} must be >= 1, got {value}")
 
 
 def _cmd_dpss_gen(args) -> int:
@@ -251,10 +296,6 @@ def _cmd_dpss_gen(args) -> int:
 
 
 def _cmd_moments_compute(args) -> int:
-    _validate_positive(args, {"--m": args.m, "--radial": args.radial,
-                              "--angular": args.angular})
-    if args.l < 0:
-        raise _UsageError(f"--l must be >= 0, got {args.l}")
     image = _read_image(args.image)
     basis = _load_basis(args.basis)
     if args.angle != 0.0:
@@ -272,9 +313,13 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    _validate_positive(args, {"--radial": args.radial, "--angular": args.angular})
     ms = moments_from_json(Path(args.moments).read_text())
     basis = _load_basis(args.basis)
+    if ms.basis_id != basis.basis_id:
+        raise FormatError(
+            f"moment file {args.moments} was computed with basis {ms.basis_id!r}, "
+            f"but {args.basis} is {basis.basis_id!r}"
+        )
     polar = reconstruct(ms, basis, (args.radial, args.angular))
     doc = {
         "n_radial": polar.n_radial,
@@ -286,18 +331,12 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _cmd_stability(args, force_noise: bool) -> int:
-    _validate_positive(args, {"--radial": args.radial, "--angular": args.angular})
-    angles = _parse_reals("--angles", args.angles)
-    orders = _parse_orders(args.orders)
+def _cmd_stability(args) -> int:
     image = _read_image(args.image) if args.image else smooth_test_image(128)
     basis = _load_basis(args.basis) if args.basis else default_basis()
-    noise = None
-    if force_noise or args.snr_db is not None:
-        snr = args.snr_db if args.snr_db is not None else 30.0
-        noise = NoiseSpec(snr_db=snr, seed=args.seed)
+    noise = NoiseSpec(args.snr_db, args.seed) if args.command == "noise-test" else None
     report = rotation_stability(
-        image, angles, orders, basis, (args.radial, args.angular), noise=noise
+        image, args.angles, args.orders, basis, (args.radial, args.angular), noise=noise
     )
     _write_atomic(args.out, report.to_csv(precision=args.precision))
     if args.json_out:
@@ -306,25 +345,17 @@ def _cmd_stability(args, force_noise: bool) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _validate_positive(args, {"--repeats": args.repeats, "--epochs": args.epochs,
-                              "--radial": args.radial, "--angular": args.angular})
-    fractions = _parse_reals("--fractions", args.fractions)
-    if any(not (0.0 < p < 1.0) for p in fractions):
-        raise _UsageError("--fractions: values must lie strictly between 0 and 1")
     basis = _load_basis(args.basis) if args.basis else default_basis()
     grid = (args.radial, args.angular)
     if args.data_dir:
         ds = load_labeled_directory(args.data_dir, basis=basis, grid=grid)
     else:
-        _validate_positive(args, {"--classes": args.classes,
-                                  "--per-class": args.per_class,
-                                  "--rotations": args.rotations})
         ds = make_synthetic_dataset(
             args.classes, args.per_class, args.rotations,
             seed=args.seed, basis=basis, grid=grid,
         )
     report = classification_sweep(
-        ds, fractions=fractions, repeats=args.repeats, seed=args.seed,
+        ds, fractions=args.fractions, repeats=args.repeats, seed=args.seed,
         stratified=not args.no_stratify, reg=args.reg, epochs=args.epochs,
     )
     _write_atomic(args.out, report.to_csv(precision=args.precision))
@@ -334,8 +365,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _validate_positive(args, {"--classes": args.classes, "--per-class": args.per_class,
-                              "--rotations": args.rotations, "--size": args.size})
     root = Path(args.out_dir)
     for class_name, stem, image in synthetic_images(
         args.classes, args.per_class, args.rotations,
@@ -352,23 +381,7 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "dpss":
-            return _cmd_dpss_gen(args)
-        if args.command == "moments":
-            return _cmd_moments_compute(args)
-        if args.command == "invariants":
-            return _cmd_invariants(args)
-        if args.command == "reconstruct":
-            return _cmd_reconstruct(args)
-        if args.command == "rotate-test":
-            return _cmd_stability(args, force_noise=False)
-        if args.command == "noise-test":
-            return _cmd_stability(args, force_noise=True)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except _UsageError as exc:
         print(f"slepmoments: usage error: {exc}", file=sys.stderr)
         return 2

@@ -362,7 +362,10 @@ def load_labeled_directory(
     names = {}
     for label, cdir in enumerate(class_dirs, start=1):
         names[label] = cdir.name
-        for path in sorted(cdir.glob("*.pgm")):
+        paths = sorted(cdir.glob("*.pgm"))
+        if not paths:
+            raise ParameterError(f"class directory {cdir} holds no .pgm images")
+        for path in paths:
             img = read_pgm(path.read_bytes())
             items.append((feature_vector(img, basis, grid=grid), label))
     return LabeledDataset(items=items, class_names=names)

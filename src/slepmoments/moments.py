@@ -173,10 +173,6 @@ def feature_vector(
 
     Defaults give the 100-element vector (10 radial orders, angular orders 0..9).
     """
-    if basis.params.n_seq < max_radial:
-        raise ParameterError(
-            f"basis holds {basis.params.n_seq} sequences, need {max_radial}"
-        )
     polar = to_polar(img, grid[0], grid[1])
     return invariants(compute_moments(polar, basis, max_radial, max_angular))
 

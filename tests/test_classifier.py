@@ -46,6 +46,13 @@ def test_single_class_rejected():
         train_classifier(np.zeros((4, 2)), np.ones(4, int))
 
 
+@pytest.mark.parametrize("reg", [float("nan"), float("inf")])
+def test_non_finite_reg_rejected(reg):
+    x = np.array([[0.0], [1.0]])
+    with pytest.raises(ParameterError, match="reg"):
+        train_classifier(x, np.array([1, 2]), reg=reg)
+
+
 def test_ties_break_to_lowest_label():
     x = np.zeros((4, 3))
     y = np.array([3, 5, 3, 5])

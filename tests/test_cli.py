@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from slepmoments import (
     smooth_test_image,
     write_pgm,
 )
-from slepmoments.cli import run
+from slepmoments.cli import _build_parser, run
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,15 @@ def image_path(tmp_path_factory):
 def basis_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("basis") / "b.json"
     assert run(["dpss", "gen", "--n", "64", "--w", "0.1", "--k", "10",
+                "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def moments_path(tmp_path_factory, image_path, basis_path):
+    path = tmp_path_factory.mktemp("moments") / "s.json"
+    assert run(["moments", "compute", "--image", str(image_path), "--basis", str(basis_path),
+                "--m", "3", "--l", "2", "--radial", "16", "--angular", "32",
                 "--out", str(path)]) == 0
     return path
 
@@ -252,3 +262,123 @@ def test_lean_commands_never_load_scipy(tmp_path, image_path, basis_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _option_strings(parser, prefix=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(prefix), [opt for a in parser._actions for opt in a.option_strings
+                                 if opt not in ("-h", "--help")]
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _option_strings(child, prefix + (name,))
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    stability = ["--image", "--basis", "--angles", "--orders", "--radial", "--angular"]
+    assert dict(_option_strings(_build_parser())) == {
+        "dpss gen": ["--n", "--w", "--k", "--out"],
+        "moments compute": ["--image", "--basis", "--m", "--l", "--radial", "--angular",
+                            "--angle", "--out"],
+        "invariants": ["--moments", "--out"],
+        "reconstruct": ["--moments", "--basis", "--radial", "--angular", "--out"],
+        "rotate-test": stability + ["--out", "--json-out", "--precision"],
+        "noise-test": stability + ["--snr-db", "--seed", "--out", "--json-out",
+                                   "--precision"],
+        "classify": ["--data-dir", "--classes", "--per-class", "--rotations", "--fractions",
+                     "--repeats", "--basis", "--radial", "--angular", "--reg", "--epochs",
+                     "--no-stratify", "--out", "--json-out", "--seed", "--precision"],
+        "synth": ["--classes", "--per-class", "--rotations", "--size", "--out-dir", "--seed"],
+    }
+
+
+_CHEAP_STABILITY = ["--angles", "0", "--radial", "16", "--angular", "32"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dpss", "gen", "--n", "8", "--w", "0.2", "--k", "2", "--seed", "1"],
+    ["invariants", "--moments", "{moments}", "--precision", "3"],
+    ["reconstruct", "--moments", "{moments}", "--basis", "{basis}", "--radial", "16",
+     "--angular", "32", "--seed", "1"],
+    ["rotate-test", *_CHEAP_STABILITY, "--snr-db", "20"],
+    ["rotate-test", *_CHEAP_STABILITY, "--seed", "1"],
+    ["synth", "--classes", "2", "--per-class", "1", "--size", "16", "--precision", "2"],
+], ids=["dpss-seed", "invariants-precision", "reconstruct-seed", "rotate-snr-db",
+        "rotate-seed", "synth-precision"])
+def test_removed_flags_exit_two(tmp_path, capsys, moments_path, basis_path, argv):
+    argv = [a.format(moments=moments_path, basis=basis_path) for a in argv]
+    out = "--out-dir" if argv[0] == "synth" else "--out"
+    assert run(argv + [out, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"slepmoments: usage error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    assert not (tmp_path / "out").exists()
+
+
+_COMPUTE = ["moments", "compute", "--image", "x.pgm", "--basis", "b.json", "--m", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["rotate-test", "--precision", "-1"], "--precision"),
+    (["noise-test", "--seed", "-1"], "--seed"),
+    (["classify", "--classes", "1"], "--classes"),
+    (_COMPUTE + ["--l", "1", "--angle", "nan"], "--angle"),
+    (["classify", "--reg", "inf"], "--reg"),
+    (_COMPUTE + ["--l", "-1"], "--l"),
+    (_COMPUTE + ["--l", "1", "--radial", "0"], "--radial"),
+], ids=["precision", "seed", "classes", "angle", "reg", "l", "radial"])
+def test_bad_values_exit_two_naming_the_flag(tmp_path, capsys, argv, flag):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"slepmoments: usage error: argument {flag}: ")
+    assert err.count("\n") == 1
+
+
+def test_reconstruct_rejects_another_basis(tmp_path, capsys, image_path):
+    b16, b8, mom = tmp_path / "b16.json", tmp_path / "b8.json", tmp_path / "s.json"
+    assert run(["dpss", "gen", "--n", "16", "--w", "0.2", "--k", "4", "--out", str(b16)]) == 0
+    assert run(["dpss", "gen", "--n", "8", "--w", "0.2", "--k", "2", "--out", str(b8)]) == 0
+    assert run(["moments", "compute", "--image", str(image_path), "--basis", str(b16),
+                "--m", "2", "--l", "1", "--radial", "16", "--angular", "32",
+                "--out", str(mom)]) == 0
+    capsys.readouterr()
+    assert run(["reconstruct", "--moments", str(mom), "--basis", str(b8), "--radial", "16",
+                "--angular", "32", "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "dpss-n16-w0.2-k4" in err and "dpss-n8-w0.2-k2" in err and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_classify_empty_class_directory_exits_one(tmp_path, capsys):
+    root = tmp_path / "data"
+    assert run(["synth", "--classes", "2", "--per-class", "2", "--size", "32",
+                "--out-dir", str(root)]) == 0
+    (root / "class3").mkdir()
+    assert run(["classify", "--data-dir", str(root), "--fractions", "0.5", "--repeats", "1",
+                "--radial", "16", "--angular", "32", "--epochs", "5",
+                "--out", str(tmp_path / "a.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slepmoments: error:") and "class3" in err
+
+
+@pytest.mark.parametrize("patch", [
+    {"n": 8.5},
+    {"k": 2.0},
+    {"sequences": [[7.0] * 8] * 2, "eigenvalues": [0.5, 0.5]},
+    {"eigenvalues": [float("nan"), 0.5]},
+    {"sequences": [[1.0] + [0.0] * 7, [0.0, 2.0] + [0.0] * 6]},
+    {"eigenvalues": [1.0, 0.5]},
+    {"eigenvalues": [0.5, 0.0]},
+    {"eigenvalues": [0.5, 0.9]},
+], ids=["n-real", "k-real", "all-sevens", "nan", "norm-2", "eig-1", "eig-0", "eig-rising"])
+def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch):
+    good = tmp_path / "b.json"
+    assert run(["dpss", "gen", "--n", "8", "--w", "0.2", "--k", "2", "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc.update(patch)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["moments", "compute", "--image", str(image_path), "--basis", str(bad),
+                "--m", "2", "--l", "1", "--radial", "16", "--angular", "32",
+                "--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"slepmoments: error: basis file {bad}") and err.count("\n") == 1

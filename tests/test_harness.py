@@ -146,14 +146,26 @@ def test_train_classifier_on_dataset(basis64):
     assert (model.predict(x) == y).mean() == 1.0
 
 
-def test_directory_ingestion_round_trip(tmp_path, basis64):
-    for class_name, stem, image in synthetic_images(2, 3, 1, seed=4, image_size=64):
-        cdir = tmp_path / class_name
+def _write_tree(root, n_classes, per_class):
+    for class_name, stem, image in synthetic_images(n_classes, per_class, 1, seed=4,
+                                                    image_size=64):
+        cdir = root / class_name
         cdir.mkdir(exist_ok=True)
         (cdir / f"{stem}.pgm").write_bytes(write_pgm(image))
+
+
+def test_directory_ingestion_round_trip(tmp_path, basis64):
+    _write_tree(tmp_path, 2, 3)
     ds = load_labeled_directory(tmp_path, basis=basis64, grid=GRID)
     assert len(ds.items) == 6
     assert ds.class_names == {1: "class1", 2: "class2"}
+
+
+def test_directory_with_empty_class_rejected(tmp_path, basis64):
+    _write_tree(tmp_path, 2, 2)
+    (tmp_path / "class3").mkdir()
+    with pytest.raises(ParameterError, match="class3"):
+        load_labeled_directory(tmp_path, basis=basis64, grid=GRID)
 
 
 def test_fifty_percent_split_counts(basis64):

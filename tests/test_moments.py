@@ -234,6 +234,11 @@ def test_feature_vector_length_and_zero(basis64):
     assert np.all(zero.entries == 0)
 
 
+def test_feature_vector_rejects_more_orders_than_sequences(basis32):
+    with pytest.raises(ParameterError):
+        feature_vector(smooth_test_image(32), basis32, max_radial=6, grid=(16, 32))
+
+
 def test_feature_vector_rotation_stability(basis64, test_image):
     a = feature_vector(test_image, basis64, grid=(64, 128)).entries
     b = feature_vector(rotate_image(test_image, 90.0), basis64, grid=(64, 128)).entries
