@@ -42,7 +42,6 @@ from .imaging import (
     write_pgm,
 )
 from .moments import (
-    InvariantVector,
     MomentSet,
     compute_moments,
     feature_vector,

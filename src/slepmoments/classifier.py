@@ -24,7 +24,6 @@ class LinearModel:
     classes: np.ndarray
     weights: np.ndarray = field(repr=False)
     biases: np.ndarray
-    meta: dict
 
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
@@ -86,5 +85,4 @@ def train_classifier(
         classes=classes,
         weights=w_raw,
         biases=b_raw,
-        meta={"reg": reg, "epochs": epochs},
     )

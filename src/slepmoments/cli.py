@@ -141,7 +141,10 @@ def _finite(text: str) -> float:
 
 
 def _reals(text: str) -> list[float]:
-    return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+    values = [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
 
 
 def _fractions(text: str) -> list[float]:
@@ -161,9 +164,13 @@ def _orders(text: str) -> list[tuple[int, int]]:
                 continue
             m, n = chunk.split(",")
             pairs.append((int(m), int(n)))
-        return pairs
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected 'm,n;m,n;...'")
+    if not pairs:
+        raise argparse.ArgumentTypeError("expected at least one m,n pair")
+    if any(m < 0 or n < 0 for m, n in pairs):
+        raise argparse.ArgumentTypeError(f"orders must be nonnegative, got {text!r}")
+    return pairs
 
 
 def _read_image(path: str):
@@ -277,7 +284,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--classes", type=_int_at_least(2), default=6, help="class count")
     p.add_argument("--per-class", type=_count, default=8, help="items per class")
     p.add_argument("--rotations", type=_count, default=1, help="rotations per item")
-    p.add_argument("--size", type=_count, default=96, help="image side length")
+    p.add_argument("--size", type=_int_at_least(2), default=96, help="image side length")
     p.add_argument("--out-dir", required=True, help="output directory root")
     p.add_argument("--seed", **_SEED)
     p.set_defaults(run=_cmd_synth)

@@ -21,9 +21,8 @@ from .imaging import (
     add_gaussian_noise,
     read_pgm,
     rotate_image,
-    to_polar,
 )
-from .moments import InvariantVector, compute_moments, feature_vector, invariants
+from .moments import feature_vector
 from .synthetic import shape_class_image
 
 __all__ = [
@@ -137,9 +136,9 @@ def rotation_stability(
             frame = add_gaussian_noise(
                 frame, NoiseSpec(noise.snr_db, _child_seed(noise.seed, i))
             )
-        polar = to_polar(frame, grid[0], grid[1])
-        vec = invariants(compute_moments(polar, basis, max_radial, max_angular))
-        rows[i] = [vec.value(m, n) for m, n in orders]
+        phi = feature_vector(frame, basis, max_radial, max_angular, grid)
+        phi = phi.reshape(max_radial, -1)
+        rows[i] = [phi[m, n] for m, n in orders]
 
     meta = {
         "grid": list(grid),
@@ -163,22 +162,18 @@ def rotation_stability(
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature vectors with small-integer class labels and a label-name map."""
+    """An n x d feature matrix, n small-integer class labels and a label-name map."""
 
-    items: list[tuple[InvariantVector, int]]
+    features: np.ndarray = field(repr=False)
+    labels: np.ndarray
     class_names: dict[int, str]
 
     def __post_init__(self):
-        if len({label for _, label in self.items}) < 2:
+        # the sweep indexes both with the same split, so extra rows would be dropped silently
+        if np.ndim(self.features) != 2 or len(self.features) != len(self.labels):
+            raise ParameterError("features must be an n x d matrix with one row per label")
+        if np.unique(self.labels).size < 2:
             raise ParameterError("dataset must contain at least two distinct labels")
-        lengths = {vec.entries.shape[0] for vec, _ in self.items}
-        if len(lengths) > 1:
-            raise ParameterError("all feature vectors must have the same length")
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.vstack([vec.entries for vec, _ in self.items])
-        y = np.array([label for _, label in self.items])
-        return x, y
 
 
 # --- classification sweep ------------------------------------------------------
@@ -260,7 +255,7 @@ def classification_sweep(
         raise ParameterError("fractions must lie strictly between 0 and 1")
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1, got {repeats}")
-    x, y = ds.arrays()
+    x, y = ds.features, ds.labels
     means, stds = [], []
     for fi, p in enumerate(fractions):
         accs = []
@@ -278,7 +273,7 @@ def classification_sweep(
         stds.append(float(np.std(accs)))
     meta = {
         "classes": {int(k): v for k, v in sorted(ds.class_names.items())},
-        "items": len(ds.items),
+        "items": len(ds.labels),
         "stratified": stratified,
         "reg": reg,
         "epochs": epochs,
@@ -304,20 +299,14 @@ def make_synthetic_dataset(
     seed: int = DEFAULT_SEED,
     basis: DpssBasis | None = None,
     grid: tuple[int, int] = (64, 128),
-    image_size: int = 96,
 ) -> LabeledDataset:
     """Generate labeled rotation-invariant features from synthetic shape classes.
 
-    The images are those of ``synthetic_images``; class ``classK`` gets label K,
-    so labels run 1..n_classes.
+    The images are those of ``synthetic_images``, which yields the classes in
+    order, so class ``classK`` gets label K and labels run 1..n_classes.
     """
-    if basis is None:
-        basis = default_basis()
-    names = {cid + 1: f"class{cid + 1}" for cid in range(n_classes)}
-    labels = {name: label for label, name in names.items()}
-    images = synthetic_images(n_classes, per_class, rotations_per_item, seed, image_size)
-    items = [(feature_vector(img, basis, grid=grid), labels[name]) for name, _, img in images]
-    return LabeledDataset(items=items, class_names=names)
+    images = synthetic_images(n_classes, per_class, rotations_per_item, seed)
+    return _featurize(((name, img) for name, _, img in images), basis, grid)
 
 
 def synthetic_images(
@@ -353,19 +342,37 @@ def load_labeled_directory(
 ) -> LabeledDataset:
     """Featurize a directory tree laid out as <root>/<class_name>/<image>.pgm."""
     root = Path(root)
-    if basis is None:
-        basis = default_basis()
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if len(class_dirs) < 2:
         raise ParameterError(f"{root} must contain at least two class directories")
-    items = []
-    names = {}
-    for label, cdir in enumerate(class_dirs, start=1):
-        names[label] = cdir.name
-        paths = sorted(cdir.glob("*.pgm"))
+    classes = [(cdir, sorted(cdir.glob("*.pgm"))) for cdir in class_dirs]
+    for cdir, paths in classes:
         if not paths:
             raise ParameterError(f"class directory {cdir} holds no .pgm images")
-        for path in paths:
-            img = read_pgm(path.read_bytes())
-            items.append((feature_vector(img, basis, grid=grid), label))
-    return LabeledDataset(items=items, class_names=names)
+    images = (
+        (cdir.name, read_pgm(path.read_bytes()))
+        for cdir, paths in classes
+        for path in paths
+    )
+    return _featurize(images, basis, grid)
+
+
+def _featurize(
+    named_images, basis: DpssBasis | None, grid: tuple[int, int]
+) -> LabeledDataset:
+    """Featurize (class_name, RasterImage) pairs with ``feature_vector``.
+
+    Labels are numbered 1, 2, ... in order of each class name's first appearance.
+    """
+    if basis is None:
+        basis = default_basis()
+    labels: dict[str, int] = {}
+    features, ys = [], []
+    for name, img in named_images:
+        ys.append(labels.setdefault(name, len(labels) + 1))
+        features.append(feature_vector(img, basis, grid=grid))
+    return LabeledDataset(
+        features=np.array(features),
+        labels=np.array(ys),
+        class_names={label: name for name, label in labels.items()},
+    )

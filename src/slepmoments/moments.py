@@ -20,7 +20,6 @@ from .imaging import PolarImage, RasterImage, to_polar
 
 __all__ = [
     "MomentSet",
-    "InvariantVector",
     "compute_moments",
     "invariants",
     "reconstruct",
@@ -59,32 +58,6 @@ class MomentSet:
         if not (0 <= m < self.max_radial and -self.max_angular <= n <= self.max_angular):
             raise IndexError(f"moment order ({m}, {n}) outside stored range")
         return complex(self.values[m, self.max_angular + n])
-
-
-@dataclass(frozen=True)
-class InvariantVector:
-    """Rotation invariants |S[m][n]| for n >= 0, flattened m-major.
-
-    Length is M*(L+1); entry index m*(L+1)+n holds phi_{m,n}.
-    """
-
-    max_radial: int
-    max_angular: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.max_radial * (self.max_angular + 1),):
-            raise ParameterError(
-                f"invariant vector length {e.shape}, expected "
-                f"{self.max_radial * (self.max_angular + 1)}"
-            )
-        object.__setattr__(self, "entries", e)
-
-    def value(self, m: int, n: int) -> float:
-        if not (0 <= m < self.max_radial and 0 <= n <= self.max_angular):
-            raise IndexError(f"invariant order ({m}, {n}) outside stored range")
-        return float(self.entries[m * (self.max_angular + 1) + n])
 
 
 def compute_moments(
@@ -126,14 +99,12 @@ def compute_moments(
     )
 
 
-def invariants(ms: MomentSet) -> InvariantVector:
-    """Moduli |S[m][n]| for n >= 0 (negative n is redundant for real images)."""
-    nonneg = ms.values[:, ms.max_angular :]
-    return InvariantVector(
-        max_radial=ms.max_radial,
-        max_angular=ms.max_angular,
-        entries=np.abs(nonneg).ravel(),
-    )
+def invariants(ms: MomentSet) -> np.ndarray:
+    """Moduli |S[m][n]| for n >= 0 (negative n is redundant for real images).
+
+    Shape (M, L+1); entry [m, n] holds phi_{m,n}.
+    """
+    return np.abs(ms.values[:, ms.max_angular :])
 
 
 def reconstruct(ms: MomentSet, basis: DpssBasis, grid: tuple[int, int]) -> PolarImage:
@@ -168,13 +139,14 @@ def feature_vector(
     max_radial: int = 10,
     max_angular: int = 9,
     grid: tuple[int, int] = (64, 128),
-) -> InvariantVector:
+) -> np.ndarray:
     """Polar resampling, moments, and invariants in one step.
 
-    Defaults give the 100-element vector (10 radial orders, angular orders 0..9).
+    Returns the invariants flattened m-major, so entry m*(L+1)+n holds
+    phi_{m,n}. Defaults give 100 entries (10 radial orders, angular orders 0..9).
     """
     polar = to_polar(img, grid[0], grid[1])
-    return invariants(compute_moments(polar, basis, max_radial, max_angular))
+    return invariants(compute_moments(polar, basis, max_radial, max_angular)).ravel()
 
 
 # --- serialization -----------------------------------------------------------
@@ -212,6 +184,10 @@ def moments_from_json(text: str) -> MomentSet:
         coeffs = [e["re"] + 1j * e["im"] for e in doc["moments"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed moment document ({type(exc).__name__}: {exc})")
+    if len(grid) != 2 or any(type(size) is not int or size < 1 for size in grid):
+        raise FormatError(
+            f"moment grid must be two positive integers, got {meta['grid']!r}"
+        )
     if not orders:
         raise FormatError("moment document holds no moments")
     if any(type(order) is not int for pair in orders for order in pair):
@@ -238,15 +214,11 @@ def moments_from_json(text: str) -> MomentSet:
     )
 
 
-def invariants_to_csv(vec: InvariantVector) -> str:
-    """Single-row CSV with header phi_m_n in flattening order."""
-    header = [
-        f"phi_{m}_{n}"
-        for m in range(vec.max_radial)
-        for n in range(vec.max_angular + 1)
-    ]
+def invariants_to_csv(phi: np.ndarray) -> str:
+    """Single-row CSV of an (M, L+1) invariant array, header phi_m_n, m-major."""
+    header = [f"phi_{m}_{n}" for m, n in np.ndindex(phi.shape)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerow([repr(float(v)) for v in vec.entries])
+    writer.writerow([repr(float(v)) for v in phi.ravel()])
     return buf.getvalue()

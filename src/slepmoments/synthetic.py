@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
 from .imaging import RasterImage
 
 __all__ = ["smooth_test_image", "shape_class_image"]
@@ -27,6 +28,9 @@ _BUMP_LAYOUT_SEED = 77
 
 
 def _disk_coords(size: int):
+    if size < 2:
+        # the disk radius size/2 - 0.5 must be positive
+        raise ParameterError(f"image size must be >= 2, got {size}")
     ys, xs = np.mgrid[0:size, 0:size].astype(float)
     c = (size - 1) / 2.0
     rho = size / 2.0 - 0.5

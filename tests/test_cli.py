@@ -219,6 +219,20 @@ def test_invalid_moment_document_exits_one(tmp_path):
     assert run(["invariants", "--moments", str(path), "--out", str(tmp_path / "p.csv")]) == 1
 
 
+@pytest.mark.parametrize("grid", [[4], "ab", [0, 0], [-5, 8]],
+                         ids=["one-size", "string", "zero", "negative"])
+def test_reconstruct_rejects_malformed_grid(tmp_path, capsys, moments_path, basis_path, grid):
+    doc = json.loads(moments_path.read_text())
+    doc["metadata"]["grid"] = grid
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["reconstruct", "--moments", str(bad), "--basis", str(basis_path),
+                "--radial", "16", "--angular", "32", "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slepmoments: error: moment grid") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
                          ids=["umask022", "umask027"])
 def test_outputs_follow_umask(tmp_path, umask, mode):
@@ -325,7 +339,13 @@ _COMPUTE = ["moments", "compute", "--image", "x.pgm", "--basis", "b.json", "--m"
     (["classify", "--reg", "inf"], "--reg"),
     (_COMPUTE + ["--l", "-1"], "--l"),
     (_COMPUTE + ["--l", "1", "--radial", "0"], "--radial"),
-], ids=["precision", "seed", "classes", "angle", "reg", "l", "radial"])
+    (["rotate-test", "--angles", ""], "--angles"),
+    (["classify", "--fractions", ""], "--fractions"),
+    (["rotate-test", "--orders", ""], "--orders"),
+    (["rotate-test", "--orders=-1,1"], "--orders"),
+    (["synth", "--size", "1"], "--size"),
+], ids=["precision", "seed", "classes", "angle", "reg", "l", "radial", "angles-empty",
+        "fractions-empty", "orders-empty", "orders-negative", "size"])
 def test_bad_values_exit_two_naming_the_flag(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

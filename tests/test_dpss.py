@@ -12,7 +12,7 @@ from slepmoments import (
     radial_basis,
     sinc_kernel,
 )
-from slepmoments.dpss import _simpson
+from slepmoments.dpss import _fix_signs, _simpson
 from slepmoments.errors import DomainError
 
 
@@ -158,6 +158,19 @@ def test_simpson_matches_scipy(npts):
         power = np.abs(dpss_spectrum(basis, k, u)) ** 2
         assert _simpson(power, 2.0 * half_width / (npts - 1)) == pytest.approx(
             simpson(power, x=u), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, w, k", [
+    (16, 0.1, 4), (64, 0.2, 10), (257, 0.05, 12), (1024, 0.05, 30), (4096, 0.01, 80),
+])
+def test_dpss_matches_scipy_oracle(n, w, k):
+    # an independent implementation; its dpss raises IndexError at N=2, so sizes start at 16
+    from scipy.signal.windows import dpss
+
+    sequences, ratios = dpss(n, n * w, Kmax=k, return_ratios=True, norm=2)
+    basis = compute_dpss(DpssParams(n, w, k))
+    assert np.abs(_fix_signs(sequences) - basis.sequences).max() < 1e-12
+    assert np.abs(ratios - basis.eigenvalues).max() < 1e-12
 
 
 def test_concentration_decreases_with_order():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from slepmoments import (
-    InvariantVector,
     LabeledDataset,
     NoiseSpec,
     ParameterError,
@@ -65,11 +64,17 @@ def test_stability_csv_layout(basis64, test_image):
 
 def _tiny_dataset():
     # two trivially separable classes in feature space
-    items = []
+    features, labels = [], []
     for i in range(4):
-        items.append((InvariantVector(1, 1, np.array([0.0, float(i % 2)])), 1))
-        items.append((InvariantVector(1, 1, np.array([10.0, float(i % 2)])), 2))
-    return LabeledDataset(items=items, class_names={1: "low", 2: "high"})
+        features += [[0.0, float(i % 2)], [10.0, float(i % 2)]]
+        labels += [1, 2]
+    return LabeledDataset(np.array(features), np.array(labels), {1: "low", 2: "high"})
+
+
+@pytest.mark.parametrize("features", [np.zeros((10, 2)), np.zeros(6)], ids=["rows", "1-d"])
+def test_dataset_needs_one_feature_row_per_label(features):
+    with pytest.raises(ParameterError, match="one row per label"):
+        LabeledDataset(features, np.array([1, 2] * 3), {1: "low", 2: "high"})
 
 
 def test_sweep_trivial_dataset_perfect_accuracy():
@@ -105,22 +110,29 @@ def test_sweep_rejects_bad_fraction():
 
 def test_synthetic_dataset_counts_and_determinism(basis64):
     ds = make_synthetic_dataset(6, 8, 1, seed=9, basis=basis64, grid=GRID)
-    assert len(ds.items) == 48
+    assert len(ds.labels) == 48
     assert sorted(ds.class_names) == [1, 2, 3, 4, 5, 6]
     again = make_synthetic_dataset(6, 8, 1, seed=9, basis=basis64, grid=GRID)
-    x1, y1 = ds.arrays()
-    x2, y2 = again.arrays()
+    x1, y1 = ds.features, ds.labels
+    x2, y2 = again.features, again.labels
     assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+
+
+def test_synthetic_labels_follow_class_numbers(basis64):
+    ds = make_synthetic_dataset(11, 1, 1, seed=3, basis=basis64, grid=GRID)
+    assert ds.class_names == {k: f"class{k}" for k in range(1, 12)}
+    assert ds.class_names[10] == "class10" and ds.class_names[11] == "class11"
+    assert ds.labels.tolist() == list(range(1, 12))
 
 
 def test_synthetic_dataset_rotations_multiply_items(basis64):
     ds = make_synthetic_dataset(2, 3, 2, seed=5, basis=basis64, grid=GRID)
-    assert len(ds.items) == 12
+    assert len(ds.labels) == 12
 
 
 def test_synthetic_classes_form_triplet_margins(basis64):
     ds = make_synthetic_dataset(2, 8, 1, seed=11, basis=basis64, grid=GRID)
-    x, y = ds.arrays()
+    x, y = ds.features, ds.labels
     a, b = x[y == 1], x[y == 2]
     good = total = 0
     for i in range(len(a)):
@@ -141,7 +153,7 @@ def test_synthetic_dataset_rejects_single_class():
 
 def test_train_classifier_on_dataset(basis64):
     ds = make_synthetic_dataset(3, 4, 1, seed=2, basis=basis64, grid=GRID)
-    x, y = ds.arrays()
+    x, y = ds.features, ds.labels
     model = train_classifier(x, y, reg=1e-3, epochs=200)
     assert (model.predict(x) == y).mean() == 1.0
 
@@ -157,8 +169,18 @@ def _write_tree(root, n_classes, per_class):
 def test_directory_ingestion_round_trip(tmp_path, basis64):
     _write_tree(tmp_path, 2, 3)
     ds = load_labeled_directory(tmp_path, basis=basis64, grid=GRID)
-    assert len(ds.items) == 6
+    assert len(ds.labels) == 6
     assert ds.class_names == {1: "class1", 2: "class2"}
+
+
+def test_directory_labels_follow_sorted_class_names(tmp_path, basis64):
+    _write_tree(tmp_path, 11, 1)
+    ds = load_labeled_directory(tmp_path, basis=basis64, grid=GRID)
+    # sorted order: class1, class10, class11, class2, ..., class9
+    names = sorted(f"class{k}" for k in range(1, 12))
+    assert ds.class_names == {label: name for label, name in enumerate(names, start=1)}
+    assert ds.class_names[2] == "class10"
+    assert ds.labels.tolist() == list(range(1, 12))
 
 
 def test_directory_with_empty_class_rejected(tmp_path, basis64):
@@ -171,7 +193,7 @@ def test_directory_with_empty_class_rejected(tmp_path, basis64):
 def test_fifty_percent_split_counts(basis64):
     # 6 classes x 8 items at 50% training: 24 train / 24 test
     ds = make_synthetic_dataset(6, 8, 1, seed=13, basis=basis64, grid=GRID)
-    x, y = ds.arrays()
+    x, y = ds.features, ds.labels
     from slepmoments.harness import _stratified_split
 
     rng = np.random.default_rng(0)

@@ -7,10 +7,12 @@ from slepmoments import (
     DomainError,
     FormatError,
     NoiseSpec,
+    ParameterError,
     RasterImage,
     add_gaussian_noise,
     read_pgm,
     rotate_image,
+    shape_class_image,
     smooth_test_image,
     to_polar,
     write_pgm,
@@ -226,3 +228,11 @@ def test_smooth_test_image_is_valid():
     assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
     again = smooth_test_image(128)
     assert np.array_equal(img.pixels, again.pixels)
+
+
+def test_synthetic_images_reject_size_below_two(rng):
+    with pytest.raises(ParameterError, match="size"):
+        smooth_test_image(1)
+    with pytest.raises(ParameterError, match="size"):
+        shape_class_image(0, rng, size=1)
+    assert smooth_test_image(2).pixels.shape == (2, 2)

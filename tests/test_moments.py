@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from slepmoments import (
     AliasingError,
     FormatError,
-    InvariantVector,
     MomentSet,
     ParameterError,
     PolarImage,
@@ -144,8 +143,8 @@ def test_invariants_are_moduli():
     values[0, 2] = 3.0 + 4.0j  # (m, n) = (0, 1)
     ms = MomentSet(max_radial=1, max_angular=1, values=values, grid=(4, 8), basis_id="x")
     vec = invariants(ms)
-    assert vec.value(0, 1) == pytest.approx(5.0)
-    assert vec.entries.shape == (2,)
+    assert vec[0, 1] == pytest.approx(5.0)
+    assert vec.shape == (1, 2)
 
 
 def test_zero_moments_zero_invariants():
@@ -153,15 +152,15 @@ def test_zero_moments_zero_invariants():
         max_radial=2, max_angular=2, values=np.zeros((2, 5), complex),
         grid=(4, 8), basis_id="x",
     )
-    assert np.all(invariants(ms).entries == 0)
+    assert np.all(invariants(ms) == 0)
 
 
 def test_cyclic_shift_leaves_invariants_unchanged(basis32, rng):
     samples = rng.random((8, 16))
-    base = invariants(compute_moments(polar(samples), basis32, 4, 5)).entries
+    base = invariants(compute_moments(polar(samples), basis32, 4, 5))
     for shift in (1, 3, 7, 11):
         shifted = np.roll(samples, shift, axis=1)
-        vec = invariants(compute_moments(polar(shifted), basis32, 4, 5)).entries
+        vec = invariants(compute_moments(polar(shifted), basis32, 4, 5))
         assert np.abs(vec - base).max() < 1e-9
 
 
@@ -227,11 +226,11 @@ def test_reconstruction_error_decreases_with_terms(basis64):
 def test_feature_vector_length_and_zero(basis64):
     img = smooth_test_image(64)
     vec = feature_vector(img, basis64, grid=(32, 64))
-    assert vec.entries.shape == (100,)
+    assert vec.shape == (100,)
     zero = feature_vector(
         type(img)(width=8, height=8, pixels=np.zeros((8, 8))), basis64, grid=(8, 32)
     )
-    assert np.all(zero.entries == 0)
+    assert np.all(zero == 0)
 
 
 def test_feature_vector_rejects_more_orders_than_sequences(basis32):
@@ -240,8 +239,8 @@ def test_feature_vector_rejects_more_orders_than_sequences(basis32):
 
 
 def test_feature_vector_rotation_stability(basis64, test_image):
-    a = feature_vector(test_image, basis64, grid=(64, 128)).entries
-    b = feature_vector(rotate_image(test_image, 90.0), basis64, grid=(64, 128)).entries
+    a = feature_vector(test_image, basis64, grid=(64, 128))
+    b = feature_vector(rotate_image(test_image, 90.0), basis64, grid=(64, 128))
     assert np.allclose(a, b, rtol=0.15, atol=1e-5)
 
 
@@ -274,8 +273,15 @@ def _set_order(entry, key, value):
     lambda d: d["moments"][0].pop("re"),
     lambda d: d.pop("metadata"),
     lambda d: d.update(moments=[]),
+    lambda d: d["metadata"].update(grid=[4]),
+    lambda d: d["metadata"].update(grid="ab"),
+    lambda d: d["metadata"].update(grid=[0, 0]),
+    lambda d: d["metadata"].update(grid=[-5, 8]),
+    lambda d: d["metadata"].update(grid=[4.0, 8]),
+    lambda d: d["metadata"].update(grid=[True, 8]),
 ], ids=["n-beyond-max", "negative-m", "duplicate", "missing", "float-order",
-        "bool-order", "missing-re", "missing-metadata", "no-moments"])
+        "bool-order", "missing-re", "missing-metadata", "no-moments", "grid-one-size",
+        "grid-string", "grid-zero", "grid-negative", "grid-float", "grid-bool"])
 def test_moment_json_rejects_malformed_documents(corrupt):
     doc = _moment_doc()
     corrupt(doc)
@@ -284,7 +290,7 @@ def test_moment_json_rejects_malformed_documents(corrupt):
 
 
 def test_invariants_csv_layout():
-    vec = InvariantVector(max_radial=2, max_angular=1, entries=np.array([1.0, 2.0, 3.0, 4.5]))
-    lines = invariants_to_csv(vec).strip().split("\n")
+    phi = np.array([[1.0, 2.0], [3.0, 4.5]])
+    lines = invariants_to_csv(phi).strip().split("\n")
     assert lines[0] == "phi_0_0,phi_0_1,phi_1_0,phi_1_1"
     assert lines[1] == "1.0,2.0,3.0,4.5"
