@@ -42,6 +42,7 @@ from .imaging import (
     write_pgm,
 )
 from .moments import (
+    Featurizer,
     MomentSet,
     compute_moments,
     feature_vector,

@@ -82,14 +82,19 @@ def _load_basis(path: str) -> DpssBasis:
     """
     doc = json.loads(Path(path).read_text())
     try:
-        n, w, k = doc["n"], float(doc["w"]), doc["k"]
+        n, w, k = doc["n"], doc["w"], doc["k"]
         seqs = np.asarray(doc["sequences"], dtype=float)
         eig = np.asarray(doc["eigenvalues"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"basis file {path} is missing field {exc}")
     if type(n) is not int or type(k) is not int:
         raise FormatError(f"basis file {path}: n and k must be integers, got {n!r}, {k!r}")
-    params = DpssParams(n_len=n, half_bandwidth=w, n_seq=k)
+    if type(w) not in (int, float):
+        raise FormatError(f"basis file {path}: w must be a number, got {w!r}")
+    try:
+        params = DpssParams(n_len=n, half_bandwidth=float(w), n_seq=k)
+    except ParameterError as exc:
+        raise FormatError(f"basis file {path}: {exc}")
     if seqs.shape != (k, n) or eig.shape != (k,):
         raise FormatError(f"basis file {path} has inconsistent array shapes")
     if not (np.isfinite(seqs).all() and np.isfinite(eig).all()):
@@ -404,3 +409,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

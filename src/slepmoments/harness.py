@@ -22,7 +22,7 @@ from .imaging import (
     read_pgm,
     rotate_image,
 )
-from .moments import feature_vector
+from .moments import Featurizer
 from .synthetic import shape_class_image
 
 __all__ = [
@@ -129,6 +129,7 @@ def rotation_stability(
     if any(m < 0 or n < 0 for m, n in orders):
         raise ParameterError("orders must be nonnegative")
 
+    featurize = Featurizer(basis, max_radial, max_angular, grid)
     rows = np.empty((len(angles), len(orders)))
     for i, angle in enumerate(angles):
         frame = rotate_image(image, angle)
@@ -136,8 +137,7 @@ def rotation_stability(
             frame = add_gaussian_noise(
                 frame, NoiseSpec(noise.snr_db, _child_seed(noise.seed, i))
             )
-        phi = feature_vector(frame, basis, max_radial, max_angular, grid)
-        phi = phi.reshape(max_radial, -1)
+        phi = featurize(frame).reshape(max_radial, -1)
         rows[i] = [phi[m, n] for m, n in orders]
 
     meta = {
@@ -360,17 +360,16 @@ def load_labeled_directory(
 def _featurize(
     named_images, basis: DpssBasis | None, grid: tuple[int, int]
 ) -> LabeledDataset:
-    """Featurize (class_name, RasterImage) pairs with ``feature_vector``.
+    """Featurize (class_name, RasterImage) pairs with one ``Featurizer``.
 
     Labels are numbered 1, 2, ... in order of each class name's first appearance.
     """
-    if basis is None:
-        basis = default_basis()
+    featurize = Featurizer(default_basis() if basis is None else basis, grid=grid)
     labels: dict[str, int] = {}
     features, ys = [], []
     for name, img in named_images:
         ys.append(labels.setdefault(name, len(labels) + 1))
-        features.append(feature_vector(img, basis, grid=grid))
+        features.append(featurize(img))
     return LabeledDataset(
         features=np.array(features),
         labels=np.array(ys),

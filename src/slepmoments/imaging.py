@@ -162,25 +162,49 @@ def write_pgm(image: RasterImage, maxval: int = 255) -> bytes:
 # --- geometry ---------------------------------------------------------------
 
 
-def _bilinear(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample pixels at fractional (x, y); coordinates outside the raster give 0."""
-    h, w = pixels.shape
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
+def _bilinear_plan(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray) -> list:
+    """Gather plan for bilinear sampling of an (h, w) raster at fractional (x, y).
+
+    One (flat index, weight) pair per corner, in the order (dy, dx) = (0, 0),
+    (0, 1), (1, 0), (1, 1). A corner outside the raster gets index h*w, which
+    ``_gather`` maps to a zero pixel.
+    """
+    h, w = shape
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
     tx = xs - x0
     ty = ys - y0
-    out = np.zeros(xs.shape)
+    base = y0 * w + x0
+    plan = []
     for dy in (0, 1):
         wy = ty if dy else 1.0 - ty
+        y_in = (y0 >= -dy) & (y0 < h - dy)
         for dx in (0, 1):
             wx = tx if dx else 1.0 - tx
-            xi = x0 + dx
-            yi = y0 + dy
-            ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            vals = np.zeros(xs.shape)
-            vals[ok] = pixels[yi[ok], xi[ok]]
-            out += wx * wy * vals
+            ok = y_in & (x0 >= -dx) & (x0 < w - dx)
+            plan.append((np.where(ok, base + (dy * w + dx), h * w), wx * wy))
+    return plan
+
+
+def _gather(pixels: np.ndarray, plan: list) -> np.ndarray:
+    """Apply a ``_bilinear_plan``: the sum 0 + w00 v00 + w01 v01 + w10 v10 + w11 v11."""
+    flat = np.append(pixels.ravel(), 0.0)
+    out = np.zeros(plan[0][0].shape)
+    for idx, wt in plan:
+        out += wt * flat[idx]
     return out
+
+
+def _polar_plan(shape: tuple[int, int], n_radial: int, n_angular: int) -> list:
+    """Gather plan of ``to_polar`` for an (h, w) raster on an R x T grid."""
+    h, w = shape
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    rho = min(w, h) / 2.0 - 0.5
+    r = (np.arange(n_radial) + 0.5) / n_radial
+    th = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    xs = cx + np.outer(r, np.cos(th)) * rho
+    ys = cy - np.outer(r, np.sin(th)) * rho
+    return _bilinear_plan(shape, xs, ys)
 
 
 def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
@@ -198,7 +222,7 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
     dy = ys - cy
     src_x = np.cos(a) * dx - np.sin(a) * dy + cx
     src_y = np.sin(a) * dx + np.cos(a) * dy + cy
-    out = _bilinear(image.pixels, src_x, src_y)
+    out = _gather(image.pixels, _bilinear_plan((h, w), src_x, src_y))
     return RasterImage(width=w, height=h, pixels=np.clip(out, 0.0, 1.0))
 
 
@@ -211,14 +235,8 @@ def to_polar(image: RasterImage, n_radial: int, n_angular: int) -> PolarImage:
     """
     if n_radial < 1 or n_angular < 1:
         raise ParameterError("polar grid dimensions must be positive")
-    h, w = image.height, image.width
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    rho = min(w, h) / 2.0 - 0.5
-    r = (np.arange(n_radial) + 0.5) / n_radial
-    th = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    xs = cx + np.outer(r, np.cos(th)) * rho
-    ys = cy - np.outer(r, np.sin(th)) * rho
-    samples = _bilinear(image.pixels, xs, ys)
+    plan = _polar_plan(image.pixels.shape, n_radial, n_angular)
+    samples = _gather(image.pixels, plan)
     return PolarImage(n_radial=n_radial, n_angular=n_angular, samples=samples)
 
 

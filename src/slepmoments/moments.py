@@ -16,13 +16,14 @@ import numpy as np
 
 from .dpss import DpssBasis, radial_basis
 from .errors import AliasingError, FormatError, ParameterError
-from .imaging import PolarImage, RasterImage, to_polar
+from .imaging import PolarImage, RasterImage, _gather, _polar_plan
 
 __all__ = [
     "MomentSet",
     "compute_moments",
     "invariants",
     "reconstruct",
+    "Featurizer",
     "feature_vector",
     "moments_to_json",
     "moments_from_json",
@@ -60,14 +61,7 @@ class MomentSet:
         return complex(self.values[m, self.max_angular + n])
 
 
-def compute_moments(
-    img: PolarImage, basis: DpssBasis, max_radial: int, max_angular: int
-) -> MomentSet:
-    """Project the image onto the moment kernels via one FFT per radial ring.
-
-    S[m][n] = sum_i psi_m(r_i) r_i dr * (sum_j exp(-i n theta_j) conj(f) dtheta)
-    with dr = 1/R and dtheta = 2pi/T; identical to the direct double sum.
-    """
+def _check_orders(basis: DpssBasis, max_radial: int, max_angular: int, n_t: int) -> None:
     if max_radial < 1:
         raise ParameterError(f"max_radial must be >= 1, got {max_radial}")
     if max_angular < 0:
@@ -76,24 +70,44 @@ def compute_moments(
         raise ParameterError(
             f"max_radial {max_radial} exceeds basis n_seq {basis.params.n_seq}"
         )
-    n_r, n_t = img.n_radial, img.n_angular
     if 2 * max_angular + 1 > n_t:
         raise AliasingError(
             f"angular orders [-{max_angular}, {max_angular}] need at least "
             f"{2 * max_angular + 1} angular samples, grid has {n_t}"
         )
-    r = img.radii
-    psi = radial_basis(basis, r)[:max_radial]
+
+
+def _radial_weights(basis: DpssBasis, max_radial: int, n_r: int) -> np.ndarray:
+    """psi_m(r_i) * r_i * dr for m < M on the R rings, an M x R matrix."""
+    r = (np.arange(n_r) + 0.5) / n_r
+    return radial_basis(basis, r)[:max_radial] * (r / n_r)
+
+
+def _project(samples: np.ndarray, psi_w: np.ndarray, max_angular: int) -> np.ndarray:
+    """Moments of polar samples against ``_radial_weights``, an M x (2L+1) matrix."""
+    n_t = samples.shape[1]
     # DFT of conj(f) along theta gives the inner sum for every n at once.
-    spectrum = np.fft.fft(np.conj(img.samples), axis=1)
+    spectrum = np.fft.fft(np.conj(samples), axis=1)
     cols = spectrum[:, np.arange(-max_angular, max_angular + 1) % n_t]
     cols = cols * (2.0 * np.pi / n_t)
-    weights = r / n_r
-    values = (psi * weights) @ cols
+    return psi_w @ cols
+
+
+def compute_moments(
+    img: PolarImage, basis: DpssBasis, max_radial: int, max_angular: int
+) -> MomentSet:
+    """Project the image onto the moment kernels via one FFT per radial ring.
+
+    S[m][n] = sum_i psi_m(r_i) r_i dr * (sum_j exp(-i n theta_j) conj(f) dtheta)
+    with dr = 1/R and dtheta = 2pi/T; identical to the direct double sum.
+    """
+    n_r, n_t = img.n_radial, img.n_angular
+    _check_orders(basis, max_radial, max_angular, n_t)
+    psi_w = _radial_weights(basis, max_radial, n_r)
     return MomentSet(
         max_radial=max_radial,
         max_angular=max_angular,
-        values=values,
+        values=_project(img.samples, psi_w, max_angular),
         grid=(n_r, n_t),
         basis_id=basis.basis_id,
     )
@@ -133,6 +147,49 @@ def reconstruct(ms: MomentSet, basis: DpssBasis, grid: tuple[int, int]) -> Polar
     )
 
 
+class Featurizer:
+    """Polar resampling, moments and invariants of raster images in one step.
+
+    The order and grid checks run once, psi_m(r) * r * dr is built once, and the
+    polar gather plan once per raster shape, so featurizing many images repeats
+    only the per-image work. Each call returns the invariants flattened m-major:
+    entry m*(L+1)+n holds phi_{m,n}. Defaults give 100 entries (10 radial
+    orders, angular orders 0..9).
+    """
+
+    def __init__(
+        self,
+        basis: DpssBasis,
+        max_radial: int = 10,
+        max_angular: int = 9,
+        grid: tuple[int, int] = (64, 128),
+    ):
+        n_r, n_t = grid
+        if n_r < 1 or n_t < 1:
+            raise ParameterError("polar grid dimensions must be positive")
+        _check_orders(basis, max_radial, max_angular, n_t)
+        self._basis_id = basis.basis_id
+        self._max_radial = max_radial
+        self._max_angular = max_angular
+        self._grid = (n_r, n_t)
+        self._psi_w = _radial_weights(basis, max_radial, n_r)
+        self._plans: dict[tuple[int, int], list] = {}
+
+    def __call__(self, img: RasterImage) -> np.ndarray:
+        shape = img.pixels.shape
+        if shape not in self._plans:
+            self._plans[shape] = _polar_plan(shape, *self._grid)
+        polar = PolarImage(*self._grid, samples=_gather(img.pixels, self._plans[shape]))
+        ms = MomentSet(
+            max_radial=self._max_radial,
+            max_angular=self._max_angular,
+            values=_project(polar.samples, self._psi_w, self._max_angular),
+            grid=self._grid,
+            basis_id=self._basis_id,
+        )
+        return invariants(ms).ravel()
+
+
 def feature_vector(
     img: RasterImage,
     basis: DpssBasis,
@@ -140,13 +197,11 @@ def feature_vector(
     max_angular: int = 9,
     grid: tuple[int, int] = (64, 128),
 ) -> np.ndarray:
-    """Polar resampling, moments, and invariants in one step.
+    """``Featurizer(basis, max_radial, max_angular, grid)(img)``, for one image.
 
-    Returns the invariants flattened m-major, so entry m*(L+1)+n holds
-    phi_{m,n}. Defaults give 100 entries (10 radial orders, angular orders 0..9).
+    To featurize many images, build one ``Featurizer`` and reuse it.
     """
-    polar = to_polar(img, grid[0], grid[1])
-    return invariants(compute_moments(polar, basis, max_radial, max_angular)).ravel()
+    return Featurizer(basis, max_radial, max_angular, grid)(img)
 
 
 # --- serialization -----------------------------------------------------------
@@ -181,7 +236,8 @@ def moments_from_json(text: str) -> MomentSet:
         meta = doc["metadata"]
         grid, basis_id = tuple(meta["grid"]), meta["basis_id"]
         orders = [(e["m"], e["n"]) for e in doc["moments"]]
-        coeffs = [e["re"] + 1j * e["im"] for e in doc["moments"]]
+        # complex(re, im) keeps the sign of a zero part; re + 1j * im does not
+        coeffs = [complex(e["re"], e["im"]) for e in doc["moments"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed moment document ({type(exc).__name__}: {exc})")
     if len(grid) != 2 or any(type(size) is not int or size < 1 for size in grid):

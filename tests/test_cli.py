@@ -267,15 +267,40 @@ check("reconstruct")
 """
 
 
-def test_lean_commands_never_load_scipy(tmp_path, image_path, basis_path):
+def _src_env():
+    """Environment in which a child interpreter imports this checkout's package."""
     src = str(Path(slepmoments.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_lean_commands_never_load_scipy(tmp_path, image_path, basis_path):
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE, str(image_path), str(basis_path), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_MODULE_FORMS = (["-m", "slepmoments"], ["-m", "slepmoments.cli"])
+
+
+def test_python_m_runs_the_cli(tmp_path, image_path, basis_path):
+    env = _src_env()
+    args = ["rotate-test", "--image", str(image_path), "--basis", str(basis_path),
+            "--angles", "0,90", "--radial", "16", "--angular", "32"]
+    expected = tmp_path / "expected.csv"
+    assert run(args + ["--out", str(expected)]) == 0
+    for i, form in enumerate(_MODULE_FORMS):
+        out = tmp_path / f"out{i}.csv"
+        proc = subprocess.run([sys.executable, *form, *args, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == expected.read_bytes()
+        proc = subprocess.run([sys.executable, *form, *args, "--radial", "0", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("slepmoments: usage error: argument --radial: ")
 
 
 def _option_strings(parser, prefix=()):
@@ -389,7 +414,11 @@ def test_classify_empty_class_directory_exits_one(tmp_path, capsys):
     {"eigenvalues": [1.0, 0.5]},
     {"eigenvalues": [0.5, 0.0]},
     {"eigenvalues": [0.5, 0.9]},
-], ids=["n-real", "k-real", "all-sevens", "nan", "norm-2", "eig-1", "eig-0", "eig-rising"])
+    {"w": "0.1"},
+    {"w": True},
+    {"w": 0.7},
+], ids=["n-real", "k-real", "all-sevens", "nan", "norm-2", "eig-1", "eig-0", "eig-rising",
+        "w-string", "w-bool", "w-range"])
 def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch):
     good = tmp_path / "b.json"
     assert run(["dpss", "gen", "--n", "8", "--w", "0.2", "--k", "2", "--out", str(good)]) == 0

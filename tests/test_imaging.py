@@ -17,6 +17,7 @@ from slepmoments import (
     to_polar,
     write_pgm,
 )
+from slepmoments.imaging import _bilinear_plan, _gather
 
 
 def make_image(pixels):
@@ -192,6 +193,90 @@ def test_polar_of_rotation_is_cyclic_shift(test_image):
     polar45 = to_polar(rotate_image(test_image, 45.0), 32, t).samples
     shift = int(round(45.0 * t / 360.0))
     assert np.abs(polar45 - np.roll(polar0, shift, axis=1)).mean() <= 0.03
+
+
+# --- sampling against the masked reference ------------------------------------
+
+
+def _bilinear_reference(pixels, xs, ys):
+    """The masked per-corner bilinear sum the package used before its gather plans."""
+    h, w = pixels.shape
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    tx = xs - x0
+    ty = ys - y0
+    out = np.zeros(xs.shape)
+    for dy in (0, 1):
+        wy = ty if dy else 1.0 - ty
+        for dx in (0, 1):
+            wx = tx if dx else 1.0 - tx
+            xi = x0 + dx
+            yi = y0 + dy
+            ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            vals = np.zeros(xs.shape)
+            vals[ok] = pixels[yi[ok], xi[ok]]
+            out += wx * wy * vals
+    return out
+
+
+def _rotate_reference(image, angle_deg):
+    a = np.deg2rad(angle_deg)
+    h, w = image.height, image.width
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    ys, xs = np.mgrid[0:h, 0:w]
+    src_x = np.cos(a) * (xs - cx) - np.sin(a) * (ys - cy) + cx
+    src_y = np.sin(a) * (xs - cx) + np.cos(a) * (ys - cy) + cy
+    return np.clip(_bilinear_reference(image.pixels, src_x, src_y), 0.0, 1.0)
+
+
+def _polar_reference(image, n_radial, n_angular):
+    h, w = image.height, image.width
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    rho = min(w, h) / 2.0 - 0.5
+    r = (np.arange(n_radial) + 0.5) / n_radial
+    th = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    xs = cx + np.outer(r, np.cos(th)) * rho
+    ys = cy - np.outer(r, np.sin(th)) * rho
+    return _bilinear_reference(image.pixels, xs, ys)
+
+
+def _signed_zero_raster(rng, h, w):
+    # Samples inside the -0.0 block sum four -0.0 terms, which only the zeros
+    # start turns into +0.0; the +0.0 row mixes signed zeros.
+    px = rng.random((h, w))
+    px[h // 4 : h // 4 + h // 3 + 2, w // 4 : w // 4 + w // 3 + 2] = -0.0
+    px[-1, ::3] = 0.0
+    return px
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (16, 16), (37, 53), (53, 37)])
+def test_gather_plan_matches_reference_bitwise(rng, shape):
+    h, w = shape
+    px = _signed_zero_raster(rng, h, w)
+    xs = rng.uniform(-2.5, w + 1.5, size=(40, 30))
+    ys = rng.uniform(-2.5, h + 1.5, size=(40, 30))
+    # exact edges and half-pixel steps past every side of the raster
+    xs[0, :6] = [w - 1, -0.5, -1.0, w - 0.5, w, 0.0]
+    ys[0, :6] = [h - 1, h - 1, -0.5, h - 0.5, -1.0, h]
+    xs[1, :4] = [-0.5, w - 1, w - 0.5, -1e-12]
+    ys[1, :4] = [-0.5, -0.5, h - 1, h - 1 + 1e-12]
+    got = _gather(px, _bilinear_plan(px.shape, xs, ys))
+    assert got.tobytes() == _bilinear_reference(px, xs, ys).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (37, 53), (53, 37)])
+@pytest.mark.parametrize("angle", [0.0, 35.0, 90.0, -140.0, 325.0])
+def test_rotate_matches_reference_bitwise(rng, shape, angle):
+    img = make_image(_signed_zero_raster(rng, *shape))
+    assert rotate_image(img, angle).pixels.tobytes() == _rotate_reference(img, angle).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (37, 53), (53, 37), (128, 128)])
+@pytest.mark.parametrize("grid", [(1, 4), (8, 16), (256, 512)])
+def test_polar_matches_reference_bitwise(rng, shape, grid):
+    img = make_image(_signed_zero_raster(rng, *shape))
+    got = to_polar(img, *grid).samples
+    assert got.tobytes() == _polar_reference(img, *grid).tobytes()
 
 
 # --- noise ------------------------------------------------------------------

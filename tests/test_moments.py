@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from slepmoments import (
     AliasingError,
+    Featurizer,
     FormatError,
     MomentSet,
     ParameterError,
@@ -20,6 +21,7 @@ from slepmoments import (
     reconstruct,
     rotate_image,
     smooth_test_image,
+    to_polar,
 )
 from slepmoments.dpss import radial_basis
 
@@ -244,6 +246,36 @@ def test_feature_vector_rotation_stability(basis64, test_image):
     assert np.allclose(a, b, rtol=0.15, atol=1e-5)
 
 
+@pytest.mark.parametrize("size, m, l, grid", [
+    (64, 10, 9, (64, 128)), (37, 3, 2, (8, 16)), (53, 5, 7, (33, 15)), (2, 1, 0, (1, 4)),
+])
+def test_featurizer_matches_pipeline_bitwise(basis64, size, m, l, grid):
+    img = smooth_test_image(size)
+    chain = invariants(compute_moments(to_polar(img, *grid), basis64, m, l)).ravel()
+    assert Featurizer(basis64, m, l, grid)(img).tobytes() == chain.tobytes()
+    assert feature_vector(img, basis64, m, l, grid).tobytes() == chain.tobytes()
+
+
+def test_featurizer_reused_across_raster_shapes(basis64, test_image):
+    images = [test_image, smooth_test_image(37), rotate_image(test_image, 35.0),
+              smooth_test_image(37), smooth_test_image(50)]
+    shared = Featurizer(basis64, 4, 5, (32, 64))
+    for img in images:
+        fresh = Featurizer(basis64, 4, 5, (32, 64))(img)
+        assert shared(img).tobytes() == fresh.tobytes()
+
+
+def test_featurizer_checks_orders_and_grid_when_built(basis32):
+    with pytest.raises(ParameterError):
+        Featurizer(basis32, max_radial=6)
+    with pytest.raises(ParameterError):
+        Featurizer(basis32, max_radial=0)
+    with pytest.raises(AliasingError):
+        Featurizer(basis32, max_radial=5, max_angular=9, grid=(16, 18))
+    with pytest.raises(ParameterError):
+        Featurizer(basis32, max_radial=5, grid=(0, 128))
+
+
 def test_moment_json_round_trip(basis32, rng):
     ms = compute_moments(polar(rng.random((6, 10))), basis32, 3, 2)
     back = moments_from_json(moments_to_json(ms))
@@ -252,6 +284,30 @@ def test_moment_json_round_trip(basis32, rng):
     assert back.grid == ms.grid
     assert back.basis_id == ms.basis_id
     assert np.abs(back.values - ms.values).max() < 1e-15
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.tuples(st.integers(min_value=1, max_value=2**31), st.integers(min_value=1, max_value=2**31)),
+    st.text(max_size=12),
+    st.data(),
+)
+def test_moment_json_round_trip_is_exact(max_radial, max_angular, grid, basis_id, data):
+    count = max_radial * (2 * max_angular + 1)
+    parts = data.draw(st.lists(_finite_floats, min_size=2 * count, max_size=2 * count))
+    values = np.empty((max_radial, 2 * max_angular + 1), dtype=complex)
+    values.real = np.reshape(parts[::2], values.shape)
+    values.imag = np.reshape(parts[1::2], values.shape)
+    ms = MomentSet(max_radial, max_angular, values, grid, basis_id)
+    back = moments_from_json(moments_to_json(ms))
+    assert back.values.tobytes() == ms.values.tobytes()
+    assert (back.max_radial, back.max_angular) == (max_radial, max_angular)
+    assert back.grid == grid and back.basis_id == basis_id
 
 
 def _moment_doc():
