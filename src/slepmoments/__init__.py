@@ -11,10 +11,7 @@ from .dpss import (
     DpssBasis,
     DpssParams,
     compute_dpss,
-    concentration_ratio,
-    dpss_spectrum,
     radial_basis,
-    sinc_kernel,
 )
 from .errors import AliasingError, DomainError, FormatError, ParameterError
 from .harness import (

@@ -81,11 +81,13 @@ def _load_basis(path: str) -> DpssBasis:
     product to every load (K=80, N=4096 for the largest bases in use).
     """
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise FormatError(f"basis file {path} must hold a JSON object")
     try:
         n, w, k = doc["n"], doc["w"], doc["k"]
-        seqs = np.asarray(doc["sequences"], dtype=float)
-        eig = np.asarray(doc["eigenvalues"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        seqs = _number_array(path, doc, "sequences")
+        eig = _number_array(path, doc, "eigenvalues")
+    except KeyError as exc:
         raise FormatError(f"basis file {path} is missing field {exc}")
     if type(n) is not int or type(k) is not int:
         raise FormatError(f"basis file {path}: n and k must be integers, got {n!r}, {k!r}")
@@ -93,19 +95,32 @@ def _load_basis(path: str) -> DpssBasis:
         raise FormatError(f"basis file {path}: w must be a number, got {w!r}")
     try:
         params = DpssParams(n_len=n, half_bandwidth=float(w), n_seq=k)
-    except ParameterError as exc:
+    except (ParameterError, OverflowError) as exc:
         raise FormatError(f"basis file {path}: {exc}")
     if seqs.shape != (k, n) or eig.shape != (k,):
         raise FormatError(f"basis file {path} has inconsistent array shapes")
     if not (np.isfinite(seqs).all() and np.isfinite(eig).all()):
         raise FormatError(f"basis file {path} holds non-finite values")
-    if np.abs(np.linalg.norm(seqs, axis=1) - 1.0).max() > 1e-9:
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the check
+        norms = np.linalg.norm(seqs, axis=1)
+    if np.abs(norms - 1.0).max() > 1e-9:
         raise FormatError(f"basis file {path}: sequences must have unit norm")
     if not (0.0 < eig[-1] and eig[0] < 1.0 and (np.diff(eig) < 0.0).all()):
         raise FormatError(
             f"basis file {path}: eigenvalues must decrease strictly within (0, 1)"
         )
     return DpssBasis(params=params, sequences=seqs, eigenvalues=eig)
+
+
+def _number_array(path: str, doc: dict, name: str) -> np.ndarray:
+    """The field as a float array; it must hold numbers in equal-length lists."""
+    try:
+        arr = np.asarray(doc[name])  # no dtype, so strings, nulls and bools are not cast
+    except ValueError:  # ragged lists
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise FormatError(f"basis file {path}: {name} must be an array of numbers")
+    return arr.astype(float, copy=False)
 
 
 def _basis_json(basis: DpssBasis) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import train_classifier
-from .dpss import DpssBasis, DpssParams, compute_dpss
+from .dpss import DpssBasis, DpssParams
 from .errors import ParameterError
 from .imaging import (
     GENERATOR_NAME,
@@ -54,8 +54,21 @@ _DEFAULT_BASIS_PARAMS = DpssParams(n_len=64, half_bandwidth=0.2, n_seq=10)
 
 
 def default_basis() -> DpssBasis:
-    """Basis used when the caller does not supply one (N=64, W=0.2, K=10)."""
-    return compute_dpss(_DEFAULT_BASIS_PARAMS)
+    """Basis used when the caller does not supply one (N=64, W=0.2, K=10).
+
+    It is built from the stored float64 values of ``compute_dpss`` for these
+    parameters, so no eigenproblem is solved and scipy is never loaded.
+    """
+    # imported here, like scipy in compute_dpss, so only default-basis users load it
+    from . import _default_basis
+
+    return DpssBasis(
+        params=_DEFAULT_BASIS_PARAMS,
+        sequences=np.array(
+            [[float.fromhex(x) for x in row] for row in _default_basis.SEQUENCES]
+        ),
+        eigenvalues=np.array([float.fromhex(x) for x in _default_basis.EIGENVALUES]),
+    )
 
 
 def _child_seed(seed: int, *key: int) -> int:

@@ -217,9 +217,8 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
     a = np.deg2rad(angle_deg)
     h, w = image.height, image.width
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    ys, xs = np.mgrid[0:h, 0:w]
-    dx = xs - cx
-    dy = ys - cy
+    dx = (np.arange(w) - cx)[None, :]
+    dy = (np.arange(h) - cy)[:, None]
     src_x = np.cos(a) * dx - np.sin(a) * dy + cx
     src_y = np.sin(a) * dx + np.cos(a) * dy + cy
     out = _gather(image.pixels, _bilinear_plan((h, w), src_x, src_y))

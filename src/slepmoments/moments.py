@@ -55,11 +55,6 @@ class MomentSet:
             raise ParameterError("moment values must be finite")
         object.__setattr__(self, "values", v)
 
-    def value(self, m: int, n: int) -> complex:
-        if not (0 <= m < self.max_radial and -self.max_angular <= n <= self.max_angular):
-            raise IndexError(f"moment order ({m}, {n}) outside stored range")
-        return complex(self.values[m, self.max_angular + n])
-
 
 def _check_orders(basis: DpssBasis, max_radial: int, max_angular: int, n_t: int) -> None:
     if max_radial < 1:

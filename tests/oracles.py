@@ -1,0 +1,71 @@
+"""Reference computations the tests check the package against.
+
+The dense sinc kernel, the DPSS spectra and their concentration ratios serve as
+oracles for ``compute_dpss`` (criterion 1 and ``test_dpss.py``); ``moment_value``
+reads one moment by its (m, n) order.
+"""
+
+import numpy as np
+
+from slepmoments import DpssBasis, MomentSet, ParameterError
+from slepmoments.dpss import _kernel_column
+
+
+def sinc_kernel(n_len: int, half_bandwidth: float) -> np.ndarray:
+    """Dense N x N bandlimiting kernel sin(2piW(n-m))/(pi(n-m)), diagonal 2W."""
+    if n_len < 1:
+        raise ParameterError(f"n_len must be a positive integer, got {n_len}")
+    if not (0.0 < half_bandwidth < 0.5):
+        raise ParameterError(
+            f"half_bandwidth must lie in (0, 0.5), got {half_bandwidth}"
+        )
+    col = _kernel_column(n_len, half_bandwidth)
+    idx = np.abs(np.arange(n_len)[:, None] - np.arange(n_len)[None, :])
+    return col[idx]
+
+
+def dpss_spectrum(basis: DpssBasis, k: int, u_grid) -> np.ndarray:
+    """Evaluate f_k(u) = eps_k * sum_m v_m exp(-i pi (N-1-2m) u) on a frequency grid.
+
+    Returns one complex value per grid frequency. eps_k is 1 for even k and the
+    imaginary unit for odd k, which keeps the inverse relation
+    v_m = (1/eps_k) integral of f_k exp(+i pi (N-1-2m) u) du valid for every k.
+    """
+    if not (0 <= k < basis.params.n_seq):
+        raise IndexError(f"sequence index {k} out of range [0, {basis.params.n_seq})")
+    u = np.asarray(u_grid, dtype=float)
+    n = basis.params.n_len
+    eps_k = 1.0 if k % 2 == 0 else 1.0j
+    phase = np.exp(-1j * np.pi * np.outer(u, n - 1 - 2 * np.arange(n)))
+    return eps_k * (phase @ basis.sequences[k])
+
+
+def simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule over an odd number of samples spaced h apart."""
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+
+
+def concentration_ratio(basis: DpssBasis, k: int, quad_points: int) -> float:
+    """Energy of f_k inside [-W, W] over its energy on [-1/2, 1/2], by quadrature.
+
+    Composite Simpson on both intervals; the result reproduces the eigenvalue
+    lambda_k up to quadrature error.
+    """
+    if quad_points < 3:
+        raise ParameterError(f"quad_points must be >= 3, got {quad_points}")
+    npts = quad_points + (quad_points + 1) % 2  # odd point count
+
+    def energy(half_width: float) -> float:
+        u = np.linspace(-half_width, half_width, npts)
+        power = np.abs(dpss_spectrum(basis, k, u)) ** 2
+        return simpson(power, 2.0 * half_width / (npts - 1))
+
+    ratio = float(energy(basis.params.half_bandwidth) / energy(0.5))
+    return min(max(ratio, np.finfo(float).tiny), np.nextafter(1.0, 0.0))
+
+
+def moment_value(ms: MomentSet, m: int, n: int) -> complex:
+    """S[m][n] of a moment set, for 0 <= m < M and -L <= n <= L."""
+    if not (0 <= m < ms.max_radial and -ms.max_angular <= n <= ms.max_angular):
+        raise IndexError(f"moment order ({m}, {n}) outside stored range")
+    return complex(ms.values[m, ms.max_angular + n])

@@ -13,7 +13,6 @@ from slepmoments import (
     PolarImage,
     compute_dpss,
     compute_moments,
-    concentration_ratio,
     invariants,
     make_synthetic_dataset,
     reconstruct,
@@ -23,9 +22,10 @@ from slepmoments import (
     write_pgm,
 )
 from slepmoments.cli import run
-from slepmoments.dpss import radial_basis, sinc_kernel
+from slepmoments.dpss import radial_basis
 from slepmoments.harness import DEFAULT_SEED, PROTOCOL_ANGLES_DEG, PROTOCOL_ORDERS
 
+from oracles import concentration_ratio, sinc_kernel
 from test_moments import brute_force_moments, polar
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -7,16 +8,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import slepmoments
 from slepmoments import (
     PROTOCOL_ORDERS,
+    DpssBasis,
+    DpssParams,
+    FormatError,
+    compute_dpss,
     default_basis,
     rotation_stability,
     smooth_test_image,
     write_pgm,
 )
-from slepmoments.cli import _build_parser, run
+from slepmoments.cli import _basis_json, _build_parser, _load_basis, run
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +271,20 @@ check("invariants")
 assert run(["reconstruct", "--moments", out + "/s.json", "--basis", basis,
             "--radial", "16", "--angular", "32", "--out", out + "/r.json"]) == 0
 check("reconstruct")
+grid = ["--radial", "16", "--angular", "32"]
+assert run(["rotate-test", "--angles", "0,90", *grid, "--out", out + "/rot.csv"]) == 0
+check("rotate-test")
+assert run(["noise-test", "--angles", "0,90", *grid, "--out", out + "/noise.csv"]) == 0
+check("noise-test")
+sweep = ["--fractions", "0.5", "--repeats", "1", "--epochs", "5", *grid]
+assert run(["classify", "--classes", "2", "--per-class", "2", *sweep,
+            "--out", out + "/cls.csv"]) == 0
+check("classify")
+assert run(["synth", "--classes", "2", "--per-class", "2", "--size", "32",
+            "--out-dir", out + "/synth"]) == 0
+assert run(["classify", "--data-dir", out + "/synth", *sweep,
+            "--out", out + "/clsdir.csv"]) == 0
+check("classify --data-dir")
 """
 
 
@@ -417,13 +438,25 @@ def test_classify_empty_class_directory_exits_one(tmp_path, capsys):
     {"w": "0.1"},
     {"w": True},
     {"w": 0.7},
+    {"sequences": "abc"},
+    {"sequences": [[0.5] * 8, [0.5] * 7]},
+    {"eigenvalues": "x"},
+    [1, 2],
+    "basis",
+    {"sequences": [[1e300] * 8] * 2},
 ], ids=["n-real", "k-real", "all-sevens", "nan", "norm-2", "eig-1", "eig-0", "eig-rising",
-        "w-string", "w-bool", "w-range"])
+        "w-string", "w-bool", "w-range", "sequences-string", "sequences-ragged",
+        "eigenvalues-string", "top-list", "top-string", "norm-overflow"])
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch):
+    # a dict patches a valid basis document; any other value replaces the whole document
     good = tmp_path / "b.json"
     assert run(["dpss", "gen", "--n", "8", "--w", "0.2", "--k", "2", "--out", str(good)]) == 0
     doc = json.loads(good.read_text())
-    doc.update(patch)
+    if isinstance(patch, dict):
+        doc.update(patch)
+    else:
+        doc = patch
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["moments", "compute", "--image", str(image_path), "--basis", str(bad),
@@ -431,3 +464,75 @@ def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch):
                 "--out", str(tmp_path / "s.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"slepmoments: error: basis file {bad}") and err.count("\n") == 1
+    if not isinstance(patch, dict):
+        assert err.endswith("must hold a JSON object\n")
+
+
+@st.composite
+def _valid_bases(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=n))
+    w = draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+    entries = st.floats(min_value=-1.0, max_value=1.0) | st.sampled_from([0.0, -0.0])
+    seqs = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=k, max_size=k)))
+    norms = np.linalg.norm(seqs, axis=1)
+    assume(norms.min() > 1e-3)
+    eig = draw(st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                  exclude_min=True, exclude_max=True),
+                        min_size=k, max_size=k, unique=True))
+    return DpssBasis(params=DpssParams(n, w, k), sequences=seqs / norms[:, None],
+                     eigenvalues=np.array(sorted(eig, reverse=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=_valid_bases())
+def test_basis_json_round_trip_is_exact(tmp_path_factory, basis):
+    path = tmp_path_factory.mktemp("roundtrip") / "b.json"
+    path.write_text(_basis_json(basis))
+    loaded = _load_basis(str(path))
+    assert loaded.params == basis.params
+    assert loaded.sequences.tobytes() == basis.sequences.tobytes()
+    assert loaded.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["n", "w", "k", "eigenvalues", "sequences"]),
+       value=_JSON_VALUES)
+@example(field="w", value=10**400)
+@example(field="sequences", value=[[1e300] * 8] * 2)
+def test_basis_loader_refuses_any_field_value_cleanly(tmp_path_factory, field, value):
+    # replacing one field of a valid document gives a basis or a FormatError, never
+    # another exception or a numpy warning
+    doc = json.loads(_basis_json(compute_dpss(DpssParams(8, 0.2, 2))))
+    doc[field] = value
+    path = tmp_path_factory.mktemp("adversarial") / "b.json"
+    path.write_text(json.dumps(doc))
+    try:
+        _load_basis(str(path))
+    except FormatError as exc:
+        assert str(exc).startswith(f"basis file {path}")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "64", "--w", "0.1", "--k", "10"],
+     "3c73a45b090bcd62178b333cf6c7d68646b342f9a8c80fa7baa7e3e16878261b"),
+    (["--n", "1024", "--w", "0.05", "--k", "30"],
+     "18fcd29f421747e005f9d7357486cfa6f705f70f5fffaa2874e5b08bd9a26ad2"),
+], ids=["basis", "basis_big"])
+def test_dpss_gen_writes_the_recorded_bytes(tmp_path, argv, digest):
+    # the SHA-256 of the golden-corpus basis files in CHANGES.md; they were
+    # recorded on x86-64 with numpy 2.4 and scipy 1.17, and another LAPACK
+    # build may differ in the last bits
+    out = tmp_path / "b.json"
+    assert run(["dpss", "gen", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

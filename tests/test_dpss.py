@@ -3,17 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slepmoments import (
-    DpssParams,
-    ParameterError,
-    compute_dpss,
-    concentration_ratio,
-    dpss_spectrum,
-    radial_basis,
-    sinc_kernel,
-)
-from slepmoments.dpss import _fix_signs, _simpson
+from slepmoments import DpssParams, ParameterError, compute_dpss, default_basis, radial_basis
+from slepmoments.cli import _basis_json, _load_basis
+from slepmoments.dpss import _fix_signs
 from slepmoments.errors import DomainError
+
+from oracles import concentration_ratio, dpss_spectrum, simpson, sinc_kernel
 
 
 def test_kernel_single_point():
@@ -151,13 +146,13 @@ def test_concentration_matches_eigenvalue():
 
 @pytest.mark.parametrize("npts", [3, 5, 101, 8193])
 def test_simpson_matches_scipy(npts):
-    simpson = pytest.importorskip("scipy.integrate").simpson
+    scipy_simpson = pytest.importorskip("scipy.integrate").simpson
     basis = compute_dpss(DpssParams(24, 0.15, 3))
     for k, half_width in ((0, 0.15), (1, 0.5), (2, 0.5)):
         u = np.linspace(-half_width, half_width, npts)
         power = np.abs(dpss_spectrum(basis, k, u)) ** 2
-        assert _simpson(power, 2.0 * half_width / (npts - 1)) == pytest.approx(
-            simpson(power, x=u), rel=1e-12)
+        assert simpson(power, 2.0 * half_width / (npts - 1)) == pytest.approx(
+            scipy_simpson(power, x=u), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, w, k", [
@@ -171,6 +166,29 @@ def test_dpss_matches_scipy_oracle(n, w, k):
     basis = compute_dpss(DpssParams(n, w, k))
     assert np.abs(_fix_signs(sequences) - basis.sequences).max() < 1e-12
     assert np.abs(ratios - basis.eigenvalues).max() < 1e-12
+
+
+def test_stored_default_basis_matches_a_fresh_solve():
+    stored = default_basis()
+    fresh = compute_dpss(DpssParams(64, 0.2, 10))
+    assert stored.params == fresh.params
+    assert stored.sequences.shape == (10, 64) and stored.eigenvalues.shape == (10,)
+    assert np.abs(stored.sequences - fresh.sequences).max() <= 1e-14
+    assert np.abs(stored.eigenvalues - fresh.eigenvalues).max() <= 1e-14
+
+
+def test_stored_default_basis_passes_the_basis_file_checks(tmp_path):
+    path = tmp_path / "default.json"
+    path.write_text(_basis_json(default_basis()))
+    loaded = _load_basis(str(path))
+    assert loaded.basis_id == "dpss-n64-w0.2-k10"
+    assert loaded.sequences.tobytes() == default_basis().sequences.tobytes()
+
+
+def test_default_basis_is_a_fresh_object_per_call():
+    a, b = default_basis(), default_basis()
+    assert a is not b and a.sequences is not b.sequences
+    assert a.sequences.tobytes() == b.sequences.tobytes()
 
 
 def test_concentration_decreases_with_order():
