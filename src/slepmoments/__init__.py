@@ -30,7 +30,6 @@ from .harness import (
 from .imaging import (
     GENERATOR_NAME,
     NoiseSpec,
-    PolarImage,
     RasterImage,
     add_gaussian_noise,
     read_pgm,
@@ -42,7 +41,6 @@ from .moments import (
     Featurizer,
     MomentSet,
     compute_moments,
-    feature_vector,
     invariants,
     invariants_to_csv,
     moments_from_json,

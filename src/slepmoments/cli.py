@@ -33,8 +33,9 @@ from .harness import (
     rotation_stability,
     synthetic_images,
 )
-from .imaging import NoiseSpec, read_pgm, rotate_image, to_polar, write_pgm
+from .imaging import NoiseSpec, _read_pgm_file, rotate_image, to_polar, write_pgm
 from .moments import (
+    MomentSet,
     compute_moments,
     invariants,
     invariants_to_csv,
@@ -80,7 +81,10 @@ def _load_basis(path: str) -> DpssBasis:
     Orthogonality is not checked, because the Gram matrix would add a K x K x N
     product to every load (K=80, N=4096 for the largest bases in use).
     """
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
+        raise FormatError(f"basis file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise FormatError(f"basis file {path} must hold a JSON object")
     try:
@@ -110,6 +114,14 @@ def _load_basis(path: str) -> DpssBasis:
             f"basis file {path}: eigenvalues must decrease strictly within (0, 1)"
         )
     return DpssBasis(params=params, sequences=seqs, eigenvalues=eig)
+
+
+def _load_moments(path: str) -> MomentSet:
+    """Read a moment file; every malformed document gives a FormatError naming it."""
+    try:
+        return moments_from_json(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"moment file {path}: {exc}")
 
 
 def _number_array(path: str, doc: dict, name: str) -> np.ndarray:
@@ -191,13 +203,6 @@ def _orders(text: str) -> list[tuple[int, int]]:
     if any(m < 0 or n < 0 for m, n in pairs):
         raise argparse.ArgumentTypeError(f"orders must be nonnegative, got {text!r}")
     return pairs
-
-
-def _read_image(path: str):
-    try:
-        return read_pgm(Path(path).read_bytes())
-    except FileNotFoundError:
-        raise FormatError(f"input image {path} does not exist")
 
 
 _SEED = dict(type=_natural, default=DEFAULT_SEED,
@@ -323,43 +328,42 @@ def _cmd_dpss_gen(args) -> int:
 
 
 def _cmd_moments_compute(args) -> int:
-    image = _read_image(args.image)
+    image = _read_pgm_file(args.image)
     basis = _load_basis(args.basis)
     if args.angle != 0.0:
         image = rotate_image(image, args.angle)
-    polar = to_polar(image, args.radial, args.angular)
-    ms = compute_moments(polar, basis, args.m, args.l)
+    ms = compute_moments(to_polar(image, args.radial, args.angular), basis, args.m, args.l)
     _write_atomic(args.out, moments_to_json(ms))
     return 0
 
 
 def _cmd_invariants(args) -> int:
-    ms = moments_from_json(Path(args.moments).read_text())
+    ms = _load_moments(args.moments)
     _write_atomic(args.out, invariants_to_csv(invariants(ms)))
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    ms = moments_from_json(Path(args.moments).read_text())
+    ms = _load_moments(args.moments)
     basis = _load_basis(args.basis)
     if ms.basis_id != basis.basis_id:
         raise FormatError(
             f"moment file {args.moments} was computed with basis {ms.basis_id!r}, "
             f"but {args.basis} is {basis.basis_id!r}"
         )
-    polar = reconstruct(ms, basis, (args.radial, args.angular))
+    samples, residual = reconstruct(ms, basis, (args.radial, args.angular))
     doc = {
-        "n_radial": polar.n_radial,
-        "n_angular": polar.n_angular,
-        "imag_residual": polar.meta["imag_residual"],
-        "samples": np.asarray(polar.samples, dtype=float).tolist(),
+        "n_radial": args.radial,
+        "n_angular": args.angular,
+        "imag_residual": residual,
+        "samples": samples.tolist(),
     }
     _write_atomic(args.out, json.dumps(doc, indent=1))
     return 0
 
 
 def _cmd_stability(args) -> int:
-    image = _read_image(args.image) if args.image else smooth_test_image(128)
+    image = _read_pgm_file(args.image) if args.image else smooth_test_image(128)
     basis = _load_basis(args.basis) if args.basis else default_basis()
     noise = NoiseSpec(args.snr_db, args.seed) if args.command == "noise-test" else None
     report = rotation_stability(

@@ -18,8 +18,8 @@ from .imaging import (
     GENERATOR_NAME,
     NoiseSpec,
     RasterImage,
+    _read_pgm_file,
     add_gaussian_noise,
-    read_pgm,
     rotate_image,
 )
 from .moments import Featurizer
@@ -363,7 +363,7 @@ def load_labeled_directory(
         if not paths:
             raise ParameterError(f"class directory {cdir} holds no .pgm images")
     images = (
-        (cdir.name, read_pgm(path.read_bytes()))
+        (cdir.name, _read_pgm_file(path))
         for cdir, paths in classes
         for path in paths
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -10,7 +11,6 @@ from .errors import DomainError, FormatError, ParameterError
 
 __all__ = [
     "RasterImage",
-    "PolarImage",
     "NoiseSpec",
     "GENERATOR_NAME",
     "read_pgm",
@@ -27,57 +27,19 @@ GENERATOR_NAME = "pcg64"
 
 @dataclass(frozen=True)
 class RasterImage:
-    """Grayscale raster with intensities in [0, 1]; row 0 is the image top."""
+    """Grayscale (height, width) raster with intensities in [0, 1]; row 0 is the top."""
 
-    width: int
-    height: int
     pixels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ParameterError("image dimensions must be positive")
         px = np.asarray(self.pixels, dtype=float)
-        if px.shape != (self.height, self.width):
-            raise ParameterError(
-                f"pixel array shape {px.shape} does not match "
-                f"(height, width)=({self.height}, {self.width})"
-            )
+        if px.ndim != 2 or px.size == 0:
+            raise ParameterError(f"pixels must be a non-empty 2-D array, got {px.shape}")
         if not np.all(np.isfinite(px)):
             raise ParameterError("pixel intensities must be finite")
-        if px.size and (px.min() < 0.0 or px.max() > 1.0):
+        if px.min() < 0.0 or px.max() > 1.0:
             raise ParameterError("pixel intensities must lie in [0, 1]")
         object.__setattr__(self, "pixels", px)
-
-
-@dataclass(frozen=True)
-class PolarImage:
-    """Samples f(r_i, theta_j) on the uniform grid r_i=(i+0.5)/R, theta_j=2pi j/T.
-
-    The grid is implicit; only the sample matrix is stored. Samples may be
-    complex (moment computations accept complex test inputs).
-    """
-
-    n_radial: int
-    n_angular: int
-    samples: np.ndarray = field(repr=False)
-    meta: dict | None = None
-
-    def __post_init__(self):
-        if self.n_radial < 1 or self.n_angular < 1:
-            raise ParameterError("polar grid dimensions must be positive")
-        s = np.asarray(self.samples)
-        if s.shape != (self.n_radial, self.n_angular):
-            raise ParameterError(
-                f"sample array shape {s.shape} does not match "
-                f"(R, T)=({self.n_radial}, {self.n_angular})"
-            )
-        if not np.all(np.isfinite(s)):
-            raise ParameterError("polar samples must be finite")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def radii(self) -> np.ndarray:
-        return (np.arange(self.n_radial) + 0.5) / self.n_radial
 
 
 @dataclass(frozen=True)
@@ -143,14 +105,25 @@ def read_pgm(data: bytes) -> RasterImage:
         )
     dtype = np.uint8 if bytes_per == 1 else ">u2"
     raw = np.frombuffer(payload, dtype=dtype).astype(float).reshape(height, width)
-    return RasterImage(width=width, height=height, pixels=raw / maxval)
+    return RasterImage(raw / maxval)
+
+
+def _read_pgm_file(path: str | Path) -> RasterImage:
+    """``read_pgm`` of a file; its errors name the file."""
+    try:
+        return read_pgm(Path(path).read_bytes())
+    except FileNotFoundError:
+        raise FormatError(f"input image {path} does not exist")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}")
 
 
 def write_pgm(image: RasterImage, maxval: int = 255) -> bytes:
     """Encode to binary PGM; round-trips within 1/(2*maxval) per pixel."""
     if not (0 < maxval <= 65535):
         raise ParameterError(f"maxval {maxval} out of range (0, 65535]")
-    header = f"P5\n{image.width} {image.height}\n{maxval}\n".encode("ascii")
+    height, width = image.pixels.shape
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
     levels = np.rint(image.pixels * maxval)
     if maxval < 256:
         payload = levels.astype(np.uint8).tobytes()
@@ -215,28 +188,27 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
     the frame are clipped.
     """
     a = np.deg2rad(angle_deg)
-    h, w = image.height, image.width
+    h, w = image.pixels.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     dx = (np.arange(w) - cx)[None, :]
     dy = (np.arange(h) - cy)[:, None]
     src_x = np.cos(a) * dx - np.sin(a) * dy + cx
     src_y = np.sin(a) * dx + np.cos(a) * dy + cy
     out = _gather(image.pixels, _bilinear_plan((h, w), src_x, src_y))
-    return RasterImage(width=w, height=h, pixels=np.clip(out, 0.0, 1.0))
+    return RasterImage(np.clip(out, 0.0, 1.0))
 
 
-def to_polar(image: RasterImage, n_radial: int, n_angular: int) -> PolarImage:
-    """Resample the inscribed disk onto the uniform polar grid.
+def to_polar(image: RasterImage, n_radial: int, n_angular: int) -> np.ndarray:
+    """Resample the inscribed disk onto the uniform polar grid, an R x T array.
 
-    Sample (i, j) reads the raster at (cx + r_i rho cos theta_j,
+    Sample (i, j) holds f(r_i, theta_j) with r_i = (i + 0.5)/R and
+    theta_j = 2pi j/T. It reads the raster at (cx + r_i rho cos theta_j,
     cy - r_i rho sin theta_j) with center ((w-1)/2, (h-1)/2) and disk radius
     rho = min(w, h)/2 - 0.5; reads outside the raster give 0.
     """
     if n_radial < 1 or n_angular < 1:
         raise ParameterError("polar grid dimensions must be positive")
-    plan = _polar_plan(image.pixels.shape, n_radial, n_angular)
-    samples = _gather(image.pixels, plan)
-    return PolarImage(n_radial=n_radial, n_angular=n_angular, samples=samples)
+    return _gather(image.pixels, _polar_plan(image.pixels.shape, n_radial, n_angular))
 
 
 def add_gaussian_noise(image: RasterImage, spec: NoiseSpec) -> RasterImage:
@@ -251,6 +223,4 @@ def add_gaussian_noise(image: RasterImage, spec: NoiseSpec) -> RasterImage:
     sigma = np.sqrt(power / 10.0 ** (spec.snr_db / 10.0))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed))
     noisy = image.pixels + rng.normal(0.0, sigma, image.pixels.shape)
-    return RasterImage(
-        width=image.width, height=image.height, pixels=np.clip(noisy, 0.0, 1.0)
-    )
+    return RasterImage(np.clip(noisy, 0.0, 1.0))

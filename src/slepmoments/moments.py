@@ -16,7 +16,7 @@ import numpy as np
 
 from .dpss import DpssBasis, radial_basis
 from .errors import AliasingError, FormatError, ParameterError
-from .imaging import PolarImage, RasterImage, _gather, _polar_plan
+from .imaging import RasterImage, _gather, _polar_plan
 
 __all__ = [
     "MomentSet",
@@ -89,20 +89,24 @@ def _project(samples: np.ndarray, psi_w: np.ndarray, max_angular: int) -> np.nda
 
 
 def compute_moments(
-    img: PolarImage, basis: DpssBasis, max_radial: int, max_angular: int
+    samples: np.ndarray, basis: DpssBasis, max_radial: int, max_angular: int
 ) -> MomentSet:
-    """Project the image onto the moment kernels via one FFT per radial ring.
+    """Project R x T samples f(r_i, theta_j), real or complex, via one FFT per ring.
 
     S[m][n] = sum_i psi_m(r_i) r_i dr * (sum_j exp(-i n theta_j) conj(f) dtheta)
     with dr = 1/R and dtheta = 2pi/T; identical to the direct double sum.
     """
-    n_r, n_t = img.n_radial, img.n_angular
+    samples = np.asarray(samples)
+    if samples.ndim != 2 or samples.size == 0:
+        raise ParameterError(f"samples must be a non-empty 2-D array, got {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise ParameterError("polar samples must be finite")
+    n_r, n_t = samples.shape
     _check_orders(basis, max_radial, max_angular, n_t)
-    psi_w = _radial_weights(basis, max_radial, n_r)
     return MomentSet(
         max_radial=max_radial,
         max_angular=max_angular,
-        values=_project(img.samples, psi_w, max_angular),
+        values=_project(samples, _radial_weights(basis, max_radial, n_r), max_angular),
         grid=(n_r, n_t),
         basis_id=basis.basis_id,
     )
@@ -116,13 +120,17 @@ def invariants(ms: MomentSet) -> np.ndarray:
     return np.abs(ms.values[:, ms.max_angular :])
 
 
-def reconstruct(ms: MomentSet, basis: DpssBasis, grid: tuple[int, int]) -> PolarImage:
+def reconstruct(
+    ms: MomentSet, basis: DpssBasis, grid: tuple[int, int]
+) -> tuple[np.ndarray, float]:
     """Evaluate the truncated series sum_{m,n} S[m][n] psi_m(r) exp(-i n theta).
 
-    All stored orders contribute, negative n included. Returns the real part;
-    the largest absolute imaginary residual is reported in the image metadata.
+    All stored orders contribute, negative n included. Returns the real part
+    on the R x T ``grid`` and the largest absolute imaginary residual.
     """
     n_r, n_t = grid
+    if n_r < 1 or n_t < 1:
+        raise ParameterError("polar grid dimensions must be positive")
     if n_r < ms.grid[0] or n_t < ms.grid[1]:
         raise ParameterError(
             f"target grid {grid} must match or refine the moment grid {ms.grid}"
@@ -133,13 +141,7 @@ def reconstruct(ms: MomentSet, basis: DpssBasis, grid: tuple[int, int]) -> Polar
     ns = np.arange(-ms.max_angular, ms.max_angular + 1)
     angular = np.exp(-1j * np.outer(ns, theta))
     series = psi.T @ ms.values @ angular
-    residual = float(np.abs(series.imag).max()) if series.size else 0.0
-    return PolarImage(
-        n_radial=n_r,
-        n_angular=n_t,
-        samples=series.real,
-        meta={"imag_residual": residual},
-    )
+    return series.real, float(np.abs(series.imag).max())
 
 
 class Featurizer:
@@ -163,8 +165,6 @@ class Featurizer:
         if n_r < 1 or n_t < 1:
             raise ParameterError("polar grid dimensions must be positive")
         _check_orders(basis, max_radial, max_angular, n_t)
-        self._basis_id = basis.basis_id
-        self._max_radial = max_radial
         self._max_angular = max_angular
         self._grid = (n_r, n_t)
         self._psi_w = _radial_weights(basis, max_radial, n_r)
@@ -174,15 +174,9 @@ class Featurizer:
         shape = img.pixels.shape
         if shape not in self._plans:
             self._plans[shape] = _polar_plan(shape, *self._grid)
-        polar = PolarImage(*self._grid, samples=_gather(img.pixels, self._plans[shape]))
-        ms = MomentSet(
-            max_radial=self._max_radial,
-            max_angular=self._max_angular,
-            values=_project(polar.samples, self._psi_w, self._max_angular),
-            grid=self._grid,
-            basis_id=self._basis_id,
-        )
-        return invariants(ms).ravel()
+        samples = _gather(img.pixels, self._plans[shape])
+        values = _project(samples, self._psi_w, self._max_angular)
+        return np.abs(values[:, self._max_angular :]).ravel()
 
 
 def feature_vector(
@@ -194,7 +188,10 @@ def feature_vector(
 ) -> np.ndarray:
     """``Featurizer(basis, max_radial, max_angular, grid)(img)``, for one image.
 
-    To featurize many images, build one ``Featurizer`` and reuse it.
+    Not exported by the package; build a ``Featurizer`` instead. It stays
+    because BENCHMARK.json declares the per-layer figure
+    ``moments.feature_vector.self_s``, and ``perfbench/run.py --trace 1``
+    stops when a declared figure is missing.
     """
     return Featurizer(basis, max_radial, max_angular, grid)(img)
 
@@ -231,10 +228,11 @@ def moments_from_json(text: str) -> MomentSet:
         meta = doc["metadata"]
         grid, basis_id = tuple(meta["grid"]), meta["basis_id"]
         orders = [(e["m"], e["n"]) for e in doc["moments"]]
-        # complex(re, im) keeps the sign of a zero part; re + 1j * im does not
-        coeffs = [complex(e["re"], e["im"]) for e in doc["moments"]]
+        parts = [(e["re"], e["im"]) for e in doc["moments"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed moment document ({type(exc).__name__}: {exc})")
+    if type(basis_id) is not str:
+        raise FormatError(f"moment basis_id must be a string, got {type(basis_id).__name__}")
     if len(grid) != 2 or any(type(size) is not int or size < 1 for size in grid):
         raise FormatError(
             f"moment grid must be two positive integers, got {meta['grid']!r}"
@@ -243,6 +241,13 @@ def moments_from_json(text: str) -> MomentSet:
         raise FormatError("moment document holds no moments")
     if any(type(order) is not int for pair in orders for order in pair):
         raise FormatError("moment orders m and n must be integers")
+    if any(type(part) not in (int, float) for pair in parts for part in pair):
+        raise FormatError("moment parts re and im must be numbers")
+    try:
+        # complex(re, im) keeps the sign of a zero part; re + 1j * im does not
+        coeffs = [complex(re, im) for re, im in parts]
+    except OverflowError:
+        raise FormatError("moment parts re and im must fit in a float")
     max_radial = max(m for m, _ in orders) + 1
     max_angular = max(n for _, n in orders)
     # the length test comes first, so the expected set is never larger than the document

@@ -60,7 +60,7 @@ def smooth_test_image(size: int = 128) -> RasterImage:
         yb = c - rb * rho * np.sin(tb)
         img += ab * np.exp(-((xs - xb) ** 2 + (ys - yb) ** 2) / (2.0 * sb**2))
     img = np.clip(img, 0.0, 1.0)
-    return RasterImage(width=size, height=size, pixels=img)
+    return RasterImage(img)
 
 
 def shape_class_image(
@@ -89,4 +89,4 @@ def shape_class_image(
     img = np.clip(img, 0.0, 1.0)
     power = float(np.mean(img**2))
     img = np.clip(img + rng.normal(0.0, np.sqrt(power / 1e4), img.shape), 0.0, 1.0)
-    return RasterImage(width=size, height=size, pixels=img)
+    return RasterImage(img)

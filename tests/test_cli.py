@@ -236,8 +236,75 @@ def test_reconstruct_rejects_malformed_grid(tmp_path, capsys, moments_path, basi
     assert run(["reconstruct", "--moments", str(bad), "--basis", str(basis_path),
                 "--radial", "16", "--angular", "32", "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("slepmoments: error: moment grid") and err.count("\n") == 1
+    assert err.startswith(f"slepmoments: error: moment file {bad}: moment grid")
+    assert err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("text", ['{"n": 8,', "[" * 100000, "\udcff"],
+                         ids=["truncated", "nested-too-deep", "not-utf8"])
+@pytest.mark.parametrize("command", ["moments", "invariants", "reconstruct"])
+def test_malformed_json_names_the_file(tmp_path, capsys, image_path, basis_path, text,
+                                       command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, errors="surrogateescape")  # the last case is the byte 0xff
+    out = ["--out", str(tmp_path / "out")]
+    argv, kind = {
+        "moments": (["moments", "compute", "--image", str(image_path), "--basis", str(bad),
+                     "--m", "2", "--l", "1", *out], "basis"),
+        "invariants": (["invariants", "--moments", str(bad), *out], "moment"),
+        "reconstruct": (["reconstruct", "--moments", str(bad), "--basis", str(basis_path),
+                         "--radial", "16", "--angular", "32", *out], "moment"),
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"slepmoments: error: {kind} file {bad}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("patch", [
+    {"re": 10**400}, {"re": True, "im": False}, {"basis_id": [1, 2]},
+], ids=["re-overflow", "bool-parts", "basis-id-list"])
+@pytest.mark.parametrize("command", ["invariants", "reconstruct"])
+def test_invalid_moment_values_exit_one(tmp_path, capsys, moments_path, basis_path,
+                                        patch, command):
+    doc = json.loads(moments_path.read_text())
+    target = doc["metadata"] if "basis_id" in patch else doc["moments"][0]
+    target.update(patch)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, "--moments", str(bad), "--out", str(tmp_path / "out")]
+    if command == "reconstruct":
+        argv += ["--basis", str(basis_path), "--radial", "16", "--angular", "32"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"slepmoments: error: moment file {bad}: ")
+    assert err.count("\n") == 1
+
+
+_P6 = b"P6\n1 1\n255\n\x00\x00\x00"
+_P6_ERROR = "unsupported magic b'P6', expected b'P5' (byte offset 0)"
+
+
+def test_pgm_format_error_names_the_image(tmp_path, capsys, basis_path):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(_P6)
+    assert run(["moments", "compute", "--image", str(bad), "--basis", str(basis_path),
+                "--m", "2", "--l", "1", "--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"slepmoments: error: {bad}: {_P6_ERROR}\n"
+
+
+def test_pgm_format_error_in_data_dir_names_the_image(tmp_path, capsys):
+    root = tmp_path / "data"
+    assert run(["synth", "--classes", "2", "--per-class", "2", "--size", "32",
+                "--out-dir", str(root)]) == 0
+    bad = root / "class2" / "zz.pgm"
+    bad.write_bytes(_P6)
+    assert run(["classify", "--data-dir", str(root), "--fractions", "0.5", "--repeats", "1",
+                "--radial", "16", "--angular", "32", "--epochs", "5",
+                "--out", str(tmp_path / "a.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"slepmoments: error: {bad}: {_P6_ERROR}\n"
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
@@ -535,4 +602,43 @@ def test_dpss_gen_writes_the_recorded_bytes(tmp_path, argv, digest):
     # build may differ in the last bits
     out = tmp_path / "b.json"
     assert run(["dpss", "gen", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    """The golden-corpus inputs: p128 is smooth_test_image(128) as PGM, basis.json the
+    `basis` basis above and mom.json its moments of p128."""
+    root = tmp_path_factory.mktemp("golden")
+    (root / "p128").write_bytes(write_pgm(smooth_test_image(128)))
+    assert run(["dpss", "gen", "--n", "64", "--w", "0.1", "--k", "10",
+                "--out", str(root / "basis.json")]) == 0
+    assert run(["moments", "compute", "--image", str(root / "p128"), "--basis",
+                str(root / "basis.json"), "--m", "10", "--l", "9",
+                "--out", str(root / "mom.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("moments compute --image p128 --basis basis.json --m 10 --l 9",
+     "91b16dca39479aee178b16cc6221d0d5f1907664fce113ca779f756bf42b0576"),
+    ("invariants --moments mom.json",
+     "fc437883a1b662dd6820eafa6f95030a196164cfd63ffc9bae4c710cefec7113"),
+    # rec.json changes when reconstruct is made to invert compute_moments
+    # (ROADMAP item 1), under its own exception to the byte-for-byte rule
+    ("reconstruct --moments mom.json --basis basis.json --radial 128 --angular 256",
+     "90372389a2106cf1a75d96c3357e54c29b9833bcec2beffadfccf51d2265c4f7"),
+    ("rotate-test --image p128",
+     "c37b0ab20fbef1039ce8f97b2d244dc93f7ab3b2958ee9c44fe0933ab37da4a9"),
+    ("rotate-test",
+     "854ea589c9d3bd42220169e565ba8926949d109f26f4cbbf2ab2c850a7a354e4"),
+], ids=["mom.json", "phi.csv", "rec.json", "rot.csv", "default_rot.csv"])
+def test_commands_write_the_recorded_bytes(tmp_path, monkeypatch, golden_inputs, argv,
+                                           digest):
+    # the SHA-256 of the golden-corpus outputs in CHANGES.md, from the same inputs and
+    # commands; they were recorded on x86-64 with numpy 2.4 and scipy 1.17, and
+    # another LAPACK build may differ in the last bits
+    monkeypatch.chdir(golden_inputs)
+    out = tmp_path / "out"
+    assert run([*argv.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -20,9 +20,12 @@ from slepmoments import (
 from slepmoments.imaging import _bilinear_plan, _gather
 
 
-def make_image(pixels):
-    px = np.asarray(pixels, dtype=float)
-    return RasterImage(width=px.shape[1], height=px.shape[0], pixels=px)
+@pytest.mark.parametrize("pixels", [
+    np.zeros(4), np.zeros((0, 4)), np.zeros((2, 2, 2)), [[0.5, np.nan]], [[1.5]], [[-0.1]],
+], ids=["1-d", "empty", "3-d", "nan", "above-one", "below-zero"])
+def test_raster_image_checks_its_pixels(pixels):
+    with pytest.raises(ParameterError):
+        RasterImage(pixels)
 
 
 # --- PGM ----------------------------------------------------------------
@@ -30,7 +33,7 @@ def make_image(pixels):
 
 def test_read_pgm_scales_to_unit_interval():
     img = read_pgm(b"P5\n2 1\n255\n" + bytes([0, 255]))
-    assert img.width == 2 and img.height == 1
+    assert img.pixels.shape == (1, 2)
     assert np.allclose(img.pixels, [[0.0, 1.0]])
 
 
@@ -64,23 +67,23 @@ def test_read_pgm_handles_comments():
 
 
 def test_write_pgm_one_pixel_white():
-    img = make_image([[1.0]])
+    img = RasterImage([[1.0]])
     assert write_pgm(img).endswith(bytes([255]))
 
 
 def test_write_pgm_zeros():
-    img = make_image(np.zeros((2, 2)))
+    img = RasterImage(np.zeros((2, 2)))
     assert write_pgm(img).endswith(bytes([0, 0, 0, 0]))
 
 
 def test_pgm_round_trip_quantization(rng):
-    img = make_image(rng.random((16, 16)))
+    img = RasterImage(rng.random((16, 16)))
     back = read_pgm(write_pgm(img))
     assert np.abs(back.pixels - img.pixels).max() <= 1 / 510 + 1e-12
 
 
 def test_pgm_round_trip_sixteen_bit(rng):
-    img = make_image(rng.random((8, 8)))
+    img = RasterImage(rng.random((8, 8)))
     back = read_pgm(write_pgm(img, maxval=65535))
     assert np.abs(back.pixels - img.pixels).max() <= 1 / (2 * 65535) + 1e-12
 
@@ -90,9 +93,9 @@ def test_pgm_round_trip_sixteen_bit(rng):
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_pgm_round_trip_property(w, h, seed):
     px = np.random.default_rng(seed).random((h, w))
-    img = make_image(px)
+    img = RasterImage(px)
     back = read_pgm(write_pgm(img))
-    assert back.width == w and back.height == h
+    assert back.pixels.shape == (h, w)
     assert np.abs(back.pixels - px).max() <= 1 / 510 + 1e-12
 
 
@@ -100,13 +103,13 @@ def test_pgm_round_trip_property(w, h, seed):
 
 
 def test_rotate_zero_is_identity(rng):
-    img = make_image(rng.random((12, 15)))
+    img = RasterImage(rng.random((12, 15)))
     out = rotate_image(img, 0.0)
     assert np.allclose(out.pixels, img.pixels, atol=1e-12)
 
 
 def test_rotate_quarter_turn_is_transpose_flip(rng):
-    img = make_image(rng.random((9, 9)))
+    img = RasterImage(rng.random((9, 9)))
     out = rotate_image(img, 90.0)
     assert np.abs(out.pixels - img.pixels.T[::-1]).max() < 1e-12
 
@@ -114,7 +117,7 @@ def test_rotate_quarter_turn_is_transpose_flip(rng):
 def test_rotate_matches_pixelwise_oracle(rng):
     # independent per-pixel inverse mapping with its own bilinear code
     px = rng.random((32, 32))
-    img = make_image(px)
+    img = RasterImage(px)
     out = rotate_image(img, 35.0)
     a = np.deg2rad(35.0)
     c = (32 - 1) / 2.0
@@ -138,7 +141,7 @@ def test_rotate_matches_pixelwise_oracle(rng):
 
 def test_rotate_round_trip_central_disk(test_image):
     back = rotate_image(rotate_image(test_image, 35.0), -35.0)
-    size = test_image.width
+    size = test_image.pixels.shape[1]
     c = (size - 1) / 2.0
     ys, xs = np.mgrid[0:size, 0:size]
     mask = np.hypot(xs - c, ys - c) <= 0.35 * size
@@ -150,16 +153,15 @@ def test_rotate_round_trip_central_disk(test_image):
 
 
 def test_polar_constant_image():
-    img = make_image(np.full((20, 20), 0.37))
-    polar = to_polar(img, 8, 16)
-    assert np.abs(polar.samples - 0.37).max() < 1e-12
+    img = RasterImage(np.full((20, 20), 0.37))
+    samples = to_polar(img, 8, 16)
+    assert np.abs(samples - 0.37).max() < 1e-12
 
 
 def test_polar_center_pixel_four_fold():
     px = np.zeros((3, 3))
     px[1, 1] = 1.0
-    polar = to_polar(make_image(px), 1, 4)
-    vals = polar.samples[0]
+    vals = to_polar(RasterImage(px), 1, 4)[0]
     assert np.allclose(vals, vals[0], atol=1e-12)
 
 
@@ -169,10 +171,10 @@ def test_polar_radial_ramp():
     rho = size / 2.0 - 0.5
     ys, xs = np.mgrid[0:size, 0:size]
     ramp = np.clip(np.hypot(xs - c, ys - c) / rho, 0.0, 1.0)
-    polar = to_polar(make_image(ramp), 32, 64)
-    r = polar.radii
+    samples = to_polar(RasterImage(ramp), 32, 64)
+    r = (np.arange(32) + 0.5) / 32
     keep = r <= 0.9
-    err = np.abs(polar.samples[keep] - r[keep, None])
+    err = np.abs(samples[keep] - r[keep, None])
     assert err.max() < 0.02
 
 
@@ -180,17 +182,15 @@ def test_polar_linearity(rng):
     a, b = 0.3, 0.6
     x = rng.random((16, 16))
     y = rng.random((16, 16))
-    combined = to_polar(make_image(np.clip(a * x + b * y, 0, 1)), 8, 16).samples
-    separate = a * to_polar(make_image(x), 8, 16).samples + b * to_polar(
-        make_image(y), 8, 16
-    ).samples
+    combined = to_polar(RasterImage(np.clip(a * x + b * y, 0, 1)), 8, 16)
+    separate = a * to_polar(RasterImage(x), 8, 16) + b * to_polar(RasterImage(y), 8, 16)
     assert np.abs(combined - separate).max() < 1e-12
 
 
 def test_polar_of_rotation_is_cyclic_shift(test_image):
     t = 256
-    polar0 = to_polar(test_image, 32, t).samples
-    polar45 = to_polar(rotate_image(test_image, 45.0), 32, t).samples
+    polar0 = to_polar(test_image, 32, t)
+    polar45 = to_polar(rotate_image(test_image, 45.0), 32, t)
     shift = int(round(45.0 * t / 360.0))
     assert np.abs(polar45 - np.roll(polar0, shift, axis=1)).mean() <= 0.03
 
@@ -221,7 +221,7 @@ def _bilinear_reference(pixels, xs, ys):
 
 def _rotate_reference(image, angle_deg):
     a = np.deg2rad(angle_deg)
-    h, w = image.height, image.width
+    h, w = image.pixels.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     ys, xs = np.mgrid[0:h, 0:w]
     src_x = np.cos(a) * (xs - cx) - np.sin(a) * (ys - cy) + cx
@@ -230,7 +230,7 @@ def _rotate_reference(image, angle_deg):
 
 
 def _polar_reference(image, n_radial, n_angular):
-    h, w = image.height, image.width
+    h, w = image.pixels.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     rho = min(w, h) / 2.0 - 0.5
     r = (np.arange(n_radial) + 0.5) / n_radial
@@ -267,15 +267,15 @@ def test_gather_plan_matches_reference_bitwise(rng, shape):
 @pytest.mark.parametrize("shape", [(9, 9), (37, 53), (53, 37)])
 @pytest.mark.parametrize("angle", [0.0, 35.0, 90.0, -140.0, 325.0])
 def test_rotate_matches_reference_bitwise(rng, shape, angle):
-    img = make_image(_signed_zero_raster(rng, *shape))
+    img = RasterImage(_signed_zero_raster(rng, *shape))
     assert rotate_image(img, angle).pixels.tobytes() == _rotate_reference(img, angle).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (37, 53), (53, 37), (128, 128)])
 @pytest.mark.parametrize("grid", [(1, 4), (8, 16), (256, 512)])
 def test_polar_matches_reference_bitwise(rng, shape, grid):
-    img = make_image(_signed_zero_raster(rng, *shape))
-    got = to_polar(img, *grid).samples
+    img = RasterImage(_signed_zero_raster(rng, *shape))
+    got = to_polar(img, *grid)
     assert got.tobytes() == _polar_reference(img, *grid).tobytes()
 
 
@@ -283,7 +283,7 @@ def test_polar_matches_reference_bitwise(rng, shape, grid):
 
 
 def test_noise_variance_matches_snr():
-    img = make_image(np.full((128, 128), 0.5))
+    img = RasterImage(np.full((128, 128), 0.5))
     noisy = add_gaussian_noise(img, NoiseSpec(snr_db=30.0, seed=99))
     delta = noisy.pixels - img.pixels
     target = 0.25 / 1000.0
@@ -304,12 +304,12 @@ def test_noise_vanishes_at_high_snr(test_image):
 
 def test_noise_rejects_zero_image():
     with pytest.raises(DomainError):
-        add_gaussian_noise(make_image(np.zeros((4, 4))), NoiseSpec(30.0, 0))
+        add_gaussian_noise(RasterImage(np.zeros((4, 4))), NoiseSpec(30.0, 0))
 
 
 def test_smooth_test_image_is_valid():
     img = smooth_test_image(128)
-    assert img.width == img.height == 128
+    assert img.pixels.shape == (128, 128)
     assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
     again = smooth_test_image(128)
     assert np.array_equal(img.pixels, again.pixels)

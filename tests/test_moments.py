@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slepmoments import (
@@ -11,9 +11,8 @@ from slepmoments import (
     FormatError,
     MomentSet,
     ParameterError,
-    PolarImage,
+    RasterImage,
     compute_moments,
-    feature_vector,
     invariants,
     invariants_to_csv,
     moments_from_json,
@@ -24,23 +23,20 @@ from slepmoments import (
     to_polar,
 )
 from slepmoments.dpss import radial_basis
+from slepmoments.moments import feature_vector
 
 from oracles import moment_value
+from test_cli import _JSON_VALUES
 
 
-def polar(samples):
-    s = np.asarray(samples)
-    return PolarImage(n_radial=s.shape[0], n_angular=s.shape[1], samples=s)
-
-
-def brute_force_moments(img, basis, max_radial, max_angular):
+def brute_force_moments(samples, basis, max_radial, max_angular):
     """Direct O(R*T*M*L) double sum; oracle for the FFT path."""
-    n_r, n_t = img.n_radial, img.n_angular
+    n_r, n_t = samples.shape
     r = (np.arange(n_r) + 0.5) / n_r
     theta = 2.0 * np.pi * np.arange(n_t) / n_t
     psi = radial_basis(basis, r)
     out = np.zeros((max_radial, 2 * max_angular + 1), dtype=complex)
-    f = np.conj(img.samples)
+    f = np.conj(samples)
     for m in range(max_radial):
         for n in range(-max_angular, max_angular + 1):
             acc = 0.0 + 0.0j
@@ -54,15 +50,15 @@ def brute_force_moments(img, basis, max_radial, max_angular):
 
 
 def test_zero_image_gives_zero_moments(basis32):
-    ms = compute_moments(polar(np.zeros((8, 8))), basis32, 4, 3)
+    ms = compute_moments(np.zeros((8, 8)), basis32, 4, 3)
     assert np.all(ms.values == 0)
 
 
 def test_complex_exponential_hits_single_order(basis32):
     n_r, n_t = 8, 16
     theta = 2.0 * np.pi * np.arange(n_t) / n_t
-    img = polar(np.tile(np.exp(-1j * theta), (n_r, 1)))
-    ms = compute_moments(img, basis32, 4, 3)
+    samples = np.tile(np.exp(-1j * theta), (n_r, 1))
+    ms = compute_moments(samples, basis32, 4, 3)
     r = (np.arange(n_r) + 0.5) / n_r
     psi = radial_basis(basis32, r)
     for m in range(4):
@@ -75,9 +71,9 @@ def test_complex_exponential_hits_single_order(basis32):
 
 
 def test_fft_path_equals_brute_force(basis32, rng):
-    img = polar(rng.random((8, 8)) + 1j * rng.random((8, 8)))
-    ms = compute_moments(img, basis32, 4, 3)
-    oracle = brute_force_moments(img, basis32, 4, 3)
+    samples = rng.random((8, 8)) + 1j * rng.random((8, 8))
+    ms = compute_moments(samples, basis32, 4, 3)
+    oracle = brute_force_moments(samples, basis32, 4, 3)
     assert np.abs(ms.values - oracle).max() < 1e-10
 
 
@@ -89,11 +85,11 @@ def test_fft_path_equals_brute_force(basis32, rng):
 )
 def test_fft_direct_equivalence_property(basis32, n_r, n_t, seed):
     gen = np.random.default_rng(seed)
-    img = polar(gen.random((n_r, n_t)))
+    samples = gen.random((n_r, n_t))
     max_angular = min(5, (n_t - 1) // 2)
     max_radial = min(5, basis32.params.n_seq)
-    ms = compute_moments(img, basis32, max_radial, max_angular)
-    oracle = brute_force_moments(img, basis32, max_radial, max_angular)
+    ms = compute_moments(samples, basis32, max_radial, max_angular)
+    oracle = brute_force_moments(samples, basis32, max_radial, max_angular)
     assert np.abs(ms.values - oracle).max() < 1e-10
 
 
@@ -103,20 +99,20 @@ def test_fft_direct_equivalence_all_small_grids(basis32):
     worst = 0.0
     for n_r in range(1, 17):
         for n_t in range(1, 17):
-            img = polar(gen.random((n_r, n_t)))
+            samples = gen.random((n_r, n_t))
             max_angular = min(5, (n_t - 1) // 2)
-            ms = compute_moments(img, basis32, 5, max_angular)
+            ms = compute_moments(samples, basis32, 5, max_angular)
             r = (np.arange(n_r) + 0.5) / n_r
             theta = 2.0 * np.pi * np.arange(n_t) / n_t
             psi = radial_basis(basis32, r)[:5]
             kernel = np.exp(-1j * np.outer(np.arange(-max_angular, max_angular + 1), theta))
-            direct = (psi * (r / n_r)) @ (np.conj(img.samples) @ kernel.T) * (2 * np.pi / n_t)
+            direct = (psi * (r / n_r)) @ (np.conj(samples) @ kernel.T) * (2 * np.pi / n_t)
             worst = max(worst, float(np.abs(ms.values - direct).max()))
     assert worst < 1e-10
 
 
 def test_conjugate_symmetry_for_real_images(basis32, rng):
-    ms = compute_moments(polar(rng.random((10, 12))), basis32, 4, 5)
+    ms = compute_moments(rng.random((10, 12)), basis32, 4, 5)
     for m in range(4):
         for n in range(1, 6):
             assert moment_value(ms, m, -n) == pytest.approx(
@@ -127,20 +123,23 @@ def test_conjugate_linearity(basis32, rng):
     f = rng.random((8, 12)) + 1j * rng.random((8, 12))
     g = rng.random((8, 12)) + 1j * rng.random((8, 12))
     a, b = 0.7 - 0.2j, -0.4 + 1.1j
-    lhs = compute_moments(polar(a * f + b * g), basis32, 3, 4).values
+    lhs = compute_moments(a * f + b * g, basis32, 3, 4).values
     rhs = (
-        np.conj(a) * compute_moments(polar(f), basis32, 3, 4).values
-        + np.conj(b) * compute_moments(polar(g), basis32, 3, 4).values
+        np.conj(a) * compute_moments(f, basis32, 3, 4).values
+        + np.conj(b) * compute_moments(g, basis32, 3, 4).values
     )
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_precondition_errors(basis32, rng):
-    img = polar(rng.random((8, 8)))
+    samples = rng.random((8, 8))
     with pytest.raises(ParameterError):
-        compute_moments(img, basis32, basis32.params.n_seq + 1, 2)
+        compute_moments(samples, basis32, basis32.params.n_seq + 1, 2)
     with pytest.raises(AliasingError):
-        compute_moments(img, basis32, 2, 4)  # 2L+1 = 9 > T = 8
+        compute_moments(samples, basis32, 2, 4)  # 2L+1 = 9 > T = 8
+    for bad in (samples[0], samples[:0], samples[None], np.full((8, 8), np.nan)):
+        with pytest.raises(ParameterError):
+            compute_moments(bad, basis32, 2, 3)
 
 
 def test_invariants_are_moduli():
@@ -162,10 +161,10 @@ def test_zero_moments_zero_invariants():
 
 def test_cyclic_shift_leaves_invariants_unchanged(basis32, rng):
     samples = rng.random((8, 16))
-    base = invariants(compute_moments(polar(samples), basis32, 4, 5))
+    base = invariants(compute_moments(samples, basis32, 4, 5))
     for shift in (1, 3, 7, 11):
         shifted = np.roll(samples, shift, axis=1)
-        vec = invariants(compute_moments(polar(shifted), basis32, 4, 5))
+        vec = invariants(compute_moments(shifted, basis32, 4, 5))
         assert np.abs(vec - base).max() < 1e-9
 
 
@@ -174,19 +173,19 @@ def test_reconstruct_zero_moments(basis32):
         max_radial=2, max_angular=1, values=np.zeros((2, 3), complex),
         grid=(4, 8), basis_id="x",
     )
-    out = reconstruct(ms, basis32, (4, 8))
-    assert np.all(out.samples == 0)
-    assert out.meta["imag_residual"] == 0
+    samples, residual = reconstruct(ms, basis32, (4, 8))
+    assert np.all(samples == 0)
+    assert residual == 0
 
 
 def test_reconstruct_single_moment_gives_radial_row(basis32):
     values = np.zeros((1, 1), dtype=complex)
     values[0, 0] = 1.0
     ms = MomentSet(max_radial=1, max_angular=0, values=values, grid=(16, 8), basis_id="x")
-    out = reconstruct(ms, basis32, (16, 8))
+    samples, _ = reconstruct(ms, basis32, (16, 8))
     r = (np.arange(16) + 0.5) / 16
     expected = radial_basis(basis32, r)[0]
-    assert np.abs(out.samples - expected[:, None]).max() < 1e-12
+    assert np.abs(samples - expected[:, None]).max() < 1e-12
 
 
 def test_reconstruct_requires_matching_or_finer_grid(basis32):
@@ -196,6 +195,12 @@ def test_reconstruct_requires_matching_or_finer_grid(basis32):
     )
     with pytest.raises(ParameterError):
         reconstruct(ms, basis32, (8, 8))
+    empty = MomentSet(
+        max_radial=1, max_angular=0, values=np.zeros((1, 1), complex),
+        grid=(0, 0), basis_id="x",
+    )
+    with pytest.raises(ParameterError):
+        reconstruct(empty, basis32, (0, 0))
 
 
 def test_reconstruction_error_decreases_with_terms(basis64):
@@ -222,30 +227,29 @@ def test_reconstruction_error_decreases_with_terms(basis64):
             max_radial=max_radial, max_angular=max_angular,
             values=full[:max_radial], grid=(n_r, n_t), basis_id=basis64.basis_id,
         )
-        out = reconstruct(ms, basis64, (n_r, n_t))
-        errors.append(np.linalg.norm(out.samples - target) / norm)
+        samples, _ = reconstruct(ms, basis64, (n_r, n_t))
+        errors.append(np.linalg.norm(samples - target) / norm)
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 0.05
 
 
 def test_feature_vector_length_and_zero(basis64):
     img = smooth_test_image(64)
-    vec = feature_vector(img, basis64, grid=(32, 64))
+    vec = Featurizer(basis64, grid=(32, 64))(img)
     assert vec.shape == (100,)
-    zero = feature_vector(
-        type(img)(width=8, height=8, pixels=np.zeros((8, 8))), basis64, grid=(8, 32)
-    )
+    zero = Featurizer(basis64, grid=(8, 32))(RasterImage(np.zeros((8, 8))))
     assert np.all(zero == 0)
 
 
 def test_feature_vector_rejects_more_orders_than_sequences(basis32):
     with pytest.raises(ParameterError):
-        feature_vector(smooth_test_image(32), basis32, max_radial=6, grid=(16, 32))
+        Featurizer(basis32, max_radial=6, grid=(16, 32))(smooth_test_image(32))
 
 
 def test_feature_vector_rotation_stability(basis64, test_image):
-    a = feature_vector(test_image, basis64, grid=(64, 128))
-    b = feature_vector(rotate_image(test_image, 90.0), basis64, grid=(64, 128))
+    featurize = Featurizer(basis64, grid=(64, 128))
+    a = featurize(test_image)
+    b = featurize(rotate_image(test_image, 90.0))
     assert np.allclose(a, b, rtol=0.15, atol=1e-5)
 
 
@@ -280,7 +284,7 @@ def test_featurizer_checks_orders_and_grid_when_built(basis32):
 
 
 def test_moment_json_round_trip(basis32, rng):
-    ms = compute_moments(polar(rng.random((6, 10))), basis32, 3, 2)
+    ms = compute_moments(rng.random((6, 10)), basis32, 3, 2)
     back = moments_from_json(moments_to_json(ms))
     assert back.max_radial == ms.max_radial
     assert back.max_angular == ms.max_angular
@@ -338,14 +342,43 @@ def _set_order(entry, key, value):
     lambda d: d["metadata"].update(grid=[-5, 8]),
     lambda d: d["metadata"].update(grid=[4.0, 8]),
     lambda d: d["metadata"].update(grid=[True, 8]),
+    lambda d: _set_order(d["moments"][0], "re", 10**400),
+    lambda d: d["moments"][0].update(re=True, im=False),
+    lambda d: d["metadata"].update(basis_id=[1, 2]),
 ], ids=["n-beyond-max", "negative-m", "duplicate", "missing", "float-order",
         "bool-order", "missing-re", "missing-metadata", "no-moments", "grid-one-size",
-        "grid-string", "grid-zero", "grid-negative", "grid-float", "grid-bool"])
+        "grid-string", "grid-zero", "grid-negative", "grid-float", "grid-bool",
+        "re-overflow", "bool-parts", "basis-id-list"])
 def test_moment_json_rejects_malformed_documents(corrupt):
     doc = _moment_doc()
     corrupt(doc)
     with pytest.raises(FormatError):
         moments_from_json(json.dumps(doc))
+
+
+_MOMENT_FIELDS = [("metadata",), ("moments",), ("metadata", "grid"),
+                  ("metadata", "basis_id"), ("moments", 0), ("moments", 0, "m"),
+                  ("moments", 1, "n"), ("moments", 2, "re"), ("moments", 3, "im")]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(_MOMENT_FIELDS), value=_JSON_VALUES)
+@example(field=("moments", 2, "re"), value=10**400)
+@example(field=("moments", 3, "im"), value=True)
+def test_moment_loader_refuses_any_field_value_cleanly(field, value):
+    # replacing one field of a valid document gives a MomentSet or a FormatError or
+    # ParameterError, never another exception or a numpy warning
+    doc = _moment_doc()
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    try:
+        ms = moments_from_json(json.dumps(doc))
+    except (FormatError, ParameterError):
+        return
+    assert isinstance(ms, MomentSet)
 
 
 def test_invariants_csv_layout():
