@@ -6,7 +6,7 @@ from the moment moduli, and ships an experiment harness for rotation stability,
 noise robustness, and feature-based classification.
 """
 
-from .classifier import LinearModel, train_classifier
+from .classifier import LinearModel, train_classifier, train_classifiers
 from .dpss import (
     DpssBasis,
     DpssParams,

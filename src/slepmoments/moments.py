@@ -53,6 +53,11 @@ class MomentSet:
             raise ParameterError(f"moment array shape {v.shape}, expected {expected}")
         if not np.all(np.isfinite(v)):
             raise ParameterError("moment values must be finite")
+        # the same rule moments_from_json applies, so every set written can be read back
+        g = self.grid
+        if not (isinstance(g, tuple) and len(g) == 2
+                and all(type(size) is int and size >= 1 for size in g)):
+            raise ParameterError(f"moment grid must be a tuple of two positive integers, got {g!r}")
         object.__setattr__(self, "values", v)
 
 

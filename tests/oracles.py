@@ -2,13 +2,16 @@
 
 The dense sinc kernel, the DPSS spectra and their concentration ratios serve as
 oracles for ``compute_dpss`` (criterion 1 and ``test_dpss.py``); ``moment_value``
-reads one moment by its (m, n) order.
+reads one moment by its (m, n) order. ``reference_train_classifier`` and
+``reference_sweep`` fit one classifier per split, one 2-D training loop at a
+time, as the stacked trainer of ``classification_sweep`` must do bit for bit.
 """
 
 import numpy as np
 
-from slepmoments import DpssBasis, MomentSet, ParameterError
+from slepmoments import DpssBasis, LinearModel, MomentSet, ParameterError
 from slepmoments.dpss import _kernel_column
+from slepmoments.harness import _plain_split, _stratified_split
 
 
 def sinc_kernel(n_len: int, half_bandwidth: float) -> np.ndarray:
@@ -69,3 +72,48 @@ def moment_value(ms: MomentSet, m: int, n: int) -> complex:
     if not (0 <= m < ms.max_radial and -ms.max_angular <= n <= ms.max_angular):
         raise IndexError(f"moment order ({m}, {n}) outside stored range")
     return complex(ms.values[m, ms.max_angular + n])
+
+
+def reference_train_classifier(x, y, reg=1e-3, epochs=300) -> LinearModel:
+    """One-vs-rest hinge-loss fit of one training set, one 2-D epoch loop."""
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    z = (x - mu) / sd
+
+    n, dim = z.shape
+    classes = np.unique(y)
+    targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # n x C
+    w = np.zeros((classes.size, dim))
+    b = np.zeros(classes.size)
+    for epoch in range(1, epochs + 1):
+        margins = targets * (z @ w.T + b)  # n x C
+        viol = (margins < 1.0) * targets  # n x C, +-1 on violators
+        grad_w = reg * w - (viol.T @ z) / n
+        grad_b = -viol.mean(axis=0)
+        eta = 1.0 / (reg * epoch + 10.0)
+        w -= eta * grad_w
+        b -= eta * grad_b
+
+    return LinearModel(classes=classes, weights=w / sd, biases=b - (w * (mu / sd)).sum(axis=1))
+
+
+def reference_sweep(ds, fractions, repeats, seed, stratified, reg=1e-3, epochs=300):
+    """Mean and std accuracy per fraction, fitting every split on its own."""
+    x, y = ds.features, ds.labels
+    means, stds = [], []
+    for fi, p in enumerate(fractions):
+        accs = []
+        for rep in range(repeats):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(fi, rep))
+            )
+            if stratified:
+                tr, te = _stratified_split(y, p, rng, ds.class_names)
+            else:
+                tr, te = _plain_split(y, p, rng)
+            model = reference_train_classifier(x[tr], y[tr], reg=reg, epochs=epochs)
+            accs.append(float((model.predict(x[te]) == y[te]).mean()))
+        means.append(float(np.mean(accs)))
+        stds.append(float(np.std(accs)))
+    return np.array(means), np.array(stds)

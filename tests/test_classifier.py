@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from slepmoments import ParameterError
-from slepmoments.classifier import train_classifier
+from slepmoments.classifier import train_classifier, train_classifiers
+
+from oracles import reference_train_classifier
 
 
 def test_separable_one_dimensional():
@@ -70,3 +72,53 @@ def test_training_is_deterministic(rng):
     b = train_classifier(x, y, reg=1e-3, epochs=100)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.biases, b.biases)
+
+
+def test_training_matches_the_two_dimensional_reference(rng):
+    x = rng.normal(0.0, 1.0, (40, 7)) * rng.uniform(0.1, 10.0, 7)
+    x[:, 3] = 2.5  # a constant column keeps its unit scale
+    y = rng.integers(1, 5, 40)
+    a = train_classifier(x, y)
+    b = reference_train_classifier(x, y)
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.biases.tobytes() == b.biases.tobytes()
+
+
+def test_stacked_fits_equal_single_fits(rng):
+    xs = [rng.random((15, 4)) for _ in range(3)]
+    ys = [rng.permutation(np.arange(15) % 3 + 1) for _ in range(3)]
+    stacked = train_classifiers((x for x in xs), ys, reg=1e-2, epochs=80)
+    for model, x, y in zip(stacked, xs, ys):
+        single = train_classifier(x, y, reg=1e-2, epochs=80)
+        assert model.weights.tobytes() == single.weights.tobytes()
+        assert model.biases.tobytes() == single.biases.tobytes()
+
+
+@pytest.mark.parametrize("second, match", [
+    ((np.zeros((4, 2)), np.array([1, 3, 1, 3])), "class set"),
+    ((np.zeros((6, 2)), np.array([1, 2, 1, 2, 1, 2])), "n and d"),
+    ((np.zeros((4, 3)), np.array([1, 2, 1, 2])), "n and d"),
+], ids=["classes", "n", "d"])
+def test_stacked_sets_must_match(second, match):
+    first = (np.zeros((4, 2)), np.array([1, 2, 1, 2]))
+    with pytest.raises(ParameterError, match=match):
+        train_classifiers([first[0], second[0]], [first[1], second[1]])
+
+
+@pytest.mark.parametrize("sets, labels", [
+    ([np.zeros((2, 1))], [np.array([1, 2]), np.array([1, 2])]),
+    ([np.zeros((2, 1)), np.zeros((2, 1))], [np.array([1, 2])]),
+    ([], []),
+], ids=["fewer-features", "fewer-labels", "none"])
+def test_stacked_sets_need_one_label_vector_each(sets, labels):
+    with pytest.raises(ParameterError):
+        train_classifiers(sets, labels)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_features_rejected(value):
+    x = np.array([[0.0], [1.0], [2.0]])
+    x[1, 0] = value
+    with pytest.raises(ParameterError, match="finite"):
+        train_classifier(x, np.array([1, 2, 1]))

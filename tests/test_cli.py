@@ -608,9 +608,11 @@ def test_dpss_gen_writes_the_recorded_bytes(tmp_path, argv, digest):
 @pytest.fixture(scope="module")
 def golden_inputs(tmp_path_factory):
     """The golden-corpus inputs: p128 is smooth_test_image(128) as PGM, basis.json the
-    `basis` basis above and mom.json its moments of p128."""
+    `basis` basis above, mom.json its moments of p128 and synth/ a small PGM tree."""
     root = tmp_path_factory.mktemp("golden")
     (root / "p128").write_bytes(write_pgm(smooth_test_image(128)))
+    assert run(["synth", "--seed", "5", "--classes", "3", "--per-class", "4",
+                "--rotations", "2", "--size", "64", "--out-dir", str(root / "synth")]) == 0
     assert run(["dpss", "gen", "--n", "64", "--w", "0.1", "--k", "10",
                 "--out", str(root / "basis.json")]) == 0
     assert run(["moments", "compute", "--image", str(root / "p128"), "--basis",
@@ -632,7 +634,19 @@ def golden_inputs(tmp_path_factory):
      "c37b0ab20fbef1039ce8f97b2d244dc93f7ab3b2958ee9c44fe0933ab37da4a9"),
     ("rotate-test",
      "854ea589c9d3bd42220169e565ba8926949d109f26f4cbbf2ab2c850a7a354e4"),
-], ids=["mom.json", "phi.csv", "rec.json", "rot.csv", "default_rot.csv"])
+    ("noise-test --image p128 --seed 11",
+     "0a3616500b386c3d0d036926eb385b78ef63568c65076dd0852ce92f53576ce0"),
+    ("classify --seed 5",
+     "ca62ad466d0d4b65bfe981a0149d8d9f40f622d4b15c99dfed0ca0cd8305c763"),
+    ("classify --seed 5 --classes 3 --per-class 5 --rotations 2 --no-stratify "
+     "--fractions 0.3,0.6 --repeats 4",
+     "40b2cd2d771bef2eb63841dcb4c8bf90f885c82b472684002972e33c86d709db"),
+    ("classify --seed 5 --data-dir synth --fractions 0.5 --repeats 3",
+     "1e8e8ff6707291572c9461159703ae109239d8c101c62e11ebcf6c736229be08"),
+    ("classify",
+     "381f6b5d69bc9ce0316ac92645e75d910926a5af9c3f02cc69380e0bb317f3a6"),
+], ids=["mom.json", "phi.csv", "rec.json", "rot.csv", "default_rot.csv", "noise.csv",
+        "cls.csv", "cls2.csv", "clsdir.csv", "default_cls.csv"])
 def test_commands_write_the_recorded_bytes(tmp_path, monkeypatch, golden_inputs, argv,
                                            digest):
     # the SHA-256 of the golden-corpus outputs in CHANGES.md, from the same inputs and

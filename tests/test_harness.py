@@ -12,7 +12,15 @@ from slepmoments import (
     train_classifier,
     write_pgm,
 )
-from slepmoments.harness import PROTOCOL_ANGLES_DEG, PROTOCOL_ORDERS, synthetic_images
+from slepmoments.harness import (
+    _FITS_PER_CALL,
+    PROTOCOL_ANGLES_DEG,
+    PROTOCOL_ORDERS,
+    _draw_splits,
+    synthetic_images,
+)
+
+from oracles import reference_sweep
 
 GRID = (48, 96)
 ORDERS = ((1, 1), (2, 1), (2, 2))
@@ -106,6 +114,43 @@ def test_sweep_unstratified_mode_runs():
 def test_sweep_rejects_bad_fraction():
     with pytest.raises(ParameterError):
         classification_sweep(_tiny_dataset(), fractions=(1.5,), repeats=1)
+
+
+def _overlapping_dataset(n_classes=8, per_class=12, dim=6):
+    # class means closer than the noise, so accuracies vary from split to split
+    rng = np.random.default_rng(2024)
+    centers = rng.normal(0.0, 1.0, (n_classes, dim))
+    labels = np.repeat(np.arange(1, n_classes + 1), per_class)
+    features = centers[labels - 1] + rng.normal(0.0, 1.0, (labels.size, dim))
+    return LabeledDataset(features, labels, {k: f"c{k}" for k in range(1, n_classes + 1)})
+
+
+@pytest.mark.parametrize("stratified, fractions", [
+    (True, (0.2, 0.5)),
+    (False, (0.05, 0.3, 0.6)),
+], ids=["stratified", "plain"])
+def test_stacked_sweep_matches_per_split_reference(stratified, fractions):
+    ds = _overlapping_dataset()
+    repeats, seed = _FITS_PER_CALL + 3, 4
+    # the plain 0.05 splits (4 of 96 items) hold different class sets, so they
+    # form several stacks; every fraction stacks more fits than one call takes
+    groups = []
+    for fi, p in enumerate(fractions):
+        sets = [tuple(np.unique(ds.labels[tr]))
+                for tr, _ in _draw_splits(ds, p, fi, repeats, seed, stratified)]
+        groups.append({s: sets.count(s) for s in sets})
+    if stratified:
+        assert all(len(g) == 1 for g in groups)
+    else:
+        assert len(groups[0]) > 1
+    assert any(max(g.values()) > _FITS_PER_CALL for g in groups)
+
+    report = classification_sweep(ds, fractions, repeats=repeats, seed=seed,
+                                  stratified=stratified)
+    means, stds = reference_sweep(ds, fractions, repeats, seed, stratified)
+    assert report.mean_accuracy.tobytes() == means.tobytes()
+    assert report.std_accuracy.tobytes() == stds.tobytes()
+    assert np.all(stds > 0)
 
 
 def test_synthetic_dataset_counts_and_determinism(basis64):

@@ -195,12 +195,16 @@ def test_reconstruct_requires_matching_or_finer_grid(basis32):
     )
     with pytest.raises(ParameterError):
         reconstruct(ms, basis32, (8, 8))
-    empty = MomentSet(
-        max_radial=1, max_angular=0, values=np.zeros((1, 1), complex),
-        grid=(0, 0), basis_id="x",
-    )
     with pytest.raises(ParameterError):
-        reconstruct(empty, basis32, (0, 0))
+        reconstruct(ms, basis32, (0, 0))
+
+
+@pytest.mark.parametrize("grid", [
+    (0, 0), (4, -8), (4.5, True), (True, 8), (4, 8.0), (4,), (4, 8, 2), 5, "ab",
+])
+def test_moment_set_grid_must_be_two_positive_ints(grid):
+    with pytest.raises(ParameterError, match="grid"):
+        MomentSet(1, 0, np.ones((1, 1)), grid, "x")
 
 
 def test_reconstruction_error_decreases_with_terms(basis64):
