@@ -244,11 +244,23 @@ def _stratified_split(y, fraction, rng, class_names):
     return np.array(train_idx), np.array(test_idx)
 
 
-def _plain_split(y, fraction, rng):
+def _plain_split(y, fraction, rng, class_names):
     idx = rng.permutation(y.size)
     count = int(np.floor(fraction * y.size))
-    if count < 1 or count >= y.size:
+    if count >= y.size:
         raise ParameterError(f"training fraction {fraction} leaves an empty split")
+    if count < 2:  # a training set needs two classes, so at least two items
+        raise ParameterError(
+            f"training fraction {fraction} of {y.size} items leaves {count} for "
+            f"training in a plain split (--no-stratify), fewer than two classes need"
+        )
+    labels = np.unique(y[idx[:count]])
+    if labels.size < 2:
+        name = class_names.get(int(labels[0]), str(labels[0]))
+        raise ParameterError(
+            f"training fraction {fraction} drew a plain split (--no-stratify) whose "
+            f"{count} training items all belong to class {name!r}"
+        )
     return idx[:count], idx[count:]
 
 
@@ -263,7 +275,7 @@ def _draw_splits(ds: LabeledDataset, fraction: float, fi: int, repeats: int,
         if stratified:
             splits.append(_stratified_split(ds.labels, fraction, rng, ds.class_names))
         else:
-            splits.append(_plain_split(ds.labels, fraction, rng))
+            splits.append(_plain_split(ds.labels, fraction, rng, ds.class_names))
     return splits
 
 

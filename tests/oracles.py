@@ -111,7 +111,7 @@ def reference_sweep(ds, fractions, repeats, seed, stratified, reg=1e-3, epochs=3
             if stratified:
                 tr, te = _stratified_split(y, p, rng, ds.class_names)
             else:
-                tr, te = _plain_split(y, p, rng)
+                tr, te = _plain_split(y, p, rng, ds.class_names)
             model = reference_train_classifier(x[tr], y[tr], reg=reg, epochs=epochs)
             accs.append(float((model.predict(x[te]) == y[te]).mean()))
         means.append(float(np.mean(accs)))

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import slepmoments
 from slepmoments import (
@@ -23,7 +25,14 @@ from slepmoments import (
     smooth_test_image,
     write_pgm,
 )
-from slepmoments.cli import _basis_json, _build_parser, _load_basis, run
+from slepmoments.cli import (
+    _basis_json,
+    _build_parser,
+    _json_chunks,
+    _load_basis,
+    _write_atomic,
+    run,
+)
 
 
 @pytest.fixture(scope="module")
@@ -556,11 +565,75 @@ def _valid_bases(draw):
 @given(basis=_valid_bases())
 def test_basis_json_round_trip_is_exact(tmp_path_factory, basis):
     path = tmp_path_factory.mktemp("roundtrip") / "b.json"
-    path.write_text(_basis_json(basis))
+    path.write_text("".join(_basis_json(basis)))
     loaded = _load_basis(str(path))
     assert loaded.params == basis.params
     assert loaded.sequences.tobytes() == basis.sequences.tobytes()
     assert loaded.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 1e-5, 1e16]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arr=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=5),
+                  elements=st.floats() | st.sampled_from(_SPECIAL_FLOATS)),
+       scalar=st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
+@example(arr=np.array([-0.0]), scalar=0)
+@example(arr=np.array([[5e-324]]), scalar=1e308)
+@example(arr=np.array(_SPECIAL_FLOATS), scalar=np.nan)
+@example(arr=np.array([_SPECIAL_FLOATS, _SPECIAL_FLOATS[::-1]]), scalar=-np.inf)
+def test_json_chunks_spell_indented_json_dumps(arr, scalar):
+    doc = {"n": 3, "x": scalar, "rows": arr, "flat": arr.ravel()}
+    expected = json.dumps({key: value.tolist() if isinstance(value, np.ndarray) else value
+                           for key, value in doc.items()}, indent=1)
+    assert "".join(_json_chunks(doc)) == expected
+
+
+def test_write_atomic_streams_json_chunks(tmp_path):
+    # a document the size of the N=4096, K=80 basis is written a row at a time,
+    # so the text held at once is a small part of the file
+    rng = np.random.default_rng(7)
+    doc = {"n": 4096, "w": 0.01, "k": 80, "eigenvalues": rng.random(80),
+           "sequences": rng.standard_normal((80, 4096))}
+    path = tmp_path / "b.json"
+    tracemalloc.start()
+    try:
+        _write_atomic(path, _json_chunks(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 7_000_000
+    assert peak < size / 8
+    loaded = json.loads(path.read_text())
+    assert np.array(loaded["sequences"]).tobytes() == doc["sequences"].tobytes()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 8.00 GiB for an array with shape (80, 4096, 4096)"),
+     "slepmoments: error: out of memory: Unable to allocate 8.00 GiB for an array "
+     "with shape (80, 4096, 4096)\n"),
+    (MemoryError(), "slepmoments: error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    def fail(params):
+        raise exc
+    monkeypatch.setattr(slepmoments.cli, "compute_dpss", fail)
+    out = tmp_path / "b.json"
+    assert run(["dpss", "gen", "--n", "8", "--w", "0.2", "--k", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
+def test_classify_plain_split_of_one_item_exits_one(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run(["classify", "--classes", "6", "--per-class", "8", "--no-stratify",
+                "--fractions", "0.04", "--repeats", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "training fraction 0.04 " in err and "(--no-stratify)" in err
+    assert not out.exists()
 
 
 _JSON_VALUES = st.recursive(
@@ -580,7 +653,7 @@ _JSON_VALUES = st.recursive(
 def test_basis_loader_refuses_any_field_value_cleanly(tmp_path_factory, field, value):
     # replacing one field of a valid document gives a basis or a FormatError, never
     # another exception or a numpy warning
-    doc = json.loads(_basis_json(compute_dpss(DpssParams(8, 0.2, 2))))
+    doc = json.loads("".join(_basis_json(compute_dpss(DpssParams(8, 0.2, 2)))))
     doc[field] = value
     path = tmp_path_factory.mktemp("adversarial") / "b.json"
     path.write_text(json.dumps(doc))

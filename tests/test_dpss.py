@@ -179,7 +179,7 @@ def test_stored_default_basis_matches_a_fresh_solve():
 
 def test_stored_default_basis_passes_the_basis_file_checks(tmp_path):
     path = tmp_path / "default.json"
-    path.write_text(_basis_json(default_basis()))
+    path.write_text("".join(_basis_json(default_basis())))
     loaded = _load_basis(str(path))
     assert loaded.basis_id == "dpss-n64-w0.2-k10"
     assert loaded.sequences.tobytes() == default_basis().sequences.tobytes()

@@ -111,6 +111,22 @@ def test_sweep_unstratified_mode_runs():
     assert report.metadata["stratified"] is False
 
 
+def test_plain_split_refuses_fewer_than_two_training_items():
+    # 0.2 of 8 items is one training item, which cannot hold two classes
+    with pytest.raises(ParameterError,
+                       match=r"fraction 0\.2 of 8 items leaves 1 .*\(--no-stratify\)"):
+        classification_sweep(_tiny_dataset(), fractions=(0.2,), repeats=1, stratified=False)
+
+
+@pytest.mark.parametrize("seed, name", [(2, "low"), (3, "high")])
+def test_plain_split_refuses_a_single_class_draw(seed, name):
+    # at these seeds the two training items drawn at 0.25 share one class
+    with pytest.raises(ParameterError, match=r"fraction 0\.25 drew a plain split "
+                       rf"\(--no-stratify\) whose 2 training items all belong to class '{name}'"):
+        classification_sweep(_tiny_dataset(), fractions=(0.25,), repeats=1, seed=seed,
+                             stratified=False)
+
+
 def test_sweep_rejects_bad_fraction():
     with pytest.raises(ParameterError):
         classification_sweep(_tiny_dataset(), fractions=(1.5,), repeats=1)
