@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 computation/format/input errors, 2 usage errors.
 Each flag is checked once, by its argparse type, so a bad value exits 2 with
-one line naming the flag. Only the commands that draw random numbers
-(noise-test, classify, synth) take --seed, with a fixed default that is never
-time-based, and only the commands that write tables (rotate-test, noise-test,
-classify) take --precision. Every output file is written atomically, so
-identical invocations are byte-identical.
+one line naming the flag; the flags that size one allocation (--radial,
+--angular, synth --size, --precision) have upper bounds. Only the commands
+that draw random numbers (noise-test, classify, synth) take --seed, with a
+fixed default that is never time-based, and only the commands that write
+tables (rotate-test, noise-test, classify) take --precision. Every output
+file is written atomically, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _basis_json(basis: DpssBasis) -> Iterator[str]:
     })
 
 
-def _int_at_least(low: int):
+def _int_range(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -197,12 +198,19 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return parse
 
 
-_count = _int_at_least(1)
-_natural = _int_at_least(0)
+_count = _int_range(1)
+_natural = _int_range(0)
+# The flags that size one allocation are capped. A 2048 x 2048 polar grid is
+# 4.2 M samples: its gather plan holds 64 B per sample (about 0.3 GB), and one
+# to_polar call peaks near 0.5 GB. A 2048-pixel synth image peaks near 0.35 GB
+# of render temporaries.
+_grid_size = _int_range(1, 2048)
 
 
 def _finite(text: str) -> float:
@@ -250,8 +258,9 @@ def _orders(text: str) -> list[tuple[int, int]]:
 
 _SEED = dict(type=_natural, default=DEFAULT_SEED,
              help="64-bit seed for all randomness (fixed default)")
-_PRECISION = dict(type=_natural, default=None,
-                  help="fixed decimal places in CSV tables (default: shortest round-trip)")
+_PRECISION = dict(type=_int_range(0, 100), default=None,
+                  help="fixed decimal places in CSV tables, at most 100 "
+                       "(default: shortest round-trip)")
 
 
 def _build_parser() -> _Parser:
@@ -274,8 +283,10 @@ def _build_parser() -> _Parser:
     c.add_argument("--basis", required=True, help="basis JSON path")
     c.add_argument("--m", type=_count, required=True, help="radial orders 0..M-1")
     c.add_argument("--l", type=_natural, required=True, help="angular orders -L..L")
-    c.add_argument("--radial", type=_count, default=128, help="polar grid rings R")
-    c.add_argument("--angular", type=_count, default=256, help="polar grid spokes T")
+    c.add_argument("--radial", type=_grid_size, default=128,
+                   help="polar grid rings R (at most 2048)")
+    c.add_argument("--angular", type=_grid_size, default=256,
+                   help="polar grid spokes T (at most 2048)")
     c.add_argument("--angle", type=_finite, default=0.0,
                    help="rotate image first (degrees)")
     c.add_argument("--out", required=True, help="output moment JSON path")
@@ -291,8 +302,10 @@ def _build_parser() -> _Parser:
                        help="truncated series reconstruction from moments")
     p.add_argument("--moments", required=True, help="moment JSON path")
     p.add_argument("--basis", required=True, help="basis JSON path")
-    p.add_argument("--radial", type=_count, required=True, help="target rings R")
-    p.add_argument("--angular", type=_count, required=True, help="target spokes T")
+    p.add_argument("--radial", type=_grid_size, required=True,
+                   help="target rings R (at most 2048)")
+    p.add_argument("--angular", type=_grid_size, required=True,
+                   help="target spokes T (at most 2048)")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(run=_cmd_reconstruct)
 
@@ -310,8 +323,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--orders", type=_orders,
                        default=";".join(f"{m},{n}" for m, n in PROTOCOL_ORDERS),
                        help="semicolon-separated m,n pairs")
-        p.add_argument("--radial", type=_count, default=128, help="polar grid rings R")
-        p.add_argument("--angular", type=_count, default=256, help="polar grid spokes T")
+        p.add_argument("--radial", type=_grid_size, default=128,
+                       help="polar grid rings R (at most 2048)")
+        p.add_argument("--angular", type=_grid_size, default=256,
+                       help="polar grid spokes T (at most 2048)")
         if name == "noise-test":
             p.add_argument("--snr-db", type=_finite, default=30.0,
                            help="Gaussian noise level in dB")
@@ -326,7 +341,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data-dir", default=None,
                    help="directory tree <root>/<class>/<image>.pgm; "
                         "omit to use the synthetic dataset")
-    p.add_argument("--classes", type=_int_at_least(2), default=6,
+    p.add_argument("--classes", type=_int_range(2), default=6,
                    help="synthetic class count")
     p.add_argument("--per-class", type=_count, default=8, help="synthetic items per class")
     p.add_argument("--rotations", type=_count, default=1,
@@ -335,8 +350,10 @@ def _build_parser() -> _Parser:
                    help="comma-separated training fractions in (0, 1)")
     p.add_argument("--repeats", type=_count, default=10, help="splits per fraction")
     p.add_argument("--basis", default=None, help="basis JSON path (default: built-in)")
-    p.add_argument("--radial", type=_count, default=64, help="feature grid rings R")
-    p.add_argument("--angular", type=_count, default=128, help="feature grid spokes T")
+    p.add_argument("--radial", type=_grid_size, default=64,
+                   help="feature grid rings R (at most 2048)")
+    p.add_argument("--angular", type=_grid_size, default=128,
+                   help="feature grid spokes T (at most 2048)")
     p.add_argument("--reg", type=_finite, default=1e-3, help="hinge-loss regularization")
     p.add_argument("--epochs", type=_count, default=300, help="training epochs")
     p.add_argument("--no-stratify", action="store_true",
@@ -349,10 +366,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth",
                        help="write the synthetic dataset as PGM files")
-    p.add_argument("--classes", type=_int_at_least(2), default=6, help="class count")
+    p.add_argument("--classes", type=_int_range(2), default=6, help="class count")
     p.add_argument("--per-class", type=_count, default=8, help="items per class")
     p.add_argument("--rotations", type=_count, default=1, help="rotations per item")
-    p.add_argument("--size", type=_int_at_least(2), default=96, help="image side length")
+    p.add_argument("--size", type=_int_range(2, 2048), default=96,
+                   help="image side length (at most 2048)")
     p.add_argument("--out-dir", required=True, help="output directory root")
     p.add_argument("--seed", **_SEED)
     p.set_defaults(run=_cmd_synth)

@@ -4,7 +4,9 @@ The sequences are computed as eigenvectors of the symmetric tridiagonal matrix
 that commutes with the bandlimiting sinc kernel; this is the numerically stable
 route, since the sinc kernel's own eigenvalues cluster exponentially near 0 and 1.
 Concentration eigenvalues are then recovered as Rayleigh quotients against the
-dense sinc kernel.
+sinc kernel, whose Toeplitz product is taken with numpy FFTs over blocks of
+sequences, so the dense kernel is never formed. scipy supplies only the
+tridiagonal eigensolver.
 """
 
 from __future__ import annotations
@@ -74,14 +76,12 @@ def _kernel_column(n_len: int, half_bandwidth: float) -> np.ndarray:
     return col
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each row so its first nonzero entry (relative tolerance) is positive."""
-    out = vectors.copy()
-    for k, v in enumerate(out):
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Flip, in place, each row whose first nonzero entry (relative tolerance) is negative."""
+    for v in vectors:
         nz = np.nonzero(np.abs(v) > 1e-13 * np.abs(v).max())[0]
         if v[nz[0]] < 0:
-            out[k] = -v
-    return out
+            np.negative(v, out=v)
 
 
 def _enforce_decreasing(lam: np.ndarray) -> np.ndarray:
@@ -103,16 +103,21 @@ def _enforce_decreasing(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+# sequences per FFT in compute_dpss; bounds its complex spectra to 8 x N x 16 B
+_FFT_BLOCK = 8
+
+
 def compute_dpss(params: DpssParams) -> DpssBasis:
     """Compute the first K sequences and their concentration eigenvalues.
 
     Eigenvectors come from the commuting symmetric tridiagonal matrix with
     diagonal ((N-1-2t)/2)^2 cos(2piW) and off-diagonal t(N-t)/2; eigenvalues are
-    Rayleigh quotients v^T A v against the sinc kernel A, evaluated with an
-    FFT-based Toeplitz product.
+    Rayleigh quotients v^T A v against the sinc kernel A. The product A v embeds
+    A in a circulant of length 2N-1 and is taken with numpy FFTs, eight
+    sequences at a time, so only one (N, K) product array is held.
     """
     # imported here so the moment, invariant and reconstruction paths never load scipy
-    from scipy.linalg import eigh_tridiagonal, matmul_toeplitz
+    from scipy.linalg import eigh_tridiagonal
 
     n, w, k = params.n_len, params.half_bandwidth, params.n_seq
     if n == 1:
@@ -123,14 +128,23 @@ def compute_dpss(params: DpssParams) -> DpssBasis:
         off = np.arange(1, n) * np.arange(n - 1, 0, -1) / 2.0
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n - k, n - 1))
         seqs = np.ascontiguousarray(vecs[:, ::-1].T)
+        del vecs
         seqs /= np.linalg.norm(seqs, axis=1, keepdims=True)
-    seqs = _fix_signs(seqs)
+    _fix_signs(seqs)
 
     col = _kernel_column(n, w)
-    av = matmul_toeplitz((col, col), seqs.T)
+    p = 2 * n - 1
+    spec = np.fft.rfft(np.concatenate((col, col[:0:-1])))[:, None]
+    av = np.empty((n, k))
+    for j in range(0, k, _FFT_BLOCK):
+        blk = np.fft.rfft(seqs[j:j + _FFT_BLOCK].T, n=p, axis=0)
+        # spectrum first: the complex product is not bit-symmetric in its
+        # operands, and the recorded basis bytes were made in this order
+        np.multiply(spec, blk, out=blk)
+        av[:, j:j + _FFT_BLOCK] = np.fft.irfft(blk, n=p, axis=0)[:n]
+    # one einsum over all K columns; per-block sums can differ in the last bit
     lam = np.einsum("kn,nk->k", seqs, av)
-    lam = _enforce_decreasing(np.asarray(lam, dtype=float))
-    return DpssBasis(params=params, sequences=seqs, eigenvalues=lam)
+    return DpssBasis(params=params, sequences=seqs, eigenvalues=_enforce_decreasing(lam))
 
 
 def _catmull_rom(samples: np.ndarray, x: np.ndarray) -> np.ndarray:

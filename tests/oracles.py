@@ -1,16 +1,19 @@
 """Reference computations the tests check the package against.
 
 The dense sinc kernel, the DPSS spectra and their concentration ratios serve as
-oracles for ``compute_dpss`` (criterion 1 and ``test_dpss.py``); ``moment_value``
-reads one moment by its (m, n) order. ``reference_train_classifier`` and
-``reference_sweep`` fit one classifier per split, one 2-D training loop at a
-time, as the stacked trainer of ``classification_sweep`` must do bit for bit.
+oracles for ``compute_dpss`` (criterion 1 and ``test_dpss.py``).
+``toeplitz_concentrations`` recomputes its eigenvalues through scipy's FFT
+Toeplitz product, which the blocked numpy route must match bit for bit.
+``moment_value`` reads one moment by its (m, n) order.
+``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
+split, one 2-D training loop at a time, as the stacked trainer of
+``classification_sweep`` must do bit for bit.
 """
 
 import numpy as np
 
 from slepmoments import DpssBasis, LinearModel, MomentSet, ParameterError
-from slepmoments.dpss import _kernel_column
+from slepmoments.dpss import _enforce_decreasing, _kernel_column
 from slepmoments.harness import _plain_split, _stratified_split
 
 
@@ -65,6 +68,20 @@ def concentration_ratio(basis: DpssBasis, k: int, quad_points: int) -> float:
 
     ratio = float(energy(basis.params.half_bandwidth) / energy(0.5))
     return min(max(ratio, np.finfo(float).tiny), np.nextafter(1.0, 0.0))
+
+
+def toeplitz_concentrations(basis: DpssBasis) -> np.ndarray:
+    """The basis's Rayleigh quotients from ``scipy.linalg.matmul_toeplitz`` and one einsum.
+
+    This is the whole-array route that ``compute_dpss`` took before its product
+    was blocked over numpy FFTs.
+    """
+    from scipy.linalg import matmul_toeplitz
+
+    seqs = basis.sequences
+    col = _kernel_column(basis.params.n_len, basis.params.half_bandwidth)
+    av = matmul_toeplitz((col, col), seqs.T)
+    return _enforce_decreasing(np.einsum("kn,nk->k", seqs, av))
 
 
 def moment_value(ms: MomentSet, m: int, n: int) -> complex:

@@ -19,6 +19,7 @@ from slepmoments import (
     DpssBasis,
     DpssParams,
     FormatError,
+    cli,
     compute_dpss,
     default_basis,
     rotation_stability,
@@ -379,6 +380,26 @@ def test_lean_commands_never_load_scipy(tmp_path, image_path, basis_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_NO_SCIPY_FFT = """
+import sys
+from slepmoments.cli import run
+
+assert run(["dpss", "gen", "--n", "64", "--w", "0.1", "--k", "10", "--out", sys.argv[1]]) == 0
+assert "scipy.linalg" in sys.modules
+loaded = sorted(m for m in sys.modules if m == "scipy.fft" or m.startswith("scipy.fft."))
+assert not loaded, loaded[:5]
+"""
+
+
+def test_dpss_gen_never_loads_scipy_fft(tmp_path):
+    # the sinc-kernel product runs on numpy.fft; scipy is loaded for eigh_tridiagonal only
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_FFT, str(tmp_path / "b.json")],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 _MODULE_FORMS = (["-m", "slepmoments"], ["-m", "slepmoments.cli"])
 
 
@@ -473,6 +494,46 @@ def test_bad_values_exit_two_naming_the_flag(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"slepmoments: usage error: argument {flag}: ")
     assert err.count("\n") == 1
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.fixture()
+def commands_unreachable(monkeypatch):
+    """Make every capped command raise _Reached instead of computing anything."""
+    def reached(args):
+        raise _Reached(args.command)
+    for name in ("_cmd_moments_compute", "_cmd_reconstruct", "_cmd_stability",
+                 "_cmd_classify", "_cmd_synth"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+_RECONSTRUCT = ["reconstruct", "--moments", "m.json", "--basis", "b.json",
+                "--radial", "8", "--angular", "8"]
+_CAPPED = [
+    *((argv, flag, 2048)
+      for argv in (_COMPUTE + ["--l", "1"], _RECONSTRUCT, ["rotate-test"], ["noise-test"],
+                   ["classify"])
+      for flag in ("--radial", "--angular")),
+    (["synth"], "--size", 2048),
+    *((argv, "--precision", 100) for argv in (["rotate-test"], ["noise-test"], ["classify"])),
+]
+
+
+@pytest.mark.parametrize("argv, flag, cap", _CAPPED,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in _CAPPED])
+def test_size_flags_refuse_one_above_their_cap(commands_unreachable, capsys, argv, flag,
+                                               cap):
+    # the value is refused while parsing, so nothing the size would allocate is reached;
+    # the cap itself parses and reaches the (disabled) command
+    argv = argv + ["--out-dir" if argv[0] == "synth" else "--out", "out"]
+    assert run(argv + [flag, str(cap + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"slepmoments: usage error: argument {flag}: must be <= {cap}, got {cap + 1}\n")
+    with pytest.raises(_Reached):
+        run(argv + [flag, str(cap)])
 
 
 def test_reconstruct_rejects_another_basis(tmp_path, capsys, image_path):
@@ -668,7 +729,9 @@ def test_basis_loader_refuses_any_field_value_cleanly(tmp_path_factory, field, v
      "3c73a45b090bcd62178b333cf6c7d68646b342f9a8c80fa7baa7e3e16878261b"),
     (["--n", "1024", "--w", "0.05", "--k", "30"],
      "18fcd29f421747e005f9d7357486cfa6f705f70f5fffaa2874e5b08bd9a26ad2"),
-], ids=["basis", "basis_big"])
+    (["--n", "4096", "--w", "0.01", "--k", "80"],
+     "225ba01ce4478141f7c6ff71f124f80f4a474f67e2b410b88b2c45033647ba59"),
+], ids=["basis", "basis_big", "basis_batch"])
 def test_dpss_gen_writes_the_recorded_bytes(tmp_path, argv, digest):
     # the SHA-256 of the golden-corpus basis files in CHANGES.md; they were
     # recorded on x86-64 with numpy 2.4 and scipy 1.17, and another LAPACK

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,13 @@ from slepmoments.cli import _basis_json, _load_basis
 from slepmoments.dpss import _fix_signs
 from slepmoments.errors import DomainError
 
-from oracles import concentration_ratio, dpss_spectrum, simpson, sinc_kernel
+from oracles import (
+    concentration_ratio,
+    dpss_spectrum,
+    simpson,
+    sinc_kernel,
+    toeplitz_concentrations,
+)
 
 
 def test_kernel_single_point():
@@ -164,8 +172,34 @@ def test_dpss_matches_scipy_oracle(n, w, k):
 
     sequences, ratios = dpss(n, n * w, Kmax=k, return_ratios=True, norm=2)
     basis = compute_dpss(DpssParams(n, w, k))
-    assert np.abs(_fix_signs(sequences) - basis.sequences).max() < 1e-12
+    _fix_signs(sequences)
+    assert np.abs(sequences - basis.sequences).max() < 1e-12
     assert np.abs(ratios - basis.eigenvalues).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, w, k", [
+    (1, 0.25, 1), (2, 0.25, 2), (64, 0.2, 1), (64, 0.2, 17), (1000, 0.1, 37),
+    (12, 0.3, 12), (4096, 0.01, 80),
+], ids=["n1", "n2", "k1", "k17", "n1000", "k_eq_n", "batch"])
+def test_eigenvalues_match_the_toeplitz_oracle_bit_for_bit(n, w, k):
+    # K=17 leaves one sequence in the last FFT block; K=N=12 ends on a part block
+    basis = compute_dpss(DpssParams(n, w, k))
+    assert basis.eigenvalues.tobytes() == toeplitz_concentrations(basis).tobytes()
+
+
+def test_compute_dpss_holds_no_whole_array_fft_transient():
+    # the blocked product peaks at about 6.5 MB here (sequences, the N x K product
+    # and one block); an FFT of all 80 sequences at once peaks near 20 MB
+    # imported before tracing starts, so the import's own allocations are not counted
+    from scipy.linalg import eigh_tridiagonal  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        compute_dpss(DpssParams(4096, 0.01, 80))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_stored_default_basis_matches_a_fresh_solve():
