@@ -1,9 +1,10 @@
 """Command-line interface: one executable exposing the pipeline as subcommands.
 
 Exit codes: 0 success, 1 computation/format/input errors, 2 usage errors.
-Each flag is checked once, by its argparse type, so a bad value exits 2 with
-one line naming the flag; the flags that size one allocation (--radial,
---angular, synth --size, --precision) have upper bounds. Only the commands
+Each flag is checked once, by its argparse type (dpss gen --k, bounded by
+--n, right after parsing), so a bad value exits 2 with one line naming the
+flag; the flags that size one allocation (dpss gen --n, --radial, --angular,
+synth --size, --precision) have upper bounds. Only the commands
 that draw random numbers (noise-test, classify, synth) take --seed, with a
 fixed default that is never time-based, and only the commands that write
 tables (rotate-test, noise-test, classify) take --precision. Every output
@@ -18,6 +19,8 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +226,15 @@ def _finite(text: str) -> float:
     return value
 
 
+def _half_bandwidth(text: str) -> float:
+    value = _finite(text)
+    if not (0.0 < value < 0.5):
+        raise argparse.ArgumentTypeError(
+            f"must lie strictly between 0 and 0.5, got {text!r}"
+        )
+    return value
+
+
 def _reals(text: str) -> list[float]:
     values = [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
     if not values:
@@ -270,8 +282,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dpss", help="sequence basis tools")
     dsub = p.add_subparsers(dest="dpss_command", required=True, parser_class=_Parser)
     g = dsub.add_parser("gen", help="generate a basis file")
-    g.add_argument("--n", type=_count, required=True, help="sequence length N")
-    g.add_argument("--w", type=_finite, required=True, help="half bandwidth in (0, 0.5)")
+    g.add_argument("--n", type=_int_range(1, 4096), required=True,
+                   help="sequence length N (at most 4096)")
+    g.add_argument("--w", type=_half_bandwidth, required=True,
+                   help="half bandwidth in (0, 0.5)")
     g.add_argument("--k", type=_count, required=True, help="number of sequences K <= N")
     g.add_argument("--out", required=True, help="output basis JSON path")
     g.set_defaults(run=_cmd_dpss_gen)
@@ -379,11 +393,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_dpss_gen(args) -> int:
-    try:
-        params = DpssParams(n_len=args.n, half_bandwidth=args.w, n_seq=args.k)
-    except ParameterError as exc:
-        raise _UsageError(f"--n/--w/--k: {exc}")
-    basis = compute_dpss(params)
+    if args.k > args.n:
+        raise _UsageError(f"argument --k: must be <= --n ({args.n}), got {args.k}")
+    basis = compute_dpss(DpssParams(n_len=args.n, half_bandwidth=args.w, n_seq=args.k))
     _write_atomic(args.out, _basis_json(basis))
     return 0
 
@@ -457,13 +469,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_synth(args) -> int:
     root = Path(args.out_dir)
-    for class_name, stem, image in synthetic_images(
+    images = synthetic_images(
         args.classes, args.per_class, args.rotations,
         seed=args.seed, image_size=args.size,
-    ):
+    )
+    for class_name, items in groupby(images, key=itemgetter(0)):
         cdir = root / class_name
         cdir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(cdir / f"{stem}.pgm", write_pgm(image))
+        for _, stem, image in items:
+            _write_atomic(cdir / f"{stem}.pgm", write_pgm(image))
     return 0
 
 

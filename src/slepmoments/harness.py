@@ -23,7 +23,7 @@ from .imaging import (
     rotate_image,
 )
 from .moments import Featurizer
-from .synthetic import shape_class_image
+from .synthetic import _shape_class_renderer
 
 __all__ = [
     "DEFAULT_SEED",
@@ -373,20 +373,22 @@ def synthetic_images(
     """Yield (class_name, file_stem, RasterImage) for the synthetic dataset.
 
     Every (class, item, rotation) triple gets an independent child seed, so the
-    dataset is reproducible item by item.
+    dataset is reproducible item by item. Each class's rng-free layers are
+    built once, and its images are rendered from them.
     """
     if n_classes < 2:
         raise ParameterError(f"n_classes must be >= 2, got {n_classes}")
     if per_class < 1 or rotations_per_item < 1:
         raise ParameterError("per_class and rotations_per_item must be >= 1")
     for cid in range(n_classes):
+        render = _shape_class_renderer(cid, image_size)
         for item in range(per_class):
             for rot in range(rotations_per_item):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=seed, spawn_key=(cid, item, rot))
                 )
-                img = shape_class_image(cid, rng, size=image_size)
-                yield f"class{cid + 1}", f"item{item:03d}r{rot}", img
+                yield f"class{cid + 1}", f"item{item:03d}r{rot}", render(rng)
+        del render  # release this class's layers before the next class's are built
 
 
 def load_labeled_directory(

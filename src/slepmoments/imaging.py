@@ -139,29 +139,36 @@ def _bilinear_plan(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray) -> li
     """Gather plan for bilinear sampling of an (h, w) raster at fractional (x, y).
 
     One (flat index, weight) pair per corner, in the order (dy, dx) = (0, 0),
-    (0, 1), (1, 0), (1, 1). A corner outside the raster gets index h*w, which
-    ``_gather`` maps to a zero pixel.
+    (0, 1), (1, 0), (1, 1). The indices address the raster inside a 2-pixel
+    zero border, (h + 4) x (w + 4), as ``_gather`` lays it out. The top-left
+    corner is clamped to [-2, h] x [-2, w], where a sample whose corners all
+    leave the raster reads only border zeros, so every corner outside the
+    raster reads 0.
     """
     h, w = shape
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     tx = xs - x0
     ty = ys - y0
-    base = y0 * w + x0
+    base = (np.clip(y0, -2, h) + 2) * (w + 4) + (np.clip(x0, -2, w) + 2)
     plan = []
     for dy in (0, 1):
         wy = ty if dy else 1.0 - ty
-        y_in = (y0 >= -dy) & (y0 < h - dy)
         for dx in (0, 1):
             wx = tx if dx else 1.0 - tx
-            ok = y_in & (x0 >= -dx) & (x0 < w - dx)
-            plan.append((np.where(ok, base + (dy * w + dx), h * w), wx * wy))
+            plan.append((base + (dy * (w + 4) + dx), wx * wy))
     return plan
 
 
 def _gather(pixels: np.ndarray, plan: list) -> np.ndarray:
-    """Apply a ``_bilinear_plan``: the sum 0 + w00 v00 + w01 v01 + w10 v10 + w11 v11."""
-    flat = np.append(pixels.ravel(), 0.0)
+    """Apply a ``_bilinear_plan``: the sum 0 + w00 v00 + w01 v01 + w10 v10 + w11 v11.
+
+    The zeros start is kept: it turns a sum of -0.0 terms into +0.0.
+    """
+    h, w = pixels.shape
+    bordered = np.zeros((h + 4, w + 4))
+    bordered[2:-2, 2:-2] = pixels
+    flat = bordered.ravel()
     out = np.zeros(plan[0][0].shape)
     for idx, wt in plan:
         out += wt * flat[idx]

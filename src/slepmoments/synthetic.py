@@ -3,6 +3,8 @@ shape-class generators for desk-scale classification experiments."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .errors import ParameterError
@@ -73,20 +75,42 @@ def shape_class_image(
     pixel noise, so instances of a class differ while staying close in the
     rotation-invariant feature space.
     """
-    xs, ys, c, rho, r, theta = _disk_coords(size)
+    return _shape_class_renderer(class_id, size)(rng)
+
+
+def _shape_class_renderer(
+    class_id: int, size: int
+) -> Callable[[np.random.Generator], RasterImage]:
+    """``shape_class_image`` of one class as a function of the random state.
+
+    The layers that do not depend on the draw (the angle and the three radial
+    envelopes) are computed here, once; each call only draws and sums. The
+    coordinate grids are released on return, so the renderer holds four
+    rasters.
+    """
+    _, _, _, _, r, theta = _disk_coords(size)
     rr = np.clip(r, 0.0, 1.0)
     n1 = 1 + (class_id % 5)
     n2 = 1 + ((class_id + 2) % 7)
     r1 = 0.30 + 0.06 * (class_id % 6)
     r2 = 0.62 - 0.04 * (class_id % 6)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    a1 = 0.22 * (1.0 + 0.1 * rng.standard_normal())
-    a2 = 0.18 * (1.0 + 0.1 * rng.standard_normal())
-    img = 0.40 * np.ones((size, size))
-    img += a1 * np.exp(-(((rr - r1) / 0.10) ** 2)) * np.cos(n1 * theta + n1 * phase)
-    img += a2 * np.exp(-(((rr - r2) / 0.08) ** 2)) * np.cos(n2 * theta + n2 * phase + 0.7)
-    img += 0.12 * np.exp(-(((rr - 0.45) / 0.35) ** 2))
-    img = np.clip(img, 0.0, 1.0)
-    power = float(np.mean(img**2))
-    img = np.clip(img + rng.normal(0.0, np.sqrt(power / 1e4), img.shape), 0.0, 1.0)
-    return RasterImage(img)
+    ring1 = np.exp(-(((rr - r1) / 0.10) ** 2))
+    ring2 = np.exp(-(((rr - r2) / 0.08) ** 2))
+    disk = 0.12 * np.exp(-(((rr - 0.45) / 0.35) ** 2))
+
+    def render(rng: np.random.Generator) -> RasterImage:
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        a1 = 0.22 * (1.0 + 0.1 * rng.standard_normal())
+        a2 = 0.18 * (1.0 + 0.1 * rng.standard_normal())
+        # the same sum, term by term, as rendering each image from scratch:
+        # folding 0.40 and the disk into one base would reorder it
+        img = 0.40 * np.ones((size, size))
+        img += a1 * ring1 * np.cos(n1 * theta + n1 * phase)
+        img += a2 * ring2 * np.cos(n2 * theta + n2 * phase + 0.7)
+        img += disk
+        img = np.clip(img, 0.0, 1.0)
+        power = float(np.mean(img**2))
+        img = np.clip(img + rng.normal(0.0, np.sqrt(power / 1e4), img.shape), 0.0, 1.0)
+        return RasterImage(img)
+
+    return render

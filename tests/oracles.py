@@ -8,6 +8,9 @@ Toeplitz product, which the blocked numpy route must match bit for bit.
 ``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
 split, one 2-D training loop at a time, as the stacked trainer of
 ``classification_sweep`` must do bit for bit.
+``reference_shape_class_image`` renders one shape-class image from scratch,
+coordinates included, as ``synthetic_images`` must do bit for bit from layers
+it builds once per class.
 """
 
 import numpy as np
@@ -134,3 +137,29 @@ def reference_sweep(ds, fractions, repeats, seed, stratified, reg=1e-3, epochs=3
         means.append(float(np.mean(accs)))
         stds.append(float(np.std(accs)))
     return np.array(means), np.array(stds)
+
+
+def reference_shape_class_image(
+    class_id: int, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """One shape-class image, every layer computed for this image alone."""
+    ys, xs = np.mgrid[0:size, 0:size].astype(float)
+    c = (size - 1) / 2.0
+    rho = size / 2.0 - 0.5
+    r = np.hypot(xs - c, ys - c) / rho
+    theta = np.arctan2(-(ys - c), xs - c)
+    rr = np.clip(r, 0.0, 1.0)
+    n1 = 1 + (class_id % 5)
+    n2 = 1 + ((class_id + 2) % 7)
+    r1 = 0.30 + 0.06 * (class_id % 6)
+    r2 = 0.62 - 0.04 * (class_id % 6)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    a1 = 0.22 * (1.0 + 0.1 * rng.standard_normal())
+    a2 = 0.18 * (1.0 + 0.1 * rng.standard_normal())
+    img = 0.40 * np.ones((size, size))
+    img += a1 * np.exp(-(((rr - r1) / 0.10) ** 2)) * np.cos(n1 * theta + n1 * phase)
+    img += a2 * np.exp(-(((rr - r2) / 0.08) ** 2)) * np.cos(n2 * theta + n2 * phase + 0.7)
+    img += 0.12 * np.exp(-(((rr - 0.45) / 0.35) ** 2))
+    img = np.clip(img, 0.0, 1.0)
+    power = float(np.mean(img**2))
+    return np.clip(img + rng.normal(0.0, np.sqrt(power / 1e4), img.shape), 0.0, 1.0)

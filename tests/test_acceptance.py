@@ -98,19 +98,19 @@ def test_criterion_2_fft_direct_equivalence(basis32):
 
 def test_criterion_3_angular_fft_scaling(basis64):
     gen = np.random.default_rng(7)
-
-    def median_time(n_t: int) -> float:
-        samples = gen.random((128, n_t))
-        compute_moments(samples, basis64, 10, 9)  # warm up
-        times = []
-        for _ in range(20):
+    sizes = (512, 1024)
+    samples = {n_t: gen.random((128, n_t)) for n_t in sizes}
+    for n_t in sizes:
+        compute_moments(samples[n_t], basis64, 10, 9)  # warm up
+    # each round times both sizes back to back, so a slow stretch of a shared
+    # machine lands on both sides of the ratio instead of on one size's samples
+    times = {n_t: [] for n_t in sizes}
+    for _ in range(20):
+        for n_t in sizes:
             t0 = time.perf_counter()
-            compute_moments(samples, basis64, 10, 9)
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
-    t512 = median_time(512)
-    t1024 = median_time(1024)
+            compute_moments(samples[n_t], basis64, 10, 9)
+            times[n_t].append(time.perf_counter() - t0)
+    t512, t1024 = (float(np.median(times[n_t])) for n_t in sizes)
     ratio = t1024 / t512
     ok = ratio <= 2.5
     line = _report(

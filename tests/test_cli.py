@@ -144,6 +144,27 @@ def test_synth_directory_layout(tmp_path):
     ]
 
 
+def _tree_digest(root):
+    """SHA-256 of the lines "<file sha256>  <relative posix path>", one per .pgm, sorted."""
+    paths = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.pgm"))
+    lines = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {rel}\n"
+                    for rel, p in paths)
+    return hashlib.sha256(lines.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("--seed 5 --classes 3 --per-class 4 --rotations 2 --size 64",
+     "bf9225f39865a57c384c4634b1150af6cb24964be0128a926796a8f17a20d473"),
+    ("--seed 7 --classes 2 --per-class 3 --size 2",
+     "9a412f26181303b6757fe966bcda7d64d0ac3064e4acb083e1125a9d4d44a3c8"),
+], ids=["golden", "size2"])
+def test_synth_writes_the_recorded_tree(tmp_path, argv, digest):
+    # the tree digests in CHANGES.md; the golden tree is the synth/ input of the
+    # golden corpus below
+    assert run(["synth", *argv.split(), "--out-dir", str(tmp_path)]) == 0
+    assert _tree_digest(tmp_path) == digest
+
+
 def test_classify_synthetic(tmp_path):
     out = tmp_path / "acc.csv"
     rc = run(["classify", "--classes", "2", "--per-class", "4", "--repeats", "2",
@@ -487,8 +508,10 @@ _COMPUTE = ["moments", "compute", "--image", "x.pgm", "--basis", "b.json", "--m"
     (["rotate-test", "--orders", ""], "--orders"),
     (["rotate-test", "--orders=-1,1"], "--orders"),
     (["synth", "--size", "1"], "--size"),
+    (["dpss", "gen", "--n", "8", "--w", "0.6", "--k", "2"], "--w"),
+    (["dpss", "gen", "--n", "8", "--w", "0.1", "--k", "9"], "--k"),
 ], ids=["precision", "seed", "classes", "angle", "reg", "l", "radial", "angles-empty",
-        "fractions-empty", "orders-empty", "orders-negative", "size"])
+        "fractions-empty", "orders-empty", "orders-negative", "size", "w", "k"])
 def test_bad_values_exit_two_naming_the_flag(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -505,14 +528,15 @@ def commands_unreachable(monkeypatch):
     """Make every capped command raise _Reached instead of computing anything."""
     def reached(args):
         raise _Reached(args.command)
-    for name in ("_cmd_moments_compute", "_cmd_reconstruct", "_cmd_stability",
-                 "_cmd_classify", "_cmd_synth"):
+    for name in ("_cmd_dpss_gen", "_cmd_moments_compute", "_cmd_reconstruct",
+                 "_cmd_stability", "_cmd_classify", "_cmd_synth"):
         monkeypatch.setattr(cli, name, reached)
 
 
 _RECONSTRUCT = ["reconstruct", "--moments", "m.json", "--basis", "b.json",
                 "--radial", "8", "--angular", "8"]
 _CAPPED = [
+    (["dpss", "gen", "--w", "0.1", "--k", "1"], "--n", 4096),
     *((argv, flag, 2048)
       for argv in (_COMPUTE + ["--l", "1"], _RECONSTRUCT, ["rotate-test"], ["noise-test"],
                    ["classify"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from slepmoments import (
     load_labeled_directory,
     make_synthetic_dataset,
     rotation_stability,
+    shape_class_image,
+    synthetic,
     train_classifier,
     write_pgm,
 )
@@ -20,7 +24,7 @@ from slepmoments.harness import (
     synthetic_images,
 )
 
-from oracles import reference_sweep
+from oracles import reference_shape_class_image, reference_sweep
 
 GRID = (48, 96)
 ORDERS = ((1, 1), (2, 1), (2, 2))
@@ -217,6 +221,50 @@ def test_train_classifier_on_dataset(basis64):
     x, y = ds.features, ds.labels
     model = train_classifier(x, y, reg=1e-3, epochs=200)
     assert (model.predict(x) == y).mean() == 1.0
+
+
+@pytest.mark.parametrize("size", [2, 3, 64])
+def test_synthetic_images_match_the_per_image_oracle_bitwise(size):
+    # classes 0..9 take every angular order and radius of the class formulas
+    keys = [(cid, item, rot) for cid in range(10) for item in range(2) for rot in range(2)]
+    images = synthetic_images(10, 2, 2, seed=3, image_size=size)
+    for (cid, item, rot), (name, stem, image) in zip(keys, images, strict=True):
+        assert (name, stem) == (f"class{cid + 1}", f"item{item:03d}r{rot}")
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=3, spawn_key=(cid, item, rot))
+        )
+        assert image.pixels.tobytes() == reference_shape_class_image(cid, rng, size).tobytes()
+    for cid in range(10):
+        image = shape_class_image(cid, np.random.default_rng(cid), size)
+        want = reference_shape_class_image(cid, np.random.default_rng(cid), size)
+        assert image.pixels.tobytes() == want.tobytes()
+
+
+def test_synthetic_images_build_each_class_layers_once(monkeypatch):
+    calls = []
+    disk_coords = synthetic._disk_coords
+
+    def counted(size):
+        calls.append(size)
+        return disk_coords(size)
+
+    monkeypatch.setattr(synthetic, "_disk_coords", counted)
+    assert len(list(synthetic_images(3, 2, 2, seed=1, image_size=8))) == 12
+    assert calls == [8, 8, 8]
+
+
+def test_synthetic_images_hold_one_class_of_layers_at_a_time():
+    # one 512 x 512 raster is 2 MiB. The peak is 18.7 MiB, and 20.7 MiB when
+    # every image is rendered from scratch; keeping a class's layers alive while
+    # the next class builds its own lifts it above 22 MiB.
+    tracemalloc.start()
+    try:
+        for _ in synthetic_images(3, 2, 1, seed=1, image_size=512):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 2**20
 
 
 def _write_tree(root, n_classes, per_class):

@@ -260,6 +260,9 @@ def test_gather_plan_matches_reference_bitwise(rng, shape):
     ys[0, :6] = [h - 1, h - 1, -0.5, h - 0.5, -1.0, h]
     xs[1, :4] = [-0.5, w - 1, w - 0.5, -1e-12]
     ys[1, :4] = [-0.5, -0.5, h - 1, h - 1 + 1e-12]
+    # far outside on every side and at every corner, so the plan's clamp is exercised
+    xs[2, :8] = [-1e3, w + 1e3, (w - 1) / 2, (w - 1) / 2, -1e3, w + 1e3, -1e3, w + 1e3]
+    ys[2, :8] = [(h - 1) / 2, (h - 1) / 2, -1e3, h + 1e3, -1e3, -1e3, h + 1e3, h + 1e3]
     got = _gather(px, _bilinear_plan(px.shape, xs, ys))
     assert got.tobytes() == _bilinear_reference(px, xs, ys).tobytes()
 
