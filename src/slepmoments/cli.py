@@ -3,12 +3,15 @@
 Exit codes: 0 success, 1 computation/format/input errors, 2 usage errors.
 Each flag is checked once, by its argparse type (dpss gen --k, bounded by
 --n, right after parsing), so a bad value exits 2 with one line naming the
-flag; the flags that size one allocation (dpss gen --n, --radial, --angular,
-synth --size, --precision) have upper bounds. Only the commands
-that draw random numbers (noise-test, classify, synth) take --seed, with a
-fixed default that is never time-based, and only the commands that write
-tables (rotate-test, noise-test, classify) take --precision. Every output
-file is written atomically, so identical invocations are byte-identical.
+flag. The flags that size one allocation (dpss gen --n, --radial, --angular,
+synth --size, --precision) have upper bounds, noise-test --snr-db must lie
+within +-3000 dB and classify --reg must be >= 0. A basis file that breaks
+a sequence convention, signs included, or a PGM sample above its maxval
+exits 1 with one line naming the file. Only noise-test, classify and synth
+draw random numbers, so only they take --seed (a fixed default, never
+time-based); only the table writers, rotate-test, noise-test and classify,
+take --precision. Every output file is written atomically, so identical
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dpss import DpssBasis, DpssParams, compute_dpss
-from .errors import FormatError, ParameterError
+from .dpss import DpssBasis, DpssParams, _check_conventions, compute_dpss
+from .errors import DomainError, FormatError, ParameterError
 from .harness import (
     DEFAULT_SEED,
     PROTOCOL_ANGLES_DEG,
@@ -38,7 +41,7 @@ from .harness import (
     rotation_stability,
     synthetic_images,
 )
-from .imaging import NoiseSpec, _read_pgm_file, rotate_image, to_polar, write_pgm
+from .imaging import _MAX_SNR_DB, NoiseSpec, _read_pgm_file, rotate_image, to_polar, write_pgm
 from .moments import (
     MomentSet,
     compute_moments,
@@ -124,11 +127,7 @@ def _array_chunks(arr: np.ndarray, depth: int) -> Iterator[str]:
 
 
 def _load_basis(path: str) -> DpssBasis:
-    """Read a basis file and check what the ``DpssBasis`` docstring promises.
-
-    Orthogonality is not checked, because the Gram matrix would add a K x K x N
-    product to every load (K=80, N=4096 for the largest bases in use).
-    """
+    """Read a basis file and check it against every sequence convention."""
     try:
         doc = json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
@@ -147,20 +146,11 @@ def _load_basis(path: str) -> DpssBasis:
         raise FormatError(f"basis file {path}: w must be a number, got {w!r}")
     try:
         params = DpssParams(n_len=n, half_bandwidth=float(w), n_seq=k)
-    except (ParameterError, OverflowError) as exc:
+        if seqs.shape != (k, n) or eig.shape != (k,):
+            raise FormatError(f"basis file {path} has inconsistent array shapes")
+        _check_conventions(seqs, eig)
+    except (ParameterError, OverflowError, DomainError) as exc:
         raise FormatError(f"basis file {path}: {exc}")
-    if seqs.shape != (k, n) or eig.shape != (k,):
-        raise FormatError(f"basis file {path} has inconsistent array shapes")
-    if not (np.isfinite(seqs).all() and np.isfinite(eig).all()):
-        raise FormatError(f"basis file {path} holds non-finite values")
-    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the check
-        norms = np.linalg.norm(seqs, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
-        raise FormatError(f"basis file {path}: sequences must have unit norm")
-    if not (0.0 < eig[-1] and eig[0] < 1.0 and (np.diff(eig) < 0.0).all()):
-        raise FormatError(
-            f"basis file {path}: eigenvalues must decrease strictly within (0, 1)"
-        )
     return DpssBasis(params=params, sequences=seqs, eigenvalues=eig)
 
 
@@ -193,27 +183,11 @@ def _basis_json(basis: DpssBasis) -> Iterator[str]:
     })
 
 
-def _int_range(low: int, high: int | None = None):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
-        return value
-    return parse
-
-
-_count = _int_range(1)
-_natural = _int_range(0)
-# The flags that size one allocation are capped. A 2048 x 2048 polar grid is
-# 4.2 M samples: its gather plan holds 64 B per sample (about 0.3 GB), and one
-# to_polar call peaks near 0.5 GB. A 2048-pixel synth image peaks near 0.35 GB
-# of render temporaries.
-_grid_size = _int_range(1, 2048)
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _finite(text: str) -> float:
@@ -224,6 +198,27 @@ def _finite(text: str) -> float:
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _bounded(low: float, high: float | None = None, parse=_integer):
+    """The argparse type that reads a value with ``parse`` and refuses it outside [low, high]."""
+    def check(text: str):
+        value = parse(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return check
+
+
+_count = _bounded(1)
+_natural = _bounded(0)
+# The flags that size one allocation are capped. A 2048 x 2048 polar grid is
+# 4.2 M samples: its gather plan holds 64 B per sample (about 0.3 GB), and one
+# to_polar call peaks near 0.5 GB. A 2048-pixel synth image peaks near 0.35 GB
+# of render temporaries.
+_grid_size = _bounded(1, 2048)
 
 
 def _half_bandwidth(text: str) -> float:
@@ -270,9 +265,17 @@ def _orders(text: str) -> list[tuple[int, int]]:
 
 _SEED = dict(type=_natural, default=DEFAULT_SEED,
              help="64-bit seed for all randomness (fixed default)")
-_PRECISION = dict(type=_int_range(0, 100), default=None,
+_PRECISION = dict(type=_bounded(0, 100), default=None,
                   help="fixed decimal places in CSV tables, at most 100 "
                        "(default: shortest round-trip)")
+
+
+def _add_grid(p: _Parser, rings: int | None, spokes: int | None) -> None:
+    """Declare --radial and --angular, the polar grid's R and T; a None default is required."""
+    p.add_argument("--radial", type=_grid_size, default=rings, required=rings is None,
+                   help="polar grid rings R (at most 2048)")
+    p.add_argument("--angular", type=_grid_size, default=spokes, required=spokes is None,
+                   help="polar grid spokes T (at most 2048)")
 
 
 def _build_parser() -> _Parser:
@@ -282,7 +285,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dpss", help="sequence basis tools")
     dsub = p.add_subparsers(dest="dpss_command", required=True, parser_class=_Parser)
     g = dsub.add_parser("gen", help="generate a basis file")
-    g.add_argument("--n", type=_int_range(1, 4096), required=True,
+    g.add_argument("--n", type=_bounded(1, 4096), required=True,
                    help="sequence length N (at most 4096)")
     g.add_argument("--w", type=_half_bandwidth, required=True,
                    help="half bandwidth in (0, 0.5)")
@@ -297,29 +300,21 @@ def _build_parser() -> _Parser:
     c.add_argument("--basis", required=True, help="basis JSON path")
     c.add_argument("--m", type=_count, required=True, help="radial orders 0..M-1")
     c.add_argument("--l", type=_natural, required=True, help="angular orders -L..L")
-    c.add_argument("--radial", type=_grid_size, default=128,
-                   help="polar grid rings R (at most 2048)")
-    c.add_argument("--angular", type=_grid_size, default=256,
-                   help="polar grid spokes T (at most 2048)")
+    _add_grid(c, 128, 256)
     c.add_argument("--angle", type=_finite, default=0.0,
                    help="rotate image first (degrees)")
     c.add_argument("--out", required=True, help="output moment JSON path")
     c.set_defaults(run=_cmd_moments_compute)
 
-    p = sub.add_parser("invariants",
-                       help="rotation invariants of a moment file")
+    p = sub.add_parser("invariants", help="rotation invariants of a moment file")
     p.add_argument("--moments", required=True, help="moment JSON path")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(run=_cmd_invariants)
 
-    p = sub.add_parser("reconstruct",
-                       help="truncated series reconstruction from moments")
+    p = sub.add_parser("reconstruct", help="truncated series reconstruction from moments")
     p.add_argument("--moments", required=True, help="moment JSON path")
     p.add_argument("--basis", required=True, help="basis JSON path")
-    p.add_argument("--radial", type=_grid_size, required=True,
-                   help="target rings R (at most 2048)")
-    p.add_argument("--angular", type=_grid_size, required=True,
-                   help="target spokes T (at most 2048)")
+    _add_grid(p, None, None)
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(run=_cmd_reconstruct)
 
@@ -337,25 +332,21 @@ def _build_parser() -> _Parser:
         p.add_argument("--orders", type=_orders,
                        default=";".join(f"{m},{n}" for m, n in PROTOCOL_ORDERS),
                        help="semicolon-separated m,n pairs")
-        p.add_argument("--radial", type=_grid_size, default=128,
-                       help="polar grid rings R (at most 2048)")
-        p.add_argument("--angular", type=_grid_size, default=256,
-                       help="polar grid spokes T (at most 2048)")
+        _add_grid(p, 128, 256)
         if name == "noise-test":
-            p.add_argument("--snr-db", type=_finite, default=30.0,
-                           help="Gaussian noise level in dB")
+            p.add_argument("--snr-db", type=_bounded(-_MAX_SNR_DB, _MAX_SNR_DB, _finite),
+                           default=30.0, help="Gaussian noise level in dB, within +-3000")
             p.add_argument("--seed", **_SEED)
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--json-out", default=None, help="optional JSON report path")
         p.add_argument("--precision", **_PRECISION)
         p.set_defaults(run=_cmd_stability)
 
-    p = sub.add_parser("classify",
-                       help="train-fraction classification sweep")
+    p = sub.add_parser("classify", help="train-fraction classification sweep")
     p.add_argument("--data-dir", default=None,
                    help="directory tree <root>/<class>/<image>.pgm; "
                         "omit to use the synthetic dataset")
-    p.add_argument("--classes", type=_int_range(2), default=6,
+    p.add_argument("--classes", type=_bounded(2), default=6,
                    help="synthetic class count")
     p.add_argument("--per-class", type=_count, default=8, help="synthetic items per class")
     p.add_argument("--rotations", type=_count, default=1,
@@ -364,11 +355,9 @@ def _build_parser() -> _Parser:
                    help="comma-separated training fractions in (0, 1)")
     p.add_argument("--repeats", type=_count, default=10, help="splits per fraction")
     p.add_argument("--basis", default=None, help="basis JSON path (default: built-in)")
-    p.add_argument("--radial", type=_grid_size, default=64,
-                   help="feature grid rings R (at most 2048)")
-    p.add_argument("--angular", type=_grid_size, default=128,
-                   help="feature grid spokes T (at most 2048)")
-    p.add_argument("--reg", type=_finite, default=1e-3, help="hinge-loss regularization")
+    _add_grid(p, 64, 128)
+    p.add_argument("--reg", type=_bounded(0, parse=_finite), default=1e-3,
+                   help="hinge-loss regularization, finite and >= 0")
     p.add_argument("--epochs", type=_count, default=300, help="training epochs")
     p.add_argument("--no-stratify", action="store_true",
                    help="use plain random splits instead of per-class stratification")
@@ -378,12 +367,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--precision", **_PRECISION)
     p.set_defaults(run=_cmd_classify)
 
-    p = sub.add_parser("synth",
-                       help="write the synthetic dataset as PGM files")
-    p.add_argument("--classes", type=_int_range(2), default=6, help="class count")
+    p = sub.add_parser("synth", help="write the synthetic dataset as PGM files")
+    p.add_argument("--classes", type=_bounded(2), default=6, help="class count")
     p.add_argument("--per-class", type=_count, default=8, help="items per class")
     p.add_argument("--rotations", type=_count, default=1, help="rotations per item")
-    p.add_argument("--size", type=_int_range(2, 2048), default=96,
+    p.add_argument("--size", type=_bounded(2, 2048), default=96,
                    help="image side length (at most 2048)")
     p.add_argument("--out-dir", required=True, help="output directory root")
     p.add_argument("--seed", **_SEED)

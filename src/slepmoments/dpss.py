@@ -76,12 +76,33 @@ def _kernel_column(n_len: int, half_bandwidth: float) -> np.ndarray:
     return col
 
 
+def _negative_rows(vectors: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose first entry above 1e-13 of the row's largest magnitude is < 0."""
+    mag = np.abs(vectors)
+    first = np.argmax(mag > 1e-13 * mag.max(axis=1, keepdims=True), axis=1)
+    return vectors[np.arange(len(vectors)), first] < 0
+
+
 def _fix_signs(vectors: np.ndarray) -> None:
-    """Flip, in place, each row whose first nonzero entry (relative tolerance) is negative."""
-    for v in vectors:
-        nz = np.nonzero(np.abs(v) > 1e-13 * np.abs(v).max())[0]
-        if v[nz[0]] < 0:
-            np.negative(v, out=v)
+    """Flip, in place, the ``_negative_rows``, so each first nonzero entry is positive."""
+    vectors[_negative_rows(vectors)] *= -1.0
+
+
+def _check_conventions(seqs: np.ndarray, eig: np.ndarray) -> None:
+    """Raise DomainError at the first sequence convention a K x N basis breaks.
+
+    Orthogonality is not checked: its Gram matrix is a K x K x N product.
+    """
+    if not (np.isfinite(seqs).all() and np.isfinite(eig).all()):
+        raise DomainError("sequences and eigenvalues must be finite")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the check
+        norms = np.linalg.norm(seqs, axis=1)
+    if np.abs(norms - 1.0).max() > 1e-9:
+        raise DomainError("sequences must have unit norm")
+    if _negative_rows(seqs).any():
+        raise DomainError("each sequence's first nonzero entry must be positive")
+    if not (0.0 < eig[-1] and eig[0] < 1.0 and (np.diff(eig) < 0.0).all()):
+        raise DomainError("eigenvalues must decrease strictly within (0, 1)")
 
 
 def _enforce_decreasing(lam: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ from .imaging import (
     GENERATOR_NAME,
     NoiseSpec,
     RasterImage,
+    _child_seed,
     _read_pgm_file,
+    _rng,
     add_gaussian_noise,
     rotate_image,
 )
@@ -73,12 +75,6 @@ def default_basis() -> DpssBasis:
         ),
         eigenvalues=np.array([float.fromhex(x) for x in _default_basis.EIGENVALUES]),
     )
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    """Independent 64-bit child seed derived from (seed, key); order-stable."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _fmt(value: float, precision: int | None) -> str:
@@ -267,16 +263,9 @@ def _plain_split(y, fraction, rng, class_names):
 def _draw_splits(ds: LabeledDataset, fraction: float, fi: int, repeats: int,
                  seed: int, stratified: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (train, test) index pair of every repeat at fraction number ``fi``."""
-    splits = []
-    for rep in range(repeats):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(fi, rep))
-        )
-        if stratified:
-            splits.append(_stratified_split(ds.labels, fraction, rng, ds.class_names))
-        else:
-            splits.append(_plain_split(ds.labels, fraction, rng, ds.class_names))
-    return splits
+    split = _stratified_split if stratified else _plain_split
+    return [split(ds.labels, fraction, _rng(seed, fi, rep), ds.class_names)
+            for rep in range(repeats)]
 
 
 def classification_sweep(
@@ -384,9 +373,7 @@ def synthetic_images(
         render = _shape_class_renderer(cid, image_size)
         for item in range(per_class):
             for rot in range(rotations_per_item):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(cid, item, rot))
-                )
+                rng = _rng(seed, cid, item, rot)
                 yield f"class{cid + 1}", f"item{item:03d}r{rot}", render(rng)
         del render  # release this class's layers before the next class's are built
 

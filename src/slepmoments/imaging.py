@@ -24,6 +24,21 @@ __all__ = [
 # metadata so results can be reproduced bit for bit.
 GENERATOR_NAME = "pcg64"
 
+# NoiseSpec and noise-test --snr-db refuse levels past +-this many dB, where the
+# noise sigma of add_gaussian_noise would soon overflow or divide by zero
+_MAX_SNR_DB = 3000
+
+
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The pcg64 generator of the SeedSequence (seed, key); every seeded draw uses one."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _child_seed(seed: int, *key: int) -> int:
+    """Independent 64-bit child seed derived from (seed, key); order-stable."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return int(ss.generate_state(1, np.uint64)[0])
+
 
 @dataclass(frozen=True)
 class RasterImage:
@@ -44,14 +59,14 @@ class RasterImage:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Gaussian noise level as an SNR in decibels plus a 64-bit seed."""
+    """Gaussian noise level as an SNR in decibels, within +-3000 dB, plus a 64-bit seed."""
 
     snr_db: float
     seed: int
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ParameterError("snr_db must be finite")
+        if not (-_MAX_SNR_DB <= self.snr_db <= _MAX_SNR_DB):
+            raise ParameterError(f"snr_db must lie within +-{_MAX_SNR_DB} dB, got {self.snr_db}")
 
 
 # --- PGM ------------------------------------------------------------------
@@ -103,9 +118,12 @@ def read_pgm(data: bytes) -> RasterImage:
             f"truncated payload: need {need} bytes, have {len(payload)}",
             offset=pos + len(payload),
         )
-    dtype = np.uint8 if bytes_per == 1 else ">u2"
-    raw = np.frombuffer(payload, dtype=dtype).astype(float).reshape(height, width)
-    return RasterImage(raw / maxval)
+    samples = np.frombuffer(payload, dtype=np.uint8 if bytes_per == 1 else ">u2")
+    if samples.max() > maxval:
+        first = int(np.argmax(samples > maxval))
+        raise FormatError(f"sample {samples[first]} exceeds maxval {maxval}",
+                          offset=pos + first * bytes_per)
+    return RasterImage(samples.astype(float).reshape(height, width) / maxval)
 
 
 def _read_pgm_file(path: str | Path) -> RasterImage:
@@ -125,11 +143,7 @@ def write_pgm(image: RasterImage, maxval: int = 255) -> bytes:
     height, width = image.pixels.shape
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
     levels = np.rint(image.pixels * maxval)
-    if maxval < 256:
-        payload = levels.astype(np.uint8).tobytes()
-    else:
-        payload = levels.astype(">u2").tobytes()
-    return header + payload
+    return header + levels.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
 
 
 # --- geometry ---------------------------------------------------------------
@@ -175,13 +189,20 @@ def _gather(pixels: np.ndarray, plan: list) -> np.ndarray:
     return out
 
 
+def _polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rings r_i = (i + 0.5)/R and spokes theta_j = 2pi j/T of every R x T polar grid."""
+    if n_radial < 1 or n_angular < 1:
+        raise ParameterError("polar grid dimensions must be positive")
+    rings = (np.arange(n_radial) + 0.5) / n_radial
+    return rings, 2.0 * np.pi * np.arange(n_angular) / n_angular
+
+
 def _polar_plan(shape: tuple[int, int], n_radial: int, n_angular: int) -> list:
     """Gather plan of ``to_polar`` for an (h, w) raster on an R x T grid."""
     h, w = shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     rho = min(w, h) / 2.0 - 0.5
-    r = (np.arange(n_radial) + 0.5) / n_radial
-    th = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    r, th = _polar_grid(n_radial, n_angular)
     xs = cx + np.outer(r, np.cos(th)) * rho
     ys = cy - np.outer(r, np.sin(th)) * rho
     return _bilinear_plan(shape, xs, ys)
@@ -208,13 +229,11 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
 def to_polar(image: RasterImage, n_radial: int, n_angular: int) -> np.ndarray:
     """Resample the inscribed disk onto the uniform polar grid, an R x T array.
 
-    Sample (i, j) holds f(r_i, theta_j) with r_i = (i + 0.5)/R and
-    theta_j = 2pi j/T. It reads the raster at (cx + r_i rho cos theta_j,
-    cy - r_i rho sin theta_j) with center ((w-1)/2, (h-1)/2) and disk radius
-    rho = min(w, h)/2 - 0.5; reads outside the raster give 0.
+    Sample (i, j) holds f(r_i, theta_j) on the ``_polar_grid``. It reads the
+    raster at (cx + r_i rho cos theta_j, cy - r_i rho sin theta_j) with center
+    ((w-1)/2, (h-1)/2) and disk radius rho = min(w, h)/2 - 0.5; reads outside
+    the raster give 0.
     """
-    if n_radial < 1 or n_angular < 1:
-        raise ParameterError("polar grid dimensions must be positive")
     return _gather(image.pixels, _polar_plan(image.pixels.shape, n_radial, n_angular))
 
 
@@ -228,6 +247,5 @@ def add_gaussian_noise(image: RasterImage, spec: NoiseSpec) -> RasterImage:
     if power == 0.0:
         raise DomainError("signal power is zero; SNR-referenced noise is undefined")
     sigma = np.sqrt(power / 10.0 ** (spec.snr_db / 10.0))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed))
-    noisy = image.pixels + rng.normal(0.0, sigma, image.pixels.shape)
+    noisy = image.pixels + _rng(spec.seed).normal(0.0, sigma, image.pixels.shape)
     return RasterImage(np.clip(noisy, 0.0, 1.0))

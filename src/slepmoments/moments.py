@@ -16,7 +16,7 @@ import numpy as np
 
 from .dpss import DpssBasis, radial_basis
 from .errors import AliasingError, FormatError, ParameterError
-from .imaging import RasterImage, _gather, _polar_plan
+from .imaging import RasterImage, _gather, _polar_grid, _polar_plan
 
 __all__ = [
     "MomentSet",
@@ -53,7 +53,7 @@ class MomentSet:
             raise ParameterError(f"moment array shape {v.shape}, expected {expected}")
         if not np.all(np.isfinite(v)):
             raise ParameterError("moment values must be finite")
-        # the same rule moments_from_json applies, so every set written can be read back
+        # the one grid rule: moments_from_json applies it through here
         g = self.grid
         if not (isinstance(g, tuple) and len(g) == 2
                 and all(type(size) is int and size >= 1 for size in g)):
@@ -77,10 +77,9 @@ def _check_orders(basis: DpssBasis, max_radial: int, max_angular: int, n_t: int)
         )
 
 
-def _radial_weights(basis: DpssBasis, max_radial: int, n_r: int) -> np.ndarray:
-    """psi_m(r_i) * r_i * dr for m < M on the R rings, an M x R matrix."""
-    r = (np.arange(n_r) + 0.5) / n_r
-    return radial_basis(basis, r)[:max_radial] * (r / n_r)
+def _radial_weights(basis: DpssBasis, max_radial: int, r: np.ndarray) -> np.ndarray:
+    """psi_m(r_i) * r_i * dr for m < M on the R rings r, an M x R matrix."""
+    return radial_basis(basis, r)[:max_radial] * (r / r.size)
 
 
 def _project(samples: np.ndarray, psi_w: np.ndarray, max_angular: int) -> np.ndarray:
@@ -106,13 +105,13 @@ def compute_moments(
         raise ParameterError(f"samples must be a non-empty 2-D array, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("polar samples must be finite")
-    n_r, n_t = samples.shape
-    _check_orders(basis, max_radial, max_angular, n_t)
+    _check_orders(basis, max_radial, max_angular, samples.shape[1])
+    r, _ = _polar_grid(*samples.shape)
     return MomentSet(
         max_radial=max_radial,
         max_angular=max_angular,
-        values=_project(samples, _radial_weights(basis, max_radial, n_r), max_angular),
-        grid=(n_r, n_t),
+        values=_project(samples, _radial_weights(basis, max_radial, r), max_angular),
+        grid=samples.shape,
         basis_id=basis.basis_id,
     )
 
@@ -133,16 +132,12 @@ def reconstruct(
     All stored orders contribute, negative n included. Returns the real part
     on the R x T ``grid`` and the largest absolute imaginary residual.
     """
-    n_r, n_t = grid
-    if n_r < 1 or n_t < 1:
-        raise ParameterError("polar grid dimensions must be positive")
-    if n_r < ms.grid[0] or n_t < ms.grid[1]:
+    r, theta = _polar_grid(*grid)
+    if r.size < ms.grid[0] or theta.size < ms.grid[1]:
         raise ParameterError(
             f"target grid {grid} must match or refine the moment grid {ms.grid}"
         )
-    r = (np.arange(n_r) + 0.5) / n_r
     psi = radial_basis(basis, r)[: ms.max_radial]
-    theta = 2.0 * np.pi * np.arange(n_t) / n_t
     ns = np.arange(-ms.max_angular, ms.max_angular + 1)
     angular = np.exp(-1j * np.outer(ns, theta))
     series = psi.T @ ms.values @ angular
@@ -166,13 +161,11 @@ class Featurizer:
         max_angular: int = 9,
         grid: tuple[int, int] = (64, 128),
     ):
-        n_r, n_t = grid
-        if n_r < 1 or n_t < 1:
-            raise ParameterError("polar grid dimensions must be positive")
-        _check_orders(basis, max_radial, max_angular, n_t)
+        r, theta = _polar_grid(*grid)
+        _check_orders(basis, max_radial, max_angular, theta.size)
         self._max_angular = max_angular
-        self._grid = (n_r, n_t)
-        self._psi_w = _radial_weights(basis, max_radial, n_r)
+        self._grid = (r.size, theta.size)
+        self._psi_w = _radial_weights(basis, max_radial, r)
         self._plans: dict[tuple[int, int], list] = {}
 
     def __call__(self, img: RasterImage) -> np.ndarray:
@@ -238,10 +231,6 @@ def moments_from_json(text: str) -> MomentSet:
         raise FormatError(f"malformed moment document ({type(exc).__name__}: {exc})")
     if type(basis_id) is not str:
         raise FormatError(f"moment basis_id must be a string, got {type(basis_id).__name__}")
-    if len(grid) != 2 or any(type(size) is not int or size < 1 for size in grid):
-        raise FormatError(
-            f"moment grid must be two positive integers, got {meta['grid']!r}"
-        )
     if not orders:
         raise FormatError("moment document holds no moments")
     if any(type(order) is not int for pair in orders for order in pair):
@@ -266,13 +255,10 @@ def moments_from_json(text: str) -> MomentSet:
     values = np.zeros((max_radial, 2 * max_angular + 1), dtype=complex)
     for (m, n), coeff in zip(orders, coeffs):
         values[m, max_angular + n] = coeff
-    return MomentSet(
-        max_radial=max_radial,
-        max_angular=max_angular,
-        values=values,
-        grid=grid,
-        basis_id=basis_id,
-    )
+    try:
+        return MomentSet(max_radial, max_angular, values, grid, basis_id)
+    except ParameterError as exc:
+        raise FormatError(str(exc))
 
 
 def invariants_to_csv(phi: np.ndarray) -> str:

@@ -8,7 +8,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .imaging import RasterImage
+from .imaging import RasterImage, _rng
 
 __all__ = ["smooth_test_image", "shape_class_image"]
 
@@ -52,7 +52,7 @@ def smooth_test_image(size: int = 128) -> RasterImage:
     for order, r0, amp, sig_px, phase in _RINGS:
         s = sig_px / rho
         img += amp * np.exp(-(((r - r0) / s) ** 2) / 2) * np.cos(order * theta + phase)
-    rng = np.random.default_rng(_BUMP_LAYOUT_SEED)
+    rng = _rng(_BUMP_LAYOUT_SEED)
     for _ in range(20):
         rb = 0.8 * np.sqrt(rng.uniform(0.02, 1.0))
         tb = rng.uniform(0.0, 2.0 * np.pi)
@@ -61,8 +61,7 @@ def smooth_test_image(size: int = 128) -> RasterImage:
         xb = c + rb * rho * np.cos(tb)
         yb = c - rb * rho * np.sin(tb)
         img += ab * np.exp(-((xs - xb) ** 2 + (ys - yb) ** 2) / (2.0 * sb**2))
-    img = np.clip(img, 0.0, 1.0)
-    return RasterImage(img)
+    return RasterImage(np.clip(img, 0.0, 1.0))
 
 
 def shape_class_image(

@@ -10,7 +10,8 @@ split, one 2-D training loop at a time, as the stacked trainer of
 ``classification_sweep`` must do bit for bit.
 ``reference_shape_class_image`` renders one shape-class image from scratch,
 coordinates included, as ``synthetic_images`` must do bit for bit from layers
-it builds once per class.
+it builds once per class. ``reference_fix_signs`` flips one row at a time, as
+the whole-array ``_fix_signs`` must do bit for bit.
 """
 
 import numpy as np
@@ -137,6 +138,14 @@ def reference_sweep(ds, fractions, repeats, seed, stratified, reg=1e-3, epochs=3
         means.append(float(np.mean(accs)))
         stds.append(float(np.std(accs)))
     return np.array(means), np.array(stds)
+
+
+def reference_fix_signs(vectors: np.ndarray) -> None:
+    """Flip, in place, each row whose first entry above 1e-13 of its largest magnitude is < 0."""
+    for v in vectors:
+        nz = np.nonzero(np.abs(v) > 1e-13 * np.abs(v).max())[0]
+        if v[nz[0]] < 0:
+            np.negative(v, out=v)
 
 
 def reference_shape_class_image(

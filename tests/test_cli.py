@@ -34,6 +34,7 @@ from slepmoments.cli import (
     _write_atomic,
     run,
 )
+from slepmoments.dpss import _fix_signs
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +326,16 @@ def test_pgm_format_error_names_the_image(tmp_path, capsys, basis_path):
     assert err == f"slepmoments: error: {bad}: {_P6_ERROR}\n"
 
 
+def test_pgm_sample_above_maxval_names_the_image(tmp_path, capsys):
+    header = b"P5\n2 2\n10\n"
+    bad = tmp_path / "over.pgm"
+    bad.write_bytes(header + bytes([0, 10, 0xFF, 5]))
+    assert run(["rotate-test", "--image", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"slepmoments: error: {bad}: sample 255 exceeds maxval 10 "
+        f"(byte offset {len(header) + 2})\n")
+
+
 def test_pgm_format_error_in_data_dir_names_the_image(tmp_path, capsys):
     root = tmp_path / "data"
     assert run(["synth", "--classes", "2", "--per-class", "2", "--size", "32",
@@ -510,8 +521,10 @@ _COMPUTE = ["moments", "compute", "--image", "x.pgm", "--basis", "b.json", "--m"
     (["synth", "--size", "1"], "--size"),
     (["dpss", "gen", "--n", "8", "--w", "0.6", "--k", "2"], "--w"),
     (["dpss", "gen", "--n", "8", "--w", "0.1", "--k", "9"], "--k"),
+    (["classify", "--reg", "-1"], "--reg"),
 ], ids=["precision", "seed", "classes", "angle", "reg", "l", "radial", "angles-empty",
-        "fractions-empty", "orders-empty", "orders-negative", "size", "w", "k"])
+        "fractions-empty", "orders-empty", "orders-negative", "size", "w", "k",
+        "reg-negative"])
 def test_bad_values_exit_two_naming_the_flag(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -558,6 +571,27 @@ def test_size_flags_refuse_one_above_their_cap(commands_unreachable, capsys, arg
         f"slepmoments: usage error: argument {flag}: must be <= {cap}, got {cap + 1}\n")
     with pytest.raises(_Reached):
         run(argv + [flag, str(cap)])
+
+
+_SNR_LEVELS = [
+    ("-3001", "must be >= -3000, got -3001.0"), ("-3000", None), ("-2999", None),
+    ("2999", None), ("3000", None), ("3001", "must be <= 3000, got 3001.0"),
+]
+
+
+@pytest.mark.parametrize("value, refusal", _SNR_LEVELS, ids=[v for v, _ in _SNR_LEVELS])
+def test_snr_db_is_capped_at_3000_db_either_way(commands_unreachable, capsys, value,
+                                                refusal):
+    # 10 ** (snr_db / 10) overflows at 4000 dB and is 0 at -4000 dB; the cap is
+    # checked while parsing, so no noise is drawn here
+    argv = ["noise-test", f"--snr-db={value}", "--out", "out"]
+    if refusal is None:
+        with pytest.raises(_Reached):
+            run(argv)
+    else:
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"slepmoments: usage error: argument --snr-db: {refusal}\n")
 
 
 def test_reconstruct_rejects_another_basis(tmp_path, capsys, image_path):
@@ -629,6 +663,29 @@ def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch):
         assert err.endswith("must hold a JSON object\n")
 
 
+@pytest.mark.parametrize("command", ["moments", "reconstruct", "rotate-test"])
+def test_basis_with_negated_sequences_exits_one(tmp_path, capsys, image_path, basis_path,
+                                                moments_path, command):
+    # every row but the first is negated, so a check of row 0 alone would pass it
+    doc = json.loads(basis_path.read_text())
+    doc["sequences"][1:] = [[-x for x in row] for row in doc["sequences"][1:]]
+    bad = tmp_path / "negated.json"
+    bad.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "moments": ["moments", "compute", "--image", str(image_path), "--basis", str(bad),
+                    "--m", "2", "--l", "1", *out],
+        "reconstruct": ["reconstruct", "--moments", str(moments_path), "--basis", str(bad),
+                        "--radial", "16", "--angular", "32", *out],
+        "rotate-test": ["rotate-test", "--basis", str(bad), *_CHEAP_STABILITY, *out],
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"slepmoments: error: basis file {bad}: "
+        "each sequence's first nonzero entry must be positive\n")
+    assert not (tmp_path / "out").exists()
+
+
 @st.composite
 def _valid_bases(draw):
     n = draw(st.integers(min_value=1, max_value=12))
@@ -642,7 +699,9 @@ def _valid_bases(draw):
     eig = draw(st.lists(st.floats(min_value=0.0, max_value=1.0,
                                   exclude_min=True, exclude_max=True),
                         min_size=k, max_size=k, unique=True))
-    return DpssBasis(params=DpssParams(n, w, k), sequences=seqs / norms[:, None],
+    seqs /= norms[:, None]
+    _fix_signs(seqs)  # valid sequences keep the package's sign rule too
+    return DpssBasis(params=DpssParams(n, w, k), sequences=seqs,
                      eigenvalues=np.array(sorted(eig, reverse=True)))
 
 

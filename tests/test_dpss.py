@@ -2,17 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from slepmoments import DpssParams, ParameterError, compute_dpss, default_basis, radial_basis
 from slepmoments.cli import _basis_json, _load_basis
-from slepmoments.dpss import _fix_signs
+from slepmoments.dpss import _check_conventions, _fix_signs
 from slepmoments.errors import DomainError
 
 from oracles import (
     concentration_ratio,
     dpss_spectrum,
+    reference_fix_signs,
     simpson,
     sinc_kernel,
     toeplitz_concentrations,
@@ -96,6 +98,44 @@ def test_sign_convention_first_nonzero_positive():
     for row in basis.sequences:
         nz = np.nonzero(np.abs(row) > 1e-13 * np.abs(row).max())[0]
         assert row[nz[0]] > 0
+
+
+_SIGN_EDGES = st.sampled_from([0.0, -0.0, 1e-14, -1e-14, -1e-13, -5e-324, 1.0, -1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(min_value=-1.0, max_value=1.0) | _SIGN_EDGES))
+@example(np.array([[-1e-14, 1.0], [-1e-13, 1.0], [0.0, -1.0], [-0.0, 1.0]]))
+def test_fix_signs_matches_the_row_loop_bitwise(vectors):
+    # entries below 1e-13 of a row's largest magnitude do not count as its first nonzero
+    assume((np.abs(vectors).max(axis=1) > 0).all())  # the loop needs a nonzero per row
+    want, got = vectors.copy(), vectors.copy()
+    reference_fix_signs(want)
+    _fix_signs(got)
+    assert got.tobytes() == want.tobytes()
+
+
+_GOOD_ROWS = [[0.6, 0.8], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("seqs, eig, rule", [
+    ([[np.nan, 0.8], [0.0, 2.0]], [0.5, 0.9], "finite"),
+    ([[-0.6, 0.8], [0.0, 2.0]], [0.5, 0.9], "unit norm"),
+    ([[0.6, 0.8], [0.0, -1.0]], [0.5, 0.9], "first nonzero entry must be positive"),
+    (_GOOD_ROWS, [0.5, 0.9], "eigenvalues must decrease"),
+    (_GOOD_ROWS, [1.0, 0.5], "eigenvalues must decrease"),
+], ids=["finite-first", "norm-before-sign", "sign-before-eigenvalues", "eig-rising",
+        "eig-one"])
+def test_check_conventions_names_the_first_rule_broken(seqs, eig, rule):
+    # the first three cases break every rule after the one they name too
+    with pytest.raises(DomainError, match=rule):
+        _check_conventions(np.array(seqs), np.array(eig))
+
+
+def test_check_conventions_accepts_a_computed_basis():
+    basis = compute_dpss(DpssParams(48, 0.15, 6))
+    _check_conventions(basis.sequences, basis.eigenvalues)
 
 
 def test_index_reversal_symmetry():

@@ -54,6 +54,17 @@ def test_read_pgm_truncated_payload_reports_offset():
     assert exc.value.offset == len(data)
 
 
+@pytest.mark.parametrize("header, payload, first", [
+    (b"P5\n3 1\n10\n", bytes([10, 0xFF, 11]), 1),
+    (b"P5\n3 1\n300\n", b"".join(v.to_bytes(2, "big") for v in (300, 301, 302)), 2),
+], ids=["8-bit", "16-bit"])
+def test_read_pgm_refuses_a_sample_above_maxval(header, payload, first):
+    # the offset is that of the first sample above maxval, not of a later one
+    with pytest.raises(FormatError, match="exceeds maxval") as exc:
+        read_pgm(header + payload)
+    assert exc.value.offset == len(header) + first
+
+
 def test_read_pgm_sixteen_bit():
     payload = (300).to_bytes(2, "big") + (60000).to_bytes(2, "big")
     img = read_pgm(b"P5\n2 1\n65535\n" + payload)
@@ -303,6 +314,18 @@ def test_noise_is_deterministic(test_image):
 def test_noise_vanishes_at_high_snr(test_image):
     out = add_gaussian_noise(test_image, NoiseSpec(snr_db=300.0, seed=1))
     assert np.abs(out.pixels - test_image.pixels).max() < 1e-6
+
+
+@pytest.mark.parametrize("snr_db", [-3000.0, -2999.0, 2999.0, 3000.0])
+def test_noise_spec_takes_levels_within_the_caps(snr_db):
+    assert NoiseSpec(snr_db, 0).snr_db == snr_db
+
+
+@pytest.mark.parametrize("snr_db", [-3001.0, 3001.0, np.inf, -np.inf, np.nan])
+def test_noise_spec_refuses_levels_beyond_the_caps(snr_db):
+    # 10 ** (snr_db / 10) overflows at 4000 dB and is 0 at -4000 dB
+    with pytest.raises(ParameterError, match="snr_db"):
+        NoiseSpec(snr_db, 0)
 
 
 def test_noise_rejects_zero_image():

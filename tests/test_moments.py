@@ -199,6 +199,20 @@ def test_reconstruct_requires_matching_or_finer_grid(basis32):
         reconstruct(ms, basis32, (0, 0))
 
 
+@pytest.mark.parametrize("grid", [(0, 8), (8, 0)], ids=["no-rings", "no-spokes"])
+@pytest.mark.parametrize("use", [
+    lambda basis, grid: to_polar(smooth_test_image(16), *grid),
+    lambda basis, grid: Featurizer(basis, 2, 1, grid),
+    lambda basis, grid: reconstruct(MomentSet(1, 0, np.ones((1, 1)), (1, 1), "x"), basis, grid),
+], ids=["to_polar", "Featurizer", "reconstruct"])
+def test_zero_grid_dimension_raises_the_one_grid_error(basis32, use, grid):
+    # sampling, featurizing and synthesis share one polar grid and so one check
+    with pytest.raises(ParameterError) as exc:
+        use(basis32, grid)
+    assert type(exc.value) is ParameterError
+    assert str(exc.value) == "polar grid dimensions must be positive"
+
+
 @pytest.mark.parametrize("grid", [
     (0, 0), (4, -8), (4.5, True), (True, 8), (4, 8.0), (4,), (4, 8, 2), 5, "ab",
 ])
