@@ -12,6 +12,11 @@ draw random numbers, so only they take --seed (a fixed default, never
 time-based); only the table writers, rotate-test, noise-test and classify,
 take --precision. Every output file is written atomically, so identical
 invocations are byte-identical.
+
+A CLI process runs OpenBLAS, numpy's and scipy's alike, on one thread: every
+product here is small, so worker threads would only spin. Setting
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS overrides this, and
+a process that loaded numpy before this module keeps its own choice.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ from collections.abc import Iterable, Iterator
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
+
+# OpenBLAS reads its thread count once, when it loads, so the choice must come
+# before numpy's import; scipy.linalg's own OpenBLAS reads the same variable.
+if "numpy" not in sys.modules and not any(
+    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -59,7 +59,8 @@ class RasterImage:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Gaussian noise level as an SNR in decibels, within +-3000 dB, plus a 64-bit seed."""
+    """Gaussian noise level as an SNR in decibels, within +-3000 dB, plus a non-negative
+    integer seed."""
 
     snr_db: float
     seed: int
@@ -67,6 +68,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not (-_MAX_SNR_DB <= self.snr_db <= _MAX_SNR_DB):
             raise ParameterError(f"snr_db must lie within +-{_MAX_SNR_DB} dB, got {self.snr_db}")
+        # SeedSequence would refuse these only when noise is drawn, without naming the seed
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 # --- PGM ------------------------------------------------------------------
@@ -197,11 +202,15 @@ def _polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     return rings, 2.0 * np.pi * np.arange(n_angular) / n_angular
 
 
+def _disk(h: int, w: int) -> tuple[float, float, float]:
+    """Centre (cx, cy) = ((w-1)/2, (h-1)/2) and radius rho = min(w, h)/2 - 0.5 of the
+    disk inscribed in an (h, w) raster, in pixel coordinates."""
+    return (w - 1) / 2.0, (h - 1) / 2.0, min(w, h) / 2.0 - 0.5
+
+
 def _polar_plan(shape: tuple[int, int], n_radial: int, n_angular: int) -> list:
     """Gather plan of ``to_polar`` for an (h, w) raster on an R x T grid."""
-    h, w = shape
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    rho = min(w, h) / 2.0 - 0.5
+    cx, cy, rho = _disk(*shape)
     r, th = _polar_grid(n_radial, n_angular)
     xs = cx + np.outer(r, np.cos(th)) * rho
     ys = cy - np.outer(r, np.sin(th)) * rho
@@ -217,7 +226,7 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
     """
     a = np.deg2rad(angle_deg)
     h, w = image.pixels.shape
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    cx, cy, _ = _disk(h, w)
     dx = (np.arange(w) - cx)[None, :]
     dy = (np.arange(h) - cy)[:, None]
     src_x = np.cos(a) * dx - np.sin(a) * dy + cx
@@ -230,9 +239,9 @@ def to_polar(image: RasterImage, n_radial: int, n_angular: int) -> np.ndarray:
     """Resample the inscribed disk onto the uniform polar grid, an R x T array.
 
     Sample (i, j) holds f(r_i, theta_j) on the ``_polar_grid``. It reads the
-    raster at (cx + r_i rho cos theta_j, cy - r_i rho sin theta_j) with center
-    ((w-1)/2, (h-1)/2) and disk radius rho = min(w, h)/2 - 0.5; reads outside
-    the raster give 0.
+    raster at (cx + r_i rho cos theta_j, cy - r_i rho sin theta_j) on the
+    ``_disk`` of centre ((w-1)/2, (h-1)/2) and radius rho = min(w, h)/2 - 0.5;
+    reads outside the raster give 0.
     """
     return _gather(image.pixels, _polar_plan(image.pixels.shape, n_radial, n_angular))
 

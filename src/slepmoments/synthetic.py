@@ -8,7 +8,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .imaging import RasterImage, _rng
+from .imaging import RasterImage, _disk, _rng
 
 __all__ = ["smooth_test_image", "shape_class_image"]
 
@@ -34,8 +34,7 @@ def _disk_coords(size: int):
         # the disk radius size/2 - 0.5 must be positive
         raise ParameterError(f"image size must be >= 2, got {size}")
     ys, xs = np.mgrid[0:size, 0:size].astype(float)
-    c = (size - 1) / 2.0
-    rho = size / 2.0 - 0.5
+    c, _, rho = _disk(size, size)
     r = np.hypot(xs - c, ys - c) / rho
     theta = np.arctan2(-(ys - c), xs - c)
     return xs, ys, c, rho, r, theta

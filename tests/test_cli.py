@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -451,6 +452,102 @@ def test_python_m_runs_the_cli(tmp_path, image_path, basis_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith("slepmoments: usage error: argument --radial: ")
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_env(**thread_vars):
+    """``_src_env()`` without the BLAS thread variables, then with ``thread_vars`` set."""
+    env = {k: v for k, v in _src_env().items() if k not in _BLAS_THREAD_VARS}
+    return dict(env, **thread_vars)
+
+
+_THREADS_AFTER_DPSS = """
+import os
+import sys
+import slepmoments.cli
+from slepmoments import DpssParams, compute_dpss
+
+compute_dpss(DpssParams(64, 0.2, 4))
+assert "scipy.linalg" in sys.modules
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+def test_cli_process_runs_on_one_thread():
+    # numpy's and scipy's OpenBLAS each start a worker thread unless told otherwise
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER_DPSS], env=_blas_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
+_ENV_CHANGES = """
+import json
+import os
+import sys
+
+before = dict(os.environ)
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+import slepmoments.cli
+
+after = dict(os.environ)
+print(json.dumps({k: after.get(k) for k in before.keys() | after.keys()
+                  if before.get(k) != after.get(k)}))
+"""
+
+
+@pytest.mark.parametrize("thread_vars, args, changes", [
+    ({}, [], {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, [], {}),
+    ({"GOTO_NUM_THREADS": "2"}, [], {}),
+    ({"OMP_NUM_THREADS": "2"}, [], {}),
+    ({}, ["numpy-first"], {}),
+], ids=["unset", "openblas", "goto", "omp", "numpy-loaded-first"])
+def test_cli_import_sets_one_blas_thread_only_when_nothing_chose(thread_vars, args, changes):
+    proc = subprocess.run([sys.executable, "-c", _ENV_CHANGES, *args],
+                          env=_blas_env(**thread_vars), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == changes
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, slepmoments; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+_PUBLIC_NAMES = {
+    "classifier": ["LinearModel", "train_classifier", "train_classifiers"],
+    "dpss": ["DpssBasis", "DpssParams", "compute_dpss", "radial_basis"],
+    "errors": ["AliasingError", "DomainError", "FormatError", "ParameterError"],
+    "harness": ["DEFAULT_SEED", "PROTOCOL_ANGLES_DEG", "PROTOCOL_ORDERS",
+                "ClassificationReport", "LabeledDataset", "StabilityReport",
+                "classification_sweep", "default_basis", "load_labeled_directory",
+                "make_synthetic_dataset", "rotation_stability"],
+    "imaging": ["GENERATOR_NAME", "NoiseSpec", "RasterImage", "add_gaussian_noise",
+                "read_pgm", "rotate_image", "to_polar", "write_pgm"],
+    "moments": ["Featurizer", "MomentSet", "compute_moments", "invariants",
+                "invariants_to_csv", "moments_from_json", "moments_to_json", "reconstruct"],
+    "synthetic": ["shape_class_image", "smooth_test_image"],
+}
+
+
+def test_package_namespace_is_its_submodules_public_names():
+    assert sorted(slepmoments.__all__) == sorted(n for ns in _PUBLIC_NAMES.values() for n in ns)
+    for module, names in _PUBLIC_NAMES.items():
+        home = importlib.import_module(f"slepmoments.{module}")
+        for name in names:
+            assert getattr(slepmoments, name) is getattr(home, name), name
+            assert vars(slepmoments)[name] is getattr(home, name), name
+    assert set(slepmoments.__all__) <= set(dir(slepmoments))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        slepmoments.no_such_name
 
 
 def _option_strings(parser, prefix=()):

@@ -328,6 +328,18 @@ def test_noise_spec_refuses_levels_beyond_the_caps(snr_db):
         NoiseSpec(snr_db, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+def test_noise_spec_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # refused when the spec is made, before any noise is drawn
+    with pytest.raises(ParameterError, match="seed"):
+        NoiseSpec(30.0, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(7)])
+def test_noise_spec_takes_a_non_negative_integer_seed(seed):
+    assert NoiseSpec(30.0, seed).seed == seed
+
+
 def test_noise_rejects_zero_image():
     with pytest.raises(DomainError):
         add_gaussian_noise(RasterImage(np.zeros((4, 4))), NoiseSpec(30.0, 0))
