@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "classifier": ("LinearModel", "train_classifier", "train_classifiers"),
-    "dpss": ("DpssBasis", "DpssParams", "compute_dpss", "radial_basis"),
+    "dpss": ("DpssBasis", "DpssParams", "basis_from_json", "basis_to_json",
+             "compute_dpss", "radial_basis"),
     "errors": ("AliasingError", "DomainError", "FormatError", "ParameterError"),
     "harness": (
         "DEFAULT_SEED",
@@ -52,7 +53,7 @@ _HOMES = {
         "moments_to_json",
         "reconstruct",
     ),
-    "synthetic": ("shape_class_image", "smooth_test_image"),
+    "synthetic": ("smooth_test_image",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -5,13 +5,13 @@ Each flag is checked once, by its argparse type (dpss gen --k, bounded by
 --n, right after parsing), so a bad value exits 2 with one line naming the
 flag. The flags that size one allocation (dpss gen --n, --radial, --angular,
 synth --size, --precision) have upper bounds, noise-test --snr-db must lie
-within +-3000 dB and classify --reg must be >= 0. A basis file that breaks
-a sequence convention, signs included, or a PGM sample above its maxval
-exits 1 with one line naming the file. Only noise-test, classify and synth
-draw random numbers, so only they take --seed (a fixed default, never
-time-based); only the table writers, rotate-test, noise-test and classify,
-take --precision. Every output file is written atomically, so identical
-invocations are byte-identical.
+within +-3000 dB and classify --reg must be >= 0. A basis file is read by
+dpss.basis_from_json, so one that breaks a sequence convention, signs
+included, exits 1 with one line naming the file, as does a PGM sample above
+its maxval. Only noise-test, classify and synth draw random numbers, so only
+they take --seed (a fixed default, never time-based); only the table writers,
+rotate-test, noise-test and classify, take --precision. Every output file is
+written atomically, so identical invocations are byte-identical.
 
 A CLI process runs OpenBLAS, numpy's and scipy's alike, on one thread: every
 product here is small, so worker threads would only spin. Setting
@@ -22,11 +22,10 @@ a process that loaded numpy before this module keeps its own choice.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -40,8 +39,8 @@ if "numpy" not in sys.modules and not any(
 
 import numpy as np
 
-from .dpss import DpssBasis, DpssParams, _check_conventions, compute_dpss
-from .errors import DomainError, FormatError, ParameterError
+from .dpss import DpssParams, _json_chunks, basis_from_json, basis_to_json, compute_dpss
+from .errors import FormatError
 from .harness import (
     DEFAULT_SEED,
     PROTOCOL_ANGLES_DEG,
@@ -55,7 +54,6 @@ from .harness import (
 )
 from .imaging import _MAX_SNR_DB, NoiseSpec, _read_pgm_file, rotate_image, to_polar, write_pgm
 from .moments import (
-    MomentSet,
     compute_moments,
     invariants,
     invariants_to_csv,
@@ -84,7 +82,7 @@ def _write_atomic(path: str | Path, data: bytes | str | Iterable[str]) -> None:
     """
     path = Path(path)
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, mode) as fh:
             if isinstance(data, (bytes, str)):
@@ -102,97 +100,12 @@ def _write_atomic(path: str | Path, data: bytes | str | Iterable[str]) -> None:
         raise
 
 
-def _json_chunks(doc: dict) -> Iterator[str]:
-    """The text of ``json.dumps(doc, indent=1)``, one array row at a time.
-
-    ``doc`` is a non-empty dict of JSON scalars and non-empty float64 arrays, each
-    array standing for its ``tolist()``. ``indent`` sends ``json.dumps`` to the
-    pure-Python encoder, which holds the whole document as small strings (about
-    30 MB for an 80 x 4096 basis). Here each row goes through the C encoder
-    instead. It spells every number the same way (``float.__repr__``, ``NaN``,
-    ``Infinity``), and its ", " separator, which no number contains, is replaced
-    by the indented one.
-    """
-    sep = "{\n "
-    for key, value in doc.items():
-        yield f"{sep}{json.dumps(key)}: "
-        sep = ",\n "
-        if isinstance(value, np.ndarray):
-            yield from _array_chunks(value, 1)
-        else:
-            yield json.dumps(value)
-    yield "\n}"
-
-
-def _array_chunks(arr: np.ndarray, depth: int) -> Iterator[str]:
-    """The indented JSON of an array whose closing bracket is indented by ``depth``."""
-    inner = "\n" + " " * (depth + 1)
-    if arr.ndim == 1:
-        yield "[" + inner + json.dumps(arr.tolist())[1:-1].replace(", ", "," + inner)
-    else:
-        sep = "[" + inner
-        for row in arr:
-            yield sep
-            sep = "," + inner
-            yield from _array_chunks(row, depth + 1)
-    yield "\n" + " " * depth + "]"
-
-
-def _load_basis(path: str) -> DpssBasis:
-    """Read a basis file and check it against every sequence convention."""
+def _load(path: str, parse, kind: str):
+    """``parse`` the text of a file; a refused document gives a FormatError naming the file."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
-        raise FormatError(f"basis file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise FormatError(f"basis file {path} must hold a JSON object")
-    try:
-        n, w, k = doc["n"], doc["w"], doc["k"]
-        seqs = _number_array(path, doc, "sequences")
-        eig = _number_array(path, doc, "eigenvalues")
-    except KeyError as exc:
-        raise FormatError(f"basis file {path} is missing field {exc}")
-    if type(n) is not int or type(k) is not int:
-        raise FormatError(f"basis file {path}: n and k must be integers, got {n!r}, {k!r}")
-    if type(w) not in (int, float):
-        raise FormatError(f"basis file {path}: w must be a number, got {w!r}")
-    try:
-        params = DpssParams(n_len=n, half_bandwidth=float(w), n_seq=k)
-        if seqs.shape != (k, n) or eig.shape != (k,):
-            raise FormatError(f"basis file {path} has inconsistent array shapes")
-        _check_conventions(seqs, eig)
-    except (ParameterError, OverflowError, DomainError) as exc:
-        raise FormatError(f"basis file {path}: {exc}")
-    return DpssBasis(params=params, sequences=seqs, eigenvalues=eig)
-
-
-def _load_moments(path: str) -> MomentSet:
-    """Read a moment file; every malformed document gives a FormatError naming it."""
-    try:
-        return moments_from_json(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"moment file {path}: {exc}")
-
-
-def _number_array(path: str, doc: dict, name: str) -> np.ndarray:
-    """The field as a float array; it must hold numbers in equal-length lists."""
-    try:
-        arr = np.asarray(doc[name])  # no dtype, so strings, nulls and bools are not cast
-    except ValueError:  # ragged lists
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise FormatError(f"basis file {path}: {name} must be an array of numbers")
-    return arr.astype(float, copy=False)
-
-
-def _basis_json(basis: DpssBasis) -> Iterator[str]:
-    return _json_chunks({
-        "n": basis.params.n_len,
-        "w": basis.params.half_bandwidth,
-        "k": basis.params.n_seq,
-        "eigenvalues": basis.eigenvalues,
-        "sequences": basis.sequences,
-    })
+        return parse(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, nested too deep, or refused
+        raise FormatError(f"{kind} file {path}: {exc}")
 
 
 def _integer(text: str) -> int:
@@ -396,13 +309,13 @@ def _cmd_dpss_gen(args) -> int:
     if args.k > args.n:
         raise _UsageError(f"argument --k: must be <= --n ({args.n}), got {args.k}")
     basis = compute_dpss(DpssParams(n_len=args.n, half_bandwidth=args.w, n_seq=args.k))
-    _write_atomic(args.out, _basis_json(basis))
+    _write_atomic(args.out, basis_to_json(basis))
     return 0
 
 
 def _cmd_moments_compute(args) -> int:
     image = _read_pgm_file(args.image)
-    basis = _load_basis(args.basis)
+    basis = _load(args.basis, basis_from_json, "basis")
     if args.angle != 0.0:
         image = rotate_image(image, args.angle)
     ms = compute_moments(to_polar(image, args.radial, args.angular), basis, args.m, args.l)
@@ -411,14 +324,14 @@ def _cmd_moments_compute(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    ms = _load_moments(args.moments)
+    ms = _load(args.moments, moments_from_json, "moment")
     _write_atomic(args.out, invariants_to_csv(invariants(ms)))
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    ms = _load_moments(args.moments)
-    basis = _load_basis(args.basis)
+    ms = _load(args.moments, moments_from_json, "moment")
+    basis = _load(args.basis, basis_from_json, "basis")
     if ms.basis_id != basis.basis_id:
         raise FormatError(
             f"moment file {args.moments} was computed with basis {ms.basis_id!r}, "
@@ -436,7 +349,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_stability(args) -> int:
     image = _read_pgm_file(args.image) if args.image else smooth_test_image(128)
-    basis = _load_basis(args.basis) if args.basis else default_basis()
+    basis = _load(args.basis, basis_from_json, "basis") if args.basis else default_basis()
     noise = NoiseSpec(args.snr_db, args.seed) if args.command == "noise-test" else None
     report = rotation_stability(
         image, args.angles, args.orders, basis, (args.radial, args.angular), noise=noise
@@ -448,7 +361,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    basis = _load_basis(args.basis) if args.basis else default_basis()
+    basis = _load(args.basis, basis_from_json, "basis") if args.basis else default_basis()
     grid = (args.radial, args.angular)
     if args.data_dir:
         ds = load_labeled_directory(args.data_dir, basis=basis, grid=grid)

@@ -129,14 +129,16 @@ def reconstruct(
 ) -> tuple[np.ndarray, float]:
     """Evaluate the truncated series sum_{m,n} S[m][n] psi_m(r) exp(-i n theta).
 
-    All stored orders contribute, negative n included. Returns the real part
-    on the R x T ``grid`` and the largest absolute imaginary residual.
+    All stored orders contribute, negative n included, so the orders must pass
+    the same checks as in ``compute_moments``. Returns the real part on the
+    R x T ``grid`` and the largest absolute imaginary residual.
     """
     r, theta = _polar_grid(*grid)
     if r.size < ms.grid[0] or theta.size < ms.grid[1]:
         raise ParameterError(
             f"target grid {grid} must match or refine the moment grid {ms.grid}"
         )
+    _check_orders(basis, ms.max_radial, ms.max_angular, theta.size)
     psi = radial_basis(basis, r)[: ms.max_radial]
     ns = np.arange(-ms.max_angular, ms.max_angular + 1)
     angular = np.exp(-1j * np.outer(ns, theta))

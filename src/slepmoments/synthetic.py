@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ParameterError
 from .imaging import RasterImage, _disk, _rng
 
-__all__ = ["smooth_test_image", "shape_class_image"]
+__all__ = ["smooth_test_image"]
 
 # Ring placements for the bundled test image. Radii sit where the radial basis
 # functions paired with each angular order have large curvature, so the
@@ -63,28 +63,17 @@ def smooth_test_image(size: int = 128) -> RasterImage:
     return RasterImage(np.clip(img, 0.0, 1.0))
 
 
-def shape_class_image(
-    class_id: int, rng: np.random.Generator, size: int = 96
-) -> RasterImage:
-    """One instance of a synthetic shape class: two harmonic rings whose angular
-    orders and radii are class-specific, at a random global orientation.
-
-    The random state drives the orientation, mild coefficient jitter, and light
-    pixel noise, so instances of a class differ while staying close in the
-    rotation-invariant feature space.
-    """
-    return _shape_class_renderer(class_id, size)(rng)
-
-
 def _shape_class_renderer(
     class_id: int, size: int
 ) -> Callable[[np.random.Generator], RasterImage]:
-    """``shape_class_image`` of one class as a function of the random state.
+    """One synthetic shape class as a function of the random state.
 
-    The layers that do not depend on the draw (the angle and the three radial
-    envelopes) are computed here, once; each call only draws and sums. The
-    coordinate grids are released on return, so the renderer holds four
-    rasters.
+    An instance has two harmonic rings whose angular orders and radii are
+    class-specific; the draw sets its orientation, mild coefficient jitter and
+    light pixel noise. The layers that do not depend on the draw (the angle and
+    the three radial envelopes) are computed here, once; each call only draws
+    and sums. The coordinate grids are released on return, so the renderer
+    holds four rasters.
     """
     _, _, _, _, r, theta = _disk_coords(size)
     rr = np.clip(r, 0.0, 1.0)

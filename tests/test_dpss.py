@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from slepmoments import DpssParams, ParameterError, compute_dpss, default_basis, radial_basis
-from slepmoments.cli import _basis_json, _load_basis
-from slepmoments.dpss import _check_conventions, _fix_signs
+from slepmoments import (
+    DpssBasis,
+    DpssParams,
+    FormatError,
+    ParameterError,
+    basis_from_json,
+    basis_to_json,
+    compute_dpss,
+    default_basis,
+    radial_basis,
+)
+from slepmoments.dpss import _check_conventions, _fix_signs, _json_chunks
 from slepmoments.errors import DomainError
 
 from oracles import (
@@ -251,10 +261,8 @@ def test_stored_default_basis_matches_a_fresh_solve():
     assert np.abs(stored.eigenvalues - fresh.eigenvalues).max() <= 1e-14
 
 
-def test_stored_default_basis_passes_the_basis_file_checks(tmp_path):
-    path = tmp_path / "default.json"
-    path.write_text("".join(_basis_json(default_basis())))
-    loaded = _load_basis(str(path))
+def test_stored_default_basis_passes_the_basis_file_checks():
+    loaded = basis_from_json("".join(basis_to_json(default_basis())))
     assert loaded.basis_id == "dpss-n64-w0.2-k10"
     assert loaded.sequences.tobytes() == default_basis().sequences.tobytes()
 
@@ -315,3 +323,75 @@ def test_property_orthonormal_decreasing_residual(n, w, data):
     a = sinc_kernel(n, w)
     res = a @ basis.sequences.T - basis.sequences.T * basis.eigenvalues
     assert np.linalg.norm(res, axis=0).max() < 1e-8
+
+
+@st.composite
+def _valid_bases(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=n))
+    w = draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+    entries = st.floats(min_value=-1.0, max_value=1.0) | st.sampled_from([0.0, -0.0])
+    seqs = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=k, max_size=k)))
+    norms = np.linalg.norm(seqs, axis=1)
+    assume(norms.min() > 1e-3)
+    eig = draw(st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                  exclude_min=True, exclude_max=True),
+                        min_size=k, max_size=k, unique=True))
+    seqs /= norms[:, None]
+    _fix_signs(seqs)  # valid sequences keep the package's sign rule too
+    return DpssBasis(params=DpssParams(n, w, k), sequences=seqs,
+                     eigenvalues=np.array(sorted(eig, reverse=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=_valid_bases())
+def test_basis_json_round_trip_is_exact(basis):
+    loaded = basis_from_json("".join(basis_to_json(basis)))
+    assert loaded.params == basis.params
+    assert loaded.sequences.tobytes() == basis.sequences.tobytes()
+    assert loaded.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 1e-5, 1e16]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arr=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=5),
+                  elements=st.floats() | st.sampled_from(_SPECIAL_FLOATS)),
+       scalar=st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
+@example(arr=np.array([-0.0]), scalar=0)
+@example(arr=np.array([[5e-324]]), scalar=1e308)
+@example(arr=np.array(_SPECIAL_FLOATS), scalar=np.nan)
+@example(arr=np.array([_SPECIAL_FLOATS, _SPECIAL_FLOATS[::-1]]), scalar=-np.inf)
+def test_json_chunks_spell_indented_json_dumps(arr, scalar):
+    doc = {"n": 3, "x": scalar, "rows": arr, "flat": arr.ravel()}
+    expected = json.dumps({key: value.tolist() if isinstance(value, np.ndarray) else value
+                           for key, value in doc.items()}, indent=1)
+    assert "".join(_json_chunks(doc)) == expected
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["n", "w", "k", "eigenvalues", "sequences"]),
+       value=_JSON_VALUES)
+@example(field="w", value=10**400)
+@example(field="sequences", value=[[1e300] * 8] * 2)
+def test_basis_loader_refuses_any_field_value_cleanly(field, value):
+    # replacing one field of a valid document gives a basis or a FormatError, never
+    # another exception or a numpy warning; test_cli.py::test_invalid_basis_exits_one
+    # checks that the CLI line names the file
+    doc = json.loads("".join(basis_to_json(compute_dpss(DpssParams(8, 0.2, 2)))))
+    doc[field] = value
+    try:
+        basis_from_json(json.dumps(doc))
+    except FormatError:
+        pass

@@ -11,7 +11,6 @@ from slepmoments import (
     load_labeled_directory,
     make_synthetic_dataset,
     rotation_stability,
-    shape_class_image,
     synthetic,
     train_classifier,
     write_pgm,
@@ -234,10 +233,6 @@ def test_synthetic_images_match_the_per_image_oracle_bitwise(size):
             np.random.SeedSequence(entropy=3, spawn_key=(cid, item, rot))
         )
         assert image.pixels.tobytes() == reference_shape_class_image(cid, rng, size).tobytes()
-    for cid in range(10):
-        image = shape_class_image(cid, np.random.default_rng(cid), size)
-        want = reference_shape_class_image(cid, np.random.default_rng(cid), size)
-        assert image.pixels.tobytes() == want.tobytes()
 
 
 def test_synthetic_images_build_each_class_layers_once(monkeypatch):

@@ -12,11 +12,11 @@ from slepmoments import (
     add_gaussian_noise,
     read_pgm,
     rotate_image,
-    shape_class_image,
     smooth_test_image,
     to_polar,
     write_pgm,
 )
+from slepmoments.harness import synthetic_images
 from slepmoments.imaging import _bilinear_plan, _gather
 
 
@@ -353,9 +353,9 @@ def test_smooth_test_image_is_valid():
     assert np.array_equal(img.pixels, again.pixels)
 
 
-def test_synthetic_images_reject_size_below_two(rng):
+def test_synthetic_images_reject_size_below_two():
     with pytest.raises(ParameterError, match="size"):
         smooth_test_image(1)
     with pytest.raises(ParameterError, match="size"):
-        shape_class_image(0, rng, size=1)
+        next(synthetic_images(2, 1, 1, seed=0, image_size=1))
     assert smooth_test_image(2).pixels.shape == (2, 2)

@@ -26,7 +26,7 @@ from slepmoments.dpss import radial_basis
 from slepmoments.moments import feature_vector
 
 from oracles import moment_value
-from test_cli import _JSON_VALUES
+from test_dpss import _JSON_VALUES
 
 
 def brute_force_moments(samples, basis, max_radial, max_angular):
@@ -197,6 +197,13 @@ def test_reconstruct_requires_matching_or_finer_grid(basis32):
         reconstruct(ms, basis32, (8, 8))
     with pytest.raises(ParameterError):
         reconstruct(ms, basis32, (0, 0))
+
+
+def test_reconstruct_refuses_more_radial_orders_than_the_basis_has(basis32):
+    # basis32 holds 5 sequences, so a sixth radial order has no psi_m to weight it
+    ms = MomentSet(6, 1, np.ones((6, 3)), (16, 32), basis32.basis_id)
+    with pytest.raises(ParameterError, match="max_radial 6 exceeds basis n_seq 5"):
+        reconstruct(ms, basis32, (16, 32))
 
 
 @pytest.mark.parametrize("grid", [(0, 8), (8, 0)], ids=["no-rings", "no-spokes"])
