@@ -40,7 +40,7 @@ if "numpy" not in sys.modules and not any(
 import numpy as np
 
 from .dpss import DpssParams, _json_chunks, basis_from_json, basis_to_json, compute_dpss
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .harness import (
     DEFAULT_SEED,
     PROTOCOL_ANGLES_DEG,
@@ -337,7 +337,11 @@ def _cmd_reconstruct(args) -> int:
             f"moment file {args.moments} was computed with basis {ms.basis_id!r}, "
             f"but {args.basis} is {basis.basis_id!r}"
         )
-    samples, residual = reconstruct(ms, basis, (args.radial, args.angular))
+    try:
+        samples, residual = reconstruct(ms, basis, (args.radial, args.angular))
+    except ParameterError as exc:
+        raise FormatError(f"moment file {args.moments} cannot be reconstructed with "
+                          f"{args.basis}: {exc}")
     _write_atomic(args.out, _json_chunks({
         "n_radial": args.radial,
         "n_angular": args.angular,

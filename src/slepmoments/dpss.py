@@ -257,13 +257,24 @@ def basis_to_json(basis: DpssBasis) -> Iterator[str]:
                          "eigenvalues": basis.eigenvalues, "sequences": basis.sequences})
 
 
+def _holds_bool(value, depth: int) -> bool:
+    """Whether ``depth`` levels of nested lists hold a bool."""
+    if depth == 0:
+        return type(value) is bool
+    if depth == 1:
+        return bool in set(map(type, value))  # one set per innermost list keeps the scan in C
+    return any(_holds_bool(row, depth - 1) for row in value)
+
+
 def _number_array(doc: dict, name: str) -> np.ndarray:
     """The field as a float array; it must hold numbers in equal-length lists."""
+    value = doc[name]
     try:
-        arr = np.asarray(doc[name])  # no dtype, so strings, nulls and bools are not cast
+        arr = np.asarray(value)  # no dtype, so strings, nulls and all-bool lists are not cast
     except ValueError:  # ragged lists
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    # np.asarray casts a bool beside numbers to a number, so the lists are scanned too
+    if arr is None or arr.dtype.kind not in "iuf" or _holds_bool(value, arr.ndim):
         raise FormatError(f"{name} must be an array of numbers")
     return arr.astype(float, copy=False)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import train_classifiers
-from .dpss import DpssBasis, DpssParams
+from .dpss import DpssBasis, basis_from_json
 from .errors import ParameterError
 from .imaging import (
     GENERATOR_NAME,
@@ -52,8 +52,6 @@ PROTOCOL_ORDERS = (
     (3, 2), (3, 4), (4, 1), (4, 3), (4, 5),
 )
 
-_DEFAULT_BASIS_PARAMS = DpssParams(n_len=64, half_bandwidth=0.2, n_seq=10)
-
 # Most fits one stacked training call takes (the default repeat count), so the
 # stack of standardized training sets stays O(10 n d) however many repeats run.
 _FITS_PER_CALL = 10
@@ -62,19 +60,11 @@ _FITS_PER_CALL = 10
 def default_basis() -> DpssBasis:
     """Basis used when the caller does not supply one (N=64, W=0.2, K=10).
 
-    It is built from the stored float64 values of ``compute_dpss`` for these
-    parameters, so no eigenproblem is solved and scipy is never loaded.
+    It is read, through ``basis_from_json``, from ``default_basis.json`` beside
+    this module, which ``slepmoments dpss gen --n 64 --w 0.2 --k 10`` wrote, so
+    no eigenproblem is solved and scipy is never loaded.
     """
-    # imported here, like scipy in compute_dpss, so only default-basis users load it
-    from . import _default_basis
-
-    return DpssBasis(
-        params=_DEFAULT_BASIS_PARAMS,
-        sequences=np.array(
-            [[float.fromhex(x) for x in row] for row in _default_basis.SEQUENCES]
-        ),
-        eigenvalues=np.array([float.fromhex(x) for x in _default_basis.EIGENVALUES]),
-    )
+    return basis_from_json(Path(__file__).with_name("default_basis.json").read_text())
 
 
 def _fmt(value: float, precision: int | None) -> str:

@@ -53,12 +53,22 @@ class MomentSet:
             raise ParameterError(f"moment array shape {v.shape}, expected {expected}")
         if not np.all(np.isfinite(v)):
             raise ParameterError("moment values must be finite")
-        # the one grid rule: moments_from_json applies it through here
+        # the one home of the grid rules, which moments_from_json applies through
+        # here: two positive sizes, and enough angular samples for every order
         g = self.grid
         if not (isinstance(g, tuple) and len(g) == 2
                 and all(type(size) is int and size >= 1 for size in g)):
             raise ParameterError(f"moment grid must be a tuple of two positive integers, got {g!r}")
+        _check_aliasing(self.max_angular, g[1])
         object.__setattr__(self, "values", v)
+
+
+def _check_aliasing(max_angular: int, n_t: int) -> None:
+    if 2 * max_angular + 1 > n_t:
+        raise AliasingError(
+            f"angular orders [-{max_angular}, {max_angular}] need at least "
+            f"{2 * max_angular + 1} angular samples, grid has {n_t}"
+        )
 
 
 def _check_orders(basis: DpssBasis, max_radial: int, max_angular: int, n_t: int) -> None:
@@ -70,11 +80,7 @@ def _check_orders(basis: DpssBasis, max_radial: int, max_angular: int, n_t: int)
         raise ParameterError(
             f"max_radial {max_radial} exceeds basis n_seq {basis.params.n_seq}"
         )
-    if 2 * max_angular + 1 > n_t:
-        raise AliasingError(
-            f"angular orders [-{max_angular}, {max_angular}] need at least "
-            f"{2 * max_angular + 1} angular samples, grid has {n_t}"
-        )
+    _check_aliasing(max_angular, n_t)
 
 
 def _radial_weights(basis: DpssBasis, max_radial: int, r: np.ndarray) -> np.ndarray:

@@ -281,13 +281,14 @@ def test_malformed_json_names_the_file(tmp_path, capsys, image_path, basis_path,
 
 
 @pytest.mark.parametrize("patch", [
-    {"re": 10**400}, {"re": True, "im": False}, {"basis_id": [1, 2]},
-], ids=["re-overflow", "bool-parts", "basis-id-list"])
+    {"re": 10**400}, {"re": True, "im": False}, {"basis_id": [1, 2]}, {"grid": [16, 4]},
+], ids=["re-overflow", "bool-parts", "basis-id-list", "grid-aliases"])
 @pytest.mark.parametrize("command", ["invariants", "reconstruct"])
 def test_invalid_moment_values_exit_one(tmp_path, capsys, moments_path, basis_path,
                                         patch, command):
+    # the moment file holds |n| <= 2, which needs 5 angular samples
     doc = json.loads(moments_path.read_text())
-    target = doc["metadata"] if "basis_id" in patch else doc["moments"][0]
+    target = doc["metadata"] if patch.keys() & {"basis_id", "grid"} else doc["moments"][0]
     target.update(patch)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -706,7 +707,20 @@ def test_reconstruct_refuses_more_radial_orders_than_the_basis_has(tmp_path, cap
     mom.write_text(json.dumps(doc))
     assert run(["reconstruct", "--moments", str(mom), "--basis", str(basis), "--radial", "16",
                 "--angular", "32", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "slepmoments: error: max_radial 6 exceeds basis n_seq 4\n"
+    assert capsys.readouterr().err == (
+        f"slepmoments: error: moment file {mom} cannot be reconstructed with {basis}: "
+        "max_radial 6 exceeds basis n_seq 4\n")
+    assert not out.exists()
+
+
+def test_reconstruct_refuses_a_grid_coarser_than_the_moment_grid(tmp_path, capsys,
+                                                                  moments_path, basis_path):
+    out = tmp_path / "r.json"
+    assert run(["reconstruct", "--moments", str(moments_path), "--basis", str(basis_path),
+                "--radial", "8", "--angular", "32", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"slepmoments: error: moment file {moments_path} cannot be reconstructed with "
+        f"{basis_path}: target grid (8, 32) must match or refine the moment grid (16, 32)\n")
     assert not out.exists()
 
 
@@ -741,9 +755,11 @@ def test_classify_empty_class_directory_exits_one(tmp_path, capsys):
     "basis",
     {"sequences": [[1e300] * 8] * 2},
     {"w": 10**400},
+    {"n": 2, "w": 0.25, "k": 1, "eigenvalues": [0.5], "sequences": [[True, 0]]},
 ], ids=["n-real", "k-real", "all-sevens", "nan", "norm-2", "eig-1", "eig-0", "eig-rising",
         "w-string", "w-bool", "w-range", "sequences-string", "sequences-ragged",
-        "eigenvalues-string", "top-list", "top-string", "norm-overflow", "w-overflow"])
+        "eigenvalues-string", "top-list", "top-string", "norm-overflow", "w-overflow",
+        "sequences-bool-beside-number"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch):
     # a dict patches a valid basis document; any other value replaces the whole document

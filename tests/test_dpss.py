@@ -1,5 +1,9 @@
 import json
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import slepmoments
 from slepmoments import (
     DpssBasis,
     DpssParams,
@@ -29,6 +34,8 @@ from oracles import (
     sinc_kernel,
     toeplitz_concentrations,
 )
+
+_DEFAULT_BASIS_FILE = Path(slepmoments.__file__).with_name("default_basis.json")
 
 
 def test_kernel_single_point():
@@ -261,10 +268,24 @@ def test_stored_default_basis_matches_a_fresh_solve():
     assert np.abs(stored.eigenvalues - fresh.eigenvalues).max() <= 1e-14
 
 
-def test_stored_default_basis_passes_the_basis_file_checks():
-    loaded = basis_from_json("".join(basis_to_json(default_basis())))
-    assert loaded.basis_id == "dpss-n64-w0.2-k10"
-    assert loaded.sequences.tobytes() == default_basis().sequences.tobytes()
+def test_stored_default_basis_file_is_what_basis_to_json_writes():
+    # default_basis() reads the file through basis_from_json, so its checks ran
+    assert default_basis().basis_id == "dpss-n64-w0.2-k10"
+    assert _DEFAULT_BASIS_FILE.read_text() == "".join(basis_to_json(default_basis()))
+
+
+def test_package_build_ships_the_default_basis_file(tmp_path):
+    # a build from a copy, so the build leaves no egg-info in the source tree
+    root = Path(__file__).resolve().parents[1]
+    shutil.copy(root / "pyproject.toml", tmp_path)
+    shutil.copytree(root / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    subprocess.run([sys.executable, "-c", "from setuptools import setup; setup()", "-q",
+                    "build_py", "-d", str(tmp_path / "build")],
+                   cwd=tmp_path, check=True, capture_output=True)
+    shipped = tmp_path / "build" / "slepmoments" / "default_basis.json"
+    source = root / "src" / "slepmoments" / "default_basis.json"
+    assert shipped.read_bytes() == source.read_bytes()
 
 
 def test_default_basis_is_a_fresh_object_per_call():
@@ -351,6 +372,19 @@ def test_basis_json_round_trip_is_exact(basis):
     assert loaded.params == basis.params
     assert loaded.sequences.tobytes() == basis.sequences.tobytes()
     assert loaded.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sequences", [[True, 0], [0, 1]]), ("sequences", [[1.0, 0.0], [False, 1.0]]),
+    ("eigenvalues", [0.5, False]),
+])
+def test_basis_reader_refuses_a_bool_beside_numbers(field, value):
+    # np.asarray alone would cast the bool to a number
+    doc = {"n": 2, "w": 0.25, "k": 2, "eigenvalues": [0.5, 0.25],
+           "sequences": [[1.0, 0.0], [0.0, 1.0]]}
+    doc[field] = value
+    with pytest.raises(FormatError, match=f"^{field} must be an array of numbers$"):
+        basis_from_json(json.dumps(doc))
 
 
 _SPECIAL_FLOATS = [-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 1e-5, 1e16]

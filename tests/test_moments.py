@@ -325,11 +325,13 @@ _finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_f
 @given(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=3),
-    st.tuples(st.integers(min_value=1, max_value=2**31), st.integers(min_value=1, max_value=2**31)),
+    st.integers(min_value=1, max_value=2**31),
     st.text(max_size=12),
     st.data(),
 )
-def test_moment_json_round_trip_is_exact(max_radial, max_angular, grid, basis_id, data):
+def test_moment_json_round_trip_is_exact(max_radial, max_angular, n_r, basis_id, data):
+    # a moment grid holds at least 2L+1 angular samples
+    grid = (n_r, data.draw(st.integers(min_value=2 * max_angular + 1, max_value=2**31)))
     count = max_radial * (2 * max_angular + 1)
     parts = data.draw(st.lists(_finite_floats, min_size=2 * count, max_size=2 * count))
     values = np.empty((max_radial, 2 * max_angular + 1), dtype=complex)
@@ -370,10 +372,11 @@ def _set_order(entry, key, value):
     lambda d: _set_order(d["moments"][0], "re", 10**400),
     lambda d: d["moments"][0].update(re=True, im=False),
     lambda d: d["metadata"].update(basis_id=[1, 2]),
+    lambda d: d["metadata"].update(grid=[4, 2]),
 ], ids=["n-beyond-max", "negative-m", "duplicate", "missing", "float-order",
         "bool-order", "missing-re", "missing-metadata", "no-moments", "grid-one-size",
         "grid-string", "grid-zero", "grid-negative", "grid-float", "grid-bool",
-        "re-overflow", "bool-parts", "basis-id-list"])
+        "re-overflow", "bool-parts", "basis-id-list", "grid-aliases"])
 def test_moment_json_rejects_malformed_documents(corrupt):
     doc = _moment_doc()
     corrupt(doc)
