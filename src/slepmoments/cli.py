@@ -140,9 +140,9 @@ def _bounded(low: float, high: float | None = None, parse=_integer):
 _count = _bounded(1)
 _natural = _bounded(0)
 # The flags that size one allocation are capped. A 2048 x 2048 polar grid is
-# 4.2 M samples: its gather plan holds 64 B per sample (about 0.3 GB), and one
-# to_polar call peaks near 0.5 GB. A 2048-pixel synth image peaks near 0.35 GB
-# of render temporaries.
+# 4.2 M samples: its gather plan holds 40 B per sample (about 0.17 GB), one
+# to_polar call peaks near 0.2 GB, and a whole moments compute process near
+# 0.22 GB. A 2048-pixel synth image peaks near 0.35 GB of render temporaries.
 _grid_size = _bounded(1, 2048)
 
 

@@ -153,16 +153,32 @@ def write_pgm(image: RasterImage, maxval: int = 255) -> bytes:
 
 # --- geometry ---------------------------------------------------------------
 
+# Plans are built and applied, and polar samples projected, this many samples at
+# a time (whole rows, at least one). A block's float64 temporaries are then
+# 64 KiB, below glibc's 128 KiB mmap threshold, so malloc reuses them from the
+# heap instead of mapping, and faulting in, fresh pages for every full-frame
+# temporary. Blocks of 32768 samples faulted five times as often.
+_BLOCK = 8192
 
-def _bilinear_plan(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray) -> list:
-    """Gather plan for bilinear sampling of an (h, w) raster at fractional (x, y).
 
-    One (flat index, weight) pair per corner, in the order (dy, dx) = (0, 0),
-    (0, 1), (1, 0), (1, 1). The indices address the raster inside a 2-pixel
-    zero border, (h + 4) x (w + 4), as ``_gather`` lays it out. The top-left
-    corner is clamped to [-2, h] x [-2, w], where a sample whose corners all
-    leave the raster reads only border zeros, so every corner outside the
-    raster reads 0.
+def _blocks(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive slices of n_rows rows, each at most _BLOCK samples or one row."""
+    step = max(1, _BLOCK // row_len)
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
+def _bilinear_plan(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Gather plan ``(base, corners)`` for bilinear sampling of an (h, w) raster at
+    fractional (x, y).
+
+    ``base`` holds the flat index of each sample's top-left corner in the raster
+    inside a 2-pixel zero border, (h + 4) x (w + 4), as ``_bordered`` lays it
+    out. ``corners`` holds one (offset, weight) pair per corner, in the order
+    (dy, dx) = (0, 0), (0, 1), (1, 0), (1, 1), with offsets 0, 1, w + 4 and
+    w + 5; a corner is read as ``flat[offset:][base]``. The top-left corner is
+    clamped to [-2, h] x [-2, w], where a sample whose corners all leave the
+    raster reads only border zeros, so every corner outside the raster reads 0
+    and base + w + 5 stays inside the bordered raster.
     """
     h, w = shape
     x0 = np.floor(xs).astype(np.intp)
@@ -170,27 +186,43 @@ def _bilinear_plan(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray) -> li
     tx = xs - x0
     ty = ys - y0
     base = (np.clip(y0, -2, h) + 2) * (w + 4) + (np.clip(x0, -2, w) + 2)
-    plan = []
+    weights = []
     for dy in (0, 1):
         wy = ty if dy else 1.0 - ty
         for dx in (0, 1):
             wx = tx if dx else 1.0 - tx
-            plan.append((base + (dy * (w + 4) + dx), wx * wy))
-    return plan
+            weights.append(wx * wy)
+    return base, tuple(zip((0, 1, w + 4, w + 5), weights))
 
 
-def _gather(pixels: np.ndarray, plan: list) -> np.ndarray:
-    """Apply a ``_bilinear_plan``: the sum 0 + w00 v00 + w01 v01 + w10 v10 + w11 v11.
-
-    The zeros start is kept: it turns a sum of -0.0 terms into +0.0.
-    """
+def _bordered(pixels: np.ndarray) -> np.ndarray:
+    """The raster inside a 2-pixel zero border, flattened, as plans address it."""
     h, w = pixels.shape
     bordered = np.zeros((h + 4, w + 4))
     bordered[2:-2, 2:-2] = pixels
-    flat = bordered.ravel()
-    out = np.zeros(plan[0][0].shape)
-    for idx, wt in plan:
-        out += wt * flat[idx]
+    return bordered.ravel()
+
+
+def _sample(flat: np.ndarray, plan: tuple, rows: slice = slice(None)) -> np.ndarray:
+    """Apply ``rows`` of a ``_bilinear_plan`` to a ``_bordered`` raster: the sum
+    0 + w00 v00 + w01 v01 + w10 v10 + w11 v11.
+
+    The zeros start is kept: it turns a sum of -0.0 terms into +0.0.
+    """
+    base, corners = plan
+    base = base[rows]
+    out = np.zeros(base.shape)
+    for offset, weight in corners:
+        out += weight[rows] * flat[offset:][base]
+    return out
+
+
+def _gather(pixels: np.ndarray, plan: tuple) -> np.ndarray:
+    """Apply a 2-D ``_bilinear_plan`` to pixels, one block of plan rows at a time."""
+    flat = _bordered(pixels)
+    out = np.empty(plan[0].shape)
+    for rows in _blocks(*out.shape):
+        out[rows] = _sample(flat, plan, rows)
     return out
 
 
@@ -208,13 +240,23 @@ def _disk(h: int, w: int) -> tuple[float, float, float]:
     return (w - 1) / 2.0, (h - 1) / 2.0, min(w, h) / 2.0 - 0.5
 
 
-def _polar_plan(shape: tuple[int, int], n_radial: int, n_angular: int) -> list:
-    """Gather plan of ``to_polar`` for an (h, w) raster on an R x T grid."""
+def _polar_plan(shape: tuple[int, int], n_radial: int, n_angular: int) -> tuple:
+    """Gather plan of ``to_polar`` for an (h, w) raster on an R x T grid.
+
+    Its five R x T arrays are filled one block of rings at a time.
+    """
     cx, cy, rho = _disk(*shape)
     r, th = _polar_grid(n_radial, n_angular)
-    xs = cx + np.outer(r, np.cos(th)) * rho
-    ys = cy - np.outer(r, np.sin(th)) * rho
-    return _bilinear_plan(shape, xs, ys)
+    cos, sin = np.cos(th), np.sin(th)
+    base = np.empty((n_radial, n_angular), dtype=np.intp)
+    weights = np.empty((4, n_radial, n_angular))
+    for rings in _blocks(n_radial, n_angular):
+        xs = cx + np.outer(r[rings], cos) * rho
+        ys = cy - np.outer(r[rings], sin) * rho
+        base[rings], corners = _bilinear_plan(shape, xs, ys)
+        for weight, (_, block) in zip(weights, corners):
+            weight[rings] = block
+    return base, tuple(zip((offset for offset, _ in corners), weights))
 
 
 def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
@@ -229,10 +271,13 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
     cx, cy, _ = _disk(h, w)
     dx = (np.arange(w) - cx)[None, :]
     dy = (np.arange(h) - cy)[:, None]
-    src_x = np.cos(a) * dx - np.sin(a) * dy + cx
-    src_y = np.sin(a) * dx + np.cos(a) * dy + cy
-    out = _gather(image.pixels, _bilinear_plan((h, w), src_x, src_y))
-    return RasterImage(np.clip(out, 0.0, 1.0))
+    flat = _bordered(image.pixels)
+    out = np.empty((h, w))
+    for rows in _blocks(h, w):
+        src_x = np.cos(a) * dx - np.sin(a) * dy[rows] + cx
+        src_y = np.sin(a) * dx + np.cos(a) * dy[rows] + cy
+        out[rows] = _sample(flat, _bilinear_plan((h, w), src_x, src_y))
+    return RasterImage(np.clip(out, 0.0, 1.0, out=out))
 
 
 def to_polar(image: RasterImage, n_radial: int, n_angular: int) -> np.ndarray:

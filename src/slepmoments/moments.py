@@ -16,7 +16,7 @@ import numpy as np
 
 from .dpss import DpssBasis, radial_basis
 from .errors import AliasingError, FormatError, ParameterError
-from .imaging import RasterImage, _gather, _polar_grid, _polar_plan
+from .imaging import RasterImage, _blocks, _bordered, _polar_grid, _polar_plan, _sample
 
 __all__ = [
     "MomentSet",
@@ -88,13 +88,23 @@ def _radial_weights(basis: DpssBasis, max_radial: int, r: np.ndarray) -> np.ndar
     return radial_basis(basis, r)[:max_radial] * (r / r.size)
 
 
-def _project(samples: np.ndarray, psi_w: np.ndarray, max_angular: int) -> np.ndarray:
-    """Moments of polar samples against ``_radial_weights``, an M x (2L+1) matrix."""
-    n_t = samples.shape[1]
-    # DFT of conj(f) along theta gives the inner sum for every n at once.
-    spectrum = np.fft.fft(np.conj(samples), axis=1)
-    cols = spectrum[:, np.arange(-max_angular, max_angular + 1) % n_t]
-    cols = cols * (2.0 * np.pi / n_t)
+def _project(
+    samples_of, shape: tuple[int, int], psi_w: np.ndarray, max_angular: int
+) -> np.ndarray:
+    """Moments of R x T polar samples against ``_radial_weights``, an M x (2L+1) matrix.
+
+    ``samples_of(rings)`` gives the samples of a slice of rings. The rings are
+    projected one block at a time, and of each block's DFT only the 2L+1
+    columns the moments use are kept, so no R x T spectrum is ever held.
+    """
+    n_r, n_t = shape
+    keep = np.arange(-max_angular, max_angular + 1) % n_t
+    cols = np.empty((n_r, keep.size), dtype=complex)
+    for rings in _blocks(n_r, n_t):
+        # DFT of conj(f) along theta gives the inner sum for every n at once;
+        # conj() of a real block is the block itself, not a copy
+        spectrum = np.fft.fft(samples_of(rings).conj(), axis=1)
+        np.multiply(spectrum[:, keep], 2.0 * np.pi / n_t, out=cols[rings])
     return psi_w @ cols
 
 
@@ -116,7 +126,8 @@ def compute_moments(
     return MomentSet(
         max_radial=max_radial,
         max_angular=max_angular,
-        values=_project(samples, _radial_weights(basis, max_radial, r), max_angular),
+        values=_project(samples.__getitem__, samples.shape,
+                        _radial_weights(basis, max_radial, r), max_angular),
         grid=samples.shape,
         basis_id=basis.basis_id,
     )
@@ -157,9 +168,10 @@ class Featurizer:
 
     The order and grid checks run once, psi_m(r) * r * dr is built once, and the
     polar gather plan once per raster shape, so featurizing many images repeats
-    only the per-image work. Each call returns the invariants flattened m-major:
-    entry m*(L+1)+n holds phi_{m,n}. Defaults give 100 entries (10 radial
-    orders, angular orders 0..9).
+    only the per-image work. A call gathers and projects one block of rings at
+    a time, so it never holds all R x T samples. It returns the invariants
+    flattened m-major: entry m*(L+1)+n holds phi_{m,n}. Defaults give 100
+    entries (10 radial orders, angular orders 0..9).
     """
 
     def __init__(
@@ -174,14 +186,15 @@ class Featurizer:
         self._max_angular = max_angular
         self._grid = (r.size, theta.size)
         self._psi_w = _radial_weights(basis, max_radial, r)
-        self._plans: dict[tuple[int, int], list] = {}
+        self._plans: dict[tuple[int, int], tuple] = {}
 
     def __call__(self, img: RasterImage) -> np.ndarray:
         shape = img.pixels.shape
         if shape not in self._plans:
             self._plans[shape] = _polar_plan(shape, *self._grid)
-        samples = _gather(img.pixels, self._plans[shape])
-        values = _project(samples, self._psi_w, self._max_angular)
+        plan, flat = self._plans[shape], _bordered(img.pixels)
+        values = _project(lambda rings: _sample(flat, plan, rings), self._grid,
+                          self._psi_w, self._max_angular)
         return np.abs(values[:, self._max_angular :]).ravel()
 
 

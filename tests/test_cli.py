@@ -736,32 +736,33 @@ def test_classify_empty_class_directory_exits_one(tmp_path, capsys):
     assert err.startswith("slepmoments: error:") and "class3" in err
 
 
-@pytest.mark.parametrize("patch", [
-    {"n": 8.5},
-    {"k": 2.0},
-    {"sequences": [[7.0] * 8] * 2, "eigenvalues": [0.5, 0.5]},
-    {"eigenvalues": [float("nan"), 0.5]},
-    {"sequences": [[1.0] + [0.0] * 7, [0.0, 2.0] + [0.0] * 6]},
-    {"eigenvalues": [1.0, 0.5]},
-    {"eigenvalues": [0.5, 0.0]},
-    {"eigenvalues": [0.5, 0.9]},
-    {"w": "0.1"},
-    {"w": True},
-    {"w": 0.7},
-    {"sequences": "abc"},
-    {"sequences": [[0.5] * 8, [0.5] * 7]},
-    {"eigenvalues": "x"},
-    [1, 2],
-    "basis",
-    {"sequences": [[1e300] * 8] * 2},
-    {"w": 10**400},
-    {"n": 2, "w": 0.25, "k": 1, "eigenvalues": [0.5], "sequences": [[True, 0]]},
+@pytest.mark.parametrize("patch, reason", [
+    ({"n": 8.5}, "n and k must be integers"),
+    ({"k": 2.0}, "n and k must be integers"),
+    ({"sequences": [[7.0] * 8] * 2, "eigenvalues": [0.5, 0.5]}, "unit norm"),
+    ({"eigenvalues": [float("nan"), 0.5]}, "must be finite"),
+    ({"sequences": [[1.0] + [0.0] * 7, [0.0, 2.0] + [0.0] * 6]}, "unit norm"),
+    ({"eigenvalues": [1.0, 0.5]}, "eigenvalues must decrease strictly within (0, 1)"),
+    ({"eigenvalues": [0.5, 0.0]}, "eigenvalues must decrease strictly within (0, 1)"),
+    ({"eigenvalues": [0.5, 0.9]}, "eigenvalues must decrease strictly within (0, 1)"),
+    ({"w": "0.1"}, "w must be a number"),
+    ({"w": True}, "w must be a number"),
+    ({"w": 0.7}, "half_bandwidth must lie in (0, 0.5)"),
+    ({"sequences": "abc"}, "sequences must be an array of numbers"),
+    ({"sequences": [[0.5] * 8, [0.5] * 7]}, "sequences must be an array of numbers"),
+    ({"eigenvalues": "x"}, "eigenvalues must be an array of numbers"),
+    ([1, 2], "must hold a JSON object"),
+    ("basis", "must hold a JSON object"),
+    ({"sequences": [[1e300] * 8] * 2}, "unit norm"),
+    ({"w": 10**400}, "too large to convert to float"),
+    ({"n": 2, "w": 0.25, "k": 1, "eigenvalues": [0.5], "sequences": [[True, 0]]},
+     "sequences must be an array of numbers"),
 ], ids=["n-real", "k-real", "all-sevens", "nan", "norm-2", "eig-1", "eig-0", "eig-rising",
         "w-string", "w-bool", "w-range", "sequences-string", "sequences-ragged",
         "eigenvalues-string", "top-list", "top-string", "norm-overflow", "w-overflow",
         "sequences-bool-beside-number"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
-def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch):
+def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch, reason):
     # a dict patches a valid basis document; any other value replaces the whole document
     good = tmp_path / "b.json"
     assert run(["dpss", "gen", "--n", "8", "--w", "0.2", "--k", "2", "--out", str(good)]) == 0
@@ -776,9 +777,9 @@ def test_invalid_basis_exits_one(tmp_path, capsys, image_path, patch):
                 "--m", "2", "--l", "1", "--radial", "16", "--angular", "32",
                 "--out", str(tmp_path / "s.json")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"slepmoments: error: basis file {bad}") and err.count("\n") == 1
-    if not isinstance(patch, dict):
-        assert err.endswith("must hold a JSON object\n")
+    # each case is refused for the reason it was written for, in one line
+    assert err.startswith(f"slepmoments: error: basis file {bad}: ") and err.count("\n") == 1
+    assert reason in err
 
 
 @pytest.mark.parametrize("command", ["moments", "reconstruct", "rotate-test"])

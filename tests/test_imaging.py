@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from slepmoments import (
     write_pgm,
 )
 from slepmoments.harness import synthetic_images
-from slepmoments.imaging import _bilinear_plan, _gather
+from slepmoments.imaging import _bilinear_plan, _gather, _polar_plan
 
 
 @pytest.mark.parametrize("pixels", [
@@ -264,8 +266,9 @@ def _signed_zero_raster(rng, h, w):
 def test_gather_plan_matches_reference_bitwise(rng, shape):
     h, w = shape
     px = _signed_zero_raster(rng, h, w)
-    xs = rng.uniform(-2.5, w + 1.5, size=(40, 30))
-    ys = rng.uniform(-2.5, h + 1.5, size=(40, 30))
+    # 90 rows of 200 samples take several gather blocks and end in a partial one
+    xs = rng.uniform(-2.5, w + 1.5, size=(90, 200))
+    ys = rng.uniform(-2.5, h + 1.5, size=(90, 200))
     # exact edges and half-pixel steps past every side of the raster
     xs[0, :6] = [w - 1, -0.5, -1.0, w - 0.5, w, 0.0]
     ys[0, :6] = [h - 1, h - 1, -0.5, h - 0.5, -1.0, h]
@@ -278,7 +281,8 @@ def test_gather_plan_matches_reference_bitwise(rng, shape):
     assert got.tobytes() == _bilinear_reference(px, xs, ys).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(9, 9), (37, 53), (53, 37)])
+# 97 x 211 is rotated 38 rows at a time, the last block partial
+@pytest.mark.parametrize("shape", [(9, 9), (37, 53), (53, 37), (97, 211)])
 @pytest.mark.parametrize("angle", [0.0, 35.0, 90.0, -140.0, 325.0])
 def test_rotate_matches_reference_bitwise(rng, shape, angle):
     img = RasterImage(_signed_zero_raster(rng, *shape))
@@ -291,6 +295,50 @@ def test_polar_matches_reference_bitwise(rng, shape, grid):
     img = RasterImage(_signed_zero_raster(rng, *shape))
     got = to_polar(img, *grid)
     assert got.tobytes() == _polar_reference(img, *grid).tobytes()
+
+
+# --- addressing and working set ----------------------------------------------
+
+MiB = 2**20
+
+
+def traced_bytes(call):
+    """The bytes held once call() returns, its result included, and the peak bytes
+    held during it, as tracemalloc sees them (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        result = call()  # noqa: F841  (held until measured)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 512), (256, 1), (2, 3), (37, 53), (256, 512)])
+def test_plan_reads_stay_inside_the_bordered_raster(shape):
+    # every corner is read as flat[offset:][base] with offsets 0, 1, w + 4 and w + 5,
+    # so base + w + 5 must stay inside the (h + 4) x (w + 4) bordered raster
+    h, w = shape
+    far = 1e6
+    xs = np.array([-far, -3.0, -2.5, -2.0, -1.0, -0.5, 0.0, (w - 1) / 2, w - 1, w - 0.5,
+                   w, w + 1.0, w + 2.0, w + far])
+    ys = np.array([-far, -3.0, -2.5, -2.0, -1.0, -0.5, 0.0, (h - 1) / 2, h - 1, h - 0.5,
+                   h, h + 1.0, h + 2.0, h + far])
+    base, corners = _bilinear_plan(shape, *np.meshgrid(xs, ys))
+    assert [offset for offset, _ in corners] == [0, 1, w + 4, w + 5]
+    assert base.min() >= 0 and base.max() + w + 5 < (h + 4) * (w + 4)
+
+
+def test_polar_plan_holds_five_arrays_and_is_built_in_blocks():
+    # a base index and four weights per sample, 40 B: 5 MiB at 256 x 512
+    held, peak = traced_bytes(lambda: _polar_plan((256, 256), 256, 512))
+    assert held <= 5.1 * MiB
+    assert peak <= 7 * MiB
+
+
+def test_rotate_image_is_built_in_blocks():
+    img = smooth_test_image(256)
+    _, peak = traced_bytes(lambda: rotate_image(img, 35.0))
+    assert peak <= 2.5 * MiB
 
 
 # --- noise ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from slepmoments.moments import feature_vector
 
 from oracles import moment_value
 from test_dpss import _JSON_VALUES
+from test_imaging import MiB, traced_bytes
 
 
 def brute_force_moments(samples, basis, max_radial, max_angular):
@@ -278,14 +279,25 @@ def test_feature_vector_rotation_stability(basis64, test_image):
     assert np.allclose(a, b, rtol=0.15, atol=1e-5)
 
 
+# a (100, 200) grid is projected 40 rings at a time, the last block partial
 @pytest.mark.parametrize("size, m, l, grid", [
     (64, 10, 9, (64, 128)), (37, 3, 2, (8, 16)), (53, 5, 7, (33, 15)), (2, 1, 0, (1, 4)),
+    (97, 5, 5, (100, 200)),
 ])
 def test_featurizer_matches_pipeline_bitwise(basis64, size, m, l, grid):
     img = smooth_test_image(size)
     chain = invariants(compute_moments(to_polar(img, *grid), basis64, m, l)).ravel()
     assert Featurizer(basis64, m, l, grid)(img).tobytes() == chain.tobytes()
     assert feature_vector(img, basis64, m, l, grid).tobytes() == chain.tobytes()
+
+
+def test_featurizer_call_works_in_blocks(basis64):
+    # a warm call holds the bordered raster and one block of rings, never R x T
+    img = smooth_test_image(256)
+    featurize = Featurizer(basis64, 5, 5, (256, 512))
+    featurize(img)
+    _, peak = traced_bytes(lambda: featurize(img))
+    assert peak <= 1.5 * MiB
 
 
 def test_featurizer_reused_across_raster_shapes(basis64, test_image):
