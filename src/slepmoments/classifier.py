@@ -1,11 +1,14 @@
-"""One-vs-rest maximum-margin linear classifier trained by subgradient descent.
+"""One-vs-rest linear classifier trained by a fixed number of subgradient-descent epochs.
 
-Training minimizes, per class, the regularized mean hinge loss with full-batch
-subgradient steps. Batch (rather than per-example) updates make the training
-deterministic and invariant to duplicating the dataset, which is what the
-harness relies on for reproducibility. ``train_classifiers`` runs the fits of
-several same-sized training sets as one stack, each slice bit for bit the fit
-of its set alone; ``train_classifier`` is its stack of one.
+Training takes, per class, full-batch subgradient steps on the regularized
+mean hinge loss for a fixed epoch count. It is not a maximum-margin solve: it
+stops unconverged, and on the 384-image synthetic `sweep` corpus the objective
+after the default 300 epochs is typically six to seven times the optimum.
+Batch (rather than per-example) updates make the training deterministic and
+invariant to duplicating the dataset, which is what the harness relies on for
+reproducibility. ``train_classifiers`` runs the fits of several same-sized
+training sets as one stack, each slice bit for bit the fit of its set alone;
+``train_classifier`` is its stack of one.
 """
 
 from __future__ import annotations

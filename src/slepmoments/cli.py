@@ -79,11 +79,13 @@ def _write_atomic(path: str | Path, data: bytes | str | Iterable[str]) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
 
     ``data`` is bytes, text, or text chunks that are written as they are produced.
+    An OSError names ``path``, not the temporary file, whose name is random.
     """
     path = Path(path)
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, mode) as fh:
             if isinstance(data, (bytes, str)):
                 fh.write(data)
@@ -94,9 +96,11 @@ def _write_atomic(path: str | Path, data: bytes | str | Iterable[str]) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -140,9 +144,10 @@ def _bounded(low: float, high: float | None = None, parse=_integer):
 _count = _bounded(1)
 _natural = _bounded(0)
 # The flags that size one allocation are capped. A 2048 x 2048 polar grid is
-# 4.2 M samples: its gather plan holds 40 B per sample (about 0.17 GB), one
-# to_polar call peaks near 0.2 GB, and a whole moments compute process near
-# 0.22 GB. A 2048-pixel synth image peaks near 0.35 GB of render temporaries.
+# 4.2 M samples, 32 MiB as float64: to_polar plans it one block of rings at a
+# time, so a call peaks near 33 MiB, and a whole moments compute process of a
+# 256-pixel image near 67 MB. A 2048-pixel synth image peaks near 0.35 GB of
+# render temporaries.
 _grid_size = _bounded(1, 2048)
 
 

@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a bool or non-integer size, which numpy or scipy would refuse later
+    without naming it, or take as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DpssParams:
     """Sequence length N, half bandwidth W in (0, 0.5), and sequence count K <= N."""
@@ -41,6 +48,8 @@ class DpssParams:
     n_seq: int
 
     def __post_init__(self):
+        for name in ("n_len", "n_seq"):
+            _check_integer(name, getattr(self, name))
         if self.n_len < 1:
             raise ParameterError(f"n_len must be a positive integer, got {self.n_len}")
         if self.n_len > 4096:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -203,26 +204,26 @@ def _bordered(pixels: np.ndarray) -> np.ndarray:
     return bordered.ravel()
 
 
-def _sample(flat: np.ndarray, plan: tuple, rows: slice = slice(None)) -> np.ndarray:
-    """Apply ``rows`` of a ``_bilinear_plan`` to a ``_bordered`` raster: the sum
+def _sample(flat: np.ndarray, plan: tuple) -> np.ndarray:
+    """Apply a ``_bilinear_plan`` to a ``_bordered`` raster: the sum
     0 + w00 v00 + w01 v01 + w10 v10 + w11 v11.
 
     The zeros start is kept: it turns a sum of -0.0 terms into +0.0.
     """
     base, corners = plan
-    base = base[rows]
     out = np.zeros(base.shape)
     for offset, weight in corners:
-        out += weight[rows] * flat[offset:][base]
+        out += weight * flat[offset:][base]
     return out
 
 
-def _gather(pixels: np.ndarray, plan: tuple) -> np.ndarray:
-    """Apply a 2-D ``_bilinear_plan`` to pixels, one block of plan rows at a time."""
+def _resample(pixels: np.ndarray, shape: tuple[int, int], coords) -> np.ndarray:
+    """Bilinear samples of pixels on a ``shape`` grid whose row slice ``rows`` lies at
+    raster coordinates ``coords(rows) = (xs, ys)``, planned one ``_blocks`` block at a time."""
     flat = _bordered(pixels)
-    out = np.empty(plan[0].shape)
-    for rows in _blocks(*out.shape):
-        out[rows] = _sample(flat, plan, rows)
+    out = np.empty(shape)
+    for rows in _blocks(*shape):
+        out[rows] = _sample(flat, _bilinear_plan(pixels.shape, *coords(rows)))
     return out
 
 
@@ -240,23 +241,20 @@ def _disk(h: int, w: int) -> tuple[float, float, float]:
     return (w - 1) / 2.0, (h - 1) / 2.0, min(w, h) / 2.0 - 0.5
 
 
-def _polar_plan(shape: tuple[int, int], n_radial: int, n_angular: int) -> tuple:
-    """Gather plan of ``to_polar`` for an (h, w) raster on an R x T grid.
-
-    Its five R x T arrays are filled one block of rings at a time.
-    """
+def _polar_coords(shape: tuple[int, int], n_radial: int, n_angular: int):
+    """The ``coords`` of ``to_polar``'s R x T grid on an (h, w) raster, for ``_resample``."""
     cx, cy, rho = _disk(*shape)
     r, th = _polar_grid(n_radial, n_angular)
     cos, sin = np.cos(th), np.sin(th)
-    base = np.empty((n_radial, n_angular), dtype=np.intp)
-    weights = np.empty((4, n_radial, n_angular))
-    for rings in _blocks(n_radial, n_angular):
-        xs = cx + np.outer(r[rings], cos) * rho
-        ys = cy - np.outer(r[rings], sin) * rho
-        base[rings], corners = _bilinear_plan(shape, xs, ys)
-        for weight, (_, block) in zip(weights, corners):
-            weight[rings] = block
-    return base, tuple(zip((offset for offset, _ in corners), weights))
+    return lambda rings: (cx + np.outer(r[rings], cos) * rho, cy - np.outer(r[rings], sin) * rho)
+
+
+def _polar_sampler(shape: tuple[int, int], n_radial: int, n_angular: int):
+    """``to_polar`` on an R x T grid as a function from (h, w) pixels to an iterator of
+    ``_blocks`` ring blocks; each block's plan, five arrays, is built once, here."""
+    coords = _polar_coords(shape, n_radial, n_angular)
+    plans = [_bilinear_plan(shape, *coords(rings)) for rings in _blocks(n_radial, n_angular)]
+    return lambda pixels: map(partial(_sample, _bordered(pixels)), plans)
 
 
 def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
@@ -271,12 +269,10 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
     cx, cy, _ = _disk(h, w)
     dx = (np.arange(w) - cx)[None, :]
     dy = (np.arange(h) - cy)[:, None]
-    flat = _bordered(image.pixels)
-    out = np.empty((h, w))
-    for rows in _blocks(h, w):
-        src_x = np.cos(a) * dx - np.sin(a) * dy[rows] + cx
-        src_y = np.sin(a) * dx + np.cos(a) * dy[rows] + cy
-        out[rows] = _sample(flat, _bilinear_plan((h, w), src_x, src_y))
+    out = _resample(image.pixels, (h, w), lambda rows: (
+        np.cos(a) * dx - np.sin(a) * dy[rows] + cx,
+        np.sin(a) * dx + np.cos(a) * dy[rows] + cy,
+    ))
     return RasterImage(np.clip(out, 0.0, 1.0, out=out))
 
 
@@ -288,7 +284,8 @@ def to_polar(image: RasterImage, n_radial: int, n_angular: int) -> np.ndarray:
     ``_disk`` of centre ((w-1)/2, (h-1)/2) and radius rho = min(w, h)/2 - 0.5;
     reads outside the raster give 0.
     """
-    return _gather(image.pixels, _polar_plan(image.pixels.shape, n_radial, n_angular))
+    coords = _polar_coords(image.pixels.shape, n_radial, n_angular)
+    return _resample(image.pixels, (n_radial, n_angular), coords)
 
 
 def add_gaussian_noise(image: RasterImage, spec: NoiseSpec) -> RasterImage:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dpss import DpssBasis, radial_basis
+from .dpss import DpssBasis, _check_integer, radial_basis
 from .errors import AliasingError, FormatError, ParameterError
-from .imaging import RasterImage, _blocks, _bordered, _polar_grid, _polar_plan, _sample
+from .imaging import RasterImage, _blocks, _polar_grid, _polar_sampler
 
 __all__ = [
     "MomentSet",
@@ -72,6 +72,8 @@ def _check_aliasing(max_angular: int, n_t: int) -> None:
 
 
 def _check_orders(basis: DpssBasis, max_radial: int, max_angular: int, n_t: int) -> None:
+    _check_integer("max_radial", max_radial)
+    _check_integer("max_angular", max_angular)
     if max_radial < 1:
         raise ParameterError(f"max_radial must be >= 1, got {max_radial}")
     if max_angular < 0:
@@ -88,22 +90,21 @@ def _radial_weights(basis: DpssBasis, max_radial: int, r: np.ndarray) -> np.ndar
     return radial_basis(basis, r)[:max_radial] * (r / r.size)
 
 
-def _project(
-    samples_of, shape: tuple[int, int], psi_w: np.ndarray, max_angular: int
-) -> np.ndarray:
-    """Moments of R x T polar samples against ``_radial_weights``, an M x (2L+1) matrix.
+def _project(blocks, psi_w: np.ndarray, max_angular: int) -> np.ndarray:
+    """Moments of R x T polar samples, given as consecutive blocks of rings, against
+    ``_radial_weights``: an M x (2L+1) matrix.
 
-    ``samples_of(rings)`` gives the samples of a slice of rings. The rings are
-    projected one block at a time, and of each block's DFT only the 2L+1
-    columns the moments use are kept, so no R x T spectrum is ever held.
+    Of each block's DFT only the 2L+1 columns the moments use are kept, so no
+    R x T spectrum is ever held.
     """
-    n_r, n_t = shape
-    keep = np.arange(-max_angular, max_angular + 1) % n_t
-    cols = np.empty((n_r, keep.size), dtype=complex)
-    for rings in _blocks(n_r, n_t):
+    cols = np.empty((psi_w.shape[1], 2 * max_angular + 1), dtype=complex)
+    rings = slice(0, 0)
+    for block in blocks:
+        rings, n_t = slice(rings.stop, rings.stop + len(block)), block.shape[1]
         # DFT of conj(f) along theta gives the inner sum for every n at once;
         # conj() of a real block is the block itself, not a copy
-        spectrum = np.fft.fft(samples_of(rings).conj(), axis=1)
+        spectrum = np.fft.fft(block.conj(), axis=1)
+        keep = np.arange(-max_angular, max_angular + 1) % n_t
         np.multiply(spectrum[:, keep], 2.0 * np.pi / n_t, out=cols[rings])
     return psi_w @ cols
 
@@ -126,7 +127,7 @@ def compute_moments(
     return MomentSet(
         max_radial=max_radial,
         max_angular=max_angular,
-        values=_project(samples.__getitem__, samples.shape,
+        values=_project((samples[rings] for rings in _blocks(*samples.shape)),
                         _radial_weights(basis, max_radial, r), max_angular),
         grid=samples.shape,
         basis_id=basis.basis_id,
@@ -166,12 +167,12 @@ def reconstruct(
 class Featurizer:
     """Polar resampling, moments and invariants of raster images in one step.
 
-    The order and grid checks run once, psi_m(r) * r * dr is built once, and the
-    polar gather plan once per raster shape, so featurizing many images repeats
-    only the per-image work. A call gathers and projects one block of rings at
-    a time, so it never holds all R x T samples. It returns the invariants
-    flattened m-major: entry m*(L+1)+n holds phi_{m,n}. Defaults give 100
-    entries (10 radial orders, angular orders 0..9).
+    The order and grid checks run once, psi_m(r) * r * dr is built once, and a
+    polar sampler, one plan per block of rings, once per raster shape, so
+    featurizing many images repeats only the per-image work. A call samples and
+    projects one block of rings at a time, so it never holds all R x T samples.
+    It returns the invariants flattened m-major: entry m*(L+1)+n holds
+    phi_{m,n}. Defaults give 100 entries (10 radial orders, angular orders 0..9).
     """
 
     def __init__(
@@ -186,15 +187,13 @@ class Featurizer:
         self._max_angular = max_angular
         self._grid = (r.size, theta.size)
         self._psi_w = _radial_weights(basis, max_radial, r)
-        self._plans: dict[tuple[int, int], tuple] = {}
+        self._samplers = {}
 
     def __call__(self, img: RasterImage) -> np.ndarray:
         shape = img.pixels.shape
-        if shape not in self._plans:
-            self._plans[shape] = _polar_plan(shape, *self._grid)
-        plan, flat = self._plans[shape], _bordered(img.pixels)
-        values = _project(lambda rings: _sample(flat, plan, rings), self._grid,
-                          self._psi_w, self._max_angular)
+        if shape not in self._samplers:
+            self._samplers[shape] = _polar_sampler(shape, *self._grid)
+        values = _project(self._samplers[shape](img.pixels), self._psi_w, self._max_angular)
         return np.abs(values[:, self._max_angular :]).ravel()
 
 

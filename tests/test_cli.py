@@ -1,8 +1,10 @@
 import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -225,6 +227,23 @@ def test_directory_as_image_exits_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("slepmoments: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["nodir/a.csv", "d"], ids=["missing-directory", "directory"])
+def test_unwritable_output_error_names_the_output(tmp_path, capsys, out):
+    # the temporary file beside the output has a random name, so it must not show
+    (tmp_path / "d").mkdir()
+    target = tmp_path / out
+    argv = ["rotate-test", "--angles", "0", "--radial", "8", "--angular", "16",
+            "--out", str(target)]
+    errs = []
+    for _ in range(2):
+        assert run(argv) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("slepmoments: error:") and errs[0].count("\n") == 1
+    assert errs[0].endswith(f"{str(target)!r}\n")
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -536,6 +555,26 @@ def test_package_namespace_is_its_submodules_public_names():
     assert set(slepmoments.__all__) <= set(dir(slepmoments))
     with pytest.raises(AttributeError, match="no_such_name"):
         slepmoments.no_such_name
+
+
+def test_benchmark_traced_figures_name_public_functions():
+    # perfbench's tracer times only the plain functions in each module's __all__,
+    # under their own names, plus LinearModel.predict, and `run.py --trace 1` stops
+    # when a figure BENCHMARK.json declares is missing
+    declared = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    traced = [match.groups() for layer in declared["per_layer"]
+              if (match := re.fullmatch(r"(\w+)\.([\w.]+)\.(?:calls|total_s|self_s)",
+                                        layer["name"]))]
+    assert ("imaging", "to_polar") in traced
+    for module, name in traced:
+        if (module, name) == ("classifier", "LinearModel.predict"):
+            assert inspect.isfunction(slepmoments.classifier.LinearModel.predict)
+            continue
+        home = importlib.import_module(f"slepmoments.{module}")
+        fn = getattr(home, name, None)
+        assert name in home.__all__, f"{module}.{name}"
+        assert inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn), f"{module}.{name}"
+        assert fn.__name__ == name, f"{module}.{name}"
 
 
 def _option_strings(parser, prefix=()):

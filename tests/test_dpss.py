@@ -69,6 +69,19 @@ def test_params_validation():
         DpssParams(n_len=0, half_bandwidth=0.2, n_seq=1)
 
 
+@pytest.mark.parametrize("n_len, n_seq, field", [
+    (64.5, 10, "n_len"), (64, 10.0, "n_seq"), (True, True, "n_len"), (64, np.bool_(1), "n_seq"),
+], ids=["fractional-n", "float-k", "bool-n", "numpy-bool-k"])
+def test_params_refuse_non_integer_sizes(n_len, n_seq, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+        DpssParams(n_len, 0.2, n_seq)
+
+
+def test_params_accept_numpy_integers():
+    params = DpssParams(np.int64(16), 0.2, np.int32(3))
+    assert compute_dpss(params).sequences.shape == (3, 16)
+
+
 def test_single_point_basis():
     basis = compute_dpss(DpssParams(1, 0.25, 1))
     assert np.allclose(basis.sequences, [[1.0]])

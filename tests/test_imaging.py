@@ -19,7 +19,7 @@ from slepmoments import (
     write_pgm,
 )
 from slepmoments.harness import synthetic_images
-from slepmoments.imaging import _bilinear_plan, _gather, _polar_plan
+from slepmoments.imaging import _bilinear_plan, _polar_sampler, _resample
 
 
 @pytest.mark.parametrize("pixels", [
@@ -266,7 +266,7 @@ def _signed_zero_raster(rng, h, w):
 def test_gather_plan_matches_reference_bitwise(rng, shape):
     h, w = shape
     px = _signed_zero_raster(rng, h, w)
-    # 90 rows of 200 samples take several gather blocks and end in a partial one
+    # 90 rows of 200 samples take several resampling blocks and end in a partial one
     xs = rng.uniform(-2.5, w + 1.5, size=(90, 200))
     ys = rng.uniform(-2.5, h + 1.5, size=(90, 200))
     # exact edges and half-pixel steps past every side of the raster
@@ -277,7 +277,7 @@ def test_gather_plan_matches_reference_bitwise(rng, shape):
     # far outside on every side and at every corner, so the plan's clamp is exercised
     xs[2, :8] = [-1e3, w + 1e3, (w - 1) / 2, (w - 1) / 2, -1e3, w + 1e3, -1e3, w + 1e3]
     ys[2, :8] = [(h - 1) / 2, (h - 1) / 2, -1e3, h + 1e3, -1e3, -1e3, h + 1e3, h + 1e3]
-    got = _gather(px, _bilinear_plan(px.shape, xs, ys))
+    got = _resample(px, xs.shape, lambda rows: (xs[rows], ys[rows]))
     assert got.tobytes() == _bilinear_reference(px, xs, ys).tobytes()
 
 
@@ -330,9 +330,16 @@ def test_plan_reads_stay_inside_the_bordered_raster(shape):
 
 def test_polar_plan_holds_five_arrays_and_is_built_in_blocks():
     # a base index and four weights per sample, 40 B: 5 MiB at 256 x 512
-    held, peak = traced_bytes(lambda: _polar_plan((256, 256), 256, 512))
+    held, peak = traced_bytes(lambda: _polar_sampler((256, 256), 256, 512))
     assert held <= 5.1 * MiB
     assert peak <= 7 * MiB
+
+
+def test_to_polar_is_built_in_blocks():
+    # the 1 MiB of samples, the bordered raster and one block's plan, never a whole-grid plan
+    img = smooth_test_image(256)
+    _, peak = traced_bytes(lambda: to_polar(img, 256, 512))
+    assert peak <= 3 * MiB
 
 
 def test_rotate_image_is_built_in_blocks():

@@ -309,6 +309,33 @@ def test_featurizer_reused_across_raster_shapes(basis64, test_image):
         assert shared(img).tobytes() == fresh.tobytes()
 
 
+@pytest.mark.parametrize("orders, field", [
+    (dict(max_radial=2.5), "max_radial"), (dict(max_angular=1.5), "max_angular"),
+    (dict(max_radial=True), "max_radial"), (dict(max_angular=np.bool_(0)), "max_angular"),
+], ids=["fractional-m", "fractional-l", "bool-m", "numpy-bool-l"])
+def test_orders_must_be_integers(basis32, orders, field):
+    orders = {"max_radial": 3, "max_angular": 2, **orders}
+    samples = to_polar(smooth_test_image(32), 8, 16)
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+        Featurizer(basis32, grid=(8, 16), **orders)
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+        compute_moments(samples, basis32, orders["max_radial"], orders["max_angular"])
+
+
+def test_reconstruct_refuses_a_bool_order(basis32):
+    # a bool passes MomentSet's shape check, (True, 5) == (1, 5)
+    ms = compute_moments(to_polar(smooth_test_image(32), 8, 16), basis32, 1, 2)
+    flagged = MomentSet(True, 2, ms.values, ms.grid, ms.basis_id)
+    with pytest.raises(ParameterError, match="^max_radial must be an integer, got True"):
+        reconstruct(flagged, basis32, (8, 16))
+
+
+def test_orders_accept_numpy_integers(basis32):
+    img = smooth_test_image(32)
+    got = Featurizer(basis32, np.int64(3), np.int32(2), (8, 16))(img)
+    assert got.tobytes() == Featurizer(basis32, 3, 2, (8, 16))(img).tobytes()
+
+
 def test_featurizer_checks_orders_and_grid_when_built(basis32):
     with pytest.raises(ParameterError):
         Featurizer(basis32, max_radial=6)
