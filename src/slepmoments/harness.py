@@ -4,8 +4,11 @@ train-fraction classification sweeps over rotation-invariant features."""
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,7 +122,8 @@ def rotation_stability(
     """Rotate, optionally add per-row noise, featurize, and tabulate invariants.
 
     Each angle row draws its own noise field from a child seed of noise.seed, so
-    rows are independent yet the whole table is reproducible.
+    rows are independent yet the whole table is reproducible, and the rows are
+    computed on every usable CPU (see ``_fork_rows``) with the same bytes.
     """
     angles = [float(a) for a in angles]
     if not angles:
@@ -133,15 +137,20 @@ def rotation_stability(
         raise ParameterError("orders must be nonnegative")
 
     featurize = Featurizer(basis, max_radial, max_angular, grid)
-    rows = np.empty((len(angles), len(orders)))
-    for i, angle in enumerate(angles):
-        frame = rotate_image(image, angle)
+    # the frames keep the image's shape, so its polar plans are built once, here,
+    # and forked spans share them
+    featurize._sampler(image.pixels.shape)
+
+    def frame_row(i: int) -> list[float]:
+        frame = rotate_image(image, angles[i])
         if noise is not None:
             frame = add_gaussian_noise(
                 frame, NoiseSpec(noise.snr_db, _child_seed(noise.seed, i))
             )
         phi = featurize(frame).reshape(max_radial, -1)
-        rows[i] = [phi[m, n] for m, n in orders]
+        return [phi[m, n] for m, n in orders]
+
+    rows = _fork_rows(len(angles), len(orders), frame_row)
 
     meta = {
         "grid": list(grid),
@@ -158,6 +167,66 @@ def rotation_stability(
         std_row=rows.std(axis=0),
         metadata=meta,
     )
+
+
+def _fork_rows(n_rows: int, n_cols: int, fill) -> np.ndarray:
+    """The (n_rows, n_cols) float64 table whose row i is ``fill(i)``, filled as one
+    contiguous span of rows per usable CPU.
+
+    This process fills the first span. Each further span runs in an ``os.fork``
+    child, which shares this process's memory copy-on-write, writes the rows it
+    finished to a pipe and leaves through ``os._exit``, so it runs no exit
+    handler and never reaches the caller's error handling. The rows a child did
+    not send, because a row failed, the child died or no process could be
+    forked, are filled here in order, so the lowest failing row raises its own
+    exception once, as in a serial loop. Every child is killed if still running
+    and reaped before this returns or raises. Forking needs
+    ``os.sched_getaffinity`` (Linux), two or more usable CPUs and rows, and no
+    other Python thread, whose locks a child could inherit held; otherwise this
+    process fills every row. ``taskset -c 0`` therefore gives a serial run.
+    """
+    workers = 1
+    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        workers = min(len(os.sched_getaffinity(0)), n_rows)
+    bounds = [n_rows * k // workers for k in range(workers + 1)]
+    rows = np.empty((n_rows, n_cols))
+    children = []  # (pid or None, read end of its pipe, first row, end row)
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this span is filled here
+                pid = None
+            if pid == 0:
+                try:
+                    # collections here then never write to the objects, and so
+                    # never copy the pages, that this child shares with its parent
+                    gc.freeze()
+                    with open(write, "wb") as pipe:
+                        for i in range(start, stop):
+                            rows[i] = fill(i)
+                            pipe.write(rows[i].tobytes())
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb"), start, stop))
+        for i in range(bounds[0], bounds[1]):
+            rows[i] = fill(i)
+        for _, pipe, start, stop in children:
+            sent = pipe.read()  # to end of file, which comes when the child leaves
+            done = start + len(sent) // rows[0].nbytes
+            rows[start:done].flat = np.frombuffer(sent, count=(done - start) * n_cols)
+            for i in range(done, stop):
+                rows[i] = fill(i)
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            if pid is not None:
+                from signal import SIGKILL  # loaded by forking calls only
+                os.kill(pid, SIGKILL)  # a child that has left is a zombie until reaped
+                os.waitpid(pid, 0)
+    return rows
 
 
 # --- labeled data ------------------------------------------------------------

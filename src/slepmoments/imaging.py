@@ -262,8 +262,10 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
 
     Each output pixel is bilinearly interpolated from its inverse-rotated source
     coordinate; sources outside the raster contribute 0, so corners that leave
-    the frame are clipped.
+    the frame are clipped. The angle must be finite.
     """
+    if not np.isfinite(angle_deg):
+        raise ParameterError(f"angle_deg must be finite, got {angle_deg}")
     a = np.deg2rad(angle_deg)
     h, w = image.pixels.shape
     cx, cy, _ = _disk(h, w)

@@ -47,6 +47,8 @@ class MomentSet:
     basis_id: str
 
     def __post_init__(self):
+        _check_integer("max_radial", self.max_radial)
+        _check_integer("max_angular", self.max_angular)
         v = np.asarray(self.values, dtype=complex)
         expected = (self.max_radial, 2 * self.max_angular + 1)
         if v.shape != expected:
@@ -189,11 +191,15 @@ class Featurizer:
         self._psi_w = _radial_weights(basis, max_radial, r)
         self._samplers = {}
 
-    def __call__(self, img: RasterImage) -> np.ndarray:
-        shape = img.pixels.shape
+    def _sampler(self, shape: tuple[int, int]):
+        """The polar sampler of (h, w) rasters, built on the first call for a shape."""
         if shape not in self._samplers:
             self._samplers[shape] = _polar_sampler(shape, *self._grid)
-        values = _project(self._samplers[shape](img.pixels), self._psi_w, self._max_angular)
+        return self._samplers[shape]
+
+    def __call__(self, img: RasterImage) -> np.ndarray:
+        samples = self._sampler(img.pixels.shape)(img.pixels)
+        values = _project(samples, self._psi_w, self._max_angular)
         return np.abs(values[:, self._max_angular :]).ravel()
 
 

@@ -16,6 +16,7 @@ import pytest
 import slepmoments
 from slepmoments import (
     PROTOCOL_ORDERS,
+    RasterImage,
     cli,
     default_basis,
     rotation_stability,
@@ -458,6 +459,41 @@ def test_python_m_runs_the_cli(tmp_path, image_path, basis_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith("slepmoments: usage error: argument --radial: ")
+
+
+def test_stability_commands_leave_no_process_behind(tmp_path, monkeypatch, image_path):
+    # a worker that outlived its command would hold the captured stderr open, and
+    # the run would time out; the bytes are those of a serial run in this process
+    args = ["--image", str(image_path), "--angles", "0,30,60,90,120",
+            "--radial", "16", "--angular", "32"]
+    for command in ("rotate-test", "noise-test"):
+        out, expected = tmp_path / f"{command}.csv", tmp_path / f"{command}-serial.csv"
+        proc = subprocess.run([sys.executable, "-m", "slepmoments", command, *args,
+                               "--out", str(out)],
+                              env=_src_env(), capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == b""
+        with monkeypatch.context() as serial:
+            serial.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert run([command, *args, "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+
+def test_a_failing_frame_prints_one_error_and_writes_nothing(tmp_path):
+    # the 45-degree frame of a corner dot is all zeros, so its noise is undefined
+    pixels = np.zeros((9, 9))
+    pixels[0, 0] = 1.0
+    image, out = tmp_path / "dot.pgm", tmp_path / "t.csv"
+    image.write_bytes(write_pgm(RasterImage(pixels)))
+    proc = subprocess.run([sys.executable, "-m", "slepmoments", "noise-test", "--image",
+                           str(image), "--angles", "0,45", "--radial", "16", "--angular",
+                           "32", "--out", str(out), "--json-out", str(tmp_path / "t.json")],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ("slepmoments: error: signal power is zero; "
+                           "SNR-referenced noise is undefined\n")
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dot.pgm"]
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -930,7 +966,7 @@ def golden_inputs(tmp_path_factory):
 
 # each row is (command, --out digest, --json-out digest or None); a row with a
 # --json-out digest pins both files of one run
-@pytest.mark.parametrize("argv, digest, json_digest", [
+_GOLDEN = [
     ("moments compute --image p128 --basis basis.json --m 10 --l 9",
      "91b16dca39479aee178b16cc6221d0d5f1907664fce113ca779f756bf42b0576", None),
     ("moments compute --image p128 --basis basis.json --m 10 --l 9 --angle 35",
@@ -972,18 +1008,41 @@ def golden_inputs(tmp_path_factory):
      "2b8d63ba34df633af5e3f7ccc84194c72250ec2f720bf94fe90e22c2ef033b8d"),
     ("classify",
      "381f6b5d69bc9ce0316ac92645e75d910926a5af9c3f02cc69380e0bb317f3a6", None),
-], ids=["mom.json", "mom_rot.json", "mom_big.json", "phi.csv", "phi_rot.csv", "rec.json",
-        "rot.csv", "default_rot.csv", "noise.csv", "default_noise.csv", "rot2.csv", "cls.csv",
-        "cls2.csv", "clsdir.csv", "default_cls.csv"])
-def test_commands_write_the_recorded_bytes(tmp_path, monkeypatch, golden_inputs, argv,
-                                           digest, json_digest):
+]
+_GOLDEN_IDS = ["mom.json", "mom_rot.json", "mom_big.json", "phi.csv", "phi_rot.csv",
+               "rec.json", "rot.csv", "default_rot.csv", "noise.csv", "default_noise.csv",
+               "rot2.csv", "cls.csv", "cls2.csv", "clsdir.csv", "default_cls.csv"]
+
+
+def _check_golden(out_dir, argv, digest, json_digest):
     # the SHA-256 of the golden-corpus outputs in CHANGES.md, from the same inputs and
     # commands; they were recorded on x86-64 with numpy 2.4 and scipy 1.17, and
     # another LAPACK build may differ in the last bits
-    monkeypatch.chdir(golden_inputs)
-    out, json_out = tmp_path / "out", tmp_path / "out.json"
+    out, json_out = out_dir / "out", out_dir / "out.json"
     extra = [] if json_digest is None else ["--json-out", str(json_out)]
     assert run([*argv.split(), "--out", str(out), *extra]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     if json_digest is not None:
         assert hashlib.sha256(json_out.read_bytes()).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("argv, digest, json_digest", _GOLDEN, ids=_GOLDEN_IDS)
+def test_commands_write_the_recorded_bytes(tmp_path, monkeypatch, golden_inputs, argv,
+                                           digest, json_digest):
+    monkeypatch.chdir(golden_inputs)
+    _check_golden(tmp_path, argv, digest, json_digest)
+
+
+_STABILITY_GOLDEN = [(row, name) for row, name in zip(_GOLDEN, _GOLDEN_IDS)
+                     if row[0].split()[0] in ("rotate-test", "noise-test")]
+
+
+@pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "3-cpus"])
+@pytest.mark.parametrize("argv, digest, json_digest", [row for row, _ in _STABILITY_GOLDEN],
+                         ids=[name for _, name in _STABILITY_GOLDEN])
+def test_stability_commands_write_the_recorded_bytes_on_any_cpu_count(
+        tmp_path, monkeypatch, golden_inputs, argv, digest, json_digest, cpus):
+    # the frames run in one process, or forked over three
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.chdir(golden_inputs)
+    _check_golden(tmp_path, argv, digest, json_digest)

@@ -1,12 +1,18 @@
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from slepmoments import (
+    DomainError,
     LabeledDataset,
     NoiseSpec,
     ParameterError,
+    RasterImage,
     classification_sweep,
     load_labeled_directory,
     make_synthetic_dataset,
@@ -15,11 +21,13 @@ from slepmoments import (
     train_classifier,
     write_pgm,
 )
+from slepmoments import harness, moments
 from slepmoments.harness import (
     _FITS_PER_CALL,
     PROTOCOL_ANGLES_DEG,
     PROTOCOL_ORDERS,
     _draw_splits,
+    _fork_rows,
     synthetic_images,
 )
 
@@ -71,6 +79,168 @@ def test_stability_csv_layout(basis64, test_image):
     assert len(lines) == 1 + 2 + 1  # header, two angle rows, std row
     assert lines[-1].startswith("std,")
     assert "mean" in report.to_json()  # mean row carried by the JSON form
+
+
+# --- rows on every usable CPU ----------------------------------------------------
+
+forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are forked with os.fork")
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """``cpus(n)`` makes ``_fork_rows`` see n usable CPUs and returns the list of the
+    children it forks from then on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", fork)
+    return use
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _corner_dot():
+    """A 9x9 raster whose one bright pixel, at (0, 0), leaves the frame at 45 degrees."""
+    pixels = np.zeros((9, 9))
+    pixels[0, 0] = 1.0
+    return RasterImage(pixels)
+
+
+@forking
+@pytest.mark.parametrize("noise", [None, NoiseSpec(20.0, 3)], ids=["clean", "noisy"])
+@pytest.mark.parametrize("angles", [PROTOCOL_ANGLES_DEG, PROTOCOL_ANGLES_DEG[:7], (35.0,)],
+                         ids=["8-angles", "7-angles", "1-angle"])
+def test_stability_rows_are_bitwise_equal_on_any_worker_count(basis64, test_image, cpus,
+                                                              angles, noise):
+    reports = []
+    for n in (1, 2, 3):
+        forks = cpus(n)
+        reports.append(rotation_stability(test_image, angles, ORDERS, basis64, GRID, noise))
+        assert len(forks) == min(n, len(angles)) - 1
+    for report in reports[1:]:
+        assert report.values.tobytes() == reports[0].values.tobytes()
+    _assert_no_children()
+
+
+@forking
+@pytest.mark.parametrize("angles", [(0.0, 45.0), (45.0, 0.0)],
+                         ids=["child-span-fails", "own-span-fails"])
+def test_a_failing_frame_raises_the_serial_error_once(basis64, cpus, capfd, angles):
+    # the 45-degree frame is all zeros, so its noise cannot be referenced to it
+    args = (_corner_dot(), angles, ORDERS, basis64, GRID, NoiseSpec(30.0, 1))
+    cpus(1)
+    with pytest.raises(DomainError) as serial:
+        rotation_stability(*args)
+    forks = cpus(2)
+    with pytest.raises(DomainError) as forked:
+        rotation_stability(*args)
+    assert len(forks) == 1
+    assert str(forked.value) == str(serial.value)
+    assert str(serial.value).startswith("signal power is zero")
+    assert forked.value.__context__ is None  # raised once, not while handling another
+    assert capfd.readouterr() == ("", "")  # the child printed nothing
+    _assert_no_children()
+
+
+@forking
+def test_each_row_is_filled_once_in_one_span_per_cpu(cpus):
+    parent, calls = os.getpid(), []
+
+    def fill(i):
+        if os.getpid() == parent:
+            calls.append(i)
+        return [i, -i]
+
+    forks = cpus(3)
+    rows = _fork_rows(7, 2, fill)
+    assert rows.tolist() == [[i, -i] for i in range(7)]
+    assert len(forks) == 2
+    assert calls == [0, 1]  # the spans are rows 0-1 here, 2-3 and 4-6 in the children
+    _assert_no_children()
+
+
+def test_no_child_is_forked_while_another_thread_runs(cpus):
+    forks = cpus(2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        rows = _fork_rows(2, 1, lambda i: [float(i)])
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+    assert rows.tolist() == [[0.0], [1.0]]
+
+
+@forking
+def test_a_failing_own_span_kills_and_reaps_a_running_child(cpus):
+    def fill(i):
+        if i == 0:
+            raise ValueError("row 0")
+        time.sleep(60)  # the child's row would outlast the test
+        return [float(i)]
+
+    forks = cpus(2)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^row 0$"):
+        _fork_rows(2, 1, fill)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+@forking
+def test_rows_of_a_child_killed_by_a_signal_are_filled_here(cpus):
+    parent = os.getpid()
+
+    def fill(i):
+        if i == 3 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [i, 2.0 * i]
+
+    forks = cpus(2)
+    rows = _fork_rows(4, 2, fill)
+    assert len(forks) == 1
+    assert rows.tolist() == [[i, 2.0 * i] for i in range(4)]
+    _assert_no_children()
+
+
+def test_rows_are_filled_here_when_no_process_can_be_forked(monkeypatch, cpus):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    cpus(3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _fork_rows(3, 1, lambda i: [float(i)]).tolist() == [[0.0], [1.0], [2.0]]
+
+
+def test_stability_builds_the_polar_sampler_once_before_the_first_frame(basis64, test_image,
+                                                                        monkeypatch, cpus):
+    cpus(1)  # a forked span's calls would not be seen here
+    events = []
+    real_sampler, real_rotate = moments._polar_sampler, harness.rotate_image
+    monkeypatch.setattr(moments, "_polar_sampler",
+                        lambda *args: events.append("sampler") or real_sampler(*args))
+    monkeypatch.setattr(harness, "rotate_image",
+                        lambda *args: events.append("frame") or real_rotate(*args))
+    rotation_stability(test_image, (0.0, 35.0, 90.0), ORDERS, basis64, GRID)
+    assert events == ["sampler", "frame", "frame", "frame"]
 
 
 def _tiny_dataset():

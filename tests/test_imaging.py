@@ -121,6 +121,13 @@ def test_rotate_zero_is_identity(rng):
     assert np.allclose(out.pixels, img.pixels, atol=1e-12)
 
 
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_rotate_refuses_a_non_finite_angle(angle):
+    # numpy would warn in the plan's cast, then the clipped frame fails as non-finite pixels
+    with pytest.raises(ParameterError, match=f"^angle_deg must be finite, got {angle}$"):
+        rotate_image(RasterImage(np.ones((5, 5))), angle)
+
+
 def test_rotate_quarter_turn_is_transpose_flip(rng):
     img = RasterImage(rng.random((9, 9)))
     out = rotate_image(img, 90.0)

@@ -323,11 +323,28 @@ def test_orders_must_be_integers(basis32, orders, field):
 
 
 def test_reconstruct_refuses_a_bool_order(basis32):
-    # a bool passes MomentSet's shape check, (True, 5) == (1, 5)
+    # a bool would pass MomentSet's shape check, (True, 5) == (1, 5), so no moment
+    # set with one reaches reconstruct
     ms = compute_moments(to_polar(smooth_test_image(32), 8, 16), basis32, 1, 2)
-    flagged = MomentSet(True, 2, ms.values, ms.grid, ms.basis_id)
     with pytest.raises(ParameterError, match="^max_radial must be an integer, got True"):
-        reconstruct(flagged, basis32, (8, 16))
+        reconstruct(MomentSet(True, 2, ms.values, ms.grid, ms.basis_id), basis32, (8, 16))
+
+
+@pytest.mark.parametrize("max_radial, max_angular, field", [
+    (True, 2, "max_radial"),
+    (1.0, 2, "max_radial"),
+    (1, np.True_, "max_angular"),
+    (1, 2.0, "max_angular"),
+], ids=["bool-m", "float-m", "numpy-bool-l", "float-l"])
+def test_moment_set_refuses_non_integer_orders(max_radial, max_angular, field):
+    # invariants would slice with True as 1, and the shape check compares 1.0 == 1
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+        MomentSet(max_radial, max_angular, np.ones((1, 5)), (4, 8), "x")
+
+
+def test_moment_set_accepts_numpy_integer_orders():
+    ms = MomentSet(np.int64(1), np.int32(2), np.ones((1, 5)), (4, 8), "x")
+    assert invariants(ms).shape == (1, 3)
 
 
 def test_orders_accept_numpy_integers(basis32):
