@@ -3,9 +3,6 @@ train-fraction classification sweeps over rotation-invariant features."""
 
 from __future__ import annotations
 
-import csv
-import gc
-import io
 import json
 import os
 import threading
@@ -27,7 +24,7 @@ from .imaging import (
     add_gaussian_noise,
     rotate_image,
 )
-from .moments import Featurizer
+from .moments import Featurizer, _csv
 from .synthetic import _shape_class_renderer
 
 __all__ = [
@@ -91,13 +88,12 @@ class StabilityReport:
     def to_csv(self, precision: int | None = None) -> str:
         # one row per angle plus a final std row; the mean row lives in the
         # JSON serialization only
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["angle_deg"] + [f"phi_{m}_{n}" for m, n in self.columns])
-        for angle, row in zip(self.angles, self.values):
-            writer.writerow([_fmt(angle, precision)] + [_fmt(v, precision) for v in row])
-        writer.writerow(["std"] + [_fmt(v, precision) for v in self.std_row])
-        return buf.getvalue()
+        return _csv([
+            ["angle_deg"] + [f"phi_{m}_{n}" for m, n in self.columns],
+            *([_fmt(angle, precision)] + [_fmt(v, precision) for v in row]
+              for angle, row in zip(self.angles, self.values)),
+            ["std"] + [_fmt(v, precision) for v in self.std_row],
+        ])
 
     def to_json(self) -> str:
         doc = {
@@ -137,9 +133,6 @@ def rotation_stability(
         raise ParameterError("orders must be nonnegative")
 
     featurize = Featurizer(basis, max_radial, max_angular, grid)
-    # the frames keep the image's shape, so its polar plans are built once, here,
-    # and forked spans share them
-    featurize._sampler(image.pixels.shape)
 
     def frame_row(i: int) -> list[float]:
         frame = rotate_image(image, angles[i])
@@ -153,7 +146,7 @@ def rotation_stability(
     rows = _fork_rows(len(angles), len(orders), frame_row)
 
     meta = {
-        "grid": list(grid),
+        "grid": [int(size) for size in grid],  # json cannot encode numpy integers
         "basis_id": basis.basis_id,
         "noise_snr_db": None if noise is None else noise.snr_db,
         "seed": None if noise is None else noise.seed,
@@ -200,9 +193,6 @@ def _fork_rows(n_rows: int, n_cols: int, fill) -> np.ndarray:
                 pid = None
             if pid == 0:
                 try:
-                    # collections here then never write to the objects, and so
-                    # never copy the pages, that this child shares with its parent
-                    gc.freeze()
                     with open(write, "wb") as pipe:
                         for i in range(start, stop):
                             rows[i] = fill(i)
@@ -263,12 +253,11 @@ class ClassificationReport:
     metadata: dict
 
     def to_csv(self, precision: int | None = None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["train_fraction", "mean_accuracy", "std_accuracy"])
-        for p, m, s in zip(self.train_fractions, self.mean_accuracy, self.std_accuracy):
-            writer.writerow([_fmt(p, precision), _fmt(m, precision), _fmt(s, precision)])
-        return buf.getvalue()
+        return _csv([
+            ["train_fraction", "mean_accuracy", "std_accuracy"],
+            *([_fmt(v, precision) for v in row]
+              for row in zip(self.train_fractions, self.mean_accuracy, self.std_accuracy)),
+        ])
 
     def to_json(self) -> str:
         doc = {

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dpss import _check_integer
 from .errors import DomainError, FormatError, ParameterError
 
 __all__ = [
@@ -229,6 +230,8 @@ def _resample(pixels: np.ndarray, shape: tuple[int, int], coords) -> np.ndarray:
 
 def _polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     """Rings r_i = (i + 0.5)/R and spokes theta_j = 2pi j/T of every R x T polar grid."""
+    _check_integer("n_radial", n_radial)
+    _check_integer("n_angular", n_angular)
     if n_radial < 1 or n_angular < 1:
         raise ParameterError("polar grid dimensions must be positive")
     rings = (np.arange(n_radial) + 0.5) / n_radial

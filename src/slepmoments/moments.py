@@ -7,8 +7,6 @@ uniform polar grid by midpoint quadrature in r and a length-T FFT in theta.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -170,7 +168,8 @@ class Featurizer:
     """Polar resampling, moments and invariants of raster images in one step.
 
     The order and grid checks run once, psi_m(r) * r * dr is built once, and a
-    polar sampler, one plan per block of rings, once per raster shape, so
+    polar sampler, one plan per block of rings, once per raster shape, at the
+    first image of that shape, so
     featurizing many images repeats only the per-image work. A call samples and
     projects one block of rings at a time, so it never holds all R x T samples.
     It returns the invariants flattened m-major: entry m*(L+1)+n holds
@@ -191,14 +190,11 @@ class Featurizer:
         self._psi_w = _radial_weights(basis, max_radial, r)
         self._samplers = {}
 
-    def _sampler(self, shape: tuple[int, int]):
-        """The polar sampler of (h, w) rasters, built on the first call for a shape."""
+    def __call__(self, img: RasterImage) -> np.ndarray:
+        shape = img.pixels.shape
         if shape not in self._samplers:
             self._samplers[shape] = _polar_sampler(shape, *self._grid)
-        return self._samplers[shape]
-
-    def __call__(self, img: RasterImage) -> np.ndarray:
-        samples = self._sampler(img.pixels.shape)(img.pixels)
+        samples = self._samplers[shape](img.pixels)
         values = _project(samples, self._psi_w, self._max_angular)
         return np.abs(values[:, self._max_angular :]).ravel()
 
@@ -290,8 +286,10 @@ def moments_from_json(text: str) -> MomentSet:
 def invariants_to_csv(phi: np.ndarray) -> str:
     """Single-row CSV of an (M, L+1) invariant array, header phi_m_n, m-major."""
     header = [f"phi_{m}_{n}" for m, n in np.ndindex(phi.shape)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow([repr(float(v)) for v in phi.ravel()])
-    return buf.getvalue()
+    return _csv([header, [repr(float(v)) for v in phi.ravel()]])
+
+
+def _csv(rows) -> str:
+    """CSV text of rows of strings, one line each. No field holds a comma, quote or
+    newline (headers are names, values are formatted floats), so none is quoted."""
+    return "".join(",".join(row) + "\n" for row in rows)

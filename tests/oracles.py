@@ -5,6 +5,9 @@ oracles for ``compute_dpss`` (criterion 1 and ``test_dpss.py``).
 ``toeplitz_concentrations`` recomputes its eigenvalues through scipy's FFT
 Toeplitz product, which the blocked numpy route must match bit for bit.
 ``moment_value`` reads one moment by its (m, n) order.
+``bandlimited_extension`` evaluates each sequence at non-integer index by
+Slepian's exact extension, which ``radial_basis``'s Catmull-Rom interpolant
+approximates.
 ``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
 split, one 2-D training loop at a time, as the stacked trainer of
 ``classification_sweep`` must do bit for bit.
@@ -86,6 +89,18 @@ def toeplitz_concentrations(basis: DpssBasis) -> np.ndarray:
     col = _kernel_column(basis.params.n_len, basis.params.half_bandwidth)
     av = matmul_toeplitz((col, col), seqs.T)
     return _enforce_decreasing(np.einsum("kn,nk->k", seqs, av))
+
+
+def bandlimited_extension(basis: DpssBasis, x) -> np.ndarray:
+    """Slepian's band-limited extension of every sequence to the real indices x, K x len(x).
+
+    v_m(x) = (1/lambda_m) sum_k v_m[k] 2W sinc(2W(x - k)) (Slepian, BSTJ 1978, the
+    discrete case), one K x N by N x len(x) product. It equals v_m[k] at x = k.
+    """
+    x = np.asarray(x, dtype=float)
+    n_len, w = basis.params.n_len, basis.params.half_bandwidth
+    kernel = 2.0 * w * np.sinc(2.0 * w * (np.arange(n_len)[:, None] - x[None, :]))
+    return basis.sequences @ kernel / basis.eigenvalues[:, None]
 
 
 def moment_value(ms: MomentSet, m: int, n: int) -> complex:

@@ -230,8 +230,8 @@ def test_rows_are_filled_here_when_no_process_can_be_forked(monkeypatch, cpus):
     assert _fork_rows(3, 1, lambda i: [float(i)]).tolist() == [[0.0], [1.0], [2.0]]
 
 
-def test_stability_builds_the_polar_sampler_once_before_the_first_frame(basis64, test_image,
-                                                                        monkeypatch, cpus):
+def test_stability_builds_the_polar_sampler_once_at_the_first_frame(basis64, test_image,
+                                                                    monkeypatch, cpus):
     cpus(1)  # a forked span's calls would not be seen here
     events = []
     real_sampler, real_rotate = moments._polar_sampler, harness.rotate_image
@@ -240,7 +240,8 @@ def test_stability_builds_the_polar_sampler_once_before_the_first_frame(basis64,
     monkeypatch.setattr(harness, "rotate_image",
                         lambda *args: events.append("frame") or real_rotate(*args))
     rotation_stability(test_image, (0.0, 35.0, 90.0), ORDERS, basis64, GRID)
-    assert events == ["sampler", "frame", "frame", "frame"]
+    # the Featurizer builds the image shape's plans when it meets its first frame
+    assert events == ["frame", "sampler", "frame", "frame"]
 
 
 def _tiny_dataset():

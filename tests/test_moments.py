@@ -19,6 +19,7 @@ from slepmoments import (
     moments_to_json,
     reconstruct,
     rotate_image,
+    rotation_stability,
     smooth_test_image,
     to_polar,
 )
@@ -219,6 +220,35 @@ def test_zero_grid_dimension_raises_the_one_grid_error(basis32, use, grid):
         use(basis32, grid)
     assert type(exc.value) is ParameterError
     assert str(exc.value) == "polar grid dimensions must be positive"
+
+
+_GRID_USES = {  # each returns its output's bytes
+    "to_polar": lambda basis, grid: to_polar(smooth_test_image(16), *grid).tobytes(),
+    "Featurizer": lambda basis, grid: Featurizer(basis, 2, 1, grid)(
+        smooth_test_image(16)).tobytes(),
+    "reconstruct": lambda basis, grid: reconstruct(
+        MomentSet(1, 0, np.ones((1, 1)), (1, 1), "x"), basis, grid)[0].tobytes(),
+    "rotation_stability": lambda basis, grid: rotation_stability(
+        smooth_test_image(16), (0.0,), ((1, 1),), basis, grid).to_json(),
+}
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((True, 8), "n_radial must be an integer, got True"),
+    ((4, 8.5), "n_angular must be an integer, got 8.5"),
+    ((4, 8.0), "n_angular must be an integer, got 8.0"),
+], ids=["bool", "fraction", "integral-float"])
+@pytest.mark.parametrize("use", _GRID_USES.values(), ids=_GRID_USES.keys())
+def test_non_integer_grid_size_raises_a_parameter_error_naming_it(basis32, use, grid, message):
+    # 8.5 spokes would not close the circle, and True would be taken as one ring
+    with pytest.raises(ParameterError) as exc:
+        use(basis32, grid)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("use", _GRID_USES.values(), ids=_GRID_USES.keys())
+def test_numpy_integer_grid_sizes_are_accepted(basis32, use):
+    assert use(basis32, (np.int64(4), np.int64(8))) == use(basis32, (4, 8))
 
 
 @pytest.mark.parametrize("grid", [

@@ -1,0 +1,67 @@
+"""Dead-code guard over the package source, read with ``ast``: no module keeps an
+import it never uses, and no private module-level name goes unused package-wide."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import slepmoments
+
+SOURCES = sorted(Path(slepmoments.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def _bound_names(node):
+    """The names a top-level import binds: ``a`` for ``import a.b``, else the alias."""
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def _references(tree) -> set[str]:
+    """Every name the tree loads, reads as an attribute or imports from a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _private_definitions(tree):
+    """The private (one leading underscore, not dunder) functions, classes and
+    constants a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_the_guard_reads_every_module():
+    assert {"harness.py", "moments.py", "imaging.py", "dpss.py", "cli.py"} <= TREES.keys()
+
+
+@pytest.mark.parametrize("module", TREES)
+def test_every_top_level_import_is_used(module):
+    tree = TREES[module]
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    imported = {name for node in tree.body
+                if isinstance(node, ast.Import)
+                or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                for name in _bound_names(node)}
+    assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("module", TREES)
+def test_every_private_module_level_name_is_referenced(module):
+    referenced = set().union(*map(_references, TREES.values()))
+    assert sorted(set(_private_definitions(TREES[module])) - referenced) == []
