@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dpss import _check_integer
 from .errors import ParameterError
 
 __all__ = ["LinearModel", "train_classifier", "train_classifiers"]
@@ -72,6 +73,7 @@ def train_classifiers(
     """
     if not (0.0 <= reg < np.inf):
         raise ParameterError(f"reg must be finite and >= 0, got {reg}")
+    _check_integer("epochs", epochs)
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
     ys = [np.asarray(y) for y in labels]

@@ -4,6 +4,7 @@ train-fraction classification sweeps over rotation-invariant features."""
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import threading
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import train_classifiers
-from .dpss import DpssBasis, basis_from_json
+from .dpss import DpssBasis, _check_integer, basis_from_json
 from .errors import ParameterError
 from .imaging import (
     GENERATOR_NAME,
@@ -166,57 +167,56 @@ def _fork_rows(n_rows: int, n_cols: int, fill) -> np.ndarray:
     """The (n_rows, n_cols) float64 table whose row i is ``fill(i)``, filled as one
     contiguous span of rows per usable CPU.
 
-    This process fills the first span. Each further span runs in an ``os.fork``
-    child, which shares this process's memory copy-on-write, writes the rows it
-    finished to a pipe and leaves through ``os._exit``, so it runs no exit
-    handler and never reaches the caller's error handling. The rows a child did
-    not send, because a row failed, the child died or no process could be
-    forked, are filled here in order, so the lowest failing row raises its own
-    exception once, as in a serial loop. Every child is killed if still running
-    and reaped before this returns or raises. Forking needs
-    ``os.sched_getaffinity`` (Linux), two or more usable CPUs and rows, and no
-    other Python thread, whose locks a child could inherit held; otherwise this
-    process fills every row. ``taskset -c 0`` therefore gives a serial run.
+    The table lives in an anonymous shared mapping, beside one "done" byte per
+    row. This process fills the first span. Each further span runs in an
+    ``os.fork`` child, which inherits the mapping, writes each row into it and
+    marks the row done, and leaves through ``os._exit``, so it runs no exit
+    handler and never reaches the caller's error handling. Once every child has
+    left, the rows not marked done, because a row failed, the child died or no
+    process could be forked, are filled here in order, so the lowest failing row
+    raises its own exception once, as in a serial loop. No child waits on this
+    process, so a wide table is filled in parallel too. Every child is killed if
+    still running and reaped before this returns or raises, and the caller gets
+    a copy, not the mapping. Forking needs ``os.sched_getaffinity`` (Linux), two
+    or more usable CPUs and rows, and no other Python thread, whose locks a
+    child could inherit held; otherwise this process fills every row.
+    ``taskset -c 0`` therefore gives a serial run.
     """
     workers = 1
     if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         workers = min(len(os.sched_getaffinity(0)), n_rows)
     bounds = [n_rows * k // workers for k in range(workers + 1)]
-    rows = np.empty((n_rows, n_cols))
-    children = []  # (pid or None, read end of its pipe, first row, end row)
+    shared = mmap.mmap(-1, n_rows * (8 * n_cols + 1))  # MAP_SHARED, kept across fork
+    rows = np.frombuffer(shared, count=n_rows * n_cols).reshape(n_rows, n_cols)
+    done = np.frombuffer(shared, np.uint8, n_rows, offset=rows.nbytes)
+    pids = []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: this span is filled here
-                pid = None
+            except OSError:  # no process to spare: the rest is filled here
+                break
             if pid == 0:
                 try:
-                    with open(write, "wb") as pipe:
-                        for i in range(start, stop):
-                            rows[i] = fill(i)
-                            pipe.write(rows[i].tobytes())
+                    for i in range(start, stop):
+                        rows[i] = fill(i)
+                        done[i] = 1
                 finally:
                     os._exit(0)
-            os.close(write)
-            children.append((pid, open(read, "rb"), start, stop))
-        for i in range(bounds[0], bounds[1]):
+            pids.append(pid)
+        for i in range(bounds[1]):
             rows[i] = fill(i)
-        for _, pipe, start, stop in children:
-            sent = pipe.read()  # to end of file, which comes when the child leaves
-            done = start + len(sent) // rows[0].nbytes
-            rows[start:done].flat = np.frombuffer(sent, count=(done - start) * n_cols)
-            for i in range(done, stop):
+        for pid in pids:  # wait for the child to leave, but leave it to be reaped below
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        for i in range(bounds[1], n_rows):
+            if not done[i]:
                 rows[i] = fill(i)
+        return rows.copy()
     finally:
-        for pid, pipe, _, _ in children:
-            pipe.close()
-            if pid is not None:
-                from signal import SIGKILL  # loaded by forking calls only
-                os.kill(pid, SIGKILL)  # a child that has left is a zombie until reaped
-                os.waitpid(pid, 0)
-    return rows
+        for pid in pids:
+            from signal import SIGKILL  # loaded by forking calls only
+            os.kill(pid, SIGKILL)  # a child that has left is a zombie until reaped
+            os.waitpid(pid, 0)
 
 
 # --- labeled data ------------------------------------------------------------
@@ -336,6 +336,7 @@ def classification_sweep(
     fractions = [float(p) for p in fractions]
     if not fractions or any(not (0.0 < p < 1.0) for p in fractions):
         raise ParameterError("fractions must lie strictly between 0 and 1")
+    _check_integer("repeats", repeats)
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1, got {repeats}")
     x, y = ds.features, ds.labels
@@ -367,14 +368,14 @@ def classification_sweep(
         "items": len(ds.labels),
         "stratified": stratified,
         "reg": reg,
-        "epochs": epochs,
+        "epochs": int(epochs),  # json cannot encode numpy integers
         "generator": GENERATOR_NAME,
     }
     return ClassificationReport(
         train_fractions=fractions,
         mean_accuracy=np.array(means),
         std_accuracy=np.array(stds),
-        repeats=repeats,
+        repeats=int(repeats),
         seed=seed,
         metadata=meta,
     )
@@ -413,6 +414,9 @@ def synthetic_images(
     dataset is reproducible item by item. Each class's rng-free layers are
     built once, and its images are rendered from them.
     """
+    _check_integer("n_classes", n_classes)
+    _check_integer("per_class", per_class)
+    _check_integer("rotations_per_item", rotations_per_item)
     if n_classes < 2:
         raise ParameterError(f"n_classes must be >= 2, got {n_classes}")
     if per_class < 1 or rotations_per_item < 1:

@@ -45,25 +45,31 @@ class MomentSet:
     basis_id: str
 
     def __post_init__(self):
-        _check_integer("max_radial", self.max_radial)
-        _check_integer("max_angular", self.max_angular)
+        # the one home of the grid rules, which moments_from_json applies through
+        # here: two positive sizes
+        g = self.grid
+        if not (isinstance(g, tuple) and len(g) == 2
+                and all(type(size) is int and size >= 1 for size in g)):
+            raise ParameterError(f"moment grid must be a tuple of two positive integers, got {g!r}")
+        _check_order_range(self.max_radial, self.max_angular, g[1])
         v = np.asarray(self.values, dtype=complex)
         expected = (self.max_radial, 2 * self.max_angular + 1)
         if v.shape != expected:
             raise ParameterError(f"moment array shape {v.shape}, expected {expected}")
         if not np.all(np.isfinite(v)):
             raise ParameterError("moment values must be finite")
-        # the one home of the grid rules, which moments_from_json applies through
-        # here: two positive sizes, and enough angular samples for every order
-        g = self.grid
-        if not (isinstance(g, tuple) and len(g) == 2
-                and all(type(size) is int and size >= 1 for size in g)):
-            raise ParameterError(f"moment grid must be a tuple of two positive integers, got {g!r}")
-        _check_aliasing(self.max_angular, g[1])
         object.__setattr__(self, "values", v)
 
 
-def _check_aliasing(max_angular: int, n_t: int) -> None:
+def _check_order_range(max_radial: int, max_angular: int, n_t: int) -> None:
+    """The one home of the order rules: integer orders, max_radial >= 1,
+    max_angular >= 0, and enough of the n_t angular samples for every order."""
+    _check_integer("max_radial", max_radial)
+    _check_integer("max_angular", max_angular)
+    if max_radial < 1:
+        raise ParameterError(f"max_radial must be >= 1, got {max_radial}")
+    if max_angular < 0:
+        raise ParameterError(f"max_angular must be >= 0, got {max_angular}")
     if 2 * max_angular + 1 > n_t:
         raise AliasingError(
             f"angular orders [-{max_angular}, {max_angular}] need at least "
@@ -72,17 +78,11 @@ def _check_aliasing(max_angular: int, n_t: int) -> None:
 
 
 def _check_orders(basis: DpssBasis, max_radial: int, max_angular: int, n_t: int) -> None:
-    _check_integer("max_radial", max_radial)
-    _check_integer("max_angular", max_angular)
-    if max_radial < 1:
-        raise ParameterError(f"max_radial must be >= 1, got {max_radial}")
-    if max_angular < 0:
-        raise ParameterError(f"max_angular must be >= 0, got {max_angular}")
+    _check_order_range(max_radial, max_angular, n_t)
     if max_radial > basis.params.n_seq:
         raise ParameterError(
             f"max_radial {max_radial} exceeds basis n_seq {basis.params.n_seq}"
         )
-    _check_aliasing(max_angular, n_t)
 
 
 def _radial_weights(basis: DpssBasis, max_radial: int, r: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .dpss import _check_integer
 from .errors import ParameterError
 from .imaging import RasterImage, _disk, _rng
 
@@ -30,6 +31,7 @@ _BUMP_LAYOUT_SEED = 77
 
 
 def _disk_coords(size: int):
+    _check_integer("image size", size)
     if size < 2:
         # the disk radius size/2 - 0.5 must be positive
         raise ParameterError(f"image size must be >= 2, got {size}")

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import threading
@@ -230,6 +231,31 @@ def test_rows_are_filled_here_when_no_process_can_be_forked(monkeypatch, cpus):
     assert _fork_rows(3, 1, lambda i: [float(i)]).tolist() == [[0.0], [1.0], [2.0]]
 
 
+@forking
+def test_a_child_delivers_rows_wider_than_a_pipe_buffer_while_the_parent_works(cpus,
+                                                                              tmp_path):
+    # 128 KiB rows: a child writing them to a pipe would block at row 1 until this
+    # process read it, so it would reach row 2 only after row 0 was done here
+    marker, seen = tmp_path / "row-2-started", []
+
+    def fill(i):
+        if i == 2:
+            marker.touch()
+        if i == 0:
+            deadline = time.monotonic() + 10
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen.append(marker.exists())
+        return np.full(1 << 14, float(i))
+
+    forks = cpus(2)
+    rows = _fork_rows(3, 1 << 14, fill)
+    assert seen == [True]
+    assert len(forks) == 1
+    assert rows.tolist() == [[float(i)] * (1 << 14) for i in range(3)]
+    _assert_no_children()
+
+
 def test_stability_builds_the_polar_sampler_once_at_the_first_frame(basis64, test_image,
                                                                     monkeypatch, cpus):
     cpus(1)  # a forked span's calls would not be seen here
@@ -384,6 +410,38 @@ def test_synthetic_classes_form_triplet_margins(basis64):
 def test_synthetic_dataset_rejects_single_class():
     with pytest.raises(ParameterError):
         make_synthetic_dataset(1, 4)
+
+
+@pytest.mark.parametrize("use, message", [
+    (lambda: classification_sweep(_tiny_dataset(), (0.5,), repeats=2.5),
+     "repeats must be an integer, got 2.5"),
+    (lambda: classification_sweep(_tiny_dataset(), (0.5,), repeats=1, epochs=True),
+     "epochs must be an integer, got True"),
+    (lambda: classification_sweep(_tiny_dataset(), (0.5,), repeats=1, epochs=2.5),
+     "epochs must be an integer, got 2.5"),
+    (lambda: next(synthetic_images(2.0, 1)), "n_classes must be an integer, got 2.0"),
+    (lambda: next(synthetic_images(2, True)), "per_class must be an integer, got True"),
+    (lambda: next(synthetic_images(3, 1, True)),
+     "rotations_per_item must be an integer, got True"),
+    (lambda: next(synthetic_images(2, 1, image_size=8.0)),
+     "image size must be an integer, got 8.0"),
+    (lambda: synthetic.smooth_test_image(8.0), "image size must be an integer, got 8.0"),
+], ids=["sweep-repeats", "sweep-epochs-bool", "sweep-epochs-fraction", "n-classes",
+        "per-class", "rotations", "image-size", "test-image-size"])
+def test_integer_counts_refuse_bools_and_non_integers(use, message):
+    # a bool would be taken as one item or epoch, and a float fails inside numpy unnamed
+    with pytest.raises(ParameterError) as exc:
+        use()
+    assert str(exc.value) == message
+
+
+def test_integer_counts_accept_numpy_integers():
+    report = classification_sweep(_tiny_dataset(), (0.5,), repeats=np.int64(1),
+                                  epochs=np.int32(5))
+    doc = json.loads(report.to_json())
+    assert (doc["repeats"], doc["metadata"]["epochs"]) == (1, 5)
+    images = list(synthetic_images(np.int64(2), np.int64(1), np.int64(1), image_size=np.int64(8)))
+    assert len(images) == 2 and images[0][2].pixels.shape == (8, 8)
 
 
 def test_train_classifier_on_dataset(basis64):

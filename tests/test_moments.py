@@ -372,6 +372,14 @@ def test_moment_set_refuses_non_integer_orders(max_radial, max_angular, field):
         MomentSet(max_radial, max_angular, np.ones((1, 5)), (4, 8), "x")
 
 
+def test_moment_set_refuses_orders_that_no_basis_could_compute():
+    # with no radial order, moments_to_json would write a document moments_from_json refuses
+    with pytest.raises(ParameterError, match="^max_radial must be >= 1, got 0$"):
+        MomentSet(0, 1, np.zeros((0, 3)), (4, 8), "x")
+    with pytest.raises(ParameterError, match="^max_angular must be >= 0, got -1$"):
+        MomentSet(1, -1, np.zeros((1, 0)), (4, 8), "x")
+
+
 def test_moment_set_accepts_numpy_integer_orders():
     ms = MomentSet(np.int64(1), np.int32(2), np.ones((1, 5)), (4, 8), "x")
     assert invariants(ms).shape == (1, 3)
