@@ -19,6 +19,7 @@ from .imaging import (
     GENERATOR_NAME,
     NoiseSpec,
     RasterImage,
+    _check_seed,
     _child_seed,
     _read_pgm_file,
     _rng,
@@ -339,6 +340,7 @@ def classification_sweep(
     _check_integer("repeats", repeats)
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1, got {repeats}")
+    seed = _check_seed(seed)
     x, y = ds.features, ds.labels
     means, stds = [], []
     for fi, p in enumerate(fractions):

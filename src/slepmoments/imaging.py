@@ -36,6 +36,15 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _check_seed(seed) -> int:
+    """A seed as a plain int, refusing all but a non-negative integer. SeedSequence
+    would refuse the others only when drawing, without naming the seed, and json
+    cannot write a numpy integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _child_seed(seed: int, *key: int) -> int:
     """Independent 64-bit child seed derived from (seed, key); order-stable."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
@@ -70,10 +79,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not (-_MAX_SNR_DB <= self.snr_db <= _MAX_SNR_DB):
             raise ParameterError(f"snr_db must lie within +-{_MAX_SNR_DB} dB, got {self.snr_db}")
-        # SeedSequence would refuse these only when noise is drawn, without naming the seed
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 # --- PGM ------------------------------------------------------------------
@@ -108,6 +114,9 @@ def read_pgm(data: bytes) -> RasterImage:
     for name in ("width", "height", "maxval"):
         tok, pos = _next_token(data, pos)
         try:
+            # a field is ASCII decimal digits; int() alone would also take b"+10" and b"1_0"
+            if not tok.isdigit():
+                raise ValueError
             fields.append(int(tok))
         except ValueError:
             raise FormatError(f"invalid {name} field {tok!r}", offset=pos - len(tok))

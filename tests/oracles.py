@@ -7,7 +7,9 @@ Toeplitz product, which the blocked numpy route must match bit for bit.
 ``moment_value`` reads one moment by its (m, n) order.
 ``bandlimited_extension`` evaluates each sequence at non-integer index by
 Slepian's exact extension, which ``radial_basis``'s Catmull-Rom interpolant
-approximates.
+approximates. ``ring_radial_gram`` and ``continuous_radial_gram`` give the Gram
+matrix 2pi integral psi_m psi_k r dr of the radial functions, by a direct sum
+over the rings and by exact quadrature of the piecewise-cubic interpolants.
 ``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
 split, one 2-D training loop at a time, as the stacked trainer of
 ``classification_sweep`` must do bit for bit.
@@ -17,9 +19,11 @@ it builds once per class. ``reference_fix_signs`` flips one row at a time, as
 the whole-array ``_fix_signs`` must do bit for bit.
 """
 
+import math
+
 import numpy as np
 
-from slepmoments import DpssBasis, LinearModel, MomentSet, ParameterError
+from slepmoments import DpssBasis, LinearModel, MomentSet, ParameterError, radial_basis
 from slepmoments.dpss import _enforce_decreasing, _kernel_column
 from slepmoments.harness import _plain_split, _stratified_split
 
@@ -101,6 +105,30 @@ def bandlimited_extension(basis: DpssBasis, x) -> np.ndarray:
     n_len, w = basis.params.n_len, basis.params.half_bandwidth
     kernel = 2.0 * w * np.sinc(2.0 * w * (np.arange(n_len)[:, None] - x[None, :]))
     return basis.sequences @ kernel / basis.eigenvalues[:, None]
+
+
+def ring_radial_gram(basis: DpssBasis, max_radial: int, n_rings: int) -> np.ndarray:
+    """2pi sum_i psi_m(r_i) psi_k(r_i) r_i/R over the rings r_i = (i + 0.5)/R, one
+    correctly rounded sum per (m, k)."""
+    r = (np.arange(n_rings) + 0.5) / n_rings
+    psi = radial_basis(basis, r)[:max_radial]
+    return np.array([[2.0 * np.pi * math.fsum(psi[m] * psi[k] * r / n_rings)
+                      for k in range(max_radial)] for m in range(max_radial)])
+
+
+def continuous_radial_gram(basis: DpssBasis, max_radial: int) -> np.ndarray:
+    """2pi integral_0^1 psi_m(r) psi_k(r) r dr of the Catmull-Rom radial functions.
+
+    In x = r(N-1) each psi_m is a cubic on every segment [j, j+1], so the integrand
+    psi_m psi_k x / (N-1)^2 is a polynomial of degree 7 there, which six-node
+    Gauss-Legendre integrates exactly.
+    """
+    n_len = basis.params.n_len
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    x = (np.arange(n_len - 1)[:, None] + (nodes[None, :] + 1.0) / 2.0).ravel()
+    w = np.tile(weights / 2.0, n_len - 1) * x / (n_len - 1) ** 2
+    psi = radial_basis(basis, x / (n_len - 1))[:max_radial]
+    return 2.0 * np.pi * (psi * w) @ psi.T
 
 
 def moment_value(ms: MomentSet, m: int, n: int) -> complex:

@@ -291,6 +291,24 @@ def test_sweep_trivial_dataset_perfect_accuracy():
     assert report.std_accuracy[0] == 0.0
 
 
+@pytest.mark.parametrize("seed, refused", [
+    (3, False), (np.int64(3), False), (np.uint8(3), False),
+    (True, True), (-1, True), (2.5, True), ("3", True),
+], ids=["int", "int64", "uint8", "bool", "negative", "float", "str"])
+def test_sweep_stores_a_non_negative_integer_seed_as_an_int(seed, refused):
+    # the rule NoiseSpec applies: a numpy integer is stored as an int, which json can
+    # write, and a bool, a negative or a non-integer is refused before any split
+    def sweep(seed):
+        return classification_sweep(_tiny_dataset(), fractions=(0.5,), repeats=1, seed=seed)
+    if refused:
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            sweep(seed)
+        return
+    report = sweep(seed)
+    assert type(report.seed) is int
+    assert report.to_json() == sweep(3).to_json()
+
+
 def test_sweep_small_fraction_names_class():
     with pytest.raises(ParameterError, match="low"):
         classification_sweep(_tiny_dataset(), fractions=(0.1,), repeats=1, seed=3)

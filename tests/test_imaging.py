@@ -49,6 +49,19 @@ def test_read_pgm_rejects_other_magic():
         read_pgm(b"P6\n1 1\n255\n\x00\x00\x00")
 
 
+@pytest.mark.parametrize("header, name, offset", [
+    (b"P5 1_0 1 255\n", "width", 3), (b"P5 +10 1 255\n", "width", 3),
+    (b"P5 1 -1 255\n", "height", 5), (b"P5 1 1 0x1f\n", "maxval", 7),
+    (b"P5 1 1 \xd9\xa1\n", "maxval", 7),
+], ids=["underscore", "plus", "minus", "hex", "non-ascii"])
+def test_read_pgm_takes_only_decimal_digits_in_the_header(header, name, offset):
+    # Netpbm header fields are ASCII decimal digits; int() alone takes the first two
+    with pytest.raises(FormatError) as exc:
+        read_pgm(header + bytes(10))
+    assert exc.value.offset == offset
+    assert str(exc.value).startswith(f"invalid {name} field ")
+
+
 def test_read_pgm_truncated_payload_reports_offset():
     data = b"P5\n2 2\n255\n" + bytes([1, 2])
     with pytest.raises(FormatError) as exc:

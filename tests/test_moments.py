@@ -13,6 +13,7 @@ from slepmoments import (
     ParameterError,
     RasterImage,
     compute_moments,
+    default_basis,
     invariants,
     invariants_to_csv,
     moments_from_json,
@@ -24,9 +25,9 @@ from slepmoments import (
     to_polar,
 )
 from slepmoments.dpss import radial_basis
-from slepmoments.moments import feature_vector
+from slepmoments.moments import _radial, feature_vector
 
-from oracles import moment_value
+from oracles import continuous_radial_gram, moment_value, ring_radial_gram
 from test_dpss import _JSON_VALUES
 from test_imaging import MiB, traced_bytes
 
@@ -206,6 +207,61 @@ def test_reconstruct_refuses_more_radial_orders_than_the_basis_has(basis32):
     ms = MomentSet(6, 1, np.ones((6, 3)), (16, 32), basis32.basis_id)
     with pytest.raises(ParameterError, match="max_radial 6 exceeds basis n_seq 5"):
         reconstruct(ms, basis32, (16, 32))
+
+
+def test_reconstruct_refuses_a_coarse_grid_before_its_orders(basis32):
+    # at (8, 16) both the sixth radial order and the 17 angular orders fail too
+    ms = MomentSet(6, 8, np.ones((6, 17)), (16, 32), "x")
+    with pytest.raises(ParameterError) as exc:
+        reconstruct(ms, basis32, (8, 16))
+    assert type(exc.value) is ParameterError
+    assert str(exc.value) == "target grid (8, 16) must match or refine the moment grid (16, 32)"
+
+
+_ORDER_USES = {
+    "compute_moments": lambda basis, m, l, grid: compute_moments(np.ones(grid), basis, m, l),
+    "Featurizer": lambda basis, m, l, grid: Featurizer(basis, m, l, grid),
+    # a moment set applies the same range rule when it is made
+    "reconstruct": lambda basis, m, l, grid: reconstruct(
+        MomentSet(m, l, np.ones((int(m), 2 * l + 1)), grid, "x"), basis, grid),
+}
+
+
+@pytest.mark.parametrize("orders, grid, error, message", [
+    ((6, 1), (16, 32), ParameterError, "max_radial 6 exceeds basis n_seq 5"),
+    ((2, 5), (16, 8), AliasingError,
+     "angular orders [-5, 5] need at least 11 angular samples, grid has 8"),
+    ((True, 1), (16, 32), ParameterError, "max_radial must be an integer, got True"),
+], ids=["above-n_seq", "aliased", "bool"])
+@pytest.mark.parametrize("use", _ORDER_USES.values(), ids=_ORDER_USES.keys())
+def test_bad_orders_raise_the_one_order_error(basis32, use, orders, grid, error, message):
+    # projection, featurizing and synthesis take their order checks from one rule
+    with pytest.raises(error) as exc:
+        use(basis32, *orders, grid)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def _ring_gram(basis, max_radial, n_rings):
+    psi, weights = _radial(basis, max_radial, 0, (n_rings, 1))
+    return 2.0 * np.pi * (psi * weights) @ psi.T
+
+
+def test_ring_gram_is_the_direct_double_sum():
+    basis = default_basis()
+    gram = _ring_gram(basis, 10, 64)
+    assert np.abs(gram - ring_radial_gram(basis, 10, 64)).max() <= 1e-15 * np.abs(gram).max()
+
+
+def test_ring_gram_converges_to_the_continuous_gram():
+    # measured for the built-in basis at M = 10: 1.65e-3 at 64 rings, 4.0e-6 at 512
+    # and 5.2e-10 at 8192, so the 8192-ring bound leaves about 4x headroom
+    basis = default_basis()
+    exact = continuous_radial_gram(basis, 10)
+    defect = [np.abs(_ring_gram(basis, 10, rings) - exact).max() / np.diag(exact).max()
+              for rings in (64, 512, 8192)]
+    assert defect[0] > defect[1] > defect[2]
+    assert defect[2] < 2e-9
 
 
 @pytest.mark.parametrize("grid", [(0, 8), (8, 0)], ids=["no-rings", "no-spokes"])

@@ -1,5 +1,6 @@
-"""Dead-code guard over the package source, read with ``ast``: no module keeps an
-import it never uses, and no private module-level name goes unused package-wide."""
+"""Guards over the package source, read with ``ast``: no module keeps an import it
+never uses, no private module-level name goes unused package-wide, and the radial
+rule of the moments keeps its one home."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,25 @@ def _private_definitions(tree):
         yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
 
 
+def _loading_scopes(tree, names) -> dict[str, set[str]]:
+    """For each name, the dotted scopes (``f``, ``Class.method``, or ``<module>``)
+    whose own code loads it."""
+    found = {name: set() for name in names}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id in found
+                    and not isinstance(child.ctx, ast.Store)):
+                found[child.id].add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
 def test_the_guard_reads_every_module():
     assert {"harness.py", "moments.py", "imaging.py", "dpss.py", "cli.py"} <= TREES.keys()
 
@@ -65,3 +85,12 @@ def test_every_top_level_import_is_used(module):
 def test_every_private_module_level_name_is_referenced(module):
     referenced = set().union(*map(_references, TREES.values()))
     assert sorted(set(_private_definitions(TREES[module])) - referenced) == []
+
+
+def test_the_radial_rule_has_one_home():
+    # compute_moments, Featurizer and reconstruct take their order checks, psi and ring
+    # weights from moments._radial; a MomentSet checks its own order range
+    assert _loading_scopes(TREES["moments.py"], ("radial_basis", "_check_order_range")) == {
+        "radial_basis": {"_radial"},
+        "_check_order_range": {"_radial", "MomentSet.__post_init__"},
+    }
