@@ -52,9 +52,9 @@ from .harness import (
     rotation_stability,
     synthetic_images,
 )
-from .imaging import _MAX_SNR_DB, NoiseSpec, _read_pgm_file, rotate_image, to_polar, write_pgm
+from .imaging import _MAX_SNR_DB, NoiseSpec, _read_pgm_file, rotate_image, write_pgm
 from .moments import (
-    compute_moments,
+    _raster_moments,
     invariants,
     invariants_to_csv,
     moments_from_json,
@@ -144,10 +144,10 @@ def _bounded(low: float, high: float | None = None, parse=_integer):
 _count = _bounded(1)
 _natural = _bounded(0)
 # The flags that size one allocation are capped. A 2048 x 2048 polar grid is
-# 4.2 M samples, 32 MiB as float64: to_polar plans it one block of rings at a
-# time, so a call peaks near 33 MiB, and a whole moments compute process of a
-# 256-pixel image near 67 MB. A 2048-pixel synth image peaks near 0.35 GB of
-# render temporaries.
+# 4.2 M samples, 32 MiB as float64, which moments compute never holds: it plans,
+# samples and projects one block of rings at a time, so a whole process of a
+# 256-pixel image peaks near 35 MB. A 2048-pixel synth image peaks near 0.35 GB
+# of render temporaries.
 _grid_size = _bounded(1, 2048)
 
 
@@ -323,7 +323,7 @@ def _cmd_moments_compute(args) -> int:
     basis = _load(args.basis, basis_from_json, "basis")
     if args.angle != 0.0:
         image = rotate_image(image, args.angle)
-    ms = compute_moments(to_polar(image, args.radial, args.angular), basis, args.m, args.l)
+    ms = _raster_moments(image, basis, args.m, args.l, (args.radial, args.angular))
     _write_atomic(args.out, moments_to_json(ms))
     return 0
 

@@ -419,6 +419,7 @@ def synthetic_images(
     _check_integer("n_classes", n_classes)
     _check_integer("per_class", per_class)
     _check_integer("rotations_per_item", rotations_per_item)
+    seed = _check_seed(seed)
     if n_classes < 2:
         raise ParameterError(f"n_classes must be >= 2, got {n_classes}")
     if per_class < 1 or rotations_per_item < 1:

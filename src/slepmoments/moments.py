@@ -14,7 +14,7 @@ import numpy as np
 
 from .dpss import DpssBasis, _check_integer, radial_basis
 from .errors import AliasingError, FormatError, ParameterError
-from .imaging import RasterImage, _blocks, _polar_grid, _polar_sampler
+from .imaging import RasterImage, _blocks, _polar_grid, _polar_plans, _samples
 
 __all__ = [
     "MomentSet",
@@ -89,23 +89,30 @@ def _radial(
     return radial_basis(basis, r)[:max_radial], r / r.size
 
 
-def _project(blocks, psi_w: np.ndarray, max_angular: int) -> np.ndarray:
-    """Moments of R x T polar samples, given as consecutive blocks of rings, against
-    ``psi * weights`` of ``_radial``: an M x (2L+1) matrix.
+def _project(blocks, psi_w: np.ndarray, max_angular: int, grid: tuple[int, int]) -> np.ndarray:
+    """Moments of R x T polar samples, given as the ``_blocks`` ring blocks of ``grid``,
+    against ``psi * weights`` of ``_radial``: an M x (2L+1) matrix.
 
     Of each block's DFT only the 2L+1 columns the moments use are kept, so no
     R x T spectrum is ever held.
     """
-    cols = np.empty((psi_w.shape[1], 2 * max_angular + 1), dtype=complex)
-    rings = slice(0, 0)
-    for block in blocks:
-        rings, n_t = slice(rings.stop, rings.stop + len(block)), block.shape[1]
+    keep = np.arange(-max_angular, max_angular + 1) % grid[1]
+    cols = np.empty((grid[0], keep.size), dtype=complex)
+    for rings, block in zip(_blocks(*grid), blocks):
         # DFT of conj(f) along theta gives the inner sum for every n at once;
         # conj() of a real block is the block itself, not a copy
         spectrum = np.fft.fft(block.conj(), axis=1)
-        keep = np.arange(-max_angular, max_angular + 1) % n_t
-        np.multiply(spectrum[:, keep], 2.0 * np.pi / n_t, out=cols[rings])
+        np.multiply(spectrum[:, keep], 2.0 * np.pi / grid[1], out=cols[rings])
     return psi_w @ cols
+
+
+def _moments(blocks, basis: DpssBasis, max_radial: int, max_angular: int,
+             grid: tuple[int, int]) -> MomentSet:
+    """The MomentSet of the ``_blocks`` ring blocks of R x T polar samples on ``grid``,
+    after ``_radial``'s checks."""
+    psi, weights = _radial(basis, max_radial, max_angular, grid)
+    values = _project(blocks, psi * weights, max_angular, grid)
+    return MomentSet(max_radial, max_angular, values, grid, basis.basis_id)
 
 
 def compute_moments(
@@ -114,22 +121,24 @@ def compute_moments(
     """Project R x T samples f(r_i, theta_j), real or complex, via one FFT per ring.
 
     S[m][n] = sum_i psi_m(r_i) r_i dr * (sum_j exp(-i n theta_j) conj(f) dtheta)
-    with dr = 1/R and dtheta = 2pi/T; identical to the direct double sum.
+    with dr = 1/R and dtheta = 2pi/T; identical to the direct double sum. It is
+    the exact discrete transform of the samples it is given, whatever their grid.
     """
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.size == 0:
         raise ParameterError(f"samples must be a non-empty 2-D array, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("polar samples must be finite")
-    psi, weights = _radial(basis, max_radial, max_angular, samples.shape)
-    return MomentSet(
-        max_radial=max_radial,
-        max_angular=max_angular,
-        values=_project((samples[rings] for rings in _blocks(*samples.shape)),
-                        psi * weights, max_angular),
-        grid=samples.shape,
-        basis_id=basis.basis_id,
-    )
+    blocks = (samples[rings] for rings in _blocks(*samples.shape))
+    return _moments(blocks, basis, max_radial, max_angular, samples.shape)
+
+
+def _raster_moments(image: RasterImage, basis: DpssBasis, max_radial: int,
+                    max_angular: int, grid: tuple[int, int]) -> MomentSet:
+    """``compute_moments(to_polar(image, *grid), ...)``, bit for bit, without the
+    R x T array: each block of rings is planned, sampled and projected, then dropped."""
+    blocks = _samples(image.pixels, _polar_plans(image.pixels.shape, *grid))
+    return _moments(blocks, basis, max_radial, max_angular, grid)
 
 
 def invariants(ms: MomentSet) -> np.ndarray:
@@ -173,13 +182,13 @@ def reconstruct(
 class Featurizer:
     """Polar resampling, moments and invariants of raster images in one step.
 
-    The order and grid checks run once, psi_m(r) * r * dr is built once, and a
-    polar sampler, one plan per block of rings, once per raster shape, at the
-    first image of that shape, so
-    featurizing many images repeats only the per-image work. A call samples and
-    projects one block of rings at a time, so it never holds all R x T samples.
-    It returns the invariants flattened m-major: entry m*(L+1)+n holds
-    phi_{m,n}. Defaults give 100 entries (10 radial orders, angular orders 0..9).
+    The order and grid checks run once, psi_m(r) * r * dr is built once, and the
+    block plans of ``imaging._polar_plans`` once per raster shape, at the first
+    image of that shape, and kept, so featurizing many images repeats only the
+    per-image work. A call samples and projects one block of rings at a time, so
+    it never holds all R x T samples. It returns the invariants flattened
+    m-major: entry m*(L+1)+n holds phi_{m,n}. Defaults give 100 entries (10 radial
+    orders, angular orders 0..9).
     """
 
     def __init__(
@@ -193,14 +202,14 @@ class Featurizer:
         self._max_angular = max_angular
         self._grid = tuple(grid)
         self._psi_w = psi * weights
-        self._samplers = {}
+        self._plans = {}
 
     def __call__(self, img: RasterImage) -> np.ndarray:
         shape = img.pixels.shape
-        if shape not in self._samplers:
-            self._samplers[shape] = _polar_sampler(shape, *self._grid)
-        samples = self._samplers[shape](img.pixels)
-        values = _project(samples, self._psi_w, self._max_angular)
+        if shape not in self._plans:
+            self._plans[shape] = list(_polar_plans(shape, *self._grid))
+        samples = _samples(img.pixels, self._plans[shape])
+        values = _project(samples, self._psi_w, self._max_angular, self._grid)
         return np.abs(values[:, self._max_angular :]).ravel()
 
 

@@ -71,6 +71,24 @@ def test_moments_compute_dimensions(tmp_path, image_path, basis_path):
     assert doc["metadata"]["grid"] == [64, 128]
 
 
+
+def test_moments_compute_holds_no_polar_array(tmp_path, basis_path):
+    # 2048 x 2048 samples are 32 MiB as float64; each block of rings is planned,
+    # sampled and projected, then dropped
+    image = tmp_path / "big.pgm"
+    image.write_bytes(write_pgm(smooth_test_image(256)))
+    argv = ["moments", "compute", "--image", str(image), "--basis", str(basis_path),
+            "--m", "10", "--l", "9", "--radial", "2048", "--angular", "2048",
+            "--out", str(tmp_path / "s.json")]
+    assert run(argv) == 0  # warm: lazy imports and caches are not counted
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
 def test_invariants_csv(tmp_path, image_path, basis_path):
     moments = tmp_path / "s.json"
     run(["moments", "compute", "--image", str(image_path), "--basis", str(basis_path),

@@ -260,8 +260,8 @@ def test_stability_builds_the_polar_sampler_once_at_the_first_frame(basis64, tes
                                                                     monkeypatch, cpus):
     cpus(1)  # a forked span's calls would not be seen here
     events = []
-    real_sampler, real_rotate = moments._polar_sampler, harness.rotate_image
-    monkeypatch.setattr(moments, "_polar_sampler",
+    real_sampler, real_rotate = moments._polar_plans, harness.rotate_image
+    monkeypatch.setattr(moments, "_polar_plans",
                         lambda *args: events.append("sampler") or real_sampler(*args))
     monkeypatch.setattr(harness, "rotate_image",
                         lambda *args: events.append("frame") or real_rotate(*args))
@@ -461,6 +461,23 @@ def test_integer_counts_accept_numpy_integers():
     images = list(synthetic_images(np.int64(2), np.int64(1), np.int64(1), image_size=np.int64(8)))
     assert len(images) == 2 and images[0][2].pixels.shape == (8, 8)
 
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5, np.int64(3)],
+                         ids=["bool", "negative", "float", "int64"])
+def test_synthetic_images_take_a_non_negative_integer_seed(basis64, seed):
+    # True rendered seed 1's images, and -1 and 1.5 failed inside numpy, unnamed
+    def render(seed):
+        images = synthetic_images(2, 1, 2, seed=seed, image_size=16)
+        return [img.pixels.tobytes() for _, _, img in images]
+    if isinstance(seed, np.integer):
+        assert render(seed) == render(3)
+        return
+    for use in (render, lambda seed: make_synthetic_dataset(2, 1, seed=seed, basis=basis64,
+                                                            grid=GRID)):
+        with pytest.raises(ParameterError) as exc:
+            use(seed)
+        assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
 
 def test_train_classifier_on_dataset(basis64):
     ds = make_synthetic_dataset(3, 4, 1, seed=2, basis=basis64, grid=GRID)

@@ -19,7 +19,7 @@ from slepmoments import (
     write_pgm,
 )
 from slepmoments.harness import synthetic_images
-from slepmoments.imaging import _bilinear_plan, _polar_sampler, _resample
+from slepmoments.imaging import _bilinear_plan, _plans, _polar_plans, _resample
 
 
 @pytest.mark.parametrize("pixels", [
@@ -297,7 +297,7 @@ def test_gather_plan_matches_reference_bitwise(rng, shape):
     # far outside on every side and at every corner, so the plan's clamp is exercised
     xs[2, :8] = [-1e3, w + 1e3, (w - 1) / 2, (w - 1) / 2, -1e3, w + 1e3, -1e3, w + 1e3]
     ys[2, :8] = [(h - 1) / 2, (h - 1) / 2, -1e3, h + 1e3, -1e3, -1e3, h + 1e3, h + 1e3]
-    got = _resample(px, xs.shape, lambda rows: (xs[rows], ys[rows]))
+    got = _resample(px, xs.shape, _plans(px.shape, xs.shape, lambda rows: (xs[rows], ys[rows])))
     assert got.tobytes() == _bilinear_reference(px, xs, ys).tobytes()
 
 
@@ -350,7 +350,7 @@ def test_plan_reads_stay_inside_the_bordered_raster(shape):
 
 def test_polar_plan_holds_five_arrays_and_is_built_in_blocks():
     # a base index and four weights per sample, 40 B: 5 MiB at 256 x 512
-    held, peak = traced_bytes(lambda: _polar_sampler((256, 256), 256, 512))
+    held, peak = traced_bytes(lambda: list(_polar_plans((256, 256), 256, 512)))
     assert held <= 5.1 * MiB
     assert peak <= 7 * MiB
 

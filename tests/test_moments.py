@@ -25,7 +25,7 @@ from slepmoments import (
     to_polar,
 )
 from slepmoments.dpss import radial_basis
-from slepmoments.moments import _radial, feature_vector
+from slepmoments.moments import _radial, _raster_moments, feature_vector
 
 from oracles import continuous_radial_gram, moment_value, ring_radial_gram
 from test_dpss import _JSON_VALUES
@@ -372,9 +372,14 @@ def test_feature_vector_rotation_stability(basis64, test_image):
 ])
 def test_featurizer_matches_pipeline_bitwise(basis64, size, m, l, grid):
     img = smooth_test_image(size)
-    chain = invariants(compute_moments(to_polar(img, *grid), basis64, m, l)).ravel()
+    pipeline = compute_moments(to_polar(img, *grid), basis64, m, l)
+    chain = invariants(pipeline).ravel()
     assert Featurizer(basis64, m, l, grid)(img).tobytes() == chain.tobytes()
     assert feature_vector(img, basis64, m, l, grid).tobytes() == chain.tobytes()
+    # moments compute's route, which never holds the R x T samples
+    streamed = _raster_moments(img, basis64, m, l, grid)
+    assert streamed.values.tobytes() == pipeline.values.tobytes()
+    assert type(streamed.grid) is tuple and all(type(size) is int for size in streamed.grid)
 
 
 def test_featurizer_call_works_in_blocks(basis64):

@@ -1,6 +1,6 @@
 """Guards over the package source, read with ``ast``: no module keeps an import it
-never uses, no private module-level name goes unused package-wide, and the radial
-rule of the moments keeps its one home."""
+never uses, no private module-level name goes unused package-wide, the radial
+rule of the moments keeps its one home, and a raster keeps its one route to them."""
 
 import ast
 from pathlib import Path
@@ -94,3 +94,16 @@ def test_the_radial_rule_has_one_home():
         "radial_basis": {"_radial"},
         "_check_order_range": {"_radial", "MomentSet.__post_init__"},
     }
+
+
+def test_a_raster_has_one_route_to_its_moments():
+    # imaging._plans makes every bilinear plan, and only moments._moments and a
+    # Featurizer project polar samples; moments compute streams a raster through
+    # moments._raster_moments, never through an R x T array
+    assert _loading_scopes(TREES["imaging.py"], ("_bilinear_plan",)) == {
+        "_bilinear_plan": {"_plans"},
+    }
+    assert _loading_scopes(TREES["moments.py"], ("_project",)) == {
+        "_project": {"_moments", "Featurizer.__call__"},
+    }
+    assert {"to_polar", "compute_moments"} & _references(TREES["cli.py"]) == set()
