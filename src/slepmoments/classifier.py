@@ -6,9 +6,10 @@ stops unconverged, and on the 384-image synthetic `sweep` corpus the objective
 after the default 300 epochs is typically six to seven times the optimum.
 Batch (rather than per-example) updates make the training deterministic and
 invariant to duplicating the dataset, which is what the harness relies on for
-reproducibility. ``train_classifiers`` runs the fits of several same-sized
-training sets as one stack, each slice bit for bit the fit of its set alone;
-``train_classifier`` is its stack of one.
+reproducibility. ``train_classifiers`` fits any row subsets of one labeled
+matrix: it stacks the fits of subsets that share a size and class set into one
+epoch loop, each model bit for bit the fit of its subset alone.
+``train_classifier`` is its fit of every row.
 """
 
 from __future__ import annotations
@@ -53,59 +54,73 @@ def train_classifier(
     The standardization is folded back into the returned weights and biases, so
     the model scores raw features directly. Training is deterministic.
     """
-    return train_classifiers([features], [labels], reg=reg, epochs=epochs)[0]
+    return train_classifiers(features, labels, [slice(None)], reg=reg, epochs=epochs)[0]
+
+
+# Most fits one epoch loop stacks (the sweep's default repeat count), so the
+# stack of standardized training sets stays O(10 n d) however many are fitted.
+_FITS_PER_CALL = 10
 
 
 def train_classifiers(
-    features,
-    labels,
+    features: np.ndarray,
+    labels: np.ndarray,
+    subsets,
     reg: float = 1e-3,
     epochs: int = 300,
 ) -> list[LinearModel]:
-    """Fit one model per training set, all in one stacked epoch loop.
+    """Fit one model per row subset of one labeled matrix, in order.
 
-    ``labels`` is a sequence of label vectors and ``features`` an iterable of
-    as many n x d matrices, read once and in order; a generator lets the caller
-    hold one training set at a time, since only the standardized stack is kept.
-    Every set must share one n, d and class set. Each returned model is bit for
-    bit the one ``train_classifier`` fits on that set alone: the standardization
-    is per set, and each batched product runs the same BLAS call per slice.
+    ``features`` is an n x d matrix, ``labels`` its n labels, and each subset an
+    index array or slice into their rows. Subsets that share a size and class
+    set train together, up to ten in one stacked epoch loop. Each returned model
+    is bit for bit the one ``train_classifier`` fits on that subset alone: the
+    standardization is per subset, and each batched product runs the same BLAS
+    call per slice.
     """
     if not (0.0 <= reg < np.inf):
         raise ParameterError(f"reg must be finite and >= 0, got {reg}")
     _check_integer("epochs", epochs)
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
-    ys = [np.asarray(y) for y in labels]
-    z = None
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise ParameterError("features must be an n x d matrix with one label per row")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("training features must be finite")
+    groups: dict[tuple, list] = {}
+    for i, rows in enumerate(subsets):
+        yi = y[rows]
+        classes = np.unique(yi)
+        if classes.size < 2:
+            raise ParameterError("training set must contain at least two classes")
+        groups.setdefault((yi.size, *classes), []).append((i, rows))
+    models = {}
+    for members in groups.values():
+        for start in range(0, len(members), _FITS_PER_CALL):
+            chunk = members[start : start + _FITS_PER_CALL]
+            fits = _fit_stack(x, y, [rows for _, rows in chunk], reg, epochs)
+            models.update(zip((i for i, _ in chunk), fits))
+    return [models[i] for i in range(len(models))]
+
+
+def _fit_stack(x, y, subsets, reg, epochs) -> list[LinearModel]:
+    """Fit row subsets of one size and class set in one stacked epoch loop."""
+    ys = [y[rows] for rows in subsets]
+    z = np.empty((len(ys), ys[0].size, x.shape[1]))
     mus, sds = [], []
-    for i, x in enumerate(features):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise ParameterError("training set must be a nonempty 2-D feature matrix")
-        if i >= len(ys) or x.shape[0] != ys[i].shape[0]:
-            raise ParameterError("feature and label counts differ")
-        if not np.all(np.isfinite(x)):
-            raise ParameterError("training features must be finite")
-        if z is None:
-            z = np.empty((len(ys), *x.shape))
-        elif x.shape != z.shape[1:]:
-            raise ParameterError("stacked training sets must share one n and d")
-        mu = x.mean(axis=0)
-        sd = x.std(axis=0)
+    for zi, rows in zip(z, subsets):
+        xi = x[rows]
+        mu = xi.mean(axis=0)
+        sd = xi.std(axis=0)
         sd[sd == 0.0] = 1.0
-        np.divide(np.subtract(x, mu, out=z[i]), sd, out=z[i])
+        np.divide(np.subtract(xi, mu, out=zi), sd, out=zi)
         mus.append(mu)
         sds.append(sd)
-    if len(mus) != len(ys) or not ys:
-        raise ParameterError("need one feature matrix per label vector, and at least one")
-    classes = np.unique(ys[0])
-    if classes.size < 2:
-        raise ParameterError("training set must contain at least two classes")
-    if any(not np.array_equal(np.unique(y), classes) for y in ys[1:]):
-        raise ParameterError("stacked training sets must share one class set")
 
     n, dim = z.shape[1:]
+    classes = np.unique(ys[0])
     targets = np.where(np.stack(ys)[:, :, None] == classes, 1.0, -1.0)  # B x n x C
     w = np.zeros((len(ys), classes.size, dim))
     b = np.zeros((len(ys), classes.size))

@@ -54,10 +54,6 @@ PROTOCOL_ORDERS = (
     (3, 2), (3, 4), (4, 1), (4, 3), (4, 5),
 )
 
-# Most fits one stacked training call takes (the default repeat count), so the
-# stack of standardized training sets stays O(10 n d) however many repeats run.
-_FITS_PER_CALL = 10
-
 
 def default_basis() -> DpssBasis:
     """Basis used when the caller does not supply one (N=64, W=0.2, K=10).
@@ -126,7 +122,13 @@ def rotation_stability(
     angles = [float(a) for a in angles]
     if not angles:
         raise ParameterError("angle list must not be empty")
-    orders = [(int(m), int(n)) for m, n in orders]
+
+    def order(m, n):
+        _check_integer(f"m of order {(m, n)!r}", m)
+        _check_integer(f"n of order {(m, n)!r}", n)
+        return int(m), int(n)
+
+    orders = [order(m, n) for m, n in orders]
     if not orders:
         raise ParameterError("order list must not be empty")
     max_radial = max(m for m, _ in orders) + 1
@@ -331,8 +333,8 @@ def classification_sweep(
     Splits are stratified per class by default (an unstratified mode exists for
     probing class-dropout effects). Each (fraction, repeat) pair derives its own
     child seed, so repeats are independent and order-insensitive. The repeats
-    of one fraction train together, in stacks of up to ten fits that share a
-    class set, with the same result as one fit per repeat, bit for bit.
+    of one fraction train in one ``train_classifiers`` call, with the same
+    result as one fit per repeat, bit for bit.
     """
     fractions = [float(p) for p in fractions]
     if not fractions or any(not (0.0 < p < 1.0) for p in fractions):
@@ -345,24 +347,9 @@ def classification_sweep(
     means, stds = [], []
     for fi, p in enumerate(fractions):
         splits = _draw_splits(ds, p, fi, repeats, seed, stratified)
-        # a stacked fit needs one class set; stratified splits always share one
-        groups: dict[tuple, list[int]] = {}
-        for rep, (tr, _) in enumerate(splits):
-            groups.setdefault(tuple(np.unique(y[tr])), []).append(rep)
-        accs = np.empty(repeats)
-        for reps in groups.values():
-            for start in range(0, len(reps), _FITS_PER_CALL):
-                chunk = reps[start : start + _FITS_PER_CALL]
-                models = train_classifiers(
-                    (x[splits[rep][0]] for rep in chunk),
-                    [y[splits[rep][0]] for rep in chunk],
-                    reg=reg,
-                    epochs=epochs,
-                )
-                for rep, model in zip(chunk, models):
-                    te = splits[rep][1]
-                    accs[rep] = (model.predict(x[te]) == y[te]).mean()
-        # indexed by repeat, so the sums below run in the same order as one fit per repeat
+        models = train_classifiers(x, y, [tr for tr, _ in splits], reg=reg, epochs=epochs)
+        # in repeat order, so the sums below run in the same order as one fit per repeat
+        accs = [(model.predict(x[te]) == y[te]).mean() for model, (_, te) in zip(models, splits)]
         means.append(float(np.mean(accs)))
         stds.append(float(np.std(accs)))
     meta = {

@@ -154,6 +154,7 @@ def _read_pgm_file(path: str | Path) -> RasterImage:
 
 def write_pgm(image: RasterImage, maxval: int = 255) -> bytes:
     """Encode to binary PGM; round-trips within 1/(2*maxval) per pixel."""
+    _check_integer("maxval", maxval)
     if not (0 < maxval <= 65535):
         raise ParameterError(f"maxval {maxval} out of range (0, 65535]")
     height, width = image.pixels.shape

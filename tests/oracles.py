@@ -12,7 +12,8 @@ matrix 2pi integral psi_m psi_k r dr of the radial functions, by a direct sum
 over the rings and by exact quadrature of the piecewise-cubic interpolants.
 ``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
 split, one 2-D training loop at a time, as the stacked trainer of
-``classification_sweep`` must do bit for bit.
+``classification_sweep`` must do bit for bit; ``hinge_objective`` gives the
+per-class training objective a fitted model reaches.
 ``reference_shape_class_image`` renders one shape-class image from scratch,
 coordinates included, as ``synthetic_images`` must do bit for bit from layers
 it builds once per class. ``reference_fix_signs`` flips one row at a time, as
@@ -160,6 +161,17 @@ def reference_train_classifier(x, y, reg=1e-3, epochs=300) -> LinearModel:
         b -= eta * grad_b
 
     return LinearModel(classes=classes, weights=w / sd, biases=b - (w * (mu / sd)).sum(axis=1))
+
+
+def hinge_objective(model, x, y, reg) -> np.ndarray:
+    """Each class's one-vs-rest objective reg/2 |w|^2 + mean hinge, as ``model`` was
+    fitted on (x, y): w are its weights on the standardized features, its raw-scale
+    weights times the feature stds, and the hinge is taken of its raw scores."""
+    sd = x.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    targets = np.where(y[:, None] == model.classes, 1.0, -1.0)  # n x C
+    hinge = np.maximum(0.0, 1.0 - targets * model.decision_function(x)).mean(axis=0)
+    return reg / 2.0 * ((model.weights * sd) ** 2).sum(axis=1) + hinge
 
 
 def reference_sweep(ds, fractions, repeats, seed, stratified, reg=1e-3, epochs=300):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from slepmoments import ParameterError
-from slepmoments.classifier import train_classifier, train_classifiers
+from slepmoments import ParameterError, make_synthetic_dataset
+from slepmoments.classifier import _FITS_PER_CALL, train_classifier, train_classifiers
 
-from oracles import reference_train_classifier
+from oracles import hinge_objective, reference_train_classifier
 
 
 def test_separable_one_dimensional():
@@ -85,34 +85,43 @@ def test_training_matches_the_two_dimensional_reference(rng):
 
 
 def test_stacked_fits_equal_single_fits(rng):
-    xs = [rng.random((15, 4)) for _ in range(3)]
-    ys = [rng.permutation(np.arange(15) % 3 + 1) for _ in range(3)]
-    stacked = train_classifiers((x for x in xs), ys, reg=1e-2, epochs=80)
-    for model, x, y in zip(stacked, xs, ys):
-        single = train_classifier(x, y, reg=1e-2, epochs=80)
+    x = rng.random((30, 4))
+    y = np.arange(30) % 3 + 1
+    by_class = [np.flatnonzero(y == c) for c in (1, 2, 3)]
+    # more same-shaped subsets than one stack takes, then other sizes, other
+    # class sets and slices, in a mixed order
+    subsets = [np.concatenate([rng.permutation(rows)[:4] for rows in by_class])
+               for _ in range(_FITS_PER_CALL + 2)]
+    subsets[3:3] = [np.concatenate(by_class[:2]), slice(None), slice(1, 20, 2)]
+    subsets.append(np.concatenate([rng.permutation(rows)[:2] for rows in by_class[1:]]))
+    assert len({(y[rows].size, *np.unique(y[rows])) for rows in subsets}) == 5
+
+    stacked = train_classifiers(x, y, subsets, reg=1e-2, epochs=80)
+    assert len(stacked) == len(subsets)
+    for model, rows in zip(stacked, subsets):
+        single = train_classifier(x[rows], y[rows], reg=1e-2, epochs=80)
         assert model.weights.tobytes() == single.weights.tobytes()
         assert model.biases.tobytes() == single.biases.tobytes()
+    assert train_classifiers(x, y, []) == []
 
 
-@pytest.mark.parametrize("second, match", [
-    ((np.zeros((4, 2)), np.array([1, 3, 1, 3])), "class set"),
-    ((np.zeros((6, 2)), np.array([1, 2, 1, 2, 1, 2])), "n and d"),
-    ((np.zeros((4, 3)), np.array([1, 2, 1, 2])), "n and d"),
-], ids=["classes", "n", "d"])
-def test_stacked_sets_must_match(second, match):
-    first = (np.zeros((4, 2)), np.array([1, 2, 1, 2]))
+@pytest.mark.parametrize("labels, subsets, match", [
+    (np.array([1, 2, 1]), [slice(None)], "one label per row"),
+    (np.array([1, 2, 1, 2, 1]), [slice(None)], "one label per row"),
+    (np.array([1, 2, 1, 2]), [slice(None), np.array([0, 2])], "two classes"),
+], ids=["fewer-labels", "more-labels", "one-class-subset"])
+def test_subsets_need_one_label_per_row_and_two_classes(labels, subsets, match):
     with pytest.raises(ParameterError, match=match):
-        train_classifiers([first[0], second[0]], [first[1], second[1]])
+        train_classifiers(np.zeros((4, 2)), labels, subsets)
 
 
-@pytest.mark.parametrize("sets, labels", [
-    ([np.zeros((2, 1))], [np.array([1, 2]), np.array([1, 2])]),
-    ([np.zeros((2, 1)), np.zeros((2, 1))], [np.array([1, 2])]),
-    ([], []),
-], ids=["fewer-features", "fewer-labels", "none"])
-def test_stacked_sets_need_one_label_vector_each(sets, labels):
-    with pytest.raises(ParameterError):
-        train_classifiers(sets, labels)
+def test_training_objective_falls_with_epochs():
+    ds = make_synthetic_dataset(4, 10, 1, seed=1)
+    x, y = ds.features, ds.labels
+    objectives = [hinge_objective(train_classifier(x, y, reg=1e-3, epochs=epochs), x, y, 1e-3)
+                  for epochs in (100, 300, 1000)]
+    assert np.all(objectives[1] < objectives[0])
+    assert np.all(objectives[2] < objectives[1])
 
 
 @pytest.mark.filterwarnings("error")

@@ -23,8 +23,8 @@ from slepmoments import (
     write_pgm,
 )
 from slepmoments import harness, moments
+from slepmoments.classifier import _FITS_PER_CALL
 from slepmoments.harness import (
-    _FITS_PER_CALL,
     PROTOCOL_ANGLES_DEG,
     PROTOCOL_ORDERS,
     _draw_splits,
@@ -71,6 +71,20 @@ def test_stability_high_snr_matches_clean(basis64, test_image):
 def test_stability_rejects_empty_angles(basis64, test_image):
     with pytest.raises(ParameterError):
         rotation_stability(test_image, (), ORDERS, basis64, GRID)
+
+
+@pytest.mark.parametrize("order", [(1.7, 2), (1, 2.5), (True, 1)])
+def test_stability_refuses_non_integer_orders(basis64, test_image, order):
+    # int() would truncate these, so the table would hold another order than the one asked
+    with pytest.raises(ParameterError, match=r"of order \("):
+        rotation_stability(test_image, (0.0,), [order], basis64, GRID)
+
+
+def test_stability_takes_numpy_integer_orders(basis64, test_image):
+    plain = rotation_stability(test_image, (0.0, 35.0), ORDERS, basis64, GRID)
+    numpy = rotation_stability(test_image, (0.0, 35.0),
+                               [(np.int64(m), np.int64(n)) for m, n in ORDERS], basis64, GRID)
+    assert numpy.to_json() == plain.to_json()
 
 
 def test_stability_csv_layout(basis64, test_image):

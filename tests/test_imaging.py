@@ -102,6 +102,18 @@ def test_write_pgm_zeros():
     assert write_pgm(img).endswith(bytes([0, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("maxval", [True, 300.5, 255.0])
+def test_write_pgm_refuses_a_non_integer_maxval(maxval):
+    # read_pgm refuses the header each of these would write
+    with pytest.raises(ParameterError, match="maxval must be an integer"):
+        write_pgm(RasterImage([[0.5]]), maxval=maxval)
+
+
+def test_write_pgm_takes_a_numpy_integer_maxval():
+    img = RasterImage([[0.25, 1.0]])
+    assert write_pgm(img, maxval=np.int64(255)) == write_pgm(img, maxval=255)
+
+
 def test_pgm_round_trip_quantization(rng):
     img = RasterImage(rng.random((16, 16)))
     back = read_pgm(write_pgm(img))

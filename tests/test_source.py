@@ -1,6 +1,7 @@
 """Guards over the package source, read with ``ast``: no module keeps an import it
 never uses, no private module-level name goes unused package-wide, the radial
-rule of the moments keeps its one home, and a raster keeps its one route to them."""
+rule of the moments keeps its one home, a raster keeps its one route to them,
+and the stacking of classifier fits stays inside the classifier."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,19 @@ def test_the_radial_rule_has_one_home():
         "radial_basis": {"_radial"},
         "_check_order_range": {"_radial", "MomentSet.__post_init__"},
     }
+
+
+def test_the_stacking_of_fits_has_one_home():
+    # train_classifiers alone decides which fits share an epoch loop; the sweep
+    # hands it every split of a fraction and knows no stack cap
+    assert _loading_scopes(TREES["classifier.py"], ("_FITS_PER_CALL", "_fit_stack")) == {
+        "_FITS_PER_CALL": {"train_classifiers"},
+        "_fit_stack": {"train_classifiers"},
+    }
+    assert _loading_scopes(TREES["harness.py"], ("train_classifiers",)) == {
+        "train_classifiers": {"classification_sweep"},
+    }
+    assert "_FITS_PER_CALL" not in _references(TREES["harness.py"])
 
 
 def test_a_raster_has_one_route_to_its_moments():
