@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dpss import _check_integer
+from .dpss import _check_integer, _check_real
 from .errors import ParameterError
 
 __all__ = ["LinearModel", "train_classifier", "train_classifiers"]
@@ -78,11 +78,10 @@ def train_classifiers(
     standardization is per subset, and each batched product runs the same BLAS
     call per slice.
     """
+    reg = _check_real("reg", reg)
     if not (0.0 <= reg < np.inf):
         raise ParameterError(f"reg must be finite and >= 0, got {reg}")
-    _check_integer("epochs", epochs)
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
+    epochs = _check_integer("epochs", epochs, 1)
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     if x.ndim != 2 or y.shape != x.shape[:1]:

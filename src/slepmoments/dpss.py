@@ -15,6 +15,7 @@ A basis file is the JSON object {n, w, k, eigenvalues, sequences}, written by
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -32,11 +33,35 @@ __all__ = [
 ]
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a bool or non-integer size, which numpy or scipy would refuse later
-    without naming it, or take as 0 or 1."""
+def _check_integer(name: str, value, low: int, high: int | None = None) -> int:
+    """The one integer rule, for every size, count, order and seed: ``value`` as a
+    plain int within [low, high], with no upper bound when ``high`` is None.
+
+    A Python or numpy integer passes. A bool or a non-integer, which numpy or scipy
+    would refuse later without naming it or take as 0 or 1, raises "<name> must be
+    an integer, got <repr>"; a value out of range, "<name> must be >= <low>, got <v>"
+    or "<name> must be <= <high>, got <v>". Callers go on with the int returned:
+    json cannot write a numpy integer, and a small one overflows in arithmetic.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ParameterError(f"{name} must be <= {high}, got {value}")
+    return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a float, refusing a bool, which numpy would take as 0 or 1, a
+    non-number, or an integer past the float range; each caller keeps its own
+    range rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} must lie within the float range, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,20 +73,13 @@ class DpssParams:
     n_seq: int
 
     def __post_init__(self):
-        for name in ("n_len", "n_seq"):
-            _check_integer(name, getattr(self, name))
-        if self.n_len < 1:
-            raise ParameterError(f"n_len must be a positive integer, got {self.n_len}")
-        if self.n_len > 4096:
-            raise ParameterError(f"n_len is capped at 4096, got {self.n_len}")
-        if not (0.0 < self.half_bandwidth < 0.5):
-            raise ParameterError(
-                f"half_bandwidth must lie in (0, 0.5), got {self.half_bandwidth}"
-            )
-        if not (1 <= self.n_seq <= self.n_len):
-            raise ParameterError(
-                f"n_seq must satisfy 1 <= n_seq <= n_len, got {self.n_seq}"
-            )
+        n_len = _check_integer("n_len", self.n_len, 1, 4096)
+        w = _check_real("half_bandwidth", self.half_bandwidth)
+        if not (0.0 < w < 0.5):
+            raise ParameterError(f"half_bandwidth must lie in (0, 0.5), got {w}")
+        object.__setattr__(self, "n_len", n_len)
+        object.__setattr__(self, "half_bandwidth", w)
+        object.__setattr__(self, "n_seq", _check_integer("n_seq", self.n_seq, 1, n_len))
 
 
 @dataclass(frozen=True, eq=False)

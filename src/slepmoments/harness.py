@@ -13,13 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import train_classifiers
-from .dpss import DpssBasis, _check_integer, basis_from_json
+from .dpss import DpssBasis, _check_integer, _check_real, basis_from_json
 from .errors import ParameterError
 from .imaging import (
     GENERATOR_NAME,
     NoiseSpec,
     RasterImage,
-    _check_seed,
     _child_seed,
     _read_pgm_file,
     _rng,
@@ -119,22 +118,15 @@ def rotation_stability(
     rows are independent yet the whole table is reproducible, and the rows are
     computed on every usable CPU (see ``_fork_rows``) with the same bytes.
     """
-    angles = [float(a) for a in angles]
+    angles = [_check_real("angle", a) for a in angles]
     if not angles:
         raise ParameterError("angle list must not be empty")
-
-    def order(m, n):
-        _check_integer(f"m of order {(m, n)!r}", m)
-        _check_integer(f"n of order {(m, n)!r}", n)
-        return int(m), int(n)
-
-    orders = [order(m, n) for m, n in orders]
+    orders = [(_check_integer(f"m of order {(m, n)!r}", m, 0),
+               _check_integer(f"n of order {(m, n)!r}", n, 0)) for m, n in orders]
     if not orders:
         raise ParameterError("order list must not be empty")
     max_radial = max(m for m, _ in orders) + 1
     max_angular = max(n for _, n in orders)
-    if any(m < 0 or n < 0 for m, n in orders):
-        raise ParameterError("orders must be nonnegative")
 
     featurize = Featurizer(basis, max_radial, max_angular, grid)
 
@@ -336,13 +328,11 @@ def classification_sweep(
     of one fraction train in one ``train_classifiers`` call, with the same
     result as one fit per repeat, bit for bit.
     """
-    fractions = [float(p) for p in fractions]
+    fractions = [_check_real("fraction", p) for p in fractions]
     if not fractions or any(not (0.0 < p < 1.0) for p in fractions):
         raise ParameterError("fractions must lie strictly between 0 and 1")
-    _check_integer("repeats", repeats)
-    if repeats < 1:
-        raise ParameterError(f"repeats must be >= 1, got {repeats}")
-    seed = _check_seed(seed)
+    repeats = _check_integer("repeats", repeats, 1)
+    seed = _check_integer("seed", seed, 0)
     x, y = ds.features, ds.labels
     means, stds = [], []
     for fi, p in enumerate(fractions):
@@ -356,15 +346,15 @@ def classification_sweep(
         "classes": {int(k): v for k, v in sorted(ds.class_names.items())},
         "items": len(ds.labels),
         "stratified": stratified,
-        "reg": reg,
-        "epochs": int(epochs),  # json cannot encode numpy integers
+        "reg": float(reg),  # json cannot encode numpy floats or integers
+        "epochs": int(epochs),
         "generator": GENERATOR_NAME,
     }
     return ClassificationReport(
         train_fractions=fractions,
         mean_accuracy=np.array(means),
         std_accuracy=np.array(stds),
-        repeats=int(repeats),
+        repeats=repeats,
         seed=seed,
         metadata=meta,
     )
@@ -403,14 +393,10 @@ def synthetic_images(
     dataset is reproducible item by item. Each class's rng-free layers are
     built once, and its images are rendered from them.
     """
-    _check_integer("n_classes", n_classes)
-    _check_integer("per_class", per_class)
-    _check_integer("rotations_per_item", rotations_per_item)
-    seed = _check_seed(seed)
-    if n_classes < 2:
-        raise ParameterError(f"n_classes must be >= 2, got {n_classes}")
-    if per_class < 1 or rotations_per_item < 1:
-        raise ParameterError("per_class and rotations_per_item must be >= 1")
+    n_classes = _check_integer("n_classes", n_classes, 2)
+    per_class = _check_integer("per_class", per_class, 1)
+    rotations_per_item = _check_integer("rotations_per_item", rotations_per_item, 1)
+    seed = _check_integer("seed", seed, 0)
     for cid in range(n_classes):
         render = _shape_class_renderer(cid, image_size)
         for item in range(per_class):

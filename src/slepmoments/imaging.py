@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dpss import _check_integer
+from .dpss import _check_integer, _check_real
 from .errors import DomainError, FormatError, ParameterError
 
 __all__ = [
@@ -34,15 +34,6 @@ _MAX_SNR_DB = 3000
 def _rng(seed: int, *key: int) -> np.random.Generator:
     """The pcg64 generator of the SeedSequence (seed, key); every seeded draw uses one."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-def _check_seed(seed) -> int:
-    """A seed as a plain int, refusing all but a non-negative integer. SeedSequence
-    would refuse the others only when drawing, without naming the seed, and json
-    cannot write a numpy integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
 
 
 def _child_seed(seed: int, *key: int) -> int:
@@ -77,9 +68,10 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "snr_db", _check_real("snr_db", self.snr_db))
         if not (-_MAX_SNR_DB <= self.snr_db <= _MAX_SNR_DB):
             raise ParameterError(f"snr_db must lie within +-{_MAX_SNR_DB} dB, got {self.snr_db}")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
 
 
 # --- PGM ------------------------------------------------------------------
@@ -154,9 +146,7 @@ def _read_pgm_file(path: str | Path) -> RasterImage:
 
 def write_pgm(image: RasterImage, maxval: int = 255) -> bytes:
     """Encode to binary PGM; round-trips within 1/(2*maxval) per pixel."""
-    _check_integer("maxval", maxval)
-    if not (0 < maxval <= 65535):
-        raise ParameterError(f"maxval {maxval} out of range (0, 65535]")
+    maxval = _check_integer("maxval", maxval, 1, 65535)
     height, width = image.pixels.shape
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
     levels = np.rint(image.pixels * maxval)
@@ -243,17 +233,16 @@ def _samples(pixels: np.ndarray, plans):
 def _resample(pixels: np.ndarray, shape: tuple[int, int], plans) -> np.ndarray:
     """The ``shape`` array of the ``_samples`` of pixels under the ``_plans`` of that grid."""
     out = np.empty(shape)
-    for rows, block in zip(_blocks(*shape), _samples(pixels, plans)):
+    # out.shape holds ints whatever integer type shape held; _blocks divides by it
+    for rows, block in zip(_blocks(*out.shape), _samples(pixels, plans)):
         out[rows] = block
     return out
 
 
 def _polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     """Rings r_i = (i + 0.5)/R and spokes theta_j = 2pi j/T of every R x T polar grid."""
-    _check_integer("n_radial", n_radial)
-    _check_integer("n_angular", n_angular)
-    if n_radial < 1 or n_angular < 1:
-        raise ParameterError("polar grid dimensions must be positive")
+    n_radial = _check_integer("n_radial", n_radial, 1)
+    n_angular = _check_integer("n_angular", n_angular, 1)
     rings = (np.arange(n_radial) + 0.5) / n_radial
     return rings, 2.0 * np.pi * np.arange(n_angular) / n_angular
 
@@ -270,7 +259,7 @@ def _polar_plans(shape: tuple[int, int], n_radial: int, n_angular: int):
     cx, cy, rho = _disk(*shape)
     r, th = _polar_grid(n_radial, n_angular)
     cos, sin = np.cos(th), np.sin(th)
-    return _plans(shape, (n_radial, n_angular), lambda rings: (
+    return _plans(shape, (r.size, th.size), lambda rings: (
         cx + np.outer(r[rings], cos) * rho, cy - np.outer(r[rings], sin) * rho))
 
 
@@ -279,8 +268,9 @@ def rotate_image(image: RasterImage, angle_deg: float) -> RasterImage:
 
     Each output pixel is bilinearly interpolated from its inverse-rotated source
     coordinate; sources outside the raster contribute 0, so corners that leave
-    the frame are clipped. The angle must be finite.
+    the frame are clipped. The angle must be a finite real number.
     """
+    angle_deg = _check_real("angle_deg", angle_deg)
     if not np.isfinite(angle_deg):
         raise ParameterError(f"angle_deg must be finite, got {angle_deg}")
     a = np.deg2rad(angle_deg)

@@ -45,48 +45,51 @@ class MomentSet:
     basis_id: str
 
     def __post_init__(self):
-        # the one home of the grid rules, which moments_from_json applies through
-        # here: two positive sizes
-        g = self.grid
-        if not (isinstance(g, tuple) and len(g) == 2
-                and all(type(size) is int and size >= 1 for size in g)):
-            raise ParameterError(f"moment grid must be a tuple of two positive integers, got {g!r}")
-        _check_order_range(self.max_radial, self.max_angular, g[1])
+        # the grid rules, which moments_from_json applies through here: a pair of
+        # sizes, each an integer >= 1 under dpss._check_integer. The grid and the
+        # orders are stored as the ints their checks return.
+        if not (isinstance(self.grid, tuple) and len(self.grid) == 2):
+            raise ParameterError(
+                f"moment grid must be a tuple of two positive integers, got {self.grid!r}")
+        grid = tuple(_check_integer(f"moment grid {name}", size, 1)
+                     for name, size in zip(("n_radial", "n_angular"), self.grid))
+        max_radial, max_angular = _check_order_range(self.max_radial, self.max_angular, grid[1])
         v = np.asarray(self.values, dtype=complex)
-        expected = (self.max_radial, 2 * self.max_angular + 1)
+        expected = (max_radial, 2 * max_angular + 1)
         if v.shape != expected:
             raise ParameterError(f"moment array shape {v.shape}, expected {expected}")
         if not np.all(np.isfinite(v)):
             raise ParameterError("moment values must be finite")
-        object.__setattr__(self, "values", v)
+        for name, value in (("max_radial", max_radial), ("max_angular", max_angular),
+                            ("values", v), ("grid", grid)):
+            object.__setattr__(self, name, value)
 
 
-def _check_order_range(max_radial: int, max_angular: int, n_t: int) -> None:
+def _check_order_range(max_radial: int, max_angular: int, n_t: int) -> tuple[int, int]:
     """The one home of the order rules: integer orders, max_radial >= 1,
-    max_angular >= 0, and enough of the n_t angular samples for every order."""
-    _check_integer("max_radial", max_radial)
-    _check_integer("max_angular", max_angular)
-    if max_radial < 1:
-        raise ParameterError(f"max_radial must be >= 1, got {max_radial}")
-    if max_angular < 0:
-        raise ParameterError(f"max_angular must be >= 0, got {max_angular}")
+    max_angular >= 0, and enough of the n_t angular samples for every order.
+    Returns the orders as ints."""
+    max_radial = _check_integer("max_radial", max_radial, 1)
+    max_angular = _check_integer("max_angular", max_angular, 0)
     if 2 * max_angular + 1 > n_t:
         raise AliasingError(
             f"angular orders [-{max_angular}, {max_angular}] need at least "
             f"{2 * max_angular + 1} angular samples, grid has {n_t}"
         )
+    return max_radial, max_angular
 
 
 def _radial(
     basis: DpssBasis, max_radial: int, max_angular: int, grid: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int, tuple[int, int]]:
     """The one home of the radial rule on the R x T ``_polar_grid``: after the order
-    checks, psi_m(r_i) for m < M, an M x R matrix, and the ring weights r_i dr = r_i/R."""
+    checks, psi_m(r_i) for m < M, an M x R matrix, the ring weights r_i dr = r_i/R,
+    and the checked L and (R, T) as ints, for the caller to go on with."""
     r, theta = _polar_grid(*grid)
-    _check_order_range(max_radial, max_angular, theta.size)
+    max_radial, max_angular = _check_order_range(max_radial, max_angular, theta.size)
     if max_radial > basis.params.n_seq:
         raise ParameterError(f"max_radial {max_radial} exceeds basis n_seq {basis.params.n_seq}")
-    return radial_basis(basis, r)[:max_radial], r / r.size
+    return radial_basis(basis, r)[:max_radial], r / r.size, max_angular, (r.size, theta.size)
 
 
 def _project(blocks, psi_w: np.ndarray, max_angular: int, grid: tuple[int, int]) -> np.ndarray:
@@ -110,9 +113,9 @@ def _moments(blocks, basis: DpssBasis, max_radial: int, max_angular: int,
              grid: tuple[int, int]) -> MomentSet:
     """The MomentSet of the ``_blocks`` ring blocks of R x T polar samples on ``grid``,
     after ``_radial``'s checks."""
-    psi, weights = _radial(basis, max_radial, max_angular, grid)
+    psi, weights, max_angular, grid = _radial(basis, max_radial, max_angular, grid)
     values = _project(blocks, psi * weights, max_angular, grid)
-    return MomentSet(max_radial, max_angular, values, grid, basis.basis_id)
+    return MomentSet(len(psi), max_angular, values, grid, basis.basis_id)
 
 
 def compute_moments(
@@ -172,7 +175,7 @@ def reconstruct(
         raise ParameterError(
             f"target grid {grid} must match or refine the moment grid {ms.grid}"
         )
-    psi, _ = _radial(basis, ms.max_radial, ms.max_angular, grid)
+    psi = _radial(basis, ms.max_radial, ms.max_angular, grid)[0]
     ns = np.arange(-ms.max_angular, ms.max_angular + 1)
     angular = np.exp(-1j * np.outer(ns, theta))
     series = psi.T @ ms.values @ angular
@@ -198,9 +201,8 @@ class Featurizer:
         max_angular: int = 9,
         grid: tuple[int, int] = (64, 128),
     ):
-        psi, weights = _radial(basis, max_radial, max_angular, grid)
-        self._max_angular = max_angular
-        self._grid = tuple(grid)
+        psi, weights, self._max_angular, self._grid = _radial(
+            basis, max_radial, max_angular, grid)
         self._psi_w = psi * weights
         self._plans = {}
 

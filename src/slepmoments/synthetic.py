@@ -8,7 +8,6 @@ from collections.abc import Callable
 import numpy as np
 
 from .dpss import _check_integer
-from .errors import ParameterError
 from .imaging import RasterImage, _disk, _rng
 
 __all__ = ["smooth_test_image"]
@@ -31,10 +30,7 @@ _BUMP_LAYOUT_SEED = 77
 
 
 def _disk_coords(size: int):
-    _check_integer("image size", size)
-    if size < 2:
-        # the disk radius size/2 - 0.5 must be positive
-        raise ParameterError(f"image size must be >= 2, got {size}")
+    size = _check_integer("image size", size, 2)  # the disk radius size/2 - 0.5 must be positive
     ys, xs = np.mgrid[0:size, 0:size].astype(float)
     c, _, rho = _disk(size, size)
     r = np.hypot(xs - c, ys - c) / rho

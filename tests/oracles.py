@@ -13,7 +13,8 @@ over the rings and by exact quadrature of the piecewise-cubic interpolants.
 ``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
 split, one 2-D training loop at a time, as the stacked trainer of
 ``classification_sweep`` must do bit for bit; ``hinge_objective`` gives the
-per-class training objective a fitted model reaches.
+per-class training objective a fitted model reaches, and ``hinge_optimum`` the
+least value that objective can take, from its SVM dual.
 ``reference_shape_class_image`` renders one shape-class image from scratch,
 coordinates included, as ``synthetic_images`` must do bit for bit from layers
 it builds once per class. ``reference_fix_signs`` flips one row at a time, as
@@ -23,6 +24,7 @@ the whole-array ``_fix_signs`` must do bit for bit.
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from slepmoments import DpssBasis, LinearModel, MomentSet, ParameterError, radial_basis
 from slepmoments.dpss import _enforce_decreasing, _kernel_column
@@ -172,6 +174,43 @@ def hinge_objective(model, x, y, reg) -> np.ndarray:
     targets = np.where(y[:, None] == model.classes, 1.0, -1.0)  # n x C
     hinge = np.maximum(0.0, 1.0 - targets * model.decision_function(x)).mean(axis=0)
     return reg / 2.0 * ((model.weights * sd) ** 2).sum(axis=1) + hinge
+
+
+def hinge_optimum(x, y, label, reg) -> tuple[float, float]:
+    """The least value of class ``label``'s one-vs-rest objective of ``hinge_objective``
+    on (x, y), in standardized features z with a free bias, as (primal, dual).
+
+    The dual is the SVM's: maximise sum(a) - |sum a_i t_i z_i|^2 / (2 reg) subject to
+    0 <= a_i <= 1/n and sum a_i t_i = 0, with targets t_i = +-1. scipy's SLSQP solves
+    it in u = a / reg, where its Hessian is the Gram matrix of the t_i z_i. The
+    variables SLSQP leaves strictly inside their bounds are then solved for exactly,
+    by the KKT system of the same problem with the others held, and kept if they stay
+    inside. Any feasible a gives a dual no larger than the objective of any model
+    (weak duality). The primal is the objective at w = sum a_i t_i z_i / reg and its
+    best bias, which lies at a kink of the mean hinge; the two meet at the optimum.
+    """
+    sd = x.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    t = np.where(y == label, 1.0, -1.0)
+    g = t[:, None] * (x - x.mean(axis=0)) / sd  # rows t_i z_i
+    gram, top = g @ g.T, 1.0 / (t.size * reg)
+    u = minimize(lambda u: u @ gram @ u / 2.0 - u.sum(), np.zeros(t.size),
+                 jac=lambda u: gram @ u - 1.0, bounds=[(0.0, top)] * t.size, method="SLSQP",
+                 constraints={"type": "eq", "fun": lambda u: u @ t, "jac": lambda u: t},
+                 options={"ftol": 1e-14, "maxiter": 1000}).x
+    # SLSQP leaves the variables it holds at a bound within about 1e-12 of it
+    free = (u > 1e-9 * top) & (u < (1.0 - 1e-9) * top)
+    held = np.where(~free & (u > top / 2.0), top, 0.0)
+    kkt = np.block([[gram[np.ix_(free, free)], t[free, None]], [t[None, free], np.zeros((1, 1))]])
+    exact = np.linalg.solve(kkt, np.append(1.0 - gram[free] @ held, -t @ held))[:-1]
+    if np.all((exact >= 0.0) & (exact <= top)):
+        u[free] = exact
+    a = u * reg
+    w = g.T @ a / reg
+    dual = a.sum() - reg / 2.0 * w @ w
+    margins = g @ w  # t_i (w . z_i); the hinge's kinks lie at the biases t_i - w . z_i
+    hinge = np.maximum(0.0, 1.0 - margins[:, None] - np.outer(t, t - t * margins)).mean(axis=0)
+    return float(reg / 2.0 * w @ w + hinge.min()), float(dual)
 
 
 def reference_sweep(ds, fractions, repeats, seed, stratified, reg=1e-3, epochs=300):

@@ -4,7 +4,7 @@ import pytest
 from slepmoments import ParameterError, make_synthetic_dataset
 from slepmoments.classifier import _FITS_PER_CALL, train_classifier, train_classifiers
 
-from oracles import hinge_objective, reference_train_classifier
+from oracles import hinge_objective, hinge_optimum, reference_train_classifier
 
 
 def test_separable_one_dimensional():
@@ -53,6 +53,15 @@ def test_non_finite_reg_rejected(reg):
     x = np.array([[0.0], [1.0]])
     with pytest.raises(ParameterError, match="reg"):
         train_classifier(x, np.array([1, 2]), reg=reg)
+
+
+@pytest.mark.parametrize("reg", [True, np.False_, "1e-3", None],
+                         ids=["bool", "numpy-bool", "str", "none"])
+def test_reg_must_be_a_real_number(reg):
+    x = np.array([[0.0], [1.0]])
+    with pytest.raises(ParameterError) as exc:
+        train_classifier(x, np.array([1, 2]), reg=reg)
+    assert str(exc.value) == f"reg must be a real number, got {reg!r}"
 
 
 def test_ties_break_to_lowest_label():
@@ -122,6 +131,26 @@ def test_training_objective_falls_with_epochs():
                   for epochs in (100, 300, 1000)]
     assert np.all(objectives[1] < objectives[0])
     assert np.all(objectives[2] < objectives[1])
+
+
+def test_svm_dual_oracle_meets_its_primal():
+    # an optimum is certified only where its primal and dual values meet
+    ds = make_synthetic_dataset(4, 10, 1, seed=1)
+    for label in np.unique(ds.labels):
+        primal, dual = hinge_optimum(ds.features, ds.labels, label, 1e-3)
+        assert dual > 0.0 and abs(primal - dual) <= 1e-4 * dual
+
+
+def test_trained_objective_is_no_less_than_the_dual_optimum():
+    # weak duality: no model reaches below the dual optimum. After the default 300
+    # epochs each class's objective is 5.4 to 7.1 times its optimum (1.99e-5 to
+    # 2.90e-5; primal and dual meet there to 1e-14), so the fit is far from
+    # converged. The gap is recorded here, not bounded
+    ds = make_synthetic_dataset(4, 10, 1, seed=1)
+    x, y = ds.features, ds.labels
+    model = train_classifier(x, y, reg=1e-3, epochs=300)
+    optima = [hinge_optimum(x, y, label, 1e-3)[1] for label in model.classes]
+    assert np.all(hinge_objective(model, x, y, 1e-3) >= optima)
 
 
 @pytest.mark.filterwarnings("error")

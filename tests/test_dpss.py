@@ -82,6 +82,37 @@ def test_params_refuse_non_integer_sizes(n_len, n_seq, field):
 def test_params_accept_numpy_integers():
     params = DpssParams(np.int64(16), 0.2, np.int32(3))
     assert compute_dpss(params).sequences.shape == (3, 16)
+    # the sizes are stored as the ints of dpss._check_integer, which json can write
+    plain = "".join(basis_to_json(compute_dpss(DpssParams(8, 0.2, 2))))
+    for kind in (np.int64, np.int32, np.uint8):
+        params = DpssParams(kind(8), 0.2, kind(2))
+        assert (type(params.n_len), type(params.n_seq)) == (int, int)
+        assert "".join(basis_to_json(compute_dpss(params))) == plain
+
+
+@pytest.mark.parametrize("w", [True, "0.2", None], ids=["bool", "str", "none"])
+def test_params_refuse_a_half_bandwidth_that_is_not_a_real_number(w):
+    with pytest.raises(ParameterError) as exc:
+        DpssParams(8, w, 2)
+    assert str(exc.value) == f"half_bandwidth must be a real number, got {w!r}"
+
+
+def test_params_store_a_numpy_half_bandwidth_as_a_float():
+    # json could not write a numpy float into the basis file
+    params = DpssParams(8, np.float32(0.25), 2)
+    assert type(params.half_bandwidth) is float
+    plain = "".join(basis_to_json(compute_dpss(DpssParams(8, 0.25, 2))))
+    assert "".join(basis_to_json(compute_dpss(params))) == plain
+
+
+@pytest.mark.parametrize("n_len, n_seq, message", [
+    (0, 1, "n_len must be >= 1, got 0"), (4097, 1, "n_len must be <= 4096, got 4097"),
+    (8, 0, "n_seq must be >= 1, got 0"), (8, 9, "n_seq must be <= 8, got 9"),
+], ids=["no-samples", "too-long", "no-sequences", "more-sequences-than-samples"])
+def test_params_refuse_sizes_out_of_range(n_len, n_seq, message):
+    with pytest.raises(ParameterError) as exc:
+        DpssParams(n_len, 0.2, n_seq)
+    assert str(exc.value) == message
 
 
 def test_single_point_basis():

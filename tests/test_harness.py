@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -85,6 +86,24 @@ def test_stability_takes_numpy_integer_orders(basis64, test_image):
     numpy = rotation_stability(test_image, (0.0, 35.0),
                                [(np.int64(m), np.int64(n)) for m, n in ORDERS], basis64, GRID)
     assert numpy.to_json() == plain.to_json()
+    # orders, grid and noise seed all go on as the ints of dpss._check_integer
+    noisy = rotation_stability(test_image, (0.0, 35.0), ORDERS, basis64, GRID,
+                               NoiseSpec(30.0, 7)).to_json()
+    for kind in (np.int64, np.int32, np.uint8):
+        numpy = rotation_stability(test_image, (0.0, 35.0),
+                                   [(kind(m), kind(n)) for m, n in ORDERS], basis64,
+                                   tuple(map(kind, GRID)), NoiseSpec(30.0, kind(7)))
+        assert numpy.to_json() == noisy
+
+
+@pytest.mark.parametrize("order, message", [
+    ((-1, 2), "m of order (-1, 2) must be >= 0, got -1"),
+    ((1, -2), "n of order (1, -2) must be >= 0, got -2"),
+], ids=["negative-m", "negative-n"])
+def test_stability_refuses_negative_orders(basis64, test_image, order, message):
+    with pytest.raises(ParameterError) as exc:
+        rotation_stability(test_image, (0.0,), [order], basis64, GRID)
+    assert str(exc.value) == message
 
 
 def test_stability_csv_layout(basis64, test_image):
@@ -305,17 +324,18 @@ def test_sweep_trivial_dataset_perfect_accuracy():
     assert report.std_accuracy[0] == 0.0
 
 
-@pytest.mark.parametrize("seed, refused", [
-    (3, False), (np.int64(3), False), (np.uint8(3), False),
-    (True, True), (-1, True), (2.5, True), ("3", True),
+@pytest.mark.parametrize("seed, refusal", [
+    (3, None), (np.int64(3), None), (np.uint8(3), None),
+    (True, "seed must be an integer, got True"), (-1, "seed must be >= 0, got -1"),
+    (2.5, "seed must be an integer, got 2.5"), ("3", "seed must be an integer, got '3'"),
 ], ids=["int", "int64", "uint8", "bool", "negative", "float", "str"])
-def test_sweep_stores_a_non_negative_integer_seed_as_an_int(seed, refused):
+def test_sweep_stores_a_non_negative_integer_seed_as_an_int(seed, refusal):
     # the rule NoiseSpec applies: a numpy integer is stored as an int, which json can
     # write, and a bool, a negative or a non-integer is refused before any split
     def sweep(seed):
         return classification_sweep(_tiny_dataset(), fractions=(0.5,), repeats=1, seed=seed)
-    if refused:
-        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+    if refusal:
+        with pytest.raises(ParameterError, match=re.escape(refusal)):
             sweep(seed)
         return
     report = sweep(seed)
@@ -474,24 +494,78 @@ def test_integer_counts_accept_numpy_integers():
     assert (doc["repeats"], doc["metadata"]["epochs"]) == (1, 5)
     images = list(synthetic_images(np.int64(2), np.int64(1), np.int64(1), image_size=np.int64(8)))
     assert len(images) == 2 and images[0][2].pixels.shape == (8, 8)
+    small = classification_sweep(_tiny_dataset(), (0.5,), repeats=np.uint8(1),
+                                 seed=np.uint8(3), epochs=np.uint8(5))
+    assert type(small.repeats) is int
+    assert small.to_json() == classification_sweep(_tiny_dataset(), (0.5,), repeats=1, seed=3,
+                                                   epochs=5).to_json()
+    plain = [img.pixels.tobytes() for *_, img in synthetic_images(2, 1, 2, seed=3, image_size=8)]
+    kinds = synthetic_images(np.uint8(2), np.int32(1), np.uint8(2), seed=np.uint8(3),
+                             image_size=np.uint8(8))
+    assert [img.pixels.tobytes() for *_, img in kinds] == plain
+
+
+@pytest.mark.parametrize("use, message", [
+    (lambda: classification_sweep(_tiny_dataset(), (0.5,), repeats=0),
+     "repeats must be >= 1, got 0"),
+    (lambda: classification_sweep(_tiny_dataset(), (0.5,), repeats=1, epochs=0),
+     "epochs must be >= 1, got 0"),
+    (lambda: next(synthetic_images(1, 1)), "n_classes must be >= 2, got 1"),
+    (lambda: next(synthetic_images(2, 0)), "per_class must be >= 1, got 0"),
+    (lambda: next(synthetic_images(2, 1, 0)), "rotations_per_item must be >= 1, got 0"),
+    (lambda: next(synthetic_images(2, 1, image_size=1)), "image size must be >= 2, got 1"),
+], ids=["sweep-repeats", "sweep-epochs", "n-classes", "per-class", "rotations", "image-size"])
+def test_integer_counts_refuse_values_out_of_range(use, message):
+    with pytest.raises(ParameterError) as exc:
+        use()
+    assert str(exc.value) == message
+
+
+def test_sweep_reports_a_numpy_reg_as_a_float():
+    # json could not write a numpy float, and it wrote an integer reg as an integer
+    def sweep(reg):
+        return classification_sweep(_tiny_dataset(), (0.5,), repeats=1, reg=reg).to_json()
+    assert sweep(np.float32(0.5)) == sweep(0.5)
+    assert sweep(np.int64(0)) == sweep(0) == sweep(0.0)
+
+
+@pytest.mark.parametrize("use, message", [
+    (lambda basis, img: classification_sweep(_tiny_dataset(), (0.5,), repeats=1, reg=True),
+     "reg must be a real number, got True"),
+    (lambda basis, img: classification_sweep(_tiny_dataset(), ("0.5",), repeats=1),
+     "fraction must be a real number, got '0.5'"),
+    (lambda basis, img: rotation_stability(img, (True,), ORDERS, basis, GRID),
+     "angle must be a real number, got True"),
+    (lambda basis, img: rotation_stability(img, ("30",), ORDERS, basis, GRID),
+     "angle must be a real number, got '30'"),
+], ids=["reg-bool", "fraction-str", "angle-bool", "angle-str"])
+def test_sweep_and_stability_refuse_reals_that_are_not_numbers(basis64, test_image, use,
+                                                               message):
+    # True was trained as reg 1 and reported as "reg": true, or rotated by one degree,
+    # and float() took the strings
+    with pytest.raises(ParameterError) as exc:
+        use(basis64, test_image)
+    assert str(exc.value) == message
 
 
 
-@pytest.mark.parametrize("seed", [True, -1, 1.5, np.int64(3)],
-                         ids=["bool", "negative", "float", "int64"])
-def test_synthetic_images_take_a_non_negative_integer_seed(basis64, seed):
+@pytest.mark.parametrize("seed, refusal", [
+    (True, "seed must be an integer, got True"), (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"), (np.int64(3), None),
+], ids=["bool", "negative", "float", "int64"])
+def test_synthetic_images_take_a_non_negative_integer_seed(basis64, seed, refusal):
     # True rendered seed 1's images, and -1 and 1.5 failed inside numpy, unnamed
     def render(seed):
         images = synthetic_images(2, 1, 2, seed=seed, image_size=16)
         return [img.pixels.tobytes() for _, _, img in images]
-    if isinstance(seed, np.integer):
+    if refusal is None:
         assert render(seed) == render(3)
         return
     for use in (render, lambda seed: make_synthetic_dataset(2, 1, seed=seed, basis=basis64,
                                                             grid=GRID)):
         with pytest.raises(ParameterError) as exc:
             use(seed)
-        assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+        assert str(exc.value) == refusal
 
 def test_train_classifier_on_dataset(basis64):
     ds = make_synthetic_dataset(3, 4, 1, seed=2, basis=basis64, grid=GRID)

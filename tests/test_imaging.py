@@ -112,6 +112,17 @@ def test_write_pgm_refuses_a_non_integer_maxval(maxval):
 def test_write_pgm_takes_a_numpy_integer_maxval():
     img = RasterImage([[0.25, 1.0]])
     assert write_pgm(img, maxval=np.int64(255)) == write_pgm(img, maxval=255)
+    for maxval in (np.int32(255), np.uint8(255), np.uint16(65535), np.int32(65535)):
+        assert write_pgm(img, maxval=maxval) == write_pgm(img, maxval=int(maxval))
+
+
+@pytest.mark.parametrize("maxval, message", [
+    (0, "maxval must be >= 1, got 0"), (65536, "maxval must be <= 65535, got 65536"),
+], ids=["zero", "above-16-bit"])
+def test_write_pgm_refuses_a_maxval_out_of_range(maxval, message):
+    with pytest.raises(ParameterError) as exc:
+        write_pgm(RasterImage([[0.5]]), maxval=maxval)
+    assert str(exc.value) == message
 
 
 def test_pgm_round_trip_quantization(rng):
@@ -151,6 +162,40 @@ def test_rotate_refuses_a_non_finite_angle(angle):
     # numpy would warn in the plan's cast, then the clipped frame fails as non-finite pixels
     with pytest.raises(ParameterError, match=f"^angle_deg must be finite, got {angle}$"):
         rotate_image(RasterImage(np.ones((5, 5))), angle)
+
+
+_REAL_USES = {
+    "angle_deg": lambda value: rotate_image(RasterImage(np.ones((5, 5))), value),
+    "snr_db": lambda value: NoiseSpec(value, 3),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "30", None],
+                         ids=["bool", "numpy-bool", "str", "none"])
+@pytest.mark.parametrize("name", _REAL_USES)
+def test_real_parameters_refuse_bools_and_non_numbers(name, value):
+    # np.deg2rad(True) is a float16 1 degree, and a True level reached the report's json
+    with pytest.raises(ParameterError) as exc:
+        _REAL_USES[name](value)
+    assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("name", _REAL_USES)
+def test_real_parameters_refuse_an_integer_past_the_float_range(name):
+    # float() raises OverflowError, which no caller would see named
+    with pytest.raises(ParameterError) as exc:
+        _REAL_USES[name](10**400)
+    assert str(exc.value) == f"{name} must lie within the float range, got {10**400!r}"
+
+
+def test_real_parameters_are_used_as_floats():
+    img = smooth_test_image(16)
+    plain = rotate_image(img, 30.0).pixels.tobytes()
+    for angle in (30, np.int64(30), np.float32(30.0)):
+        assert rotate_image(img, angle).pixels.tobytes() == plain
+    spec = NoiseSpec(np.float32(30.0), np.int64(3))
+    assert (type(spec.snr_db), type(spec.seed)) == (float, int)
+    assert spec == NoiseSpec(30.0, 3)
 
 
 def test_rotate_quarter_turn_is_transpose_flip(rng):

@@ -243,7 +243,7 @@ def test_bad_orders_raise_the_one_order_error(basis32, use, orders, grid, error,
 
 
 def _ring_gram(basis, max_radial, n_rings):
-    psi, weights = _radial(basis, max_radial, 0, (n_rings, 1))
+    psi, weights, _, _ = _radial(basis, max_radial, 0, (n_rings, 1))
     return 2.0 * np.pi * (psi * weights) @ psi.T
 
 
@@ -264,18 +264,20 @@ def test_ring_gram_converges_to_the_continuous_gram():
     assert defect[2] < 2e-9
 
 
-@pytest.mark.parametrize("grid", [(0, 8), (8, 0)], ids=["no-rings", "no-spokes"])
+@pytest.mark.parametrize("grid, message", [
+    ((0, 8), "n_radial must be >= 1, got 0"), ((8, 0), "n_angular must be >= 1, got 0"),
+], ids=["no-rings", "no-spokes"])
 @pytest.mark.parametrize("use", [
     lambda basis, grid: to_polar(smooth_test_image(16), *grid),
     lambda basis, grid: Featurizer(basis, 2, 1, grid),
     lambda basis, grid: reconstruct(MomentSet(1, 0, np.ones((1, 1)), (1, 1), "x"), basis, grid),
 ], ids=["to_polar", "Featurizer", "reconstruct"])
-def test_zero_grid_dimension_raises_the_one_grid_error(basis32, use, grid):
+def test_zero_grid_dimension_raises_the_one_grid_error(basis32, use, grid, message):
     # sampling, featurizing and synthesis share one polar grid and so one check
     with pytest.raises(ParameterError) as exc:
         use(basis32, grid)
     assert type(exc.value) is ParameterError
-    assert str(exc.value) == "polar grid dimensions must be positive"
+    assert str(exc.value) == message
 
 
 _GRID_USES = {  # each returns its output's bytes
@@ -286,6 +288,8 @@ _GRID_USES = {  # each returns its output's bytes
         MomentSet(1, 0, np.ones((1, 1)), (1, 1), "x"), basis, grid)[0].tobytes(),
     "rotation_stability": lambda basis, grid: rotation_stability(
         smooth_test_image(16), (0.0,), ((1, 1),), basis, grid).to_json(),
+    "_raster_moments": lambda basis, grid: moments_to_json(  # the route of moments compute
+        _raster_moments(smooth_test_image(16), basis, 2, 1, grid)),
 }
 
 
@@ -304,7 +308,8 @@ def test_non_integer_grid_size_raises_a_parameter_error_naming_it(basis32, use, 
 
 @pytest.mark.parametrize("use", _GRID_USES.values(), ids=_GRID_USES.keys())
 def test_numpy_integer_grid_sizes_are_accepted(basis32, use):
-    assert use(basis32, (np.int64(4), np.int64(8))) == use(basis32, (4, 8))
+    for kind in (np.int64, np.int32, np.uint8):
+        assert use(basis32, (kind(4), kind(8))) == use(basis32, (4, 8))
 
 
 @pytest.mark.parametrize("grid", [
@@ -313,6 +318,18 @@ def test_numpy_integer_grid_sizes_are_accepted(basis32, use):
 def test_moment_set_grid_must_be_two_positive_ints(grid):
     with pytest.raises(ParameterError, match="grid"):
         MomentSet(1, 0, np.ones((1, 1)), grid, "x")
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((0, 8), "moment grid n_radial must be >= 1, got 0"),
+    ((4, True), "moment grid n_angular must be an integer, got True"),
+    ((4,), "moment grid must be a tuple of two positive integers, got (4,)"),
+], ids=["zero", "bool", "one-size"])
+def test_moment_set_grid_refusals_name_the_moment_grid(grid, message):
+    # moments_from_json hands these on, so a moment file's refusal names its grid
+    with pytest.raises(ParameterError) as exc:
+        MomentSet(1, 0, np.ones((1, 1)), grid, "x")
+    assert str(exc.value) == message
 
 
 def test_reconstruction_error_decreases_with_terms(basis64):
@@ -446,10 +463,22 @@ def test_moment_set_accepts_numpy_integer_orders():
     assert invariants(ms).shape == (1, 3)
 
 
+def test_moment_set_stores_its_grid_and_orders_as_ints():
+    ms = MomentSet(np.int64(1), np.uint8(2), np.ones((1, 5)), (np.int32(4), np.uint8(8)), "x")
+    assert (ms.max_radial, ms.max_angular, ms.grid) == (1, 2, (4, 8))
+    assert list(map(type, (ms.max_radial, ms.max_angular, *ms.grid))) == [int] * 4
+    plain = MomentSet(1, 2, np.ones((1, 5)), (4, 8), "x")
+    assert moments_to_json(ms) == moments_to_json(plain)
+
+
 def test_orders_accept_numpy_integers(basis32):
     img = smooth_test_image(32)
     got = Featurizer(basis32, np.int64(3), np.int32(2), (8, 16))(img)
     assert got.tobytes() == Featurizer(basis32, 3, 2, (8, 16))(img).tobytes()
+    # -np.uint8(2) would wrap to 254; the orders go on as the ints of their check
+    assert Featurizer(basis32, np.uint8(3), np.uint8(2), (8, 16))(img).tobytes() == got.tobytes()
+    plain = moments_to_json(_raster_moments(img, basis32, 3, 2, (8, 16)))
+    assert moments_to_json(_raster_moments(img, basis32, np.uint8(3), np.uint8(2), (8, 16))) == plain
 
 
 def test_featurizer_checks_orders_and_grid_when_built(basis32):

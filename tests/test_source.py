@@ -1,7 +1,8 @@
 """Guards over the package source, read with ``ast``: no module keeps an import it
 never uses, no private module-level name goes unused package-wide, the radial
 rule of the moments keeps its one home, a raster keeps its one route to them,
-and the stacking of classifier fits stays inside the classifier."""
+the stacking of classifier fits stays inside the classifier, and the integer
+rule has one home."""
 
 import ast
 from pathlib import Path
@@ -47,23 +48,29 @@ def _private_definitions(tree):
         yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
 
 
-def _loading_scopes(tree, names) -> dict[str, set[str]]:
-    """For each name, the dotted scopes (``f``, ``Class.method``, or ``<module>``)
-    whose own code loads it."""
-    found = {name: set() for name in names}
+def _scopes(tree, match) -> set[str]:
+    """The dotted scopes (``f``, ``Class.method``, or ``<module>``) whose own code
+    holds a node that ``match`` accepts."""
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Name) and child.id in found
-                    and not isinstance(child.ctx, ast.Store)):
-                found[child.id].add(scope or "<module>")
+            if match(child):
+                found.add(scope or "<module>")
             visit(child, scope)
 
     visit(tree, "")
     return found
+
+
+def _loading_scopes(tree, names) -> dict[str, set[str]]:
+    """For each name, the scopes of ``_scopes`` whose own code loads it."""
+    return {name: _scopes(tree, lambda node, name=name: isinstance(node, ast.Name)
+                          and node.id == name and not isinstance(node.ctx, ast.Store))
+            for name in names}
 
 
 def test_the_guard_reads_every_module():
@@ -121,3 +128,16 @@ def test_a_raster_has_one_route_to_its_moments():
         "_project": {"_moments", "Featurizer.__call__"},
     }
     assert {"to_polar", "compute_moments"} & _references(TREES["cli.py"]) == set()
+
+
+def test_the_integer_rule_has_one_home():
+    # dpss._check_integer alone tells an integer from a bool or a non-integer, and
+    # every size, count, order and seed takes its check and its int from it
+    def numpy_integer(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "integer"
+                and isinstance(node.value, ast.Name) and node.value.id == "np")
+    homes = {module: _scopes(tree, numpy_integer) for module, tree in TREES.items()}
+    assert {module: scopes for module, scopes in homes.items() if scopes} == {
+        "dpss.py": {"_check_integer"},
+    }
+    assert not any("_check_seed" in _private_definitions(tree) for tree in TREES.values())
