@@ -8,8 +8,10 @@ Batch (rather than per-example) updates make the training deterministic and
 invariant to duplicating the dataset, which is what the harness relies on for
 reproducibility. ``train_classifiers`` fits any row subsets of one labeled
 matrix: it stacks the fits of subsets that share a size and class set into one
-epoch loop, each model bit for bit the fit of its subset alone.
-``train_classifier`` is its fit of every row.
+epoch loop, each model bit for bit the fit of its subset alone, so the sweep
+may hand each worker process any span of its repeats. The epoch loop works in
+buffers allocated once per stack. ``train_classifier`` is its fit of every
+row.
 """
 
 from __future__ import annotations
@@ -123,14 +125,28 @@ def _fit_stack(x, y, subsets, reg, epochs) -> list[LinearModel]:
     targets = np.where(np.stack(ys)[:, :, None] == classes, 1.0, -1.0)  # B x n x C
     w = np.zeros((len(ys), classes.size, dim))
     b = np.zeros((len(ys), classes.size))
+    # every epoch reuses these: B x n x C margins, violators and their signs, and
+    # the B x C x d and B x C gradients
+    margins, viol = np.empty(targets.shape), np.empty(targets.shape)
+    violators = np.empty(targets.shape, dtype=bool)
+    grad_w, reg_w, grad_b = np.empty(w.shape), np.empty(w.shape), np.empty(b.shape)
     for epoch in range(1, epochs + 1):
-        margins = targets * (z @ w.transpose(0, 2, 1) + b[:, None, :])  # B x n x C
-        viol = (margins < 1.0) * targets  # B x n x C, +-1 on violators
-        grad_w = reg * w - (viol.transpose(0, 2, 1) @ z) / n
-        grad_b = -viol.mean(axis=1)
+        np.matmul(z, w.transpose(0, 2, 1), out=margins)
+        margins += b[:, None, :]
+        margins *= targets
+        np.less(margins, 1.0, out=violators)
+        np.multiply(violators, targets, out=viol)  # +-1 on violators
+        np.matmul(viol.transpose(0, 2, 1), z, out=grad_w)
+        grad_w /= n
+        np.subtract(np.multiply(w, reg, out=reg_w), grad_w, out=grad_w)  # reg w - G / n
+        # minus the mean violator sign; a sum of -1, 0 and +1 is exact in any order
+        np.add.reduce(viol, axis=1, out=grad_b)
+        grad_b /= -n
         eta = 1.0 / (reg * epoch + 10.0)
-        w -= eta * grad_w
-        b -= eta * grad_b
+        grad_w *= eta
+        grad_b *= eta
+        w -= grad_w
+        b -= grad_b
 
     return [
         LinearModel(

@@ -8,6 +8,7 @@ import mmap
 import os
 import threading
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ def rotation_stability(
         phi = featurize(frame).reshape(max_radial, -1)
         return [phi[m, n] for m, n in orders]
 
-    rows = _fork_rows(len(angles), len(orders), frame_row)
+    rows = _fork_rows(len(angles), len(orders), lambda span: map(frame_row, span))
 
     meta = {
         "grid": [int(size) for size in grid],  # json cannot encode numpy integers
@@ -159,23 +160,26 @@ def rotation_stability(
 
 
 def _fork_rows(n_rows: int, n_cols: int, fill) -> np.ndarray:
-    """The (n_rows, n_cols) float64 table whose row i is ``fill(i)``, filled as one
-    contiguous span of rows per usable CPU.
+    """The (n_rows, n_cols) float64 table of the rows that ``fill`` yields, filled
+    as one contiguous span of rows per usable CPU.
 
-    The table lives in an anonymous shared mapping, beside one "done" byte per
-    row. This process fills the first span. Each further span runs in an
-    ``os.fork`` child, which inherits the mapping, writes each row into it and
-    marks the row done, and leaves through ``os._exit``, so it runs no exit
-    handler and never reaches the caller's error handling. Once every child has
-    left, the rows not marked done, because a row failed, the child died or no
-    process could be forked, are filled here in order, so the lowest failing row
-    raises its own exception once, as in a serial loop. No child waits on this
-    process, so a wide table is filled in parallel too. Every child is killed if
-    still running and reaped before this returns or raises, and the caller gets
-    a copy, not the mapping. Forking needs ``os.sched_getaffinity`` (Linux), two
-    or more usable CPUs and rows, and no other Python thread, whose locks a
-    child could inherit held; otherwise this process fills every row.
-    ``taskset -c 0`` therefore gives a serial run.
+    ``fill(span)`` takes a ``range`` of row numbers and yields their rows in
+    order; each worker calls it once, for its own span, so whatever a span's rows
+    share (a renderer, a stacked fit) is set up once per worker. The table lives
+    in an anonymous shared mapping, beside one "done" byte per row. This process
+    fills the first span. Each further span runs in an ``os.fork`` child, which
+    inherits the mapping, writes each row into it and marks the row done as the
+    row is yielded, and leaves through ``os._exit``, so it runs no exit handler
+    and never reaches the caller's error handling. Once every child has left, the
+    rows not marked done, because a row failed, the child died or no process
+    could be forked, are filled here in order, each by ``fill(range(i, i + 1))``,
+    so the lowest failing row raises its own exception once, as in a serial
+    loop. No child waits on this process, so a wide table is filled in parallel
+    too. Every child is killed if still running and reaped before this returns
+    or raises, and the caller gets a copy, not the mapping. Forking needs
+    ``os.sched_getaffinity`` (Linux), two or more usable CPUs and rows, and no
+    other Python thread, whose locks a child could inherit held; otherwise this
+    process fills every row. ``taskset -c 0`` therefore gives a serial run.
     """
     workers = 1
     if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
@@ -184,6 +188,13 @@ def _fork_rows(n_rows: int, n_cols: int, fill) -> np.ndarray:
     shared = mmap.mmap(-1, n_rows * (8 * n_cols + 1))  # MAP_SHARED, kept across fork
     rows = np.frombuffer(shared, count=n_rows * n_cols).reshape(n_rows, n_cols)
     done = np.frombuffer(shared, np.uint8, n_rows, offset=rows.nbytes)
+
+    def fill_span(start, stop):
+        span = range(start, stop)
+        for i, row in zip(span, fill(span), strict=True):
+            rows[i] = row
+            done[i] = 1
+
     pids = []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
@@ -193,19 +204,16 @@ def _fork_rows(n_rows: int, n_cols: int, fill) -> np.ndarray:
                 break
             if pid == 0:
                 try:
-                    for i in range(start, stop):
-                        rows[i] = fill(i)
-                        done[i] = 1
+                    fill_span(start, stop)
                 finally:
                     os._exit(0)
             pids.append(pid)
-        for i in range(bounds[1]):
-            rows[i] = fill(i)
+        fill_span(0, bounds[1])
         for pid in pids:  # wait for the child to leave, but leave it to be reaped below
             os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         for i in range(bounds[1], n_rows):
             if not done[i]:
-                rows[i] = fill(i)
+                fill_span(i, i + 1)
         return rows.copy()
     finally:
         for pid in pids:
@@ -324,9 +332,11 @@ def classification_sweep(
 
     Splits are stratified per class by default (an unstratified mode exists for
     probing class-dropout effects). Each (fraction, repeat) pair derives its own
-    child seed, so repeats are independent and order-insensitive. The repeats
-    of one fraction train in one ``train_classifiers`` call, with the same
-    result as one fit per repeat, bit for bit.
+    child seed, so repeats are independent and order-insensitive. This process
+    draws every split of a fraction, then the fraction's repeats are trained on
+    every usable CPU (see ``_fork_rows``): each worker fits its span of repeats
+    in one ``train_classifiers`` call, with the same result as one fit per
+    repeat, bit for bit, and the mean and std are taken here in repeat order.
     """
     fractions = [_check_real("fraction", p) for p in fractions]
     if not fractions or any(not (0.0 < p < 1.0) for p in fractions):
@@ -337,9 +347,16 @@ def classification_sweep(
     means, stds = [], []
     for fi, p in enumerate(fractions):
         splits = _draw_splits(ds, p, fi, repeats, seed, stratified)
-        models = train_classifiers(x, y, [tr for tr, _ in splits], reg=reg, epochs=epochs)
+
+        def accuracies(span):
+            models = train_classifiers(x, y, [splits[r][0] for r in span], reg=reg,
+                                       epochs=epochs)
+            for model, r in zip(models, span):
+                test = splits[r][1]
+                yield [(model.predict(x[test]) == y[test]).mean()]
+
         # in repeat order, so the sums below run in the same order as one fit per repeat
-        accs = [(model.predict(x[te]) == y[te]).mean() for model, (_, te) in zip(models, splits)]
+        accs = _fork_rows(repeats, 1, accuracies)[:, 0]
         means.append(float(np.mean(accs)))
         stds.append(float(np.std(accs)))
     meta = {
@@ -362,6 +379,9 @@ def classification_sweep(
 
 # --- dataset construction -------------------------------------------------------
 
+# Side length of the synthetic images, in pixels.
+_IMAGE_SIZE = 96
+
 
 def make_synthetic_dataset(
     n_classes: int,
@@ -374,10 +394,17 @@ def make_synthetic_dataset(
     """Generate labeled rotation-invariant features from synthetic shape classes.
 
     The images are those of ``synthetic_images``, which yields the classes in
-    order, so class ``classK`` gets label K and labels run 1..n_classes.
+    order, so class ``classK`` gets label K and labels run 1..n_classes. Each
+    worker of ``_featurize`` renders only the images of its own span.
     """
-    images = synthetic_images(n_classes, per_class, rotations_per_item, seed)
-    return _featurize(((name, img) for name, _, img in images), basis, grid)
+    keys, seed = _synthetic_keys(n_classes, per_class, rotations_per_item, seed)
+    keys = list(keys)
+
+    def images(span):
+        for _, _, img in _synthetic_items(keys[span.start : span.stop], seed, _IMAGE_SIZE):
+            yield img
+
+    return _featurize([f"class{cid + 1}" for cid, _, _ in keys], images, basis, grid)
 
 
 def synthetic_images(
@@ -385,7 +412,7 @@ def synthetic_images(
     per_class: int,
     rotations_per_item: int = 1,
     seed: int = DEFAULT_SEED,
-    image_size: int = 96,
+    image_size: int = _IMAGE_SIZE,
 ):
     """Yield (class_name, file_stem, RasterImage) for the synthetic dataset.
 
@@ -393,17 +420,29 @@ def synthetic_images(
     dataset is reproducible item by item. Each class's rng-free layers are
     built once, and its images are rendered from them.
     """
+    keys, seed = _synthetic_keys(n_classes, per_class, rotations_per_item, seed)
+    yield from _synthetic_items(keys, seed, image_size)
+
+
+def _synthetic_keys(n_classes, per_class, rotations_per_item, seed):
+    """The (class id, item, rotation) keys of the synthetic images, class by class,
+    then item by item, and the checked seed."""
     n_classes = _check_integer("n_classes", n_classes, 2)
     per_class = _check_integer("per_class", per_class, 1)
     rotations_per_item = _check_integer("rotations_per_item", rotations_per_item, 1)
     seed = _check_integer("seed", seed, 0)
-    for cid in range(n_classes):
-        render = _shape_class_renderer(cid, image_size)
-        for item in range(per_class):
-            for rot in range(rotations_per_item):
-                rng = _rng(seed, cid, item, rot)
-                yield f"class{cid + 1}", f"item{item:03d}r{rot}", render(rng)
-        del render  # release this class's layers before the next class's are built
+    return product(range(n_classes), range(per_class), range(rotations_per_item)), seed
+
+
+def _synthetic_items(keys, seed: int, image_size: int):
+    """Yield (class_name, file_stem, RasterImage) for each (class id, item, rotation)
+    key in turn, building a class's layers once per run of its keys."""
+    render, render_cid = None, None
+    for cid, item, rot in keys:
+        if cid != render_cid:
+            render = None  # release the last class's layers before this class's are built
+            render, render_cid = _shape_class_renderer(cid, image_size), cid
+        yield f"class{cid + 1}", f"item{item:03d}r{rot}", render(_rng(seed, cid, item, rot))
 
 
 def load_labeled_directory(
@@ -411,7 +450,10 @@ def load_labeled_directory(
     basis: DpssBasis | None = None,
     grid: tuple[int, int] = (64, 128),
 ) -> LabeledDataset:
-    """Featurize a directory tree laid out as <root>/<class_name>/<image>.pgm."""
+    """Featurize a directory tree laid out as <root>/<class_name>/<image>.pgm.
+
+    Each worker of ``_featurize`` reads only the images of its own span.
+    """
     root = Path(root)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if len(class_dirs) < 2:
@@ -420,29 +462,28 @@ def load_labeled_directory(
     for cdir, paths in classes:
         if not paths:
             raise ParameterError(f"class directory {cdir} holds no .pgm images")
-    images = (
-        (cdir.name, _read_pgm_file(path))
-        for cdir, paths in classes
-        for path in paths
-    )
-    return _featurize(images, basis, grid)
+    items = [(cdir.name, path) for cdir, paths in classes for path in paths]
+    return _featurize([name for name, _ in items],
+                      lambda span: (_read_pgm_file(items[i][1]) for i in span), basis, grid)
 
 
 def _featurize(
-    named_images, basis: DpssBasis | None, grid: tuple[int, int]
+    names: list[str], images, basis: DpssBasis | None, grid: tuple[int, int]
 ) -> LabeledDataset:
-    """Featurize (class_name, RasterImage) pairs with one ``Featurizer``.
+    """Featurize n items with one ``Featurizer``: item i has class name ``names[i]``,
+    and ``images(span)`` yields the RasterImage of each item of a ``range`` span.
 
-    Labels are numbered 1, 2, ... in order of each class name's first appearance.
+    The feature rows are filled on every usable CPU (see ``_fork_rows``), each
+    worker loading and featurizing its own span of items one at a time, so no
+    process holds more than one image. Labels are numbered 1, 2, ... here, in
+    order of each class name's first appearance.
     """
     featurize = Featurizer(default_basis() if basis is None else basis, grid=grid)
     labels: dict[str, int] = {}
-    features, ys = [], []
-    for name, img in named_images:
-        ys.append(labels.setdefault(name, len(labels) + 1))
-        features.append(featurize(img))
+    ys = [labels.setdefault(name, len(labels) + 1) for name in names]
     return LabeledDataset(
-        features=np.array(features),
+        features=_fork_rows(len(names), featurize._size,
+                            lambda span: map(featurize, images(span))),
         labels=np.array(ys),
         class_names={label: name for name, label in labels.items()},
     )

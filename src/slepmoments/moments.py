@@ -191,7 +191,7 @@ class Featurizer:
     per-image work. A call samples and projects one block of rings at a time, so
     it never holds all R x T samples. It returns the invariants flattened
     m-major: entry m*(L+1)+n holds phi_{m,n}. Defaults give 100 entries (10 radial
-    orders, angular orders 0..9).
+    orders, angular orders 0..9); ``_size`` holds the count.
     """
 
     def __init__(
@@ -204,6 +204,7 @@ class Featurizer:
         psi, weights, self._max_angular, self._grid = _radial(
             basis, max_radial, max_angular, grid)
         self._psi_w = psi * weights
+        self._size = len(psi) * (self._max_angular + 1)
         self._plans = {}
 
     def __call__(self, img: RasterImage) -> np.ndarray:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,25 @@ def test_image():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """``cpus(n)`` makes ``harness._fork_rows`` see n usable CPUs and returns the list
+    of the children it forks from then on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", fork)
+    return use

@@ -26,6 +26,8 @@ from slepmoments import (
 from slepmoments.cli import _build_parser, _write_atomic, run
 from slepmoments.dpss import _json_chunks
 
+forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="classify forks its spans")
+
 
 @pytest.fixture(scope="module")
 def image_path(tmp_path_factory):
@@ -373,6 +375,37 @@ def test_pgm_format_error_in_data_dir_names_the_image(tmp_path, capsys):
                 "--out", str(tmp_path / "a.csv")]) == 1
     err = capsys.readouterr().err
     assert err == f"slepmoments: error: {bad}: {_P6_ERROR}\n"
+
+
+@forking
+@pytest.mark.parametrize("bad_class", ["class2", "class1"],
+                         ids=["child-span-fails", "own-span-fails"])
+def test_a_truncated_image_prints_the_serial_error_once_and_writes_nothing(
+        tmp_path, capfd, cpus, bad_class):
+    # four images: 1 and 2 (class1) are featurized here on two CPUs, 3 and 4 (class2)
+    # in the forked child
+    root = tmp_path / "data"
+    assert run(["synth", "--classes", "2", "--per-class", "2", "--size", "32",
+                "--out-dir", str(root)]) == 0
+    bad = root / bad_class / "item001r0.pgm"
+    bad.write_bytes(bad.read_bytes()[:-7])
+    capfd.readouterr()
+    out = tmp_path / "a.csv"
+    argv = ["classify", "--data-dir", str(root), "--fractions", "0.5", "--repeats", "1",
+            "--radial", "16", "--angular", "32", "--epochs", "5", "--out", str(out)]
+    errors = []
+    for n in (1, 2):
+        forks = cpus(n)
+        assert run(argv) == 1
+        assert len(forks) == n - 1
+        errors.append(capfd.readouterr())
+    assert errors[0] == errors[1]
+    assert errors[0].out == ""
+    assert errors[0].err.startswith(f"slepmoments: error: {bad}: ")
+    assert errors[0].err.count("\n") == 1
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
@@ -934,6 +967,26 @@ def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch, exc
     assert not out.exists()
 
 
+@forking
+def test_a_later_plain_split_failure_reads_the_same_on_any_cpu_count(tmp_path, capsys,
+                                                                      cpus):
+    # the 0.5 repeats are trained before the 0.04 split fails
+    out = tmp_path / "c.csv"
+    argv = ["classify", "--classes", "6", "--per-class", "8", "--no-stratify", "--fractions",
+            "0.5,0.04", "--repeats", "4", "--epochs", "5", "--radial", "16", "--angular",
+            "32", "--out", str(out)]
+    errors = []
+    for n in (1, 2):
+        forks = cpus(n)
+        assert run(argv) == 1
+        assert len(forks) == 2 * (n - 1)  # the featurization's child and the 0.5 sweep's
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].count("\n") == 1
+    assert "training fraction 0.04 " in errors[0] and "(--no-stratify)" in errors[0]
+    assert not out.exists()
+
+
 def test_classify_plain_split_of_one_item_exits_one(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert run(["classify", "--classes", "6", "--per-class", "8", "--no-stratify",
@@ -1061,6 +1114,22 @@ _STABILITY_GOLDEN = [(row, name) for row, name in zip(_GOLDEN, _GOLDEN_IDS)
 def test_stability_commands_write_the_recorded_bytes_on_any_cpu_count(
         tmp_path, monkeypatch, golden_inputs, argv, digest, json_digest, cpus):
     # the frames run in one process, or forked over three
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.chdir(golden_inputs)
+    _check_golden(tmp_path, argv, digest, json_digest)
+
+
+_CLASSIFY_GOLDEN = [(row, name) for row, name in zip(_GOLDEN, _GOLDEN_IDS)
+                    if row[0].split()[0] == "classify"]
+
+
+@pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "3-cpus"])
+@pytest.mark.parametrize("argv, digest, json_digest", [row for row, _ in _CLASSIFY_GOLDEN],
+                         ids=[name for _, name in _CLASSIFY_GOLDEN])
+def test_classify_commands_write_the_recorded_bytes_on_any_cpu_count(
+        tmp_path, monkeypatch, golden_inputs, argv, digest, json_digest, cpus):
+    # the images are featurized and each fraction's repeats trained in one process,
+    # or forked over three
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.chdir(golden_inputs)
     _check_golden(tmp_path, argv, digest, json_digest)

@@ -120,28 +120,6 @@ def test_stability_csv_layout(basis64, test_image):
 forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are forked with os.fork")
 
 
-@pytest.fixture()
-def cpus(monkeypatch):
-    """``cpus(n)`` makes ``_fork_rows`` see n usable CPUs and returns the list of the
-    children it forks from then on."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    def use(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        forks.clear()
-        return forks
-
-    monkeypatch.setattr(os, "fork", fork)
-    return use
-
-
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -194,16 +172,16 @@ def test_a_failing_frame_raises_the_serial_error_once(basis64, cpus, capfd, angl
 def test_each_row_is_filled_once_in_one_span_per_cpu(cpus):
     parent, calls = os.getpid(), []
 
-    def fill(i):
+    def fill(span):
         if os.getpid() == parent:
-            calls.append(i)
-        return [i, -i]
+            calls.append(span)
+        return ([i, -i] for i in span)
 
     forks = cpus(3)
     rows = _fork_rows(7, 2, fill)
     assert rows.tolist() == [[i, -i] for i in range(7)]
     assert len(forks) == 2
-    assert calls == [0, 1]  # the spans are rows 0-1 here, 2-3 and 4-6 in the children
+    assert calls == [range(0, 2)]  # the spans are rows 0-1 here, 2-3 and 4-6 in the children
     _assert_no_children()
 
 
@@ -213,7 +191,7 @@ def test_no_child_is_forked_while_another_thread_runs(cpus):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        rows = _fork_rows(2, 1, lambda i: [float(i)])
+        rows = _fork_rows(2, 1, lambda span: ([float(i)] for i in span))
     finally:
         release.set()
         other.join(timeout=10)
@@ -224,11 +202,12 @@ def test_no_child_is_forked_while_another_thread_runs(cpus):
 
 @forking
 def test_a_failing_own_span_kills_and_reaps_a_running_child(cpus):
-    def fill(i):
-        if i == 0:
-            raise ValueError("row 0")
-        time.sleep(60)  # the child's row would outlast the test
-        return [float(i)]
+    def fill(span):
+        for i in span:
+            if i == 0:
+                raise ValueError("row 0")
+            time.sleep(60)  # the child's row would outlast the test
+            yield [float(i)]
 
     forks = cpus(2)
     start = time.monotonic()
@@ -243,10 +222,11 @@ def test_a_failing_own_span_kills_and_reaps_a_running_child(cpus):
 def test_rows_of_a_child_killed_by_a_signal_are_filled_here(cpus):
     parent = os.getpid()
 
-    def fill(i):
-        if i == 3 and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return [i, 2.0 * i]
+    def fill(span):
+        for i in span:
+            if i == 3 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield [i, 2.0 * i]
 
     forks = cpus(2)
     rows = _fork_rows(4, 2, fill)
@@ -261,7 +241,8 @@ def test_rows_are_filled_here_when_no_process_can_be_forked(monkeypatch, cpus):
 
     cpus(3)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _fork_rows(3, 1, lambda i: [float(i)]).tolist() == [[0.0], [1.0], [2.0]]
+    assert _fork_rows(3, 1, lambda span: ([float(i)] for i in span)).tolist() == [
+        [0.0], [1.0], [2.0]]
 
 
 @forking
@@ -271,15 +252,16 @@ def test_a_child_delivers_rows_wider_than_a_pipe_buffer_while_the_parent_works(c
     # process read it, so it would reach row 2 only after row 0 was done here
     marker, seen = tmp_path / "row-2-started", []
 
-    def fill(i):
-        if i == 2:
-            marker.touch()
-        if i == 0:
-            deadline = time.monotonic() + 10
-            while not marker.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            seen.append(marker.exists())
-        return np.full(1 << 14, float(i))
+    def fill(span):
+        for i in span:
+            if i == 2:
+                marker.touch()
+            if i == 0:
+                deadline = time.monotonic() + 10
+                while not marker.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                seen.append(marker.exists())
+            yield np.full(1 << 14, float(i))
 
     forks = cpus(2)
     rows = _fork_rows(3, 1 << 14, fill)
@@ -287,6 +269,68 @@ def test_a_child_delivers_rows_wider_than_a_pipe_buffer_while_the_parent_works(c
     assert len(forks) == 1
     assert rows.tolist() == [[float(i)] * (1 << 14) for i in range(3)]
     _assert_no_children()
+
+
+@forking
+@pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "plain"])
+def test_sweep_bytes_are_equal_on_any_worker_count(cpus, stratified):
+    ds = _overlapping_dataset()
+    docs = []
+    for n in (1, 2, 3):
+        forks = cpus(n)
+        docs.append(classification_sweep(ds, (0.3, 0.5), repeats=5, seed=3,
+                                          stratified=stratified, epochs=50).to_json())
+        assert len(forks) == 2 * (min(n, 5) - 1)  # each fraction's repeats are forked
+    assert docs[1:] == docs[:1] * 2
+    _assert_no_children()
+
+
+@forking
+def test_datasets_are_bitwise_equal_on_any_worker_count(basis64, cpus, tmp_path):
+    _write_tree(tmp_path, 3, 3)
+    for make in (lambda: load_labeled_directory(tmp_path, basis=basis64, grid=GRID),
+                 lambda: make_synthetic_dataset(3, 2, 2, seed=5, basis=basis64, grid=GRID)):
+        datasets = []
+        for n in (1, 2, 3):
+            forks = cpus(n)
+            datasets.append(make())
+            assert len(forks) == n - 1
+        for ds in datasets[1:]:
+            assert ds.features.tobytes() == datasets[0].features.tobytes()
+            assert ds.labels.tolist() == datasets[0].labels.tolist()
+            assert ds.class_names == datasets[0].class_names
+    # the rendered spans are the images synthetic_images yields
+    featurize = moments.Featurizer(basis64, grid=GRID)
+    reference = [featurize(img) for _, _, img in synthetic_images(3, 2, 2, seed=5)]
+    assert datasets[0].features.tobytes() == np.array(reference).tobytes()
+    _assert_no_children()
+
+
+@forking
+def test_a_worker_builds_the_layers_of_the_classes_its_span_touches(cpus, monkeypatch):
+    calls = []
+    disk_coords = synthetic._disk_coords
+    monkeypatch.setattr(synthetic, "_disk_coords",
+                        lambda size: calls.append(size) or disk_coords(size))
+    cpus(2)  # items 0-2 (class1, class1, class2) here, 3-5 in the child
+    make_synthetic_dataset(3, 2, 1, seed=1, grid=GRID)
+    assert calls == [96, 96]
+
+
+def test_featurizing_holds_one_image_at_a_time(basis64, cpus, tmp_path):
+    # 80 images: 5.6 MiB as 96 x 96 renders, 2.5 MiB as 64 x 64 reads. One at a
+    # time, the peak is 0.8 MiB for either source.
+    _write_tree(tmp_path, 2, 40)
+    cpus(1)
+    for make in (lambda: make_synthetic_dataset(2, 40, 1, seed=1, basis=basis64, grid=GRID),
+                 lambda: load_labeled_directory(tmp_path, basis=basis64, grid=GRID)):
+        tracemalloc.start()
+        try:
+            make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
 
 def test_stability_builds_the_polar_sampler_once_at_the_first_frame(basis64, test_image,
@@ -397,7 +441,7 @@ def _overlapping_dataset(n_classes=8, per_class=12, dim=6):
     (True, (0.2, 0.5)),
     (False, (0.05, 0.3, 0.6)),
 ], ids=["stratified", "plain"])
-def test_stacked_sweep_matches_per_split_reference(stratified, fractions):
+def test_stacked_sweep_matches_per_split_reference(stratified, fractions, cpus):
     ds = _overlapping_dataset()
     repeats, seed = _FITS_PER_CALL + 3, 4
     # the plain 0.05 splits (4 of 96 items) hold different class sets, so they
@@ -413,11 +457,14 @@ def test_stacked_sweep_matches_per_split_reference(stratified, fractions):
         assert len(groups[0]) > 1
     assert any(max(g.values()) > _FITS_PER_CALL for g in groups)
 
-    report = classification_sweep(ds, fractions, repeats=repeats, seed=seed,
-                                  stratified=stratified)
     means, stds = reference_sweep(ds, fractions, repeats, seed, stratified)
-    assert report.mean_accuracy.tobytes() == means.tobytes()
-    assert report.std_accuracy.tobytes() == stds.tobytes()
+    # in one process a fraction's fits cross the stack cap; over three CPUs no span does
+    for n in (1, 3):
+        cpus(n)
+        report = classification_sweep(ds, fractions, repeats=repeats, seed=seed,
+                                      stratified=stratified)
+        assert report.mean_accuracy.tobytes() == means.tobytes()
+        assert report.std_accuracy.tobytes() == stds.tobytes()
     assert np.all(stds > 0)
 
 

@@ -1,8 +1,8 @@
 """Guards over the package source, read with ``ast``: no module keeps an import it
 never uses, no private module-level name goes unused package-wide, the radial
 rule of the moments keeps its one home, a raster keeps its one route to them,
-the stacking of classifier fits stays inside the classifier, and the integer
-rule has one home."""
+the stacking of classifier fits stays inside the classifier, the integer rule
+has one home, and one function forks."""
 
 import ast
 from pathlib import Path
@@ -105,14 +105,14 @@ def test_the_radial_rule_has_one_home():
 
 
 def test_the_stacking_of_fits_has_one_home():
-    # train_classifiers alone decides which fits share an epoch loop; the sweep
-    # hands it every split of a fraction and knows no stack cap
+    # train_classifiers alone decides which fits share an epoch loop; the sweep's
+    # span filler hands it every split of its span of repeats and knows no stack cap
     assert _loading_scopes(TREES["classifier.py"], ("_FITS_PER_CALL", "_fit_stack")) == {
         "_FITS_PER_CALL": {"train_classifiers"},
         "_fit_stack": {"train_classifiers"},
     }
     assert _loading_scopes(TREES["harness.py"], ("train_classifiers",)) == {
-        "train_classifiers": {"classification_sweep"},
+        "train_classifiers": {"classification_sweep.accuracies"},
     }
     assert "_FITS_PER_CALL" not in _references(TREES["harness.py"])
 
@@ -141,3 +141,15 @@ def test_the_integer_rule_has_one_home():
         "dpss.py": {"_check_integer"},
     }
     assert not any("_check_seed" in _private_definitions(tree) for tree in TREES.values())
+
+
+def test_one_function_forks():
+    # harness._fork_rows alone forks, kills and reaps; the rotation study, the
+    # featurization and the sweep fill their rows through it
+    def fork(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "fork")
+                or (isinstance(node, ast.Name) and node.id == "fork"))
+    homes = {module: _scopes(tree, fork) for module, tree in TREES.items()}
+    assert {module: scopes for module, scopes in homes.items() if scopes} == {
+        "harness.py": {"_fork_rows"},
+    }
