@@ -111,14 +111,20 @@ def _fit_stack(x, y, subsets, reg, epochs) -> list[LinearModel]:
     ys = [y[rows] for rows in subsets]
     z = np.empty((len(ys), ys[0].size, x.shape[1]))
     mus, sds = [], []
-    for zi, rows in zip(z, subsets):
-        xi = x[rows]
-        mu = xi.mean(axis=0)
-        sd = xi.std(axis=0)
-        sd[sd == 0.0] = 1.0
-        np.divide(np.subtract(xi, mu, out=zi), sd, out=zi)
-        mus.append(mu)
-        sds.append(sd)
+    # finite features near the float64 limit overflow the standardization: refused
+    # below, instead of training all-zero weights on a z of zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        for zi, rows in zip(z, subsets):
+            xi = x[rows]
+            mu = xi.mean(axis=0)
+            sd = xi.std(axis=0)
+            sd[sd == 0.0] = 1.0
+            np.divide(np.subtract(xi, mu, out=zi), sd, out=zi)
+            mus.append(mu)
+            sds.append(sd)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(sds))):
+        raise ParameterError("training features overflow their standardization: "
+                             "their mean or spread is beyond float64's range")
 
     n, dim = z.shape[1:]
     classes = np.unique(ys[0])

@@ -8,10 +8,13 @@ synth --size, --precision) have upper bounds, noise-test --snr-db must lie
 within +-3000 dB and classify --reg must be >= 0. A basis file is read by
 dpss.basis_from_json, so one that breaks a sequence convention, signs
 included, exits 1 with one line naming the file, as does a PGM sample above
-its maxval. Only noise-test, classify and synth draw random numbers, so only
-they take --seed (a fixed default, never time-based); only the table writers,
-rotate-test, noise-test and classify, take --precision. Every output file is
-written atomically, so identical invocations are byte-identical.
+its maxval, or a synth or synthetic classify of more than a million images
+(--classes x --per-class x --rotations, refused by harness._synthetic_keys
+before anything is rendered). Only noise-test, classify and synth draw random
+numbers, so only they take --seed (a fixed default, never time-based); only
+the table writers, rotate-test, noise-test and classify, take --precision.
+Every output file is written atomically, so identical invocations are
+byte-identical.
 
 A CLI process runs OpenBLAS, numpy's and scipy's alike, on one thread: every
 product here is small, so worker threads would only spin. Setting
@@ -26,8 +29,6 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 # OpenBLAS reads its thread count once, when it loads, so the choice must come
@@ -45,12 +46,13 @@ from .harness import (
     DEFAULT_SEED,
     PROTOCOL_ANGLES_DEG,
     PROTOCOL_ORDERS,
+    _fork_rows,
+    _synthetic_spans,
     classification_sweep,
     default_basis,
     load_labeled_directory,
     make_synthetic_dataset,
     rotation_stability,
-    synthetic_images,
 )
 from .imaging import _MAX_SNR_DB, NoiseSpec, _read_pgm_file, rotate_image, write_pgm
 from .moments import (
@@ -102,6 +104,22 @@ def _write_atomic(path: str | Path, data: bytes | str | Iterable[str]) -> None:
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+def _remove_temporaries(paths: Iterable[Path]) -> None:
+    """Remove the temporary files that ``_write_atomic`` left beside ``paths``, as a
+    process killed while writing one does."""
+    prefixes: dict[Path, set[str]] = {}
+    for path in paths:
+        prefixes.setdefault(path.parent, set()).add(f".{path.name}")
+    for folder, names in prefixes.items():
+        try:
+            entries = list(os.scandir(folder))
+        except OSError:  # no such directory, so nothing was written in it
+            continue
+        for entry in entries:
+            if entry.name.rpartition(".")[0] in names:  # mkstemp's random suffix has no dot
+                os.unlink(entry.path)
 
 
 def _load(path: str, parse, kind: str):
@@ -390,16 +408,27 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    """Write the images on every usable CPU (see ``harness._fork_rows``): each worker
+    renders its span of images and writes them itself, one row of the table per
+    image marking it written."""
     root = Path(args.out_dir)
-    images = synthetic_images(
-        args.classes, args.per_class, args.rotations,
-        seed=args.seed, image_size=args.size,
-    )
-    for class_name, items in groupby(images, key=itemgetter(0)):
-        cdir = root / class_name
-        cdir.mkdir(parents=True, exist_ok=True)
-        for _, stem, image in items:
-            _write_atomic(cdir / f"{stem}.pgm", write_pgm(image))
+    count, names, render = _synthetic_spans(args.classes, args.per_class, args.rotations,
+                                            args.seed, args.size)
+
+    def write(span):
+        made = None
+        for (class_name, stem), image in zip(names(span), render(span)):
+            if class_name != made:
+                (root / class_name).mkdir(parents=True, exist_ok=True)  # another worker may too
+                made = class_name
+            _write_atomic(root / class_name / f"{stem}.pgm", write_pgm(image))
+            yield (1.0,)
+
+    try:
+        _fork_rows(count, 1, write)
+    finally:
+        _remove_temporaries(root / class_name / f"{stem}.pgm"
+                            for class_name, stem in names(range(count)))
     return 0
 
 

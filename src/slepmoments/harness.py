@@ -8,7 +8,7 @@ import mmap
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +165,10 @@ def _fork_rows(n_rows: int, n_cols: int, fill) -> np.ndarray:
 
     ``fill(span)`` takes a ``range`` of row numbers and yields their rows in
     order; each worker calls it once, for its own span, so whatever a span's rows
-    share (a renderer, a stacked fit) is set up once per worker. The table lives
+    share (a renderer, a stacked fit) is set up once per worker. A fill may write
+    files (``synth`` writes its images from every worker), each one atomically,
+    so a worker killed mid-write leaves at most a temporary file, which the
+    caller removes once this returns or raises. The table lives
     in an anonymous shared mapping, beside one "done" byte per row. This process
     fills the first span. Each further span runs in an ``os.fork`` child, which
     inherits the mapping, writes each row into it and marks the row done as the
@@ -333,10 +336,12 @@ def classification_sweep(
     Splits are stratified per class by default (an unstratified mode exists for
     probing class-dropout effects). Each (fraction, repeat) pair derives its own
     child seed, so repeats are independent and order-insensitive. This process
-    draws every split of a fraction, then the fraction's repeats are trained on
-    every usable CPU (see ``_fork_rows``): each worker fits its span of repeats
-    in one ``train_classifiers`` call, with the same result as one fit per
-    repeat, bit for bit, and the mean and std are taken here in repeat order.
+    draws every split, fraction by fraction, so the first failing split raises
+    before anything is trained. Then every fit is trained on every usable CPU
+    (see ``_fork_rows``), on rows taken repeat by repeat, so each worker fits the
+    same repeats of every fraction, in one ``train_classifiers`` call, with the
+    same result as one fit per split, bit for bit. Each fraction's mean and std
+    are taken here in repeat order.
     """
     fractions = [_check_real("fraction", p) for p in fractions]
     if not fractions or any(not (0.0 < p < 1.0) for p in fractions):
@@ -344,21 +349,21 @@ def classification_sweep(
     repeats = _check_integer("repeats", repeats, 1)
     seed = _check_integer("seed", seed, 0)
     x, y = ds.features, ds.labels
-    means, stds = [], []
-    for fi, p in enumerate(fractions):
-        splits = _draw_splits(ds, p, fi, repeats, seed, stratified)
+    by_fraction = [_draw_splits(ds, p, fi, repeats, seed, stratified)
+                   for fi, p in enumerate(fractions)]
+    splits = [reps[r] for r in range(repeats) for reps in by_fraction]  # row r * F + f
 
-        def accuracies(span):
-            models = train_classifiers(x, y, [splits[r][0] for r in span], reg=reg,
-                                       epochs=epochs)
-            for model, r in zip(models, span):
-                test = splits[r][1]
-                yield [(model.predict(x[test]) == y[test]).mean()]
+    def accuracies(span):
+        models = train_classifiers(x, y, [splits[i][0] for i in span], reg=reg, epochs=epochs)
+        for model, i in zip(models, span):
+            test = splits[i][1]
+            yield [(model.predict(x[test]) == y[test]).mean()]
 
-        # in repeat order, so the sums below run in the same order as one fit per repeat
-        accs = _fork_rows(repeats, 1, accuracies)[:, 0]
-        means.append(float(np.mean(accs)))
-        stds.append(float(np.std(accs)))
+    # one contiguous row of repeats per fraction, so the sums below run in the
+    # same order as one fit per split
+    accs = _fork_rows(len(splits), 1, accuracies).reshape(repeats, len(fractions)).T.copy()
+    means = [float(np.mean(row)) for row in accs]
+    stds = [float(np.std(row)) for row in accs]
     meta = {
         "classes": {int(k): v for k, v in sorted(ds.class_names.items())},
         "items": len(ds.labels),
@@ -397,14 +402,9 @@ def make_synthetic_dataset(
     order, so class ``classK`` gets label K and labels run 1..n_classes. Each
     worker of ``_featurize`` renders only the images of its own span.
     """
-    keys, seed = _synthetic_keys(n_classes, per_class, rotations_per_item, seed)
-    keys = list(keys)
-
-    def images(span):
-        for _, _, img in _synthetic_items(keys[span.start : span.stop], seed, _IMAGE_SIZE):
-            yield img
-
-    return _featurize([f"class{cid + 1}" for cid, _, _ in keys], images, basis, grid)
+    count, names, render = _synthetic_spans(n_classes, per_class, rotations_per_item, seed,
+                                            _IMAGE_SIZE)
+    return _featurize([name for name, _ in names(range(count))], render, basis, grid)
 
 
 def synthetic_images(
@@ -420,29 +420,62 @@ def synthetic_images(
     dataset is reproducible item by item. Each class's rng-free layers are
     built once, and its images are rendered from them.
     """
-    keys, seed = _synthetic_keys(n_classes, per_class, rotations_per_item, seed)
-    yield from _synthetic_items(keys, seed, image_size)
+    count, names, render = _synthetic_spans(n_classes, per_class, rotations_per_item, seed,
+                                            image_size)
+    everything = range(count)
+    for (class_name, stem), image in zip(names(everything), render(everything)):
+        yield class_name, stem, image
+
+
+# The most images a synthetic dataset may hold, classes x per-class x rotations:
+# 1e6 images of the default 96 x 96 are 9.2 GB of PGM files.
+_MAX_SYNTHETIC_IMAGES = 1_000_000
 
 
 def _synthetic_keys(n_classes, per_class, rotations_per_item, seed):
-    """The (class id, item, rotation) keys of the synthetic images, class by class,
-    then item by item, and the checked seed."""
+    """The number of synthetic images, ``keys(span)``, which yields the (class id,
+    item, rotation) key of each image of a ``range`` span, class by class, then item
+    by item, and the checked seed. A count above _MAX_SYNTHETIC_IMAGES is refused
+    here, before anything is rendered or forked."""
     n_classes = _check_integer("n_classes", n_classes, 2)
     per_class = _check_integer("per_class", per_class, 1)
     rotations_per_item = _check_integer("rotations_per_item", rotations_per_item, 1)
     seed = _check_integer("seed", seed, 0)
-    return product(range(n_classes), range(per_class), range(rotations_per_item)), seed
+    count = n_classes * per_class * rotations_per_item
+    if count > _MAX_SYNTHETIC_IMAGES:
+        raise ParameterError(
+            f"a synthetic dataset of {n_classes} classes x {per_class} items x "
+            f"{rotations_per_item} rotations would hold {count} images, more than "
+            f"{_MAX_SYNTHETIC_IMAGES}"
+        )
+
+    def keys(span):
+        return islice(product(range(n_classes), range(per_class), range(rotations_per_item)),
+                      span.start, span.stop)
+
+    return count, keys, seed
 
 
-def _synthetic_items(keys, seed: int, image_size: int):
-    """Yield (class_name, file_stem, RasterImage) for each (class id, item, rotation)
-    key in turn, building a class's layers once per run of its keys."""
-    render, render_cid = None, None
-    for cid, item, rot in keys:
-        if cid != render_cid:
-            render = None  # release the last class's layers before this class's are built
-            render, render_cid = _shape_class_renderer(cid, image_size), cid
-        yield f"class{cid + 1}", f"item{item:03d}r{rot}", render(_rng(seed, cid, item, rot))
+def _synthetic_spans(n_classes, per_class, rotations_per_item, seed, image_size):
+    """The synthetic dataset as spans of its images: their number, ``names(span)``,
+    which yields the (class_name, file_stem) of each image of a ``range`` span, and
+    ``render(span)``, which yields their RasterImages, building a class's layers once
+    per run of its keys in the span."""
+    count, keys, seed = _synthetic_keys(n_classes, per_class, rotations_per_item, seed)
+
+    def names(span):
+        for cid, item, rot in keys(span):
+            yield f"class{cid + 1}", f"item{item:03d}r{rot}"
+
+    def render(span):
+        layers, layers_cid = None, None
+        for cid, item, rot in keys(span):
+            if cid != layers_cid:
+                layers = None  # release the last class's layers before this class's are built
+                layers, layers_cid = _shape_class_renderer(cid, image_size), cid
+            yield layers(_rng(seed, cid, item, rot))
+
+    return count, names, render
 
 
 def load_labeled_directory(

@@ -160,3 +160,16 @@ def test_non_finite_features_rejected(value):
     x[1, 0] = value
     with pytest.raises(ParameterError, match="finite"):
         train_classifier(x, np.array([1, 2, 1]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("low, high, scale", [(1.0, 1.7, 1e308), (-1.0, 1.0, 1e300)],
+                         ids=["mean-overflows", "spread-overflows"])
+def test_features_that_overflow_their_standardization_are_refused(low, high, scale):
+    # the standardization overflowed to a z of zeros, which trained all-zero weights
+    # that put every row in the lowest class, with only a RuntimeWarning to show
+    x = np.linspace(low, high, 40).reshape(20, 2)
+    y = np.repeat([1, 2], 10)
+    with pytest.raises(ParameterError, match="^training features overflow their standardization"):
+        train_classifier(x * scale, y)
+    assert (train_classifier(x, y).predict(x) == y).all()

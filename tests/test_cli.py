@@ -5,8 +5,10 @@ import inspect
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -163,17 +165,146 @@ def _tree_digest(root):
     return hashlib.sha256(lines.encode("ascii")).hexdigest()
 
 
-@pytest.mark.parametrize("argv, digest", [
+_SYNTH_GOLDEN = [
     ("--seed 5 --classes 3 --per-class 4 --rotations 2 --size 64",
      "bf9225f39865a57c384c4634b1150af6cb24964be0128a926796a8f17a20d473"),
     ("--seed 7 --classes 2 --per-class 3 --size 2",
      "9a412f26181303b6757fe966bcda7d64d0ac3064e4acb083e1125a9d4d44a3c8"),
-], ids=["golden", "size2"])
+]
+
+
+@pytest.mark.parametrize("argv, digest", _SYNTH_GOLDEN, ids=["golden", "size2"])
 def test_synth_writes_the_recorded_tree(tmp_path, argv, digest):
     # the tree digests in CHANGES.md; the golden tree is the synth/ input of the
     # golden corpus below
     assert run(["synth", *argv.split(), "--out-dir", str(tmp_path)]) == 0
     assert _tree_digest(tmp_path) == digest
+
+
+def _temporaries(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob(".*.pgm.*"))
+
+
+@forking
+@pytest.mark.parametrize("argv, digest", _SYNTH_GOLDEN, ids=["golden", "size2"])
+def test_synth_writes_the_recorded_tree_on_any_cpu_count(tmp_path, cpus, argv, digest):
+    # each worker renders and writes its own span of the images; on 2 and 5 CPUs
+    # some class directories are shared by two workers, which may both create them
+    for n in (1, 2, 3, 5):
+        forks = cpus(n)
+        root = tmp_path / str(n)
+        assert run(["synth", *argv.split(), "--out-dir", str(root)]) == 0
+        assert len(forks) == n - 1
+        assert _tree_digest(root) == digest
+        assert _temporaries(root) == []
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_writes(monkeypatch, plan, forks):
+    """Make ``cli._write_atomic`` fail the images that ``plan`` names once it has
+    written a temporary file's first bytes: "fail" raises a full disk, once a
+    forked "stall" has begun, "stall" holds a forked writer until it is killed,
+    and "die" kills a forked writer."""
+    real, parent = cli._write_atomic, os.getpid()
+
+    def write_atomic(path, data):
+        how = plan.get(f"{path.parent.name}/{path.name}")
+        if how is None or (how != "fail" and os.getpid() == parent):
+            return real(path, data)
+        stalled = path.parent.parent / "stalled"
+
+        def chunks():
+            yield "P5\n"
+            if how == "fail":
+                deadline = time.monotonic() + 10
+                while ("stall" in plan.values() and forks and not stalled.exists()
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                raise OSError(28, "No space left on device")
+            if how == "die":
+                os.kill(os.getpid(), signal.SIGKILL)
+            stalled.touch()
+            time.sleep(60)
+            yield ""
+
+        return real(path, chunks())
+
+    monkeypatch.setattr(cli, "_write_atomic", write_atomic)
+
+
+_SMALL_SYNTH = ["synth", "--classes", "2", "--per-class", "2", "--size", "16", "--out-dir"]
+
+
+@forking
+@pytest.mark.parametrize("plan", [
+    {"class1/item001r0.pgm": "fail", "class2/item000r0.pgm": "stall"},
+    {"class2/item001r0.pgm": "fail"},
+], ids=["own-span-fails", "child-span-fails"])
+def test_a_failing_image_prints_its_serial_error_once_and_leaves_no_temporary(
+        tmp_path, capfd, monkeypatch, cpus, plan):
+    # four images: class1's are written here on two CPUs and class2's in the forked
+    # child. A failure here kills the child mid-write; a failure there leaves its
+    # rows to be written again here, in order, up to the failing one
+    failing = next(name for name, how in plan.items() if how == "fail")
+    for n in (1, 2):
+        forks = cpus(n)
+        _failing_writes(monkeypatch, plan, forks)
+        root = tmp_path / str(n)
+        start = time.monotonic()
+        assert run([*_SMALL_SYNTH, str(root)]) == 1
+        assert time.monotonic() - start < 30
+        assert len(forks) == n - 1
+        assert capfd.readouterr() == ("", "slepmoments: error: [Errno 28] No space left on "
+                                          f"device: '{root / failing}'\n")
+        assert _temporaries(root) == []
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+def test_a_writer_killed_mid_write_leaves_no_temporary(tmp_path, monkeypatch, cpus):
+    # the child dies inside its first image's temporary file, so both of its images
+    # are written here
+    trees = []
+    for n in (1, 2):
+        forks = cpus(n)
+        _failing_writes(monkeypatch, {"class2/item000r0.pgm": "die"}, forks)
+        root = tmp_path / str(n)
+        assert run([*_SMALL_SYNTH, str(root)]) == 0
+        assert len(forks) == n - 1
+        assert _temporaries(root) == []
+        trees.append(_tree_digest(root))
+    assert trees[0] == trees[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_HUGE = 10**30 - 1
+
+
+@pytest.mark.parametrize("command, out_flag", [("synth", "--out-dir"), ("classify", "--out")])
+@pytest.mark.parametrize("argv, sizes", [
+    (["--classes", str(_HUGE)], (_HUGE, 8, 1)),
+    (["--per-class", str(_HUGE)], (6, _HUGE, 1)),
+    (["--rotations", str(_HUGE)], (6, 8, _HUGE)),
+    (["--classes", "101", "--per-class", "9901"], (101, 9901, 1)),
+], ids=["classes", "per-class", "rotations", "one-above-the-cap"])
+def test_a_synthetic_count_above_the_cap_exits_one_with_one_line(tmp_path, capsys, monkeypatch,
+                                                                  command, out_flag, argv, sizes):
+    # a count above 2**63 - 1 ended in a 20-line OverflowError traceback. Nothing
+    # may be rendered, so a lost cap fails here at once instead of writing 1e6 files
+    def rendered(*args):
+        raise AssertionError("an image was rendered")
+    monkeypatch.setattr(slepmoments.harness, "_shape_class_renderer", rendered)
+    out = tmp_path / "out"
+    assert run([command, *argv, out_flag, str(out)]) == 1
+    classes, per_class, rotations = sizes
+    assert capsys.readouterr() == ("", (
+        f"slepmoments: error: a synthetic dataset of {classes} classes x {per_class} items "
+        f"x {rotations} rotations would hold {classes * per_class * rotations} images, "
+        "more than 1000000\n"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_synthetic(tmp_path):
@@ -970,7 +1101,7 @@ def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch, exc
 @forking
 def test_a_later_plain_split_failure_reads_the_same_on_any_cpu_count(tmp_path, capsys,
                                                                       cpus):
-    # the 0.5 repeats are trained before the 0.04 split fails
+    # every split is drawn before anything is trained, so the 0.04 split fails first
     out = tmp_path / "c.csv"
     argv = ["classify", "--classes", "6", "--per-class", "8", "--no-stratify", "--fractions",
             "0.5,0.04", "--repeats", "4", "--epochs", "5", "--radial", "16", "--angular",
@@ -979,7 +1110,7 @@ def test_a_later_plain_split_failure_reads_the_same_on_any_cpu_count(tmp_path, c
     for n in (1, 2):
         forks = cpus(n)
         assert run(argv) == 1
-        assert len(forks) == 2 * (n - 1)  # the featurization's child and the 0.5 sweep's
+        assert len(forks) == n - 1  # the featurization's child; no training is forked
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].count("\n") == 1
@@ -1128,8 +1259,8 @@ _CLASSIFY_GOLDEN = [(row, name) for row, name in zip(_GOLDEN, _GOLDEN_IDS)
                          ids=[name for _, name in _CLASSIFY_GOLDEN])
 def test_classify_commands_write_the_recorded_bytes_on_any_cpu_count(
         tmp_path, monkeypatch, golden_inputs, argv, digest, json_digest, cpus):
-    # the images are featurized and each fraction's repeats trained in one process,
-    # or forked over three
+    # the images are featurized and every split trained in one process, or forked
+    # over three
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.chdir(golden_inputs)
     _check_golden(tmp_path, argv, digest, json_digest)

@@ -280,7 +280,7 @@ def test_sweep_bytes_are_equal_on_any_worker_count(cpus, stratified):
         forks = cpus(n)
         docs.append(classification_sweep(ds, (0.3, 0.5), repeats=5, seed=3,
                                           stratified=stratified, epochs=50).to_json())
-        assert len(forks) == 2 * (min(n, 5) - 1)  # each fraction's repeats are forked
+        assert len(forks) == n - 1  # one fork trains every fraction's repeats
     assert docs[1:] == docs[:1] * 2
     _assert_no_children()
 
@@ -632,6 +632,26 @@ def test_synthetic_images_match_the_per_image_oracle_bitwise(size):
             np.random.SeedSequence(entropy=3, spawn_key=(cid, item, rot))
         )
         assert image.pixels.tobytes() == reference_shape_class_image(cid, rng, size).tobytes()
+
+
+def test_synthetic_image_count_is_capped_at_one_million(monkeypatch):
+    # 2 x 500,000 images is the cap, and 101 x 9,901 one image more; the count is
+    # refused before anything is rendered
+    count, names, _ = harness._synthetic_spans(2, 500_000, 1, 0, 8)
+    assert count == 1_000_000
+    assert list(names(range(count - 1, count))) == [("class2", "item499999r0")]
+    assert next(synthetic_images(2, 500_000, image_size=8))[:2] == ("class1", "item000r0")
+    message = ("a synthetic dataset of 101 classes x 9901 items x 1 rotations would hold "
+               "1000001 images, more than 1000000")
+
+    def rendered(*args):
+        raise AssertionError("an image was rendered")
+    monkeypatch.setattr(harness, "_shape_class_renderer", rendered)
+    for use in (lambda: next(synthetic_images(101, 9_901)),
+                lambda: make_synthetic_dataset(101, 9_901)):
+        with pytest.raises(ParameterError) as exc:
+            use()
+        assert str(exc.value) == message
 
 
 def test_synthetic_images_build_each_class_layers_once(monkeypatch):

@@ -2,7 +2,8 @@
 never uses, no private module-level name goes unused package-wide, the radial
 rule of the moments keeps its one home, a raster keeps its one route to them,
 the stacking of classifier fits stays inside the classifier, the integer rule
-has one home, and one function forks."""
+has one home, the synthetic images have one span renderer, and one function
+forks."""
 
 import ast
 from pathlib import Path
@@ -141,6 +142,23 @@ def test_the_integer_rule_has_one_home():
         "dpss.py": {"_check_integer"},
     }
     assert not any("_check_seed" in _private_definitions(tree) for tree in TREES.values())
+
+
+def test_the_synthetic_images_have_one_span_renderer():
+    # harness._synthetic_keys alone numbers and slices the synthetic images, and
+    # _synthetic_spans alone names and renders a span of them, for the generator,
+    # the dataset and synth alike
+    assert _loading_scopes(TREES["harness.py"], (
+        "_synthetic_keys", "_synthetic_spans", "_shape_class_renderer", "islice")) == {
+        "_synthetic_keys": {"_synthetic_spans"},
+        "_synthetic_spans": {"make_synthetic_dataset", "synthetic_images"},
+        "_shape_class_renderer": {"_synthetic_spans.render"},
+        "islice": {"_synthetic_keys.keys"},
+    }
+    assert _loading_scopes(TREES["cli.py"], ("_synthetic_spans", "synthetic_images")) == {
+        "_synthetic_spans": {"_cmd_synth"},
+        "synthetic_images": set(),
+    }
 
 
 def test_one_function_forks():
