@@ -4,17 +4,23 @@ Exit codes: 0 success, 1 computation/format/input errors, 2 usage errors.
 Each flag is checked once, by its argparse type (dpss gen --k, bounded by
 --n, right after parsing), so a bad value exits 2 with one line naming the
 flag. The flags that size one allocation (dpss gen --n, --radial, --angular,
-synth --size, --precision) have upper bounds, noise-test --snr-db must lie
-within +-3000 dB and classify --reg must be >= 0. A basis file is read by
-dpss.basis_from_json, so one that breaks a sequence convention, signs
-included, exits 1 with one line naming the file, as does a PGM sample above
-its maxval, or a synth or synthetic classify of more than a million images
-(--classes x --per-class x --rotations, refused by harness._synthetic_keys
-before anything is rendered). Only noise-test, classify and synth draw random
-numbers, so only they take --seed (a fixed default, never time-based); only
-the table writers, rotate-test, noise-test and classify, take --precision.
+synth --size, --precision) or a loop (classify --repeats, --epochs) have upper
+bounds, noise-test --snr-db must lie within +-3000 dB and classify --reg must
+be >= 0. A basis file is read by dpss.basis_from_json, so one that breaks a
+sequence convention, signs included, exits 1 with one line naming the file, as
+does a PGM sample above its maxval, or a synth or synthetic classify of more
+than a million images (--classes x --per-class x --rotations, refused by
+harness._synthetic_keys before anything is rendered). Only noise-test, classify
+and synth draw random numbers, so only they take --seed (a fixed default, never
+time-based); only the table writers, rotate-test, noise-test and classify, take
+--precision.
 Every output file is written atomically, so identical invocations are
-byte-identical.
+byte-identical, and a command with two outputs writes both or neither.
+
+A process ends once its outputs are written: ``main`` flushes stdout and stderr
+and leaves through ``os._exit``, since every output is closed and renamed and
+every worker reaped before ``run`` returns. A failed flush (stdout on a closed
+pipe) exits 1 with one line.
 
 A CLI process runs OpenBLAS, numpy's and scipy's alike, on one thread: every
 product here is small, so worker threads would only spin. Setting
@@ -25,6 +31,7 @@ a process that loaded numpy before this module keeps its own choice.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import tempfile
@@ -76,31 +83,51 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep diagnostics to one line, exit code 2
         raise _UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write (--help into a closed pipe, unbuffered); raise
+        # it, naming the stream, as main reports a failed flush
+        file = file or sys.stderr
+        if message and file is not None:
+            try:
+                file.write(message)
+            except OSError as exc:
+                raise _stream_error(file, exc) from exc
 
-def _write_atomic(path: str | Path, data: bytes | str | Iterable[str]) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
+
+def _stream_error(stream, exc: OSError) -> OSError:
+    return OSError(exc.errno, exc.strerror, stream.name)
+
+
+def _write_atomic(*outputs: tuple[str | Path, bytes | str | Iterable[str]]) -> None:
+    """Write each ``(path, data)`` output to a temporary file beside its path, then
+    rename every temporary over its path, so a failure writes none of them.
 
     ``data`` is bytes, text, or text chunks that are written as they are produced.
-    An OSError names ``path``, not the temporary file, whose name is random.
+    An OSError names the output's path, not the temporary file, whose name is random.
     """
-    path = Path(path)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    tmp = None
+    # mkstemp creates a file as 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
+    written = []  # (temporary, path) pairs
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-        with os.fdopen(fd, mode) as fh:
-            if isinstance(data, (bytes, str)):
-                fh.write(data)
-            else:
-                fh.writelines(data)
-        # mkstemp creates the file as 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for path, data in outputs:
+            path = Path(path)
+            if path.is_dir():  # refused now, not when the renames have begun
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            written.append((tmp, path))
+            with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+                if isinstance(data, (bytes, str)):
+                    fh.write(data)
+                else:
+                    fh.writelines(data)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, path in written:
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in written:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
@@ -167,6 +194,11 @@ _natural = _bounded(0)
 # 256-pixel image peaks near 35 MB. A 2048-pixel synth image peaks near 0.35 GB
 # of render temporaries.
 _grid_size = _bounded(1, 2048)
+# So are the flags that size a loop, which would otherwise run without end: on the
+# default synthetic classify, 10,000 repeats hold about 30 MB of splits and take
+# about 15 s, and 100,000 epochs about 8 s.
+_repeats = _bounded(1, 10_000)
+_epochs = _bounded(1, 100_000)
 
 
 def _half_bandwidth(text: str) -> float:
@@ -301,12 +333,14 @@ def _build_parser() -> _Parser:
                    help="synthetic rotations per item")
     p.add_argument("--fractions", type=_fractions, default="0.2,0.3,0.4,0.5",
                    help="comma-separated training fractions in (0, 1)")
-    p.add_argument("--repeats", type=_count, default=10, help="splits per fraction")
+    p.add_argument("--repeats", type=_repeats, default=10,
+                   help="splits per fraction (at most 10000)")
     p.add_argument("--basis", default=None, help="basis JSON path (default: built-in)")
     _add_grid(p, 64, 128)
     p.add_argument("--reg", type=_bounded(0, parse=_finite), default=1e-3,
                    help="hinge-loss regularization, finite and >= 0")
-    p.add_argument("--epochs", type=_count, default=300, help="training epochs")
+    p.add_argument("--epochs", type=_epochs, default=300,
+                   help="training epochs (at most 100000)")
     p.add_argument("--no-stratify", action="store_true",
                    help="use plain random splits instead of per-class stratification")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -332,7 +366,7 @@ def _cmd_dpss_gen(args) -> int:
     if args.k > args.n:
         raise _UsageError(f"argument --k: must be <= --n ({args.n}), got {args.k}")
     basis = compute_dpss(DpssParams(n_len=args.n, half_bandwidth=args.w, n_seq=args.k))
-    _write_atomic(args.out, basis_to_json(basis))
+    _write_atomic((args.out, basis_to_json(basis)))
     return 0
 
 
@@ -342,13 +376,13 @@ def _cmd_moments_compute(args) -> int:
     if args.angle != 0.0:
         image = rotate_image(image, args.angle)
     ms = _raster_moments(image, basis, args.m, args.l, (args.radial, args.angular))
-    _write_atomic(args.out, moments_to_json(ms))
+    _write_atomic((args.out, moments_to_json(ms)))
     return 0
 
 
 def _cmd_invariants(args) -> int:
     ms = _load(args.moments, moments_from_json, "moment")
-    _write_atomic(args.out, invariants_to_csv(invariants(ms)))
+    _write_atomic((args.out, invariants_to_csv(invariants(ms))))
     return 0
 
 
@@ -365,13 +399,21 @@ def _cmd_reconstruct(args) -> int:
     except ParameterError as exc:
         raise FormatError(f"moment file {args.moments} cannot be reconstructed with "
                           f"{args.basis}: {exc}")
-    _write_atomic(args.out, _json_chunks({
+    _write_atomic((args.out, _json_chunks({
         "n_radial": args.radial,
         "n_angular": args.angular,
         "imag_residual": residual,
         "samples": samples,
-    }))
+    })))
     return 0
+
+
+def _write_report(args, report) -> None:
+    """Write a table command's CSV to --out and, if asked, its JSON to --json-out."""
+    outputs = [(args.out, report.to_csv(precision=args.precision))]
+    if args.json_out:
+        outputs.append((args.json_out, report.to_json()))
+    _write_atomic(*outputs)
 
 
 def _cmd_stability(args) -> int:
@@ -381,9 +423,7 @@ def _cmd_stability(args) -> int:
     report = rotation_stability(
         image, args.angles, args.orders, basis, (args.radial, args.angular), noise=noise
     )
-    _write_atomic(args.out, report.to_csv(precision=args.precision))
-    if args.json_out:
-        _write_atomic(args.json_out, report.to_json())
+    _write_report(args, report)
     return 0
 
 
@@ -401,9 +441,7 @@ def _cmd_classify(args) -> int:
         ds, fractions=args.fractions, repeats=args.repeats, seed=args.seed,
         stratified=not args.no_stratify, reg=args.reg, epochs=args.epochs,
     )
-    _write_atomic(args.out, report.to_csv(precision=args.precision))
-    if args.json_out:
-        _write_atomic(args.json_out, report.to_json())
+    _write_report(args, report)
     return 0
 
 
@@ -421,7 +459,7 @@ def _cmd_synth(args) -> int:
             if class_name != made:
                 (root / class_name).mkdir(parents=True, exist_ok=True)  # another worker may too
                 made = class_name
-            _write_atomic(root / class_name / f"{stem}.pgm", write_pgm(image))
+            _write_atomic((root / class_name / f"{stem}.pgm", write_pgm(image)))
             yield (1.0,)
 
     try:
@@ -456,7 +494,29 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run ``sys.argv`` and end the process with ``os._exit``.
+
+    Before ``run`` returns, every output is written, closed and renamed and every
+    worker is reaped, so the interpreter's own exit would only collect garbage and
+    tear down modules. The standard streams are flushed first. A failed
+    flush (stdout on a closed pipe, say) prints one error line and exits 1, unless
+    the command already failed with its own line and code. An exception that
+    escapes ``run`` ends in Python's traceback.
+    """
+    code = run(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with the fd closed
+                stream.flush()
+    except OSError as exc:
+        if code == 0:
+            code = 1
+            try:
+                print(f"slepmoments: error: {_stream_error(stream, exc)}",
+                      file=sys.stderr, flush=True)
+            except OSError:  # stderr itself is broken; the exit code still tells
+                pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import train_classifiers
+from .classifier import _distinct, train_classifiers
 from .dpss import DpssBasis, _check_integer, _check_real, basis_from_json
 from .errors import ParameterError
 from .imaging import (
@@ -240,7 +240,7 @@ class LabeledDataset:
         # the sweep indexes both with the same split, so extra rows would be dropped silently
         if np.ndim(self.features) != 2 or len(self.features) != len(self.labels):
             raise ParameterError("features must be an n x d matrix with one row per label")
-        if np.unique(self.labels).size < 2:
+        if _distinct(self.labels).size < 2:
             raise ParameterError("dataset must contain at least two distinct labels")
 
 
@@ -279,7 +279,7 @@ class ClassificationReport:
 
 def _stratified_split(y, fraction, rng, class_names):
     train_idx, test_idx = [], []
-    for label in np.unique(y):
+    for label in _distinct(y):
         idx = np.where(y == label)[0]
         count = int(np.floor(fraction * idx.size))
         if count < 1:
@@ -304,7 +304,7 @@ def _plain_split(y, fraction, rng, class_names):
             f"training fraction {fraction} of {y.size} items leaves {count} for "
             f"training in a plain split (--no-stratify), fewer than two classes need"
         )
-    labels = np.unique(y[idx[:count]])
+    labels = _distinct(y[idx[:count]])
     if labels.size < 2:
         name = class_names.get(int(labels[0]), str(labels[0]))
         raise ParameterError(

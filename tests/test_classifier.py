@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slepmoments import ParameterError, make_synthetic_dataset
-from slepmoments.classifier import _FITS_PER_CALL, train_classifier, train_classifiers
+from slepmoments.classifier import _FITS_PER_CALL, _distinct, train_classifier, train_classifiers
 
 from oracles import hinge_objective, hinge_optimum, reference_train_classifier
 
@@ -173,3 +173,38 @@ def test_features_that_overflow_their_standardization_are_refused(low, high, sca
     with pytest.raises(ParameterError, match="^training features overflow their standardization"):
         train_classifier(x * scale, y)
     assert (train_classifier(x, y).predict(x) == y).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_spread_that_underflows_is_refused():
+    # the squares of spreads near 1e-300 underflow, so the std is 0 over unequal
+    # values; it was taken for a constant column, and the fit put every row in one class
+    x = np.linspace(-1, 1, 40).reshape(20, 2)
+    y = np.repeat([1, 2], 10)
+    with pytest.raises(ParameterError, match="^training features underflow their standardization"):
+        train_classifier(x * 1e-300, y)
+    assert (train_classifier(x, y).predict(x) == y).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [0.0, 0.1, 1e-300])
+def test_a_column_of_equal_values_is_constant(value):
+    # a constant column keeps a spread of 1, also where the rounded mean differs from
+    # its values (0.1) or its spread underflows (1e-300), so it adds nothing to a score
+    x = np.linspace(-1, 1, 20)[:, None]
+    y = np.repeat([1, 2], 10)
+    model = train_classifier(np.hstack([x, np.full_like(x, value)]), y)
+    assert np.all(model.weights[:, 1] == 0.0)
+    assert np.allclose(model.weights[:, :1], train_classifier(x, y).weights, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([3, 1, 2, 3, 1, -7]),
+    np.array([2.0, np.nan, 1.0, -np.nan, np.inf, 0.0, -0.0, np.nan]),
+    np.array(["b", "a", "ab", "b", ""]),
+], ids=["int", "float-nan", "str"])
+def test_distinct_is_np_unique(labels):
+    expected = np.unique(labels)
+    got = _distinct(labels)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

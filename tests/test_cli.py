@@ -208,10 +208,11 @@ def _failing_writes(monkeypatch, plan, forks):
     and "die" kills a forked writer."""
     real, parent = cli._write_atomic, os.getpid()
 
-    def write_atomic(path, data):
+    def write_atomic(output):
+        path, data = output
         how = plan.get(f"{path.parent.name}/{path.name}")
         if how is None or (how != "fail" and os.getpid() == parent):
-            return real(path, data)
+            return real(output)
         stalled = path.parent.parent / "stalled"
 
         def chunks():
@@ -228,7 +229,7 @@ def _failing_writes(monkeypatch, plan, forks):
             time.sleep(60)
             yield ""
 
-        return real(path, chunks())
+        return real((path, chunks()))
 
     monkeypatch.setattr(cli, "_write_atomic", write_atomic)
 
@@ -395,6 +396,22 @@ def test_unwritable_output_error_names_the_output(tmp_path, capsys, out):
     assert errs[0] == errs[1]
     assert errs[0].startswith("slepmoments: error:") and errs[0].count("\n") == 1
     assert errs[0].endswith(f"{str(target)!r}\n")
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+
+@pytest.mark.parametrize("json_out", ["nodir/a.json", "d"], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", [
+    ["rotate-test", "--angles", "0", "--radial", "8", "--angular", "16"],
+    ["classify", "--classes", "2", "--per-class", "2", "--fractions", "0.5", "--repeats", "1",
+     "--epochs", "1", "--radial", "8", "--angular", "32"],
+], ids=["rotate-test", "classify"])
+def test_an_unwritable_json_out_leaves_the_out_unwritten(tmp_path, capsys, command, json_out):
+    # both outputs are written to temporaries before either is renamed; --out was
+    # renamed into place before --json-out failed
+    (tmp_path / "d").mkdir()
+    out, target = tmp_path / "t.csv", tmp_path / json_out
+    assert run([*command, "--out", str(out), "--json-out", str(target)]) == 1
+    assert capsys.readouterr().err.endswith(f"{str(target)!r}\n")
     assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
 
 
@@ -641,6 +658,83 @@ def test_python_m_runs_the_cli(tmp_path, image_path, basis_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith("slepmoments: usage error: argument --radial: ")
+
+
+_NO_NUMPY_MA = """
+import sys
+from slepmoments.cli import run
+
+out = sys.argv[1]
+sweep = ["--fractions", "0.5", "--repeats", "2", "--epochs", "5", "--radial", "16",
+         "--angular", "32"]
+assert run(["classify", "--classes", "2", "--per-class", "3", *sweep,
+            "--out", out + "/cls.csv"]) == 0
+assert "numpy.ma" not in sys.modules, "classify"
+assert run(["synth", "--classes", "2", "--per-class", "3", "--size", "32",
+            "--out-dir", out + "/synth"]) == 0
+assert run(["classify", "--data-dir", out + "/synth", "--no-stratify", *sweep,
+            "--out", out + "/clsdir.csv"]) == 0
+assert "numpy.ma" not in sys.modules, "classify --data-dir"
+"""
+
+
+def test_classify_never_loads_numpy_ma(tmp_path):
+    # np.unique's default path imports numpy.ma only to ask whether labels are masked
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA, str(tmp_path)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+_EXIT_HANDLER = (
+    "import atexit, sys\n"
+    "atexit.register(print, 'an exit handler ran', file=sys.stderr)\n"
+    "from slepmoments.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["invariants", "--moments", "{moments}", "--out", "{out}"], 0),
+    (["invariants", "--moments", "{out}", "--out", "{out}"], 1),
+    (["invariants", "--moments", "{moments}"], 2),
+], ids=["0", "1", "2"])
+def test_main_ends_the_process_once_its_outputs_are_written(tmp_path, moments_path, args,
+                                                            code):
+    # the interpreter's exit (its exit handlers, collections and module teardown) is
+    # skipped, and the exit code, the one stderr line and the output are those of run
+    out = tmp_path / "p.csv"
+    args = [a.format(moments=moments_path, out=out) for a in args]
+    proc = subprocess.run([sys.executable, "-c", _EXIT_HANDLER, *args], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == (code != 0) and "exit handler" not in proc.stderr
+    assert out.exists() == (code == 0)
+    if code == 0:
+        expected = tmp_path / "expected.csv"
+        assert run(["invariants", "--moments", str(moments_path), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--help"], ["dpss", "gen", "--help"]],
+                         ids=["help", "dpss-gen-help"])
+def test_a_closed_stdout_exits_one_with_one_line(args, unbuffered):
+    # a pipe whose read end is closed before the run: a buffered stdout fails at
+    # main's flush, an unbuffered one at argparse's write; either way the line names
+    # the stream, where Python's own exit printed two lines and exited 120
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "slepmoments", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "slepmoments: error: [Errno 32] Broken pipe: '<stdout>'\n"
 
 
 def test_stability_commands_leave_no_process_behind(tmp_path, monkeypatch, image_path):
@@ -897,6 +991,8 @@ _CAPPED = [
                    ["classify"])
       for flag in ("--radial", "--angular")),
     (["synth"], "--size", 2048),
+    (["classify"], "--repeats", 10_000),
+    (["classify"], "--epochs", 100_000),
     *((argv, "--precision", 100) for argv in (["rotate-test"], ["noise-test"], ["classify"])),
 ]
 
@@ -1071,7 +1167,7 @@ def test_write_atomic_streams_json_chunks(tmp_path):
     path = tmp_path / "b.json"
     tracemalloc.start()
     try:
-        _write_atomic(path, _json_chunks(doc))
+        _write_atomic((path, _json_chunks(doc)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,8 +2,8 @@
 never uses, no private module-level name goes unused package-wide, the radial
 rule of the moments keeps its one home, a raster keeps its one route to them,
 the stacking of classifier fits stays inside the classifier, the integer rule
-has one home, the synthetic images have one span renderer, and one function
-forks."""
+has one home, the synthetic images have one span renderer, one function forks,
+two end a process, and one finds distinct labels."""
 
 import ast
 from pathlib import Path
@@ -171,3 +171,23 @@ def test_one_function_forks():
     assert {module: scopes for module, scopes in homes.items() if scopes} == {
         "harness.py": {"_fork_rows"},
     }
+
+
+def _attribute_scopes(attr: str) -> dict[str, set[str]]:
+    """For each module that names ``<name>.attr``, the scopes of ``_scopes`` that do."""
+    homes = {module: _scopes(tree, lambda node: isinstance(node, ast.Attribute)
+                             and node.attr == attr)
+             for module, tree in TREES.items()}
+    return {module: scopes for module, scopes in homes.items() if scopes}
+
+
+def test_two_functions_end_a_process():
+    # a forked worker leaves through os._exit, and so does a CLI process once main
+    # has flushed its streams; no other code skips the interpreter's exit
+    assert _attribute_scopes("_exit") == {"cli.py": {"main"}, "harness.py": {"_fork_rows"}}
+
+
+def test_one_function_finds_distinct_labels():
+    # np.unique's default path imports numpy.ma; classifier._distinct takes the path
+    # that does not, for the classifier and the harness alike
+    assert _attribute_scopes("unique") == {"classifier.py": {"_distinct"}}
