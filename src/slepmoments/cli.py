@@ -6,16 +6,24 @@ Each flag is checked once, by its argparse type (dpss gen --k, bounded by
 flag. The flags that size one allocation (dpss gen --n, --radial, --angular,
 synth --size, --precision) or a loop (classify --repeats, --epochs) have upper
 bounds, noise-test --snr-db must lie within +-3000 dB and classify --reg must
-be >= 0. A basis file is read by dpss.basis_from_json, so one that breaks a
-sequence convention, signs included, exits 1 with one line naming the file, as
-does a PGM sample above its maxval, or a synth or synthetic classify of more
-than a million images (--classes x --per-class x --rotations, refused by
-harness._synthetic_keys before anything is rendered). Only noise-test, classify
-and synth draw random numbers, so only they take --seed (a fixed default, never
-time-based); only the table writers, rotate-test, noise-test and classify, take
---precision.
+be >= 0. Only noise-test, classify and synth draw random numbers, so only they
+take --seed (a fixed default, never time-based); only the table writers,
+rotate-test, noise-test and classify, take --precision.
+
+Every input file, image, basis or moment, is read by imaging._read_input. It
+must be a regular file (a symlink is followed): a FIFO, device or directory is
+refused before it is opened, with one line "<kind> file <path>: not a regular
+file", exit 1. So is a file its parser refuses, such as a basis that breaks a
+sequence convention, signs included, or a PGM sample above its maxval; a
+missing or unreadable file exits 1 with the system's line naming the path. A
+synth or synthetic classify of more than a million images (--classes x
+--per-class x --rotations) exits 1 too, refused by harness._synthetic_spans
+before anything is rendered.
 Every output file is written atomically, so identical invocations are
-byte-identical, and a command with two outputs writes both or neither.
+byte-identical, and a command with two outputs writes both or neither. An
+output path may be absent, a regular file or a symlink, which is replaced by
+the file; a directory, FIFO, socket or device is refused, before anything is
+written, with one line naming the path.
 
 A process ends once its outputs are written: ``main`` flushes stdout and stderr
 and leaves through ``os._exit``, since every output is closed and renamed and
@@ -61,7 +69,7 @@ from .harness import (
     make_synthetic_dataset,
     rotation_stability,
 )
-from .imaging import _MAX_SNR_DB, NoiseSpec, _read_pgm_file, rotate_image, write_pgm
+from .imaging import _MAX_SNR_DB, NoiseSpec, _read_input, read_pgm, rotate_image, write_pgm
 from .moments import (
     _raster_moments,
     invariants,
@@ -103,17 +111,23 @@ def _write_atomic(*outputs: tuple[str | Path, bytes | str | Iterable[str]]) -> N
     rename every temporary over its path, so a failure writes none of them.
 
     ``data`` is bytes, text, or text chunks that are written as they are produced.
-    An OSError names the output's path, not the temporary file, whose name is random.
+    A path may be absent, a regular file or a symlink, which is replaced, as ``mv``
+    would; a directory, FIFO, socket or device (a symlink to one too) is refused
+    before any temporary is made. An OSError names the output's path, not the
+    temporary file, whose name is random.
     """
     # mkstemp creates a file as 0600; give it the mode open() would
     umask = os.umask(0)
     os.umask(umask)
     written = []  # (temporary, path) pairs
+    outputs = [(Path(path), data) for path, data in outputs]
     try:
-        for path, data in outputs:
-            path = Path(path)
-            if path.is_dir():  # refused now, not when the renames have begun
+        for path, _ in outputs:  # before any temporary is made; each check follows a link
+            if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if path.exists() and not path.is_file():
+                raise OSError(errno.EINVAL, "not a regular file")
+        for path, data in outputs:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
             written.append((tmp, path))
             with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
@@ -147,14 +161,6 @@ def _remove_temporaries(paths: Iterable[Path]) -> None:
         for entry in entries:
             if entry.name.rpartition(".")[0] in names:  # mkstemp's random suffix has no dot
                 os.unlink(entry.path)
-
-
-def _load(path: str, parse, kind: str):
-    """``parse`` the text of a file; a refused document gives a FormatError naming the file."""
-    try:
-        return parse(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, nested too deep, or refused
-        raise FormatError(f"{kind} file {path}: {exc}")
 
 
 def _integer(text: str) -> int:
@@ -371,8 +377,8 @@ def _cmd_dpss_gen(args) -> int:
 
 
 def _cmd_moments_compute(args) -> int:
-    image = _read_pgm_file(args.image)
-    basis = _load(args.basis, basis_from_json, "basis")
+    image = _read_input(args.image, read_pgm, "image")
+    basis = _read_input(args.basis, basis_from_json, "basis")
     if args.angle != 0.0:
         image = rotate_image(image, args.angle)
     ms = _raster_moments(image, basis, args.m, args.l, (args.radial, args.angular))
@@ -381,14 +387,14 @@ def _cmd_moments_compute(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    ms = _load(args.moments, moments_from_json, "moment")
+    ms = _read_input(args.moments, moments_from_json, "moment")
     _write_atomic((args.out, invariants_to_csv(invariants(ms))))
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    ms = _load(args.moments, moments_from_json, "moment")
-    basis = _load(args.basis, basis_from_json, "basis")
+    ms = _read_input(args.moments, moments_from_json, "moment")
+    basis = _read_input(args.basis, basis_from_json, "basis")
     if ms.basis_id != basis.basis_id:
         raise FormatError(
             f"moment file {args.moments} was computed with basis {ms.basis_id!r}, "
@@ -417,8 +423,8 @@ def _write_report(args, report) -> None:
 
 
 def _cmd_stability(args) -> int:
-    image = _read_pgm_file(args.image) if args.image else smooth_test_image(128)
-    basis = _load(args.basis, basis_from_json, "basis") if args.basis else default_basis()
+    image = _read_input(args.image, read_pgm, "image") if args.image else smooth_test_image(128)
+    basis = _read_input(args.basis, basis_from_json, "basis") if args.basis else default_basis()
     noise = NoiseSpec(args.snr_db, args.seed) if args.command == "noise-test" else None
     report = rotation_stability(
         image, args.angles, args.orders, basis, (args.radial, args.angular), noise=noise
@@ -428,7 +434,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    basis = _load(args.basis, basis_from_json, "basis") if args.basis else default_basis()
+    basis = _read_input(args.basis, basis_from_json, "basis") if args.basis else default_basis()
     grid = (args.radial, args.angular)
     if args.data_dir:
         ds = load_labeled_directory(args.data_dir, basis=basis, grid=grid)

@@ -306,12 +306,16 @@ def _number_array(doc: dict, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def basis_from_json(text: str) -> DpssBasis:
+def basis_from_json(text: str | bytes) -> DpssBasis:
     """Parse ``basis_to_json`` output and check it against every sequence convention.
 
-    A malformed document or a broken convention raises ``FormatError``; text
-    that is not JSON raises ``json.loads``'s own ``ValueError``.
+    ``text`` may be given as bytes, which are decoded as strict UTF-8 (not as
+    ``json.loads`` would, which also takes UTF-16, UTF-32 and a UTF-8 BOM). A
+    malformed document or a broken convention raises ``FormatError``; text that
+    is not UTF-8 or not JSON raises its decoder's own ``ValueError``.
     """
+    # rebinding drops the bytes before json.loads builds its objects
+    text = text.decode() if isinstance(text, bytes) else text
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise FormatError("basis document must hold a JSON object")

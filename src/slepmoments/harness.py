@@ -8,7 +8,6 @@ import mmap
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +20,10 @@ from .imaging import (
     NoiseSpec,
     RasterImage,
     _child_seed,
-    _read_pgm_file,
+    _read_input,
     _rng,
     add_gaussian_noise,
+    read_pgm,
     rotate_image,
 )
 from .moments import Featurizer, _csv
@@ -62,7 +62,7 @@ def default_basis() -> DpssBasis:
     this module, which ``slepmoments dpss gen --n 64 --w 0.2 --k 10`` wrote, so
     no eigenproblem is solved and scipy is never loaded.
     """
-    return basis_from_json(Path(__file__).with_name("default_basis.json").read_text())
+    return _read_input(Path(__file__).with_name("default_basis.json"), basis_from_json, "basis")
 
 
 def _fmt(value: float, precision: int | None) -> str:
@@ -297,8 +297,6 @@ def _stratified_split(y, fraction, rng, class_names):
 def _plain_split(y, fraction, rng, class_names):
     idx = rng.permutation(y.size)
     count = int(np.floor(fraction * y.size))
-    if count >= y.size:
-        raise ParameterError(f"training fraction {fraction} leaves an empty split")
     if count < 2:  # a training set needs two classes, so at least two items
         raise ParameterError(
             f"training fraction {fraction} of {y.size} items leaves {count} for "
@@ -432,11 +430,17 @@ def synthetic_images(
 _MAX_SYNTHETIC_IMAGES = 1_000_000
 
 
-def _synthetic_keys(n_classes, per_class, rotations_per_item, seed):
-    """The number of synthetic images, ``keys(span)``, which yields the (class id,
-    item, rotation) key of each image of a ``range`` span, class by class, then item
-    by item, and the checked seed. A count above _MAX_SYNTHETIC_IMAGES is refused
-    here, before anything is rendered or forked."""
+def _synthetic_spans(n_classes, per_class, rotations_per_item, seed, image_size):
+    """The synthetic dataset as spans of its images: their number, ``names(span)``,
+    which yields the (class_name, file_stem) of each image of a ``range`` span, and
+    ``render(span)``, which yields their RasterImages, building a class's layers once
+    per run of its keys in the span.
+
+    The (class id, item, rotation) key of image i is i written in the mixed radix
+    (n_classes, per_class, rotations_per_item), so the images run class by class,
+    then item by item. A count above _MAX_SYNTHETIC_IMAGES is refused here, before
+    anything is rendered or forked.
+    """
     n_classes = _check_integer("n_classes", n_classes, 2)
     per_class = _check_integer("per_class", per_class, 1)
     rotations_per_item = _check_integer("rotations_per_item", rotations_per_item, 1)
@@ -450,18 +454,10 @@ def _synthetic_keys(n_classes, per_class, rotations_per_item, seed):
         )
 
     def keys(span):
-        return islice(product(range(n_classes), range(per_class), range(rotations_per_item)),
-                      span.start, span.stop)
-
-    return count, keys, seed
-
-
-def _synthetic_spans(n_classes, per_class, rotations_per_item, seed, image_size):
-    """The synthetic dataset as spans of its images: their number, ``names(span)``,
-    which yields the (class_name, file_stem) of each image of a ``range`` span, and
-    ``render(span)``, which yields their RasterImages, building a class's layers once
-    per run of its keys in the span."""
-    count, keys, seed = _synthetic_keys(n_classes, per_class, rotations_per_item, seed)
+        for i in span:
+            rest, rot = divmod(i, rotations_per_item)
+            cid, item = divmod(rest, per_class)
+            yield cid, item, rot
 
     def names(span):
         for cid, item, rot in keys(span):
@@ -485,7 +481,9 @@ def load_labeled_directory(
 ) -> LabeledDataset:
     """Featurize a directory tree laid out as <root>/<class_name>/<image>.pgm.
 
-    Each worker of ``_featurize`` reads only the images of its own span.
+    Each worker of ``_featurize`` reads only the images of its own span, each
+    through ``imaging._read_input``, so an image must be a regular file or a
+    symlink to one.
     """
     root = Path(root)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
@@ -497,7 +495,8 @@ def load_labeled_directory(
             raise ParameterError(f"class directory {cdir} holds no .pgm images")
     items = [(cdir.name, path) for cdir, paths in classes for path in paths]
     return _featurize([name for name, _ in items],
-                      lambda span: (_read_pgm_file(items[i][1]) for i in span), basis, grid)
+                      lambda span: (_read_input(items[i][1], read_pgm, "image") for i in span),
+                      basis, grid)
 
 
 def _featurize(

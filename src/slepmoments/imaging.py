@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import stat
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -134,14 +135,23 @@ def read_pgm(data: bytes) -> RasterImage:
     return RasterImage(samples.astype(float).reshape(height, width) / maxval)
 
 
-def _read_pgm_file(path: str | Path) -> RasterImage:
-    """``read_pgm`` of a file; its errors name the file."""
+def _read_input(path: str | Path, parse, kind: str):
+    """``parse`` of the bytes of the file at ``path``: the package's one reader of files.
+
+    The path is stat'ed before it is opened, since opening a FIFO blocks and a
+    device such as /dev/zero never ends, and anything but a regular file (a
+    symlink is followed) is refused. That refusal, and a ``ValueError`` or
+    ``RecursionError`` of ``parse``, raise a ``FormatError`` that reads
+    ``<kind> file <path>: <reason>``; an ``OSError`` names the path itself. The
+    bytes are handed over, not kept, so a parse that decodes them to text can drop
+    them before it builds its own objects.
+    """
+    if not stat.S_ISREG(Path(path).stat().st_mode):
+        raise FormatError(f"{kind} file {path}: not a regular file")
     try:
-        return read_pgm(Path(path).read_bytes())
-    except FileNotFoundError:
-        raise FormatError(f"input image {path} does not exist")
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}")
+        return parse(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # refused, or nested too deep
+        raise FormatError(f"{kind} file {path}: {exc}")
 
 
 def write_pgm(image: RasterImage, maxval: int = 255) -> bytes:

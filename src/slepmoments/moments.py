@@ -254,12 +254,15 @@ def moments_to_json(ms: MomentSet) -> str:
     return json.dumps(doc, indent=1)
 
 
-def moments_from_json(text: str) -> MomentSet:
-    """Parse ``moments_to_json`` output.
+def moments_from_json(text: str | bytes) -> MomentSet:
+    """Parse ``moments_to_json`` output, given as text or as its strict UTF-8 bytes,
+    as ``basis_from_json`` takes them.
 
     M and L are taken from the largest m and n present, and every order with
     0 <= m < M and |n| <= L must appear exactly once.
     """
+    # rebinding drops the bytes before json.loads builds its objects
+    text = text.decode() if isinstance(text, bytes) else text
     doc = json.loads(text)
     try:
         meta = doc["metadata"]

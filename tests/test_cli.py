@@ -28,6 +28,8 @@ from slepmoments import (
 from slepmoments.cli import _build_parser, _write_atomic, run
 from slepmoments.dpss import _json_chunks
 
+from test_cli_fuzz import _entry
+
 forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="classify forks its spans")
 
 
@@ -382,6 +384,83 @@ def test_directory_as_image_exits_one(tmp_path, capsys):
     assert err.startswith("slepmoments: error:") and err.count("\n") == 1
 
 
+# A CLI process whose address space is capped at 1 GiB, so a command that read
+# /dev/zero after all would end as "out of memory" instead of taking the machine's.
+_MEMORY_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from slepmoments.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["invariants", "--moments", "{zero}"], "moment"),
+    (["moments", "compute", "--image", "{zero}", "--basis", "{basis}", "--m", "2", "--l", "1"],
+     "image"),
+    (["moments", "compute", "--image", "{image}", "--basis", "{fifo}", "--m", "2", "--l", "1"],
+     "basis"),
+], ids=["moments-dev-zero", "image-dev-zero", "basis-fifo"])
+def test_an_input_that_is_not_a_regular_file_is_refused_unread(tmp_path, image_path,
+                                                               basis_path, argv, kind):
+    # the path is stat'ed, never opened: opening a FIFO with no writer blocks, and
+    # reading /dev/zero never ends
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    paths = dict(zero="/dev/zero", fifo=fifo, image=image_path, basis=basis_path)
+    argv = [arg.format(**paths) for arg in argv]
+    source = paths["zero" if "/dev/zero" in argv else "fifo"]
+    argv += ["--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_CAPPED, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"slepmoments: error: {kind} file {source}: not a regular file\n")
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+def test_a_symlinked_input_is_read_through(tmp_path, image_path, basis_path):
+    (tmp_path / "b.json").symlink_to(basis_path)
+    (tmp_path / "i.pgm").symlink_to(image_path)
+    outs = []
+    for image, basis in ((image_path, basis_path), (tmp_path / "i.pgm", tmp_path / "b.json")):
+        outs.append(tmp_path / f"s{len(outs)}.json")
+        assert run(["moments", "compute", "--image", str(image), "--basis", str(basis),
+                    "--m", "2", "--l", "1", "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--json-out"])
+@pytest.mark.parametrize("make", [
+    lambda path: os.mkfifo(path),
+    lambda path: path.symlink_to("/dev/null"),
+    lambda path: (os.mkfifo(path.with_name("pipe")), path.symlink_to("pipe")),
+], ids=["fifo", "link-to-device", "link-to-fifo"])
+def test_an_output_that_is_a_fifo_or_device_is_refused_and_kept(tmp_path, capsys, flag,
+                                                               make):
+    # nothing is written: neither output, nor a temporary beside either
+    target = tmp_path / "target"
+    make(target)
+    before = {name: _entry(tmp_path / name) for name in os.listdir(tmp_path)}
+    argv = ["rotate-test", "--angles", "0", "--radial", "8", "--angular", "16",
+            "--out", str(tmp_path / "t.csv"), flag, str(target)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"slepmoments: error: [Errno 22] not a regular file: {str(target)!r}\n")
+    assert {name: _entry(tmp_path / name) for name in os.listdir(tmp_path)} == before
+
+
+def test_a_symlinked_output_is_replaced_and_its_target_kept(tmp_path):
+    # the file is renamed over the link, as mv would; what the link named is untouched
+    (tmp_path / "old.csv").write_text("old")
+    link = tmp_path / "t.csv"
+    link.symlink_to("old.csv")
+    argv = ["rotate-test", "--angles", "0", "--radial", "8", "--angular", "16", "--out"]
+    assert run([*argv, str(link)]) == 0
+    assert run([*argv, str(tmp_path / "plain.csv")]) == 0
+    assert _entry(link) == (tmp_path / "plain.csv").read_bytes()  # a file, no longer a link
+    assert (tmp_path / "old.csv").read_text() == "old"
+
+
 @pytest.mark.parametrize("out", ["nodir/a.csv", "d"], ids=["missing-directory", "directory"])
 def test_unwritable_output_error_names_the_output(tmp_path, capsys, out):
     # the temporary file beside the output has a random name, so it must not show
@@ -499,7 +578,7 @@ def test_pgm_format_error_names_the_image(tmp_path, capsys, basis_path):
     assert run(["moments", "compute", "--image", str(bad), "--basis", str(basis_path),
                 "--m", "2", "--l", "1", "--out", str(tmp_path / "s.json")]) == 1
     err = capsys.readouterr().err
-    assert err == f"slepmoments: error: {bad}: {_P6_ERROR}\n"
+    assert err == f"slepmoments: error: image file {bad}: {_P6_ERROR}\n"
 
 
 def test_pgm_sample_above_maxval_names_the_image(tmp_path, capsys):
@@ -508,7 +587,7 @@ def test_pgm_sample_above_maxval_names_the_image(tmp_path, capsys):
     bad.write_bytes(header + bytes([0, 10, 0xFF, 5]))
     assert run(["rotate-test", "--image", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
     assert capsys.readouterr().err == (
-        f"slepmoments: error: {bad}: sample 255 exceeds maxval 10 "
+        f"slepmoments: error: image file {bad}: sample 255 exceeds maxval 10 "
         f"(byte offset {len(header) + 2})\n")
 
 
@@ -522,7 +601,7 @@ def test_pgm_format_error_in_data_dir_names_the_image(tmp_path, capsys):
                 "--radial", "16", "--angular", "32", "--epochs", "5",
                 "--out", str(tmp_path / "a.csv")]) == 1
     err = capsys.readouterr().err
-    assert err == f"slepmoments: error: {bad}: {_P6_ERROR}\n"
+    assert err == f"slepmoments: error: image file {bad}: {_P6_ERROR}\n"
 
 
 @forking
@@ -536,7 +615,8 @@ def test_a_truncated_image_prints_the_serial_error_once_and_writes_nothing(
     assert run(["synth", "--classes", "2", "--per-class", "2", "--size", "32",
                 "--out-dir", str(root)]) == 0
     bad = root / bad_class / "item001r0.pgm"
-    bad.write_bytes(bad.read_bytes()[:-7])
+    data = bad.read_bytes()[:-7]  # 32 x 32 samples of one byte, less 7
+    bad.write_bytes(data)
     capfd.readouterr()
     out = tmp_path / "a.csv"
     argv = ["classify", "--data-dir", str(root), "--fractions", "0.5", "--repeats", "1",
@@ -549,8 +629,8 @@ def test_a_truncated_image_prints_the_serial_error_once_and_writes_nothing(
         errors.append(capfd.readouterr())
     assert errors[0] == errors[1]
     assert errors[0].out == ""
-    assert errors[0].err.startswith(f"slepmoments: error: {bad}: ")
-    assert errors[0].err.count("\n") == 1
+    assert errors[0].err == (f"slepmoments: error: image file {bad}: truncated payload: "
+                             f"need 1024 bytes, have 1017 (byte offset {len(data)})\n")
     assert not out.exists()
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)

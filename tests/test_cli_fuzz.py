@@ -4,11 +4,19 @@ Each run draws a subcommand and, for each of its flags, a valid value, an edge
 value from the pool of the flag's kind, or no value. Every run works in a fresh
 directory holding the same small inputs. The contract: no exception escapes;
 exit 0 prints nothing and writes its --out; exit 1 or 2 prints exactly one
-stderr line and leaves the directory as it was. Output pools hold no device
-path: ``_write_atomic`` renames over whatever its path names.
+stderr line and leaves the directory as it was.
+
+The inputs include a FIFO and symlinks, one to a regular input and one to
+/dev/zero, and the input pools name devices, because every input must be a
+regular file and is refused unopened otherwise. An output may be a FIFO, which
+is refused too, but never a path under /dev: were that refusal lost, a run
+with the right to write /dev would replace the device node.
 """
 
+import os
 import random
+import resource
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +39,17 @@ _LISTS = _REALS + [",", " , ", "1,,2", "a,b", "0;1", "nan,0.5", "0.5,1e400", "0.
                    "-0.5,0.5", "0.5,0.5"]
 _ORDERS = ["", ";", "1,1;;2,2", "a,b", "1,", "1,2,3", "-1,1", "1,-1", "0,0", "99,1", "1,99",
            f"{10**30},1", "٢,١"]
-_IMAGES = ["img.pgm", "trunc.pgm", "text.pgm", "zero.pgm", "missing.pgm", "dir", "/dev/null",
-           "b.json"]
-_BASES = ["b.json", "b2.json", "bad.json", "m.json", "missing.json", "dir", "/dev/null",
-          "img.pgm"]
-_MOMENTS = ["m.json", "b.json", "bad.json", "missing.json", "dir", "/dev/null", "img.pgm"]
-_DATA_DIRS = ["synth", "one", "broken", "dir", "missing", "img.pgm"]
-_OUTPUTS = ["nodir/out", "dir", "img.pgm"]
-_OUT_DIRS = ["nodir/tree", "dir", "img.pgm"]
+# inputs that are no regular file: a FIFO, a link to a device and devices themselves
+_SPECIAL = ["fifo", "zero", "/dev/zero", "/dev/null"]
+_IMAGES = ["img.pgm", "trunc.pgm", "text.pgm", "zero.pgm", "missing.pgm", "dir", "b.json",
+           "link.json", *_SPECIAL]
+_BASES = ["b.json", "b2.json", "bad.json", "m.json", "missing.json", "dir", "img.pgm",
+          "link.json", *_SPECIAL]
+_MOMENTS = ["m.json", "b.json", "bad.json", "missing.json", "dir", "img.pgm", "link.json",
+            *_SPECIAL]
+_DATA_DIRS = ["synth", "one", "broken", "pipes", "dir", "missing", "img.pgm", "fifo"]
+_OUTPUTS = ["nodir/out", "dir", "img.pgm", "fifo", "link.json"]
+_OUT_DIRS = ["nodir/tree", "dir", "img.pgm", "fifo"]
 
 # (flag, required, valid values, edge values); an output flag's valid value is a new
 # file, or a new directory for --out-dir
@@ -96,10 +107,11 @@ _COMMANDS = {
 }
 
 
-def _draw(rng: random.Random) -> tuple[list[str], list[str]]:
-    """One argv and the outputs it names that must exist after exit 0."""
+def _draw(rng: random.Random) -> tuple[list[str], list[str], list[str]]:
+    """One argv, the outputs it names that must exist after exit 0, and every
+    value it gives --out or --json-out."""
     command = rng.choice(sorted(_COMMANDS))
-    argv, outputs = list(command), []
+    argv, outputs, files = list(command), [], []
     for flag, required, valid, edges in _COMMANDS[command]:
         roll = rng.random()
         if roll < (0.05 if required else 0.3):
@@ -110,22 +122,31 @@ def _draw(rng: random.Random) -> tuple[list[str], list[str]]:
                 outputs.append(value)
         else:
             value = rng.choice(edges)
+        if edges is _OUTPUTS:
+            files.append(value)
         argv += [flag, value]
     if rng.random() < 0.05:  # a flag of no command
         argv.append("--bogus")
-    return argv, outputs
+    return argv, outputs, files
+
+
+_FIFO = "fifo"  # the entry of a FIFO; a link's is ("link", target)
 
 
 def _inputs(root: Path) -> dict:
-    """The bytes of every input file a run's directory starts with, by relative path
-    (None for a directory), made in ``root``: a 32-pixel image, a basis and a moment
-    file of it, a second basis, a PGM tree, and damaged or misplaced copies."""
+    """The entry of every input a run's directory starts with, by relative path: a
+    file's bytes, None for a directory, ``_FIFO`` or a link's ``("link", target)``.
+    Its files are made in ``root``: a 32-pixel image, a basis and a moment file of
+    it, a second basis, PGM trees, and damaged or misplaced copies."""
     image = write_pgm(smooth_test_image(32))
     files = {"img.pgm": image, "trunc.pgm": image[:-10], "text.pgm": b"P5\n8 8\n255\nabc",
              "zero.pgm": write_pgm(RasterImage(np.zeros((8, 8)))), "bad.json": b'{"n": 8,',
              "dir": None, "one": None, "one/a": None, "one/a/x.pgm": image,
              "synth": None, "broken": None, "broken/a": None, "broken/b": None,
-             "broken/a/x.pgm": image, "broken/b/x.pgm": image[:20]}
+             "broken/a/x.pgm": image, "broken/b/x.pgm": image[:20],
+             "pipes": None, "pipes/a": None, "pipes/b": None, "pipes/a/x.pgm": _FIFO,
+             "pipes/b/x.pgm": image, "fifo": _FIFO, "link.json": ("link", "b.json"),
+             "zero": ("link", "/dev/zero")}
     (root / "img.pgm").write_bytes(image)
     for name, n in (("b.json", "32"), ("b2.json", "24")):
         assert run(["dpss", "gen", "--n", n, "--w", "0.2", "--k", "5",
@@ -147,25 +168,59 @@ def inputs(tmp_path_factory):
     return _inputs(tmp_path_factory.mktemp("fuzz-inputs"))
 
 
+def _make(path: Path, entry) -> None:
+    """Make the input that ``entry`` of ``_inputs`` describes at ``path``."""
+    if entry is None:
+        path.mkdir(parents=True)
+    elif entry == _FIFO:
+        os.mkfifo(path)
+    elif isinstance(entry, tuple):
+        path.symlink_to(entry[1])
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(entry)
+
+
+def _entry(path: Path):
+    """The ``_inputs`` entry of what is at ``path``, seen by ``lstat``: a FIFO is never
+    opened and a link never followed."""
+    mode = path.lstat().st_mode
+    if stat.S_ISLNK(mode):
+        return ("link", os.readlink(path))
+    if stat.S_ISFIFO(mode):
+        return _FIFO
+    return None if stat.S_ISDIR(mode) else path.read_bytes()
+
+
 def _snapshot(root: Path) -> dict:
-    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
-            for p in sorted(root.rglob("*"))}
+    return {str(p.relative_to(root)): _entry(p) for p in sorted(root.rglob("*"))}
 
 
-def test_no_run_breaks_the_exit_code_contract(tmp_path, monkeypatch, capsys, inputs):
+@pytest.fixture()
+def capped_memory():
+    """Cap this process's address space 1 GiB above its size for the test, so that a
+    read of /dev/zero, were it no longer refused, fails instead of filling memory."""
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limits = [limit for limit in (soft, hard) if limit != resource.RLIM_INFINITY]
+    resource.setrlimit(resource.RLIMIT_AS, (min([size + 2**30, *limits]), hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_no_run_breaks_the_exit_code_contract(tmp_path, monkeypatch, capsys, inputs,
+                                              capped_memory):
     rng = random.Random(SEED)
     codes = []
     for i in range(RUNS):
-        argv, outputs = _draw(rng)
+        argv, outputs, files = _draw(rng)
         work = tmp_path / f"run{i}"
-        for name, data in inputs.items():
-            path = work / name
-            if data is None:
-                path.mkdir(parents=True)
-            else:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(data)
+        work.mkdir()
+        for name, entry in inputs.items():
+            _make(work / name, entry)
         before = _snapshot(work)
+        assert before == inputs
         monkeypatch.chdir(work)
         try:
             code = run(argv)
@@ -176,6 +231,8 @@ def test_no_run_breaks_the_exit_code_contract(tmp_path, monkeypatch, capsys, inp
         if code == 0:
             assert err == "", argv
             assert all((work / name).exists() for name in outputs), argv
+            # an output may be new, or replace a regular file or a symlink, nothing else
+            assert all(isinstance(before.get(name, b""), (bytes, tuple)) for name in files), argv
         else:
             assert code in (1, 2), (argv, code)
             assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)

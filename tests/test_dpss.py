@@ -23,7 +23,7 @@ from slepmoments import (
     default_basis,
     radial_basis,
 )
-from slepmoments.dpss import _check_conventions, _fix_signs, _json_chunks
+from slepmoments.dpss import _check_conventions, _enforce_decreasing, _fix_signs, _json_chunks
 from slepmoments.errors import DomainError
 from slepmoments.imaging import _polar_grid
 
@@ -399,6 +399,20 @@ def test_radial_basis_total():
     basis = compute_dpss(DpssParams(16, 0.3, 3))
     rows = radial_basis(basis, np.linspace(0, 1, 97))
     assert np.all(np.isfinite(rows))
+
+
+def test_radial_basis_of_one_sample_is_constant():
+    # N = 1 leaves Catmull-Rom no neighbour: psi_0 is the one sample at every radius
+    basis = compute_dpss(DpssParams(1, 0.2, 1))
+    assert basis.sequences.tolist() == [[1.0]]
+    assert radial_basis(basis, [0.0, 0.25, 1.0]).tolist() == [[1.0, 1.0, 1.0]]
+
+
+def test_enforce_decreasing_halves_below_the_positive_floor():
+    # a quotient that would tie its predecessor at the smallest normal float is halved
+    tiny = np.finfo(float).tiny
+    out = _enforce_decreasing(np.array([1.0, 0.5, 0.0, -1.0, 0.0]))
+    assert out.tolist() == [np.nextafter(1.0, 0.0), 0.5, tiny, tiny / 2, tiny / 4]
 
 
 def test_radial_basis_domain_error():

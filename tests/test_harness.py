@@ -11,6 +11,7 @@ import pytest
 
 from slepmoments import (
     DomainError,
+    FormatError,
     LabeledDataset,
     NoiseSpec,
     ParameterError,
@@ -72,6 +73,12 @@ def test_stability_high_snr_matches_clean(basis64, test_image):
 def test_stability_rejects_empty_angles(basis64, test_image):
     with pytest.raises(ParameterError):
         rotation_stability(test_image, (), ORDERS, basis64, GRID)
+
+
+def test_stability_rejects_empty_orders(basis64, test_image):
+    with pytest.raises(ParameterError) as exc:
+        rotation_stability(test_image, (0.0,), (), basis64, GRID)
+    assert str(exc.value) == "order list must not be empty"
 
 
 @pytest.mark.parametrize("order", [(1.7, 2), (1, 2.5), (True, 1)])
@@ -360,6 +367,12 @@ def _tiny_dataset():
 def test_dataset_needs_one_feature_row_per_label(features):
     with pytest.raises(ParameterError, match="one row per label"):
         LabeledDataset(features, np.array([1, 2] * 3), {1: "low", 2: "high"})
+
+
+def test_dataset_needs_two_distinct_labels():
+    with pytest.raises(ParameterError) as exc:
+        LabeledDataset(np.zeros((3, 2)), np.array([1, 1, 1]), {1: "low"})
+    assert str(exc.value) == "dataset must contain at least two distinct labels"
 
 
 def test_sweep_trivial_dataset_perfect_accuracy():
@@ -654,6 +667,17 @@ def test_synthetic_image_count_is_capped_at_one_million(monkeypatch):
         assert str(exc.value) == message
 
 
+def test_each_synthetic_span_names_its_images_in_nested_order():
+    # image i is (class, item, rotation) in the order of three nested loops, and a
+    # span of any start names its own images
+    count, names, _ = harness._synthetic_spans(3, 2, 2, 0, 8)
+    nested = [(f"class{c + 1}", f"item{i:03d}r{r}")
+              for c in range(3) for i in range(2) for r in range(2)]
+    assert count == 12 and list(names(range(count))) == nested
+    assert [next(names(range(k, k + 1))) for k in range(count)] == nested
+    assert list(names(range(5, 9))) == nested[5:9]
+
+
 def test_synthetic_images_build_each_class_layers_once(monkeypatch):
     calls = []
     disk_coords = synthetic._disk_coords
@@ -704,6 +728,33 @@ def test_directory_labels_follow_sorted_class_names(tmp_path, basis64):
     assert ds.class_names == {label: name for label, name in enumerate(names, start=1)}
     assert ds.class_names[2] == "class10"
     assert ds.labels.tolist() == list(range(1, 12))
+
+
+@pytest.mark.parametrize("n_classes", [0, 1])
+def test_directory_with_fewer_than_two_classes_rejected(tmp_path, basis64, n_classes):
+    for k in range(n_classes):
+        (tmp_path / f"class{k}").mkdir()
+        (tmp_path / f"class{k}" / "a.pgm").write_bytes(write_pgm(RasterImage(np.ones((8, 8)))))
+    (tmp_path / "notes.txt").write_text("a file is no class")
+    with pytest.raises(ParameterError) as exc:
+        load_labeled_directory(tmp_path, basis=basis64, grid=GRID)
+    assert str(exc.value) == f"{tmp_path} must contain at least two class directories"
+
+
+def test_directory_images_are_regular_files_or_links_to_them(tmp_path, basis64):
+    # a linked image is read through its link; a FIFO is refused, never opened
+    _write_tree(tmp_path, 2, 2)
+    direct = load_labeled_directory(tmp_path, basis=basis64, grid=GRID)
+    image = tmp_path / "class2" / "item001r0.pgm"
+    image.rename(tmp_path / "elsewhere.pgm")
+    image.symlink_to(tmp_path / "elsewhere.pgm")
+    linked = load_labeled_directory(tmp_path, basis=basis64, grid=GRID)
+    assert np.array_equal(direct.features, linked.features)
+    image.unlink()
+    os.mkfifo(image)
+    with pytest.raises(FormatError) as exc:
+        load_labeled_directory(tmp_path, basis=basis64, grid=GRID)
+    assert str(exc.value) == f"image file {image}: not a regular file"
 
 
 def test_directory_with_empty_class_rejected(tmp_path, basis64):

@@ -1,3 +1,5 @@
+import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,13 @@ from slepmoments import (
     write_pgm,
 )
 from slepmoments.harness import synthetic_images
-from slepmoments.imaging import _bilinear_plan, _plans, _polar_plans, _resample
+from slepmoments.imaging import (
+    _bilinear_plan,
+    _plans,
+    _polar_plans,
+    _read_input,
+    _resample,
+)
 
 
 @pytest.mark.parametrize("pixels", [
@@ -80,6 +88,18 @@ def test_read_pgm_refuses_a_sample_above_maxval(header, payload, first):
     assert exc.value.offset == len(header) + first
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"P5\n0 1\n255\n", "image dimensions must be positive (byte offset 10)"),
+    (b"P5\n1 0\n255\n", "image dimensions must be positive (byte offset 10)"),
+    (b"P5\n1 1\n0\n", "maxval 0 out of range (0, 65535] (byte offset 8)"),
+    (b"P5\n1 1\n65536\n", "maxval 65536 out of range (0, 65535] (byte offset 12)"),
+], ids=["zero-width", "zero-height", "maxval-0", "maxval-65536"])
+def test_read_pgm_refuses_an_empty_image_or_a_maxval_out_of_range(header, message):
+    with pytest.raises(FormatError) as exc:
+        read_pgm(header + bytes(4))
+    assert str(exc.value) == message
+
+
 def test_read_pgm_sixteen_bit():
     payload = (300).to_bytes(2, "big") + (60000).to_bytes(2, "big")
     img = read_pgm(b"P5\n2 1\n65535\n" + payload)
@@ -90,6 +110,54 @@ def test_read_pgm_sixteen_bit():
 def test_read_pgm_handles_comments():
     img = read_pgm(b"P5\n# a comment\n1 1\n# another\n255\n" + bytes([255]))
     assert img.pixels[0, 0] == 1.0
+
+
+# --- the one reader of files ------------------------------------------------
+
+
+def test_read_input_parses_a_regular_file_through_a_symlink(tmp_path):
+    data = write_pgm(smooth_test_image(8))
+    (tmp_path / "a.pgm").write_bytes(data)
+    (tmp_path / "link.pgm").symlink_to("a.pgm")
+    image = _read_input(tmp_path / "link.pgm", read_pgm, "image")
+    assert np.array_equal(image.pixels, read_pgm(data).pixels)
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(), lambda path: os.mkfifo(path),
+    lambda path: path.symlink_to("/dev/null"),
+], ids=["directory", "fifo", "link-to-device"])
+def test_read_input_refuses_what_is_not_a_regular_file_unopened(tmp_path, make):
+    # it is stat'ed, never opened: opening a FIFO with no writer blocks, and a device
+    # such as /dev/zero may never end
+    path = tmp_path / "in"
+    make(path)
+
+    def parse(data):
+        raise AssertionError("the file was read")
+    with pytest.raises(FormatError) as exc:
+        _read_input(path, parse, "image")
+    assert str(exc.value) == f"image file {path}: not a regular file"
+
+
+def test_read_input_names_the_file_in_a_refusal_of_its_parse(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)  # json raises RecursionError, not a ValueError
+    with pytest.raises(FormatError) as exc:
+        _read_input(path, json.loads, "moment")
+    assert str(exc.value).startswith(f"moment file {path}: ")
+    path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+    with pytest.raises(FormatError) as exc:
+        _read_input(path, read_pgm, "image")
+    assert str(exc.value) == (
+        f"image file {path}: unsupported magic b'P6', expected b'P5' (byte offset 0)")
+
+
+def test_read_input_lets_an_os_error_name_the_path(tmp_path):
+    path = tmp_path / "missing.pgm"
+    with pytest.raises(FileNotFoundError) as exc:
+        _read_input(path, read_pgm, "image")
+    assert str(exc.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
 
 
 def test_write_pgm_one_pixel_white():

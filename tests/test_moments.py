@@ -24,7 +24,7 @@ from slepmoments import (
     smooth_test_image,
     to_polar,
 )
-from slepmoments.dpss import radial_basis
+from slepmoments.dpss import basis_from_json, basis_to_json, radial_basis
 from slepmoments.moments import _radial, _raster_moments, feature_vector
 
 from oracles import continuous_radial_gram, moment_value, ring_radial_gram
@@ -152,6 +152,34 @@ def test_invariants_are_moduli():
     vec = invariants(ms)
     assert vec[0, 1] == pytest.approx(5.0)
     assert vec.shape == (1, 2)
+
+
+@pytest.mark.parametrize("parse, text, dump", [
+    (basis_from_json, "".join(basis_to_json(default_basis())),
+     lambda basis: "".join(basis_to_json(basis))),
+    (moments_from_json, '{"metadata": {"grid": [4, 8], "basis_id": "b"}, '
+                        '"moments": [{"m": 0, "n": 0, "re": 1.5, "im": -0.0}]}',
+     moments_to_json),
+], ids=["basis", "moments"])
+def test_json_documents_are_read_from_strict_utf8_bytes(parse, text, dump):
+    # the files reach the parsers as bytes; json.loads of bytes would also take
+    # UTF-16, UTF-32 and a UTF-8 BOM, which a read as text never took
+    assert dump(parse(text.encode())) == dump(parse(text))
+    for data in (text.encode("utf-16"), text.encode("utf-32"), b"\xef\xbb\xbf" + text.encode(),
+                 text.encode()[:-1] + b"\xff"):
+        with pytest.raises(ValueError):
+            parse(data)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros((2, 3)), "moment array shape (2, 3), expected (1, 3)"),
+    (np.array([[0.0, np.nan, 1.0]]), "moment values must be finite"),
+    (np.array([[0.0, complex(1.0, np.inf), 1.0]]), "moment values must be finite"),
+], ids=["shape", "nan", "inf"])
+def test_moment_set_refuses_a_wrong_shape_or_non_finite_values(values, message):
+    with pytest.raises(ParameterError) as exc:
+        MomentSet(max_radial=1, max_angular=1, values=values, grid=(4, 8), basis_id="x")
+    assert str(exc.value) == message
 
 
 def test_zero_moments_zero_invariants():

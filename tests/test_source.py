@@ -2,8 +2,8 @@
 never uses, no private module-level name goes unused package-wide, the radial
 rule of the moments keeps its one home, a raster keeps its one route to them,
 the stacking of classifier fits stays inside the classifier, the integer rule
-has one home, the synthetic images have one span renderer, one function forks,
-two end a process, and one finds distinct labels."""
+has one home, the synthetic images have one span renderer, one function reads
+files, one forks, two end a process, and one finds distinct labels."""
 
 import ast
 from pathlib import Path
@@ -145,19 +145,33 @@ def test_the_integer_rule_has_one_home():
 
 
 def test_the_synthetic_images_have_one_span_renderer():
-    # harness._synthetic_keys alone numbers and slices the synthetic images, and
-    # _synthetic_spans alone names and renders a span of them, for the generator,
-    # the dataset and synth alike
+    # harness._synthetic_spans alone numbers, names and renders a span of the
+    # synthetic images, for the generator, the dataset and synth alike; its keys
+    # take each image's place apart by divmod, never by slicing a product
     assert _loading_scopes(TREES["harness.py"], (
-        "_synthetic_keys", "_synthetic_spans", "_shape_class_renderer", "islice")) == {
-        "_synthetic_keys": {"_synthetic_spans"},
+        "_synthetic_spans", "_shape_class_renderer", "keys", "divmod")) == {
         "_synthetic_spans": {"make_synthetic_dataset", "synthetic_images"},
         "_shape_class_renderer": {"_synthetic_spans.render"},
-        "islice": {"_synthetic_keys.keys"},
+        "keys": {"_synthetic_spans.names", "_synthetic_spans.render"},
+        "divmod": {"_synthetic_spans.keys"},
     }
+    assert {"islice", "product"} & _references(TREES["harness.py"]) == set()
     assert _loading_scopes(TREES["cli.py"], ("_synthetic_spans", "synthetic_images")) == {
         "_synthetic_spans": {"_cmd_synth"},
         "synthetic_images": set(),
+    }
+
+
+def test_one_function_reads_files():
+    # imaging._read_input alone opens a file to read it, so every image, basis and
+    # moment file, the built-in basis too, is refused there unless it is a regular file
+    def reads(node):
+        return ((isinstance(node, ast.Attribute)
+                 and node.attr in ("read_bytes", "read_text", "open"))
+                or (isinstance(node, ast.Name) and node.id == "open"))
+    homes = {module: _scopes(tree, reads) for module, tree in TREES.items()}
+    assert {module: scopes for module, scopes in homes.items() if scopes} == {
+        "imaging.py": {"_read_input"},
     }
 
 
