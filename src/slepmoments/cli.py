@@ -10,6 +10,11 @@ be >= 0. Only noise-test, classify and synth draw random numbers, so only they
 take --seed (a fixed default, never time-based); only the table writers,
 rotate-test, noise-test and classify, take --precision.
 
+Every path flag (--image, --basis, --moments, --out, --json-out, --data-dir,
+--out-dir) must be non-empty: "" names no file, though Path("") is the working
+directory, so it exits 2 like any other bad value, before anything is read or
+written.
+
 Every input file, image, basis or moment, is read by imaging._read_input. It
 must be a regular file (a symlink is followed): a FIFO, device or directory is
 refused before it is opened, with one line "<kind> file <path>: not a regular
@@ -170,6 +175,12 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
+def _path(text: str) -> str:
+    if text == "":  # "" names no file, but Path("") is the working directory
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return text
+
+
 def _finite(text: str) -> float:
     try:
         value = float(text)
@@ -276,32 +287,32 @@ def _build_parser() -> _Parser:
     g.add_argument("--w", type=_half_bandwidth, required=True,
                    help="half bandwidth in (0, 0.5)")
     g.add_argument("--k", type=_count, required=True, help="number of sequences K <= N")
-    g.add_argument("--out", required=True, help="output basis JSON path")
+    g.add_argument("--out", type=_path, required=True, help="output basis JSON path")
     g.set_defaults(run=_cmd_dpss_gen)
 
     p = sub.add_parser("moments", help="moment computation")
     msub = p.add_subparsers(dest="moments_command", required=True, parser_class=_Parser)
     c = msub.add_parser("compute", help="compute moments of a PGM image")
-    c.add_argument("--image", required=True, help="input PGM (binary P5) path")
-    c.add_argument("--basis", required=True, help="basis JSON path")
+    c.add_argument("--image", type=_path, required=True, help="input PGM (binary P5) path")
+    c.add_argument("--basis", type=_path, required=True, help="basis JSON path")
     c.add_argument("--m", type=_count, required=True, help="radial orders 0..M-1")
     c.add_argument("--l", type=_natural, required=True, help="angular orders -L..L")
     _add_grid(c, 128, 256)
     c.add_argument("--angle", type=_finite, default=0.0,
                    help="rotate image first (degrees)")
-    c.add_argument("--out", required=True, help="output moment JSON path")
+    c.add_argument("--out", type=_path, required=True, help="output moment JSON path")
     c.set_defaults(run=_cmd_moments_compute)
 
     p = sub.add_parser("invariants", help="rotation invariants of a moment file")
-    p.add_argument("--moments", required=True, help="moment JSON path")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--moments", type=_path, required=True, help="moment JSON path")
+    p.add_argument("--out", type=_path, required=True, help="output CSV path")
     p.set_defaults(run=_cmd_invariants)
 
     p = sub.add_parser("reconstruct", help="truncated series reconstruction from moments")
-    p.add_argument("--moments", required=True, help="moment JSON path")
-    p.add_argument("--basis", required=True, help="basis JSON path")
+    p.add_argument("--moments", type=_path, required=True, help="moment JSON path")
+    p.add_argument("--basis", type=_path, required=True, help="basis JSON path")
     _add_grid(p, None, None)
-    p.add_argument("--out", required=True, help="output JSON path")
+    p.add_argument("--out", type=_path, required=True, help="output JSON path")
     p.set_defaults(run=_cmd_reconstruct)
 
     for name, help_text in (
@@ -309,9 +320,10 @@ def _build_parser() -> _Parser:
         ("noise-test", "rotation-stability table under Gaussian noise"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--image", default=None,
+        p.add_argument("--image", type=_path, default=None,
                        help="input PGM path (default: built-in 128x128 test pattern)")
-        p.add_argument("--basis", default=None, help="basis JSON path (default: built-in)")
+        p.add_argument("--basis", type=_path, default=None,
+                       help="basis JSON path (default: built-in)")
         p.add_argument("--angles", type=_reals,
                        default=",".join(str(a) for a in PROTOCOL_ANGLES_DEG),
                        help="comma-separated rotation angles in degrees")
@@ -323,13 +335,13 @@ def _build_parser() -> _Parser:
             p.add_argument("--snr-db", type=_bounded(-_MAX_SNR_DB, _MAX_SNR_DB, _finite),
                            default=30.0, help="Gaussian noise level in dB, within +-3000")
             p.add_argument("--seed", **_SEED)
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--json-out", default=None, help="optional JSON report path")
+        p.add_argument("--out", type=_path, required=True, help="output CSV path")
+        p.add_argument("--json-out", type=_path, default=None, help="optional JSON report path")
         p.add_argument("--precision", **_PRECISION)
         p.set_defaults(run=_cmd_stability)
 
     p = sub.add_parser("classify", help="train-fraction classification sweep")
-    p.add_argument("--data-dir", default=None,
+    p.add_argument("--data-dir", type=_path, default=None,
                    help="directory tree <root>/<class>/<image>.pgm; "
                         "omit to use the synthetic dataset")
     p.add_argument("--classes", type=_bounded(2), default=6,
@@ -341,7 +353,8 @@ def _build_parser() -> _Parser:
                    help="comma-separated training fractions in (0, 1)")
     p.add_argument("--repeats", type=_repeats, default=10,
                    help="splits per fraction (at most 10000)")
-    p.add_argument("--basis", default=None, help="basis JSON path (default: built-in)")
+    p.add_argument("--basis", type=_path, default=None,
+                   help="basis JSON path (default: built-in)")
     _add_grid(p, 64, 128)
     p.add_argument("--reg", type=_bounded(0, parse=_finite), default=1e-3,
                    help="hinge-loss regularization, finite and >= 0")
@@ -349,8 +362,8 @@ def _build_parser() -> _Parser:
                    help="training epochs (at most 100000)")
     p.add_argument("--no-stratify", action="store_true",
                    help="use plain random splits instead of per-class stratification")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--json-out", default=None, help="optional JSON report path")
+    p.add_argument("--out", type=_path, required=True, help="output CSV path")
+    p.add_argument("--json-out", type=_path, default=None, help="optional JSON report path")
     p.add_argument("--seed", **_SEED)
     p.add_argument("--precision", **_PRECISION)
     p.set_defaults(run=_cmd_classify)
@@ -361,7 +374,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rotations", type=_count, default=1, help="rotations per item")
     p.add_argument("--size", type=_bounded(2, 2048), default=96,
                    help="image side length (at most 2048)")
-    p.add_argument("--out-dir", required=True, help="output directory root")
+    p.add_argument("--out-dir", type=_path, required=True, help="output directory root")
     p.add_argument("--seed", **_SEED)
     p.set_defaults(run=_cmd_synth)
 
@@ -417,14 +430,16 @@ def _cmd_reconstruct(args) -> int:
 def _write_report(args, report) -> None:
     """Write a table command's CSV to --out and, if asked, its JSON to --json-out."""
     outputs = [(args.out, report.to_csv(precision=args.precision))]
-    if args.json_out:
+    if args.json_out is not None:
         outputs.append((args.json_out, report.to_json()))
     _write_atomic(*outputs)
 
 
 def _cmd_stability(args) -> int:
-    image = _read_input(args.image, read_pgm, "image") if args.image else smooth_test_image(128)
-    basis = _read_input(args.basis, basis_from_json, "basis") if args.basis else default_basis()
+    image = (smooth_test_image(128) if args.image is None
+             else _read_input(args.image, read_pgm, "image"))
+    basis = (default_basis() if args.basis is None
+             else _read_input(args.basis, basis_from_json, "basis"))
     noise = NoiseSpec(args.snr_db, args.seed) if args.command == "noise-test" else None
     report = rotation_stability(
         image, args.angles, args.orders, basis, (args.radial, args.angular), noise=noise
@@ -434,9 +449,10 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    basis = _read_input(args.basis, basis_from_json, "basis") if args.basis else default_basis()
+    basis = (default_basis() if args.basis is None
+             else _read_input(args.basis, basis_from_json, "basis"))
     grid = (args.radial, args.angular)
-    if args.data_dir:
+    if args.data_dir is not None:
         ds = load_labeled_directory(args.data_dir, basis=basis, grid=grid)
     else:
         ds = make_synthetic_dataset(

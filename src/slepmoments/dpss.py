@@ -104,9 +104,8 @@ class DpssBasis:
 def _kernel_column(n_len: int, half_bandwidth: float) -> np.ndarray:
     col = np.empty(n_len)
     col[0] = 2.0 * half_bandwidth
-    if n_len > 1:
-        m = np.arange(1, n_len)
-        col[1:] = np.sin(2.0 * np.pi * half_bandwidth * m) / (np.pi * m)
+    m = np.arange(1, n_len)
+    col[1:] = np.sin(2.0 * np.pi * half_bandwidth * m) / (np.pi * m)
     return col
 
 
@@ -175,16 +174,13 @@ def compute_dpss(params: DpssParams) -> DpssBasis:
     from scipy.linalg import eigh_tridiagonal
 
     n, w, k = params.n_len, params.half_bandwidth, params.n_seq
-    if n == 1:
-        seqs = np.ones((1, 1))
-    else:
-        t = np.arange(n)
-        diag = ((n - 1 - 2 * t) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
-        off = np.arange(1, n) * np.arange(n - 1, 0, -1) / 2.0
-        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n - k, n - 1))
-        seqs = np.ascontiguousarray(vecs[:, ::-1].T)
-        del vecs
-        seqs /= np.linalg.norm(seqs, axis=1, keepdims=True)
+    t = np.arange(n)
+    diag = ((n - 1 - 2 * t) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
+    off = np.arange(1, n) * np.arange(n - 1, 0, -1) / 2.0
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n - k, n - 1))
+    seqs = np.ascontiguousarray(vecs[:, ::-1].T)
+    del vecs
+    seqs /= np.linalg.norm(seqs, axis=1, keepdims=True)
     _fix_signs(seqs)
 
     col = _kernel_column(n, w)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import stat
 from dataclasses import dataclass, field
 from functools import partial
@@ -78,24 +79,17 @@ class NoiseSpec:
 # --- PGM ------------------------------------------------------------------
 
 
+# A header token: whitespace and '#' comments skipped, then a run of non-whitespace.
+# In a bytes pattern \s is exactly the six bytes that bytes.isspace() accepts.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Skip whitespace and '#' comments, return (token, position after it)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise FormatError("unexpected end of header", offset=pos)
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+    match = _TOKEN.match(data, pos)
+    if not match[1]:  # only the end of the data stops a token before its first byte
+        raise FormatError("unexpected end of header", offset=match.end())
+    return match[1], match.end()
 
 
 def read_pgm(data: bytes) -> RasterImage:
@@ -121,18 +115,17 @@ def read_pgm(data: bytes) -> RasterImage:
     pos += 1  # exactly one whitespace byte separates header and payload
     bytes_per = 1 if maxval < 256 else 2
     need = width * height * bytes_per
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise FormatError(
-            f"truncated payload: need {need} bytes, have {len(payload)}",
-            offset=pos + len(payload),
-        )
-    samples = np.frombuffer(payload, dtype=np.uint8 if bytes_per == 1 else ">u2")
+    have = max(len(data) - pos, 0)  # pos is one past the end when maxval ends the data
+    if have < need:
+        raise FormatError(f"truncated payload: need {need} bytes, have {have}",
+                          offset=pos + have)
+    # a view of the payload where it lies; dividing makes the one float64 array
+    samples = np.frombuffer(data, np.uint8 if bytes_per == 1 else ">u2", width * height, pos)
     if samples.max() > maxval:
         first = int(np.argmax(samples > maxval))
         raise FormatError(f"sample {samples[first]} exceeds maxval {maxval}",
                           offset=pos + first * bytes_per)
-    return RasterImage(samples.astype(float).reshape(height, width) / maxval)
+    return RasterImage((samples / maxval).reshape(height, width))
 
 
 def _read_input(path: str | Path, parse, kind: str):

@@ -19,6 +19,8 @@ least value that objective can take, from its SVM dual.
 coordinates included, as ``synthetic_images`` must do bit for bit from layers
 it builds once per class. ``reference_fix_signs`` flips one row at a time, as
 the whole-array ``_fix_signs`` must do bit for bit.
+``reference_pgm_header`` scans a PGM header one byte at a time, the reference
+for ``read_pgm``'s one-pattern tokenizer.
 """
 
 import math
@@ -266,3 +268,21 @@ def reference_shape_class_image(
     img = np.clip(img, 0.0, 1.0)
     power = float(np.mean(img**2))
     return np.clip(img + rng.normal(0.0, np.sqrt(power / 1e4), img.shape), 0.0, 1.0)
+
+
+def reference_pgm_header(data: bytes) -> tuple[bytes, ...]:
+    """The first four tokens of a PGM header (magic, width, height, maxval), each
+    found by skipping whitespace bytes and '#' comments up to a newline, byte by byte."""
+    tokens, pos = [], 0
+    while len(tokens) < 4:
+        while pos < len(data) and (data[pos:pos + 1].isspace() or data[pos:pos + 1] == b"#"):
+            if data[pos:pos + 1] == b"#":
+                while pos < len(data) and data[pos:pos + 1] != b"\n":
+                    pos += 1
+            else:
+                pos += 1
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        tokens.append(data[start:pos])
+    return tuple(tokens)

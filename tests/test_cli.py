@@ -1038,14 +1038,27 @@ _COMPUTE = ["moments", "compute", "--image", "x.pgm", "--basis", "b.json", "--m"
     (["dpss", "gen", "--n", "8", "--w", "0.6", "--k", "2"], "--w"),
     (["dpss", "gen", "--n", "8", "--w", "0.1", "--k", "9"], "--k"),
     (["classify", "--reg", "-1"], "--reg"),
+    # "" names no file, though Path("") is the working directory
+    (["moments", "compute", "--image", "", "--basis", "b.json", "--m", "2", "--l", "1"],
+     "--image"),
+    (["rotate-test", "--image", ""], "--image"),
+    (["noise-test", "--basis", ""], "--basis"),
+    (["invariants", "--moments", ""], "--moments"),
+    (["invariants", "--moments", "m.json", "--out", ""], "--out"),
+    (["classify", "--json-out", ""], "--json-out"),
+    (["classify", "--data-dir", ""], "--data-dir"),
+    (["synth", "--out-dir", ""], "--out-dir"),
 ], ids=["precision", "seed", "classes", "angle", "reg", "l", "radial", "angles-empty",
         "fractions-empty", "orders-empty", "orders-negative", "size", "w", "k",
-        "reg-negative"])
-def test_bad_values_exit_two_naming_the_flag(tmp_path, capsys, argv, flag):
-    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        "reg-negative", "compute-image-empty", "image-empty", "basis-empty",
+        "moments-empty", "out-empty", "json-out-empty", "data-dir-empty", "out-dir-empty"])
+def test_bad_values_exit_two_naming_the_flag(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"slepmoments: usage error: argument {flag}: ")
     assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 class _Reached(Exception):

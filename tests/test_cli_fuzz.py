@@ -41,15 +41,16 @@ _ORDERS = ["", ";", "1,1;;2,2", "a,b", "1,", "1,2,3", "-1,1", "1,-1", "0,0", "99
            f"{10**30},1", "٢,١"]
 # inputs that are no regular file: a FIFO, a link to a device and devices themselves
 _SPECIAL = ["fifo", "zero", "/dev/zero", "/dev/null"]
-_IMAGES = ["img.pgm", "trunc.pgm", "text.pgm", "zero.pgm", "missing.pgm", "dir", "b.json",
+# every path pool holds "", which names no file and is refused while parsing
+_IMAGES = ["", "img.pgm", "trunc.pgm", "text.pgm", "zero.pgm", "missing.pgm", "dir", "b.json",
            "link.json", *_SPECIAL]
-_BASES = ["b.json", "b2.json", "bad.json", "m.json", "missing.json", "dir", "img.pgm",
+_BASES = ["", "b.json", "b2.json", "bad.json", "m.json", "missing.json", "dir", "img.pgm",
           "link.json", *_SPECIAL]
-_MOMENTS = ["m.json", "b.json", "bad.json", "missing.json", "dir", "img.pgm", "link.json",
+_MOMENTS = ["", "m.json", "b.json", "bad.json", "missing.json", "dir", "img.pgm", "link.json",
             *_SPECIAL]
-_DATA_DIRS = ["synth", "one", "broken", "pipes", "dir", "missing", "img.pgm", "fifo"]
-_OUTPUTS = ["nodir/out", "dir", "img.pgm", "fifo", "link.json"]
-_OUT_DIRS = ["nodir/tree", "dir", "img.pgm", "fifo"]
+_DATA_DIRS = ["", "synth", "one", "broken", "pipes", "dir", "missing", "img.pgm", "fifo"]
+_OUTPUTS = ["", "nodir/out", "dir", "img.pgm", "fifo", "link.json"]
+_OUT_DIRS = ["", "nodir/tree", "dir", "img.pgm", "fifo"]
 
 # (flag, required, valid values, edge values); an output flag's valid value is a new
 # file, or a new directory for --out-dir
@@ -63,6 +64,7 @@ _STABILITY = [("--image", False, ["img.pgm"], _IMAGES),
               ("--out", True, None, _OUTPUTS),
               ("--json-out", False, None, _OUTPUTS),
               ("--precision", False, ["3"], _INTEGERS + ["101"])]
+_PATHS = (_IMAGES, _BASES, _MOMENTS, _DATA_DIRS, _OUTPUTS, _OUT_DIRS)
 _SYNTHETIC = [("--classes", False, ["2", "3"], _INTEGERS),
               ("--per-class", False, ["2", "3"], _INTEGERS),
               ("--rotations", False, ["1", "2"], _INTEGERS),
@@ -107,11 +109,11 @@ _COMMANDS = {
 }
 
 
-def _draw(rng: random.Random) -> tuple[list[str], list[str], list[str]]:
-    """One argv, the outputs it names that must exist after exit 0, and every
-    value it gives --out or --json-out."""
+def _draw(rng: random.Random) -> tuple[list[str], list[str], list[str], bool]:
+    """One argv, the outputs it names that must exist after exit 0, every value it
+    gives --out or --json-out, and whether it gives a path flag ""."""
     command = rng.choice(sorted(_COMMANDS))
-    argv, outputs, files = list(command), [], []
+    argv, outputs, files, empty_path = list(command), [], [], False
     for flag, required, valid, edges in _COMMANDS[command]:
         roll = rng.random()
         if roll < (0.05 if required else 0.3):
@@ -124,10 +126,11 @@ def _draw(rng: random.Random) -> tuple[list[str], list[str], list[str]]:
             value = rng.choice(edges)
         if edges is _OUTPUTS:
             files.append(value)
+        empty_path |= value == "" and any(edges is pool for pool in _PATHS)
         argv += [flag, value]
     if rng.random() < 0.05:  # a flag of no command
         argv.append("--bogus")
-    return argv, outputs, files
+    return argv, outputs, files, empty_path
 
 
 _FIFO = "fifo"  # the entry of a FIFO; a link's is ("link", target)
@@ -214,7 +217,7 @@ def test_no_run_breaks_the_exit_code_contract(tmp_path, monkeypatch, capsys, inp
     rng = random.Random(SEED)
     codes = []
     for i in range(RUNS):
-        argv, outputs, files = _draw(rng)
+        argv, outputs, files, empty_path = _draw(rng)
         work = tmp_path / f"run{i}"
         work.mkdir()
         for name, entry in inputs.items():
@@ -228,6 +231,7 @@ def test_no_run_breaks_the_exit_code_contract(tmp_path, monkeypatch, capsys, inp
             pytest.fail(f"{argv} raised {type(exc).__name__}: {exc}")
         out, err = capsys.readouterr()
         assert out == "", argv
+        assert code == 2 or not empty_path, (argv, code)
         if code == 0:
             assert err == "", argv
             assert all((work / name).exists() for name in outputs), argv

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -119,6 +120,16 @@ def test_single_point_basis():
     basis = compute_dpss(DpssParams(1, 0.25, 1))
     assert np.allclose(basis.sequences, [[1.0]])
     assert np.allclose(basis.eigenvalues, [0.5])
+
+
+@pytest.mark.parametrize("w, digest", [
+    (0.01, "9834c723a2f75caa"), (0.2, "a0e1a04a29706f15"), (0.49, "3099eafb2b71e822"),
+])
+def test_single_point_basis_files_are_pinned(w, digest):
+    # N = 1 takes the general path, bit for bit: the tridiagonal solver's eigenvector
+    # of a 1 x 1 matrix is [[1.]], and the kernel column has no off-diagonal entries
+    text = "".join(basis_to_json(compute_dpss(DpssParams(1, w, 1))))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_two_point_basis_closed_form():

@@ -77,6 +77,22 @@ def test_read_pgm_truncated_payload_reports_offset():
     assert exc.value.offset == len(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P5 2 1 255", "truncated payload: need 2 bytes, have 0 (byte offset 11)"),
+    (b"P5 2 1 255\n", "truncated payload: need 2 bytes, have 0 (byte offset 11)"),
+    (b"P5 2 1 65535\n\x00", "truncated payload: need 4 bytes, have 1 (byte offset 14)"),
+    (b"P5 2 1 # no maxval\x0b\x0c\r\n\t# here", "unexpected end of header (byte offset 29)"),
+    (b"P5 2 1", "unexpected end of header (byte offset 6)"),
+], ids=["maxval-ends-the-data", "separator-ends-the-data", "one-of-four-bytes",
+        "comment-ends-the-header", "height-ends-the-header"])
+def test_read_pgm_names_where_short_data_ends(data, message):
+    # the separator byte after maxval is skipped unread, so data that ends at the
+    # maxval token places the missing payload one past its end
+    with pytest.raises(FormatError) as exc:
+        read_pgm(data)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("header, payload, first", [
     (b"P5\n3 1\n10\n", bytes([10, 0xFF, 11]), 1),
     (b"P5\n3 1\n300\n", b"".join(v.to_bytes(2, "big") for v in (300, 301, 302)), 2),
@@ -491,6 +507,15 @@ def test_rotate_image_is_built_in_blocks():
     img = smooth_test_image(256)
     _, peak = traced_bytes(lambda: rotate_image(img, 35.0))
     assert peak <= 2.5 * MiB
+
+
+@pytest.mark.parametrize("maxval", [255, 65535], ids=["8-bit", "16-bit"])
+def test_read_pgm_peaks_near_its_result(rng, maxval):
+    # the payload is viewed where it lies and divided into the one float64 array, so
+    # the peak is that array and RasterImage's finiteness mask, a byte a pixel
+    data = write_pgm(RasterImage(rng.random((512, 512))), maxval)
+    _, peak = traced_bytes(lambda: read_pgm(data))
+    assert peak <= 1.25 * 512 * 512 * 8
 
 
 # --- noise ------------------------------------------------------------------

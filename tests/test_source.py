@@ -3,7 +3,8 @@ never uses, no private module-level name goes unused package-wide, the radial
 rule of the moments keeps its one home, a raster keeps its one route to them,
 the stacking of classifier fits stays inside the classifier, the integer rule
 has one home, the synthetic images have one span renderer, one function reads
-files, one forks, two end a process, and one finds distinct labels."""
+files, a PGM is parsed without a byte loop or a copy, one function forks, two end
+a process, and one finds distinct labels."""
 
 import ast
 from pathlib import Path
@@ -173,6 +174,16 @@ def test_one_function_reads_files():
     assert {module: scopes for module, scopes in homes.items() if scopes} == {
         "imaging.py": {"_read_input"},
     }
+
+
+def test_a_pgm_is_parsed_without_a_byte_loop_or_a_copy():
+    # a header token is one match of imaging._TOKEN, and the payload is viewed where
+    # it lies, so _next_token holds no loop and neither it nor read_pgm slices bytes
+    tree = TREES["imaging.py"]
+    loops = _scopes(tree, lambda node: isinstance(node, (ast.For, ast.While)))
+    slices = _scopes(tree, lambda node: isinstance(node, ast.Slice))
+    assert "_next_token" not in loops
+    assert not slices & {"_next_token", "read_pgm"}
 
 
 def test_one_function_forks():
