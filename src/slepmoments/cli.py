@@ -503,10 +503,10 @@ def run(argv) -> int:
         return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # ValueError covers the package's parameter/domain/format/aliasing
-        # errors plus malformed JSON; KeyError covers missing document fields;
-        # OSError covers unreadable inputs and unwritable outputs
+        # errors plus malformed JSON; OSError covers unreadable inputs and
+        # unwritable outputs
         print(f"slepmoments: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the size it could not allocate

@@ -199,20 +199,23 @@ def compute_dpss(params: DpssParams) -> DpssBasis:
 
 
 def _catmull_rom(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Catmull-Rom interpolation of uniformly spaced samples, queried at x.
+    """Catmull-Rom interpolation of each row of K x N uniformly spaced samples,
+    queried at x: a K x ``x.shape`` array.
 
     x is in sample-index units; end tangents use linearly reflected ghost points.
+    All K rows are interpolated at once, with each query's interval i and offset t
+    computed once; every value is the same IEEE expression as for one row alone.
     """
-    n = samples.shape[0]
+    k, n = samples.shape
     if n == 1:
-        return np.full(x.shape, samples[0])
-    padded = np.empty(n + 2)
-    padded[1:-1] = samples
-    padded[0] = 2.0 * samples[0] - samples[1]
-    padded[-1] = 2.0 * samples[-1] - samples[-2]
+        return np.repeat(samples, x.size, axis=1).reshape(k, *x.shape)
+    padded = np.empty((k, n + 2))
+    padded[:, 1:-1] = samples
+    padded[:, 0] = 2.0 * samples[:, 0] - samples[:, 1]
+    padded[:, -1] = 2.0 * samples[:, -1] - samples[:, -2]
     i = np.clip(np.floor(x).astype(int), 0, n - 2)
     t = x - i
-    p0, p1, p2, p3 = padded[i], padded[i + 1], padded[i + 2], padded[i + 3]
+    p0, p1, p2, p3 = padded[:, i], padded[:, i + 1], padded[:, i + 2], padded[:, i + 3]
     return 0.5 * (
         2.0 * p1
         + (-p0 + p2) * t
@@ -225,13 +228,15 @@ def radial_basis(basis: DpssBasis, r_grid) -> np.ndarray:
     """Resample every sequence onto radii in [0, 1]; returns a K x R matrix.
 
     The native sample m sits at radius m/(N-1) (index axis rescaled to the unit
-    interval); off-node radii are filled by Catmull-Rom interpolation.
+    interval); off-node radii are filled by Catmull-Rom interpolation. Each
+    sequence contributes the grid as one 2-D block of rows (a scalar grid as one
+    column), stacked in sequence order.
     """
     r = np.asarray(r_grid, dtype=float)
     if r.size and (r.min() < 0.0 or r.max() > 1.0):
         raise DomainError("radial grid values must lie in [0, 1]")
     x = r * (basis.params.n_len - 1)
-    return np.vstack([_catmull_rom(v, x) for v in basis.sequences])
+    return np.vstack(_catmull_rom(basis.sequences, x))
 
 
 # --- serialization -----------------------------------------------------------

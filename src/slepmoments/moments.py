@@ -93,15 +93,16 @@ def _radial(
 
 
 def _project(blocks, psi_w: np.ndarray, max_angular: int, grid: tuple[int, int]) -> np.ndarray:
-    """Moments of R x T polar samples, given as the ``_blocks`` ring blocks of ``grid``,
-    against ``psi * weights`` of ``_radial``: an M x (2L+1) matrix.
+    """Moments of R x T polar samples on ``grid``, given as ``(rings, block)`` pairs of
+    a ring slice and its samples, against ``psi * weights`` of ``_radial``: an
+    M x (2L+1) matrix.
 
     Of each block's DFT only the 2L+1 columns the moments use are kept, so no
     R x T spectrum is ever held.
     """
     keep = np.arange(-max_angular, max_angular + 1) % grid[1]
     cols = np.empty((grid[0], keep.size), dtype=complex)
-    for rings, block in zip(_blocks(*grid), blocks):
+    for rings, block in blocks:
         # DFT of conj(f) along theta gives the inner sum for every n at once;
         # conj() of a real block is the block itself, not a copy
         spectrum = np.fft.fft(block.conj(), axis=1)
@@ -111,7 +112,7 @@ def _project(blocks, psi_w: np.ndarray, max_angular: int, grid: tuple[int, int])
 
 def _moments(blocks, basis: DpssBasis, max_radial: int, max_angular: int,
              grid: tuple[int, int]) -> MomentSet:
-    """The MomentSet of the ``_blocks`` ring blocks of R x T polar samples on ``grid``,
+    """The MomentSet of the ``(rings, block)`` pairs of R x T polar samples on ``grid``,
     after ``_radial``'s checks."""
     psi, weights, max_angular, grid = _radial(basis, max_radial, max_angular, grid)
     values = _project(blocks, psi * weights, max_angular, grid)
@@ -132,7 +133,7 @@ def compute_moments(
         raise ParameterError(f"samples must be a non-empty 2-D array, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ParameterError("polar samples must be finite")
-    blocks = (samples[rings] for rings in _blocks(*samples.shape))
+    blocks = ((rings, samples[rings]) for rings in _blocks(*samples.shape))
     return _moments(blocks, basis, max_radial, max_angular, samples.shape)
 
 
@@ -185,13 +186,15 @@ def reconstruct(
 class Featurizer:
     """Polar resampling, moments and invariants of raster images in one step.
 
-    The order and grid checks run once, psi_m(r) * r * dr is built once, and the
-    block plans of ``imaging._polar_plans`` once per raster shape, at the first
-    image of that shape, and kept, so featurizing many images repeats only the
-    per-image work. A call samples and projects one block of rings at a time, so
-    it never holds all R x T samples. It returns the invariants flattened
-    m-major: entry m*(L+1)+n holds phi_{m,n}. Defaults give 100 entries (10 radial
-    orders, angular orders 0..9); ``_size`` holds the count.
+    The order and grid checks run once and psi_m(r) * r * dr is built once. It
+    holds the block plans of ``imaging._polar_plans`` for the last raster shape it
+    saw (``_shape``, ``_plans``): an image of another shape drops them, then builds
+    and keeps its own. So featurizing many images of one shape repeats only the
+    per-image work, and images of mixed sizes never hold more than one shape's
+    plans. A call samples and projects one block of rings at a time, so it never
+    holds all R x T samples. It returns the invariants flattened m-major: entry
+    m*(L+1)+n holds phi_{m,n}. Defaults give 100 entries (10 radial orders,
+    angular orders 0..9); ``_size`` holds the count.
     """
 
     def __init__(
@@ -205,13 +208,14 @@ class Featurizer:
             basis, max_radial, max_angular, grid)
         self._psi_w = psi * weights
         self._size = len(psi) * (self._max_angular + 1)
-        self._plans = {}
+        self._shape = self._plans = None
 
     def __call__(self, img: RasterImage) -> np.ndarray:
         shape = img.pixels.shape
-        if shape not in self._plans:
-            self._plans[shape] = list(_polar_plans(shape, *self._grid))
-        samples = _samples(img.pixels, self._plans[shape])
+        if shape != self._shape:
+            self._shape = self._plans = None  # the last shape's plans go first
+            self._plans, self._shape = list(_polar_plans(shape, *self._grid)), shape
+        samples = _samples(img.pixels, self._plans)
         values = _project(samples, self._psi_w, self._max_angular, self._grid)
         return np.abs(values[:, self._max_angular :]).ravel()
 

@@ -8,7 +8,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .dpss import _check_integer
-from .imaging import RasterImage, _disk, _rng
+from .imaging import RasterImage, _disk, _noisy, _rng
 
 __all__ = ["smooth_test_image"]
 
@@ -93,9 +93,7 @@ def _shape_class_renderer(
         img += a1 * ring1 * np.cos(n1 * theta + n1 * phase)
         img += a2 * ring2 * np.cos(n2 * theta + n2 * phase + 0.7)
         img += disk
-        img = np.clip(img, 0.0, 1.0)
-        power = float(np.mean(img**2))
-        img = np.clip(img + rng.normal(0.0, np.sqrt(power / 1e4), img.shape), 0.0, 1.0)
-        return RasterImage(img)
+        # light noise at 40 dB, under add_gaussian_noise's model
+        return RasterImage(_noisy(np.clip(img, 0.0, 1.0, out=img), 40.0, rng))
 
     return render

@@ -419,6 +419,37 @@ def test_radial_basis_of_one_sample_is_constant():
     assert radial_basis(basis, [0.0, 0.25, 1.0]).tolist() == [[1.0, 1.0, 1.0]]
 
 
+# SHA-256 prefixes of radial_basis's bytes, pinned when it interpolated one sequence
+# at a time: by basis length N (K seeded normal rows), then grid. Each grid comes
+# with the 2-D block each of the K sequences stacks into the output.
+_RADIAL_GRIDS = {"scalar": (0.37, (1, 1)), "0-d": (np.array(0.61), (1, 1)),
+                 "17": (np.linspace(0.0, 1.0, 17), (1, 17)),
+                 "64-rings": ((np.arange(64) + 0.5) / 64, (1, 64)),
+                 "3x4": (np.linspace(0.0, 1.0, 12).reshape(3, 4), (3, 4)),
+                 "empty": (np.array([]), (1, 0))}
+_RADIAL_PINS = {
+    (64, 10): ["309d73047e80da28", "12e382d558cc2376", "1e1013cc3d5a4f6e",
+               "0208dc5ba87b9d46", "a20734cd9b8c816a", "e3b0c44298fc1c14"],
+    (1, 1): ["099ecce6ffb8c36e", "099ecce6ffb8c36e", "95cb181592e57f3e",
+             "0c012345fb8b109e", "49e4febc7e42a487", "e3b0c44298fc1c14"],
+    (2, 2): ["a80621902ba04c71", "178bc05dfe26be68", "2c391d3d589064c6",
+             "6c41e878f0d3e788", "d80ca72f06f73e85", "e3b0c44298fc1c14"],
+    (300, 12): ["4ccd41657c70afff", "f1985fdd8f73e5d1", "2ac44949a7be6a7c",
+                "88aa3f651dac31ed", "a7de49ec89f282cb", "e3b0c44298fc1c14"],
+}
+
+
+@pytest.mark.parametrize("grid, index", [(name, i) for i, name in enumerate(_RADIAL_GRIDS)])
+@pytest.mark.parametrize("n, k", _RADIAL_PINS, ids=[f"n{n}" for n, _ in _RADIAL_PINS])
+def test_radial_basis_keeps_its_shapes_and_bytes(n, k, grid, index):
+    seqs = np.random.default_rng(n).standard_normal((k, n))
+    basis = DpssBasis(DpssParams(n, 0.2, k), seqs, np.linspace(0.9, 0.1, k))
+    r, (rows, cols) = _RADIAL_GRIDS[grid]
+    out = radial_basis(basis, r)
+    assert out.dtype == np.float64 and out.shape == (k * rows, cols)
+    assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == _RADIAL_PINS[n, k][index]
+
+
 def test_enforce_decreasing_halves_below_the_positive_floor():
     # a quotient that would tie its predecessor at the smallest normal float is halved
     tiny = np.finfo(float).tiny

@@ -25,6 +25,7 @@ from slepmoments import (
     to_polar,
 )
 from slepmoments.dpss import basis_from_json, basis_to_json, radial_basis
+from slepmoments.imaging import _polar_plans
 from slepmoments.moments import _radial, _raster_moments, feature_vector
 
 from oracles import continuous_radial_gram, moment_value, ring_radial_gram
@@ -434,6 +435,23 @@ def test_featurizer_call_works_in_blocks(basis64):
     featurize(img)
     _, peak = traced_bytes(lambda: featurize(img))
     assert peak <= 1.5 * MiB
+
+
+def test_featurizer_holds_the_plans_of_one_raster_shape(basis64):
+    # a 256 x 512 grid's plans take 5 MiB whatever the raster shape; a Featurizer keeps
+    # those of the last shape it saw and drops them before it plans another shape
+    images = [smooth_test_image(size) for size in (32, 33, 34, 35, 36, 37)]
+    one_shape, _ = traced_bytes(lambda: list(_polar_plans((32, 32), 256, 512)))
+
+    def featurize_all():
+        featurize = Featurizer(basis64, 5, 5, (256, 512))
+        for img in images:
+            featurize(img)
+        return featurize
+
+    held, peak = traced_bytes(featurize_all)
+    assert held <= 1.25 * one_shape
+    assert peak <= 1.5 * one_shape
 
 
 def test_featurizer_reused_across_raster_shapes(basis64, test_image):

@@ -4,7 +4,8 @@ rule of the moments keeps its one home, a raster keeps its one route to them,
 the stacking of classifier fits stays inside the classifier, the integer rule
 has one home, the synthetic images have one span renderer, one function reads
 files, a PGM is parsed without a byte loop or a copy, one function forks, two end
-a process, and one finds distinct labels."""
+a process, one finds distinct labels, one draws noise, the radial basis is
+interpolated without a loop, and polar blocks travel with their rows."""
 
 import ast
 from pathlib import Path
@@ -216,3 +217,29 @@ def test_one_function_finds_distinct_labels():
     # np.unique's default path imports numpy.ma; classifier._distinct takes the path
     # that does not, for the classifier and the harness alike
     assert _attribute_scopes("unique") == {"classifier.py": {"_distinct"}}
+
+
+def test_one_function_draws_noise():
+    # imaging._noisy alone draws Gaussian noise, for add_gaussian_noise and the
+    # synthetic images alike, so both follow one noise model
+    assert _attribute_scopes("normal") == {"imaging.py": {"_noisy"}}
+
+
+def test_the_radial_basis_is_interpolated_without_a_loop():
+    # _catmull_rom interpolates all K sequences at once, so neither it nor
+    # radial_basis walks the sequences in Python
+    def loop(node):
+        return isinstance(node, (ast.For, ast.While, ast.comprehension))
+    assert _scopes(TREES["dpss.py"], loop) & {"radial_basis", "_catmull_rom"} == set()
+
+
+def test_blocks_travel_with_their_rows():
+    # imaging._plans and _samples hand over every block with its rows, so moments
+    # cuts blocks only from the samples a caller passes to compute_moments, and a
+    # plan is applied without functools.partial
+    assert _loading_scopes(TREES["moments.py"], ("_blocks",)) == {"_blocks": {"compute_moments"}}
+    tree = TREES["imaging.py"]
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "functools" not in modules
