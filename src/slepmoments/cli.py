@@ -6,9 +6,12 @@ Each flag is checked once, by its argparse type (dpss gen --k, bounded by
 flag. The flags that size one allocation (dpss gen --n, --radial, --angular,
 synth --size, --precision) or a loop (classify --repeats, --epochs) have upper
 bounds, noise-test --snr-db must lie within +-3000 dB and classify --reg must
-be >= 0. Only noise-test, classify and synth draw random numbers, so only they
-take --seed (a fixed default, never time-based); only the table writers,
-rotate-test, noise-test and classify, take --precision.
+be >= 0. classify --classes, --per-class and --rotations size the synthetic
+dataset only, so with --data-dir the first of them given exits 2 ("argument
+--classes: not allowed with --data-dir"). Only noise-test, classify and synth
+draw random numbers, so only they take --seed (a fixed default, never
+time-based); only the table writers, rotate-test, noise-test and classify, take
+--precision.
 
 Every path flag (--image, --basis, --moments, --out, --json-out, --data-dir,
 --out-dir) must be non-empty: "" names no file, though Path("") is the working
@@ -25,7 +28,9 @@ synth or synthetic classify of more than a million images (--classes x
 --per-class x --rotations) exits 1 too, refused by harness._synthetic_spans
 before anything is rendered.
 Every output file is written atomically, so identical invocations are
-byte-identical, and a command with two outputs writes both or neither. An
+byte-identical, and a command with two outputs writes both or neither. Its
+temporary file, named by _temporary_affixes, ends in a marker that only this
+package writes, so synth's clean-up removes no user file beside an output. An
 output path may be absent, a regular file or a symlink, which is replaced by
 the file; a directory, FIFO, socket or device is refused, before anything is
 written, with one line naming the path.
@@ -133,7 +138,8 @@ def _write_atomic(*outputs: tuple[str | Path, bytes | str | Iterable[str]]) -> N
             if path.exists() and not path.is_file():
                 raise OSError(errno.EINVAL, "not a regular file")
         for path, data in outputs:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            prefix, suffix = _temporary_affixes(path)
+            fd, tmp = tempfile.mkstemp(suffix, prefix, path.parent)
             written.append((tmp, path))
             with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
                 if isinstance(data, (bytes, str)):
@@ -152,19 +158,31 @@ def _write_atomic(*outputs: tuple[str | Path, bytes | str | Iterable[str]]) -> N
         raise
 
 
+def _temporary_affixes(path: Path) -> tuple[str, str]:
+    """The one naming rule of the temporary files ``_write_atomic`` makes beside
+    ``path``: ``.<name>.``, mkstemp's random part, then a marker that only this
+    package writes. ``_remove_temporaries`` removes only what starts with the one and
+    ends with the other, so a user's ``.<name>.bak`` beside an output is kept."""
+    return f".{path.name}.", ".slepmoments-tmp"
+
+
 def _remove_temporaries(paths: Iterable[Path]) -> None:
     """Remove the temporary files that ``_write_atomic`` left beside ``paths``, as a
     process killed while writing one does."""
     prefixes: dict[Path, set[str]] = {}
     for path in paths:
-        prefixes.setdefault(path.parent, set()).add(f".{path.name}")
-    for folder, names in prefixes.items():
+        prefix, mark = _temporary_affixes(path)
+        prefixes.setdefault(path.parent, set()).add(prefix)
+    for folder, starts in prefixes.items():
         try:
             entries = list(os.scandir(folder))
         except OSError:  # no such directory, so nothing was written in it
             continue
         for entry in entries:
-            if entry.name.rpartition(".")[0] in names:  # mkstemp's random suffix has no dot
+            # mkstemp's random part holds no dot, so a temporary's prefix ends at the
+            # last dot before the marker
+            head = entry.name.removesuffix(mark)
+            if head != entry.name and head[:head.rfind(".") + 1] in starts:
                 os.unlink(entry.path)
 
 
@@ -344,11 +362,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--data-dir", type=_path, default=None,
                    help="directory tree <root>/<class>/<image>.pgm; "
                         "omit to use the synthetic dataset")
-    p.add_argument("--classes", type=_bounded(2), default=6,
-                   help="synthetic class count")
-    p.add_argument("--per-class", type=_count, default=8, help="synthetic items per class")
-    p.add_argument("--rotations", type=_count, default=1,
-                   help="synthetic rotations per item")
+    # the synthetic dataset's sizes; None stands for 6, 8 and 1, and --data-dir takes none
+    p.add_argument("--classes", type=_bounded(2), default=None,
+                   help="synthetic class count (default 6)")
+    p.add_argument("--per-class", type=_count, default=None,
+                   help="synthetic items per class (default 8)")
+    p.add_argument("--rotations", type=_count, default=None,
+                   help="synthetic rotations per item (default 1)")
     p.add_argument("--fractions", type=_fractions, default="0.2,0.3,0.4,0.5",
                    help="comma-separated training fractions in (0, 1)")
     p.add_argument("--repeats", type=_repeats, default=10,
@@ -449,6 +469,10 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    given = [flag for flag, size in (("--classes", args.classes), ("--per-class", args.per_class),
+                                     ("--rotations", args.rotations)) if size is not None]
+    if args.data_dir is not None and given:
+        raise _UsageError(f"argument {given[0]}: not allowed with --data-dir")
     basis = (default_basis() if args.basis is None
              else _read_input(args.basis, basis_from_json, "basis"))
     grid = (args.radial, args.angular)
@@ -456,7 +480,7 @@ def _cmd_classify(args) -> int:
         ds = load_labeled_directory(args.data_dir, basis=basis, grid=grid)
     else:
         ds = make_synthetic_dataset(
-            args.classes, args.per_class, args.rotations,
+            args.classes or 6, args.per_class or 8, args.rotations or 1,
             seed=args.seed, basis=basis, grid=grid,
         )
     report = classification_sweep(

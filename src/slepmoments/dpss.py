@@ -87,8 +87,15 @@ class DpssBasis:
     """K orthonormal sequences of length N with concentration eigenvalues in (0, 1).
 
     Rows of ``sequences`` are sign-fixed so the first nonzero entry is positive,
-    and ``eigenvalues`` are strictly decreasing. Instances compare by identity:
-    field-wise equality would compare the arrays elementwise.
+    and ``eigenvalues`` are strictly decreasing. Where the concentrations reach 1
+    the stored eigenvalues are tie-broken, not computed: ``_enforce_decreasing``
+    clamps them below 1 and steps each one ulp below the last, so the built-in
+    basis stores 1 - (k + 1) 2**-53 for k = 0..9. Where the quotients are lost in
+    rounding, far past the Shannon number 2NW, they start at the smallest normal
+    float and halve from there. ``basis_id`` names N, K and the shortest
+    round-trip form of W, so two bases with different W never share an id.
+    Instances compare by identity: field-wise equality would compare the arrays
+    elementwise.
     """
 
     params: DpssParams
@@ -98,7 +105,7 @@ class DpssBasis:
     @property
     def basis_id(self) -> str:
         p = self.params
-        return f"dpss-n{p.n_len}-w{p.half_bandwidth:g}-k{p.n_seq}"
+        return f"dpss-n{p.n_len}-w{p.half_bandwidth!r}-k{p.n_seq}"
 
 
 def _kernel_column(n_len: int, half_bandwidth: float) -> np.ndarray:

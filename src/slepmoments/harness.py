@@ -65,10 +65,6 @@ def default_basis() -> DpssBasis:
     return _read_input(Path(__file__).with_name("default_basis.json"), basis_from_json, "basis")
 
 
-def _fmt(value: float, precision: int | None) -> str:
-    return repr(float(value)) if precision is None else f"{value:.{precision}f}"
-
-
 # --- stability protocol -------------------------------------------------------
 
 
@@ -86,12 +82,9 @@ class StabilityReport:
     def to_csv(self, precision: int | None = None) -> str:
         # one row per angle plus a final std row; the mean row lives in the
         # JSON serialization only
-        return _csv([
-            ["angle_deg"] + [f"phi_{m}_{n}" for m, n in self.columns],
-            *([_fmt(angle, precision)] + [_fmt(v, precision) for v in row]
-              for angle, row in zip(self.angles, self.values)),
-            ["std"] + [_fmt(v, precision) for v in self.std_row],
-        ])
+        return _csv(["angle_deg"] + [f"phi_{m}_{n}" for m, n in self.columns],
+                    [*([angle, *row] for angle, row in zip(self.angles, self.values)),
+                     ["std", *self.std_row]], precision)
 
     def to_json(self) -> str:
         doc = {
@@ -259,11 +252,8 @@ class ClassificationReport:
     metadata: dict
 
     def to_csv(self, precision: int | None = None) -> str:
-        return _csv([
-            ["train_fraction", "mean_accuracy", "std_accuracy"],
-            *([_fmt(v, precision) for v in row]
-              for row in zip(self.train_fractions, self.mean_accuracy, self.std_accuracy)),
-        ])
+        return _csv(["train_fraction", "mean_accuracy", "std_accuracy"],
+                    zip(self.train_fractions, self.mean_accuracy, self.std_accuracy), precision)
 
     def to_json(self) -> str:
         doc = {

@@ -92,33 +92,6 @@ def _radial(
     return radial_basis(basis, r)[:max_radial], r / r.size, max_angular, (r.size, theta.size)
 
 
-def _project(blocks, psi_w: np.ndarray, max_angular: int, grid: tuple[int, int]) -> np.ndarray:
-    """Moments of R x T polar samples on ``grid``, given as ``(rings, block)`` pairs of
-    a ring slice and its samples, against ``psi * weights`` of ``_radial``: an
-    M x (2L+1) matrix.
-
-    Of each block's DFT only the 2L+1 columns the moments use are kept, so no
-    R x T spectrum is ever held.
-    """
-    keep = np.arange(-max_angular, max_angular + 1) % grid[1]
-    cols = np.empty((grid[0], keep.size), dtype=complex)
-    for rings, block in blocks:
-        # DFT of conj(f) along theta gives the inner sum for every n at once;
-        # conj() of a real block is the block itself, not a copy
-        spectrum = np.fft.fft(block.conj(), axis=1)
-        np.multiply(spectrum[:, keep], 2.0 * np.pi / grid[1], out=cols[rings])
-    return psi_w @ cols
-
-
-def _moments(blocks, basis: DpssBasis, max_radial: int, max_angular: int,
-             grid: tuple[int, int]) -> MomentSet:
-    """The MomentSet of the ``(rings, block)`` pairs of R x T polar samples on ``grid``,
-    after ``_radial``'s checks."""
-    psi, weights, max_angular, grid = _radial(basis, max_radial, max_angular, grid)
-    values = _project(blocks, psi * weights, max_angular, grid)
-    return MomentSet(len(psi), max_angular, values, grid, basis.basis_id)
-
-
 def compute_moments(
     samples: np.ndarray, basis: DpssBasis, max_radial: int, max_angular: int
 ) -> MomentSet:
@@ -134,15 +107,16 @@ def compute_moments(
     if not np.all(np.isfinite(samples)):
         raise ParameterError("polar samples must be finite")
     blocks = ((rings, samples[rings]) for rings in _blocks(*samples.shape))
-    return _moments(blocks, basis, max_radial, max_angular, samples.shape)
+    return Featurizer(basis, max_radial, max_angular, samples.shape)._moments(blocks)
 
 
 def _raster_moments(image: RasterImage, basis: DpssBasis, max_radial: int,
                     max_angular: int, grid: tuple[int, int]) -> MomentSet:
     """``compute_moments(to_polar(image, *grid), ...)``, bit for bit, without the
     R x T array: each block of rings is planned, sampled and projected, then dropped."""
+    # the plans check the grid at the call, so a bad grid is refused before a bad order
     blocks = _samples(image.pixels, _polar_plans(image.pixels.shape, *grid))
-    return _moments(blocks, basis, max_radial, max_angular, grid)
+    return Featurizer(basis, max_radial, max_angular, grid)._moments(blocks)
 
 
 def invariants(ms: MomentSet) -> np.ndarray:
@@ -192,9 +166,13 @@ class Featurizer:
     and keeps its own. So featurizing many images of one shape repeats only the
     per-image work, and images of mixed sizes never hold more than one shape's
     plans. A call samples and projects one block of rings at a time, so it never
-    holds all R x T samples. It returns the invariants flattened m-major: entry
-    m*(L+1)+n holds phi_{m,n}. Defaults give 100 entries (10 radial orders,
-    angular orders 0..9); ``_size`` holds the count.
+    holds all R x T samples. It returns ``invariants`` of its ``_moments``,
+    flattened m-major: entry m*(L+1)+n holds phi_{m,n}. Defaults give 100 entries
+    (10 radial orders, angular orders 0..9); ``_size`` holds the count.
+
+    ``_moments`` is the package's one projection of polar samples: ``compute_moments``
+    and ``_raster_moments`` build a Featurizer only to call it, so theirs never
+    holds plans.
     """
 
     def __init__(
@@ -206,7 +184,7 @@ class Featurizer:
     ):
         psi, weights, self._max_angular, self._grid = _radial(
             basis, max_radial, max_angular, grid)
-        self._psi_w = psi * weights
+        self._psi_w, self._basis_id = psi * weights, basis.basis_id
         self._size = len(psi) * (self._max_angular + 1)
         self._shape = self._plans = None
 
@@ -215,9 +193,24 @@ class Featurizer:
         if shape != self._shape:
             self._shape = self._plans = None  # the last shape's plans go first
             self._plans, self._shape = list(_polar_plans(shape, *self._grid)), shape
-        samples = _samples(img.pixels, self._plans)
-        values = _project(samples, self._psi_w, self._max_angular, self._grid)
-        return np.abs(values[:, self._max_angular :]).ravel()
+        return invariants(self._moments(_samples(img.pixels, self._plans))).ravel()
+
+    def _moments(self, blocks) -> MomentSet:
+        """The one projection: the MomentSet of R x T polar samples on this grid, given
+        as ``(rings, block)`` pairs of a ring slice and its samples.
+
+        Of each block's DFT only the 2L+1 columns the moments use are kept, so no
+        R x T spectrum is ever held.
+        """
+        keep = np.arange(-self._max_angular, self._max_angular + 1) % self._grid[1]
+        cols = np.empty((self._grid[0], keep.size), dtype=complex)
+        for rings, block in blocks:
+            # DFT of conj(f) along theta gives the inner sum for every n at once;
+            # conj() of a real block is the block itself, not a copy
+            spectrum = np.fft.fft(block.conj(), axis=1)
+            np.multiply(spectrum[:, keep], 2.0 * np.pi / self._grid[1], out=cols[rings])
+        return MomentSet(len(self._psi_w), self._max_angular, self._psi_w @ cols, self._grid,
+                         self._basis_id)
 
 
 def feature_vector(
@@ -309,11 +302,18 @@ def moments_from_json(text: str | bytes) -> MomentSet:
 
 def invariants_to_csv(phi: np.ndarray) -> str:
     """Single-row CSV of an (M, L+1) invariant array, header phi_m_n, m-major."""
-    header = [f"phi_{m}_{n}" for m, n in np.ndindex(phi.shape)]
-    return _csv([header, [repr(float(v)) for v in phi.ravel()]])
+    return _csv([f"phi_{m}_{n}" for m, n in np.ndindex(phi.shape)], [phi.ravel()])
 
 
-def _csv(rows) -> str:
-    """CSV text of rows of strings, one line each. No field holds a comma, quote or
-    newline (headers are names, values are formatted floats), so none is quoted."""
-    return "".join(",".join(row) + "\n" for row in rows)
+def _fmt(value: float, precision: int | None) -> str:
+    """The one number format of every table: the shortest round-trip decimal, or
+    ``precision`` fixed decimal places."""
+    return repr(float(value)) if precision is None else f"{value:.{precision}f}"
+
+
+def _csv(header, rows, precision: int | None = None) -> str:
+    """CSV text of the header and rows, one line each: a string cell is written as
+    it is, any other through ``_fmt``. No field holds a comma, quote or newline
+    (headers and labels are names, values are formatted numbers), so none is quoted."""
+    return "".join(",".join(cell if isinstance(cell, str) else _fmt(cell, precision)
+                            for cell in row) + "\n" for row in (header, *rows))

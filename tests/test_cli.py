@@ -283,6 +283,21 @@ def test_a_writer_killed_mid_write_leaves_no_temporary(tmp_path, monkeypatch, cp
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_synth_keeps_the_user_files_beside_its_outputs(tmp_path):
+    # a synth removes only the temporaries its own writes named: these files share an
+    # output's ".<name>." start, and ".item000r0.pgm.original" has eight letters of
+    # mkstemp's alphabet after it, as a temporary file's random part has
+    root = tmp_path / "out"
+    (root / "class1").mkdir(parents=True)
+    kept = [".item000r0.pgm.bak", ".item001r0.pgm.swp", ".item000r0.pgm.original"]
+    for name in kept:
+        (root / "class1" / name).write_text(name)
+    assert run([*_SMALL_SYNTH, str(root)]) == 0
+    assert {name: (root / "class1" / name).read_text() for name in kept} == {
+        name: name for name in kept}
+    assert len(list(root.rglob("*.pgm"))) == 4
+
+
 _HUGE = 10**30 - 1
 
 
@@ -330,6 +345,92 @@ def test_classify_data_dir(tmp_path):
               "--repeats", "2", "--radial", "32", "--angular", "64",
               "--epochs", "60", "--out", str(out)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--classes", "9", "--per-class", "50", "--rotations", "7"], "--classes"),
+    (["--per-class", "50"], "--per-class"),
+    (["--rotations", "7"], "--rotations"),
+    (["--classes", "6"], "--classes"),
+], ids=["all", "per-class", "rotations", "the-default-given"])
+def test_classify_data_dir_refuses_the_synthetic_flags(tmp_path, capsys, monkeypatch, flags,
+                                                       named):
+    # they size the synthetic dataset only, and --data-dir used to ignore them, exit 0;
+    # the refusal comes before the tree is read or anything is written
+    def loaded(*args, **kwargs):
+        raise AssertionError("the directory was read")
+    monkeypatch.setattr(cli, "load_labeled_directory", loaded)
+    argv = ["classify", "--data-dir", str(tmp_path), *flags, "--out", str(tmp_path / "a.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"slepmoments: usage error: argument {named}: not allowed with --data-dir\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Recorded(Exception):
+    pass
+
+
+def _defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_the_cli_defaults_are_the_library_defaults(tmp_path, monkeypatch):
+    # each value classify (both modes) and synth pass for an omitted flag is the
+    # signature default of the library function it feeds, so the CLI's experiments
+    # and the library's cannot drift apart
+    from slepmoments import harness
+    from slepmoments.classifier import train_classifier, train_classifiers
+    from slepmoments.moments import Featurizer
+
+    calls = {}
+
+    def recorder(name, fn, stop):
+        def record(*args, **kwargs):
+            calls[name] = inspect.signature(fn).bind(*args, **kwargs).arguments
+            if stop:
+                raise _Recorded(name)
+        return record
+    for name, stop in (("make_synthetic_dataset", False), ("load_labeled_directory", False),
+                       ("classification_sweep", True)):
+        monkeypatch.setattr(cli, name, recorder(name, getattr(harness, name), stop))
+    # synth feeds what synthetic_images takes, under the same names
+    monkeypatch.setattr(cli, "_synthetic_spans",
+                        recorder("synth", harness.synthetic_images, True))
+
+    sweep = _defaults(harness.classification_sweep)
+    swept = ("repeats", "seed", "stratified", "reg", "epochs")
+    for argv, source in ((["classify"], "make_synthetic_dataset"),
+                         (["classify", "--data-dir", str(tmp_path)], "load_labeled_directory")):
+        calls.clear()
+        with pytest.raises(_Recorded):
+            run([*argv, "--out", str(tmp_path / "a.csv")])
+        assert calls.keys() == {source, "classification_sweep"}
+        passed = calls["classification_sweep"]
+        assert list(passed["fractions"]) == list(sweep["fractions"])
+        assert {name: passed[name] for name in swept} == {name: sweep[name] for name in swept}
+        fed, defaults = calls[source], _defaults(getattr(harness, source))
+        assert fed["grid"] == defaults["grid"] == (64, 128)
+        if source == "make_synthetic_dataset":
+            assert (fed["rotations_per_item"], fed["seed"]) == (
+                defaults["rotations_per_item"], defaults["seed"]) == (1, harness.DEFAULT_SEED)
+
+    with pytest.raises(_Recorded):
+        run(["synth", "--out-dir", str(tmp_path / "tree")])
+    images = _defaults(harness.synthetic_images)
+    assert {name: calls["synth"][name] for name in images} == images
+    assert images["image_size"] == 96 and images["rotations_per_item"] == 1
+
+    # the sweep trains with the classifier's own defaults, and the datasets featurize
+    # on a Featurizer's default grid
+    for trainer in (train_classifiers, train_classifier):
+        assert {name: _defaults(trainer)[name] for name in ("reg", "epochs")} == {
+            name: sweep[name] for name in ("reg", "epochs")}
+    grid = _defaults(Featurizer)["grid"]
+    assert _defaults(harness.make_synthetic_dataset)["grid"] == grid
+    assert _defaults(harness.load_labeled_directory)["grid"] == grid
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero():
@@ -1137,6 +1238,25 @@ def test_reconstruct_rejects_another_basis(tmp_path, capsys, image_path):
                 "--angular", "32", "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert "dpss-n16-w0.2-k4" in err and "dpss-n8-w0.2-k2" in err and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_reconstruct_rejects_a_basis_whose_half_bandwidth_differs_past_six_digits(
+        tmp_path, capsys, image_path):
+    # --w 0.2 and --w 0.2000001 write bases whose sequences differ by about 5e-7, and
+    # a six-digit id named both dpss-n64-w0.2-k10, so reconstruct took either
+    b, other, mom = tmp_path / "b.json", tmp_path / "other.json", tmp_path / "s.json"
+    for w, out in (("0.2", b), ("0.2000001", other)):
+        assert run(["dpss", "gen", "--n", "64", "--w", w, "--k", "10", "--out", str(out)]) == 0
+    assert run(["moments", "compute", "--image", str(image_path), "--basis", str(b),
+                "--m", "2", "--l", "1", "--radial", "16", "--angular", "32",
+                "--out", str(mom)]) == 0
+    capsys.readouterr()
+    assert run(["reconstruct", "--moments", str(mom), "--basis", str(other), "--radial", "16",
+                "--angular", "32", "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr() == ("", (
+        f"slepmoments: error: moment file {mom} was computed with basis 'dpss-n64-w0.2-k10', "
+        f"but {other} is 'dpss-n64-w0.2000001-k10'\n"))
     assert not (tmp_path / "r.json").exists()
 
 

@@ -331,6 +331,22 @@ def test_stored_default_basis_file_is_what_basis_to_json_writes():
     assert _DEFAULT_BASIS_FILE.read_text() == "".join(basis_to_json(default_basis()))
 
 
+def test_the_built_in_basis_stores_tie_broken_eigenvalues(monkeypatch):
+    # a record, not a bound: the Rayleigh quotients of the built-in basis lie within
+    # 7e-16 of 1, and _enforce_decreasing moves 9 of the 10 to keep them strictly
+    # decreasing below 1, so the stored value k is 1 - (k + 1) 2**-53, not computed
+    quotients = []
+
+    def record(lam):
+        quotients.append(lam.copy())
+        return _enforce_decreasing(lam)
+    monkeypatch.setattr(slepmoments.dpss, "_enforce_decreasing", record)
+    stored = compute_dpss(DpssParams(64, 0.2, 10)).eigenvalues
+    assert stored.tobytes() == default_basis().eigenvalues.tobytes()
+    assert int((stored != quotients[0]).sum()) == 9
+    assert stored.tolist() == [1.0 - (k + 1) * 2.0**-53 for k in range(10)]
+
+
 def test_package_build_ships_the_default_basis_file(tmp_path):
     # a build from a copy, so the build leaves no egg-info in the source tree
     root = Path(__file__).resolve().parents[1]

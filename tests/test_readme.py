@@ -1,10 +1,15 @@
-"""The README's Library example, run as a reader runs it: in a fresh interpreter,
-from an empty working directory."""
+"""The README's examples, run as a reader runs them: the Library example in a fresh
+interpreter from an empty working directory, and every CLI example through
+``cli.run`` from a directory that holds the ``face.pgm`` they name."""
 
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from slepmoments import smooth_test_image, write_pgm
+from slepmoments.cli import run
 
 from test_cli import _src_env
 
@@ -18,3 +23,28 @@ def test_the_library_example_runs(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("(12, 100) ")
+
+
+def _cli_lines() -> list[str]:
+    """Every ``slepmoments ...`` command of the README's ``sh`` blocks, its
+    continuation lines joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [line.strip() for line in text.splitlines() if line.startswith("slepmoments ")]
+
+
+def test_the_cli_examples_run(tmp_path, monkeypatch):
+    # in README order, from a directory that holds face.pgm, as a reader runs them
+    lines = _cli_lines()
+    assert len(lines) == 11
+    (tmp_path / "face.pgm").write_bytes(write_pgm(smooth_test_image(128)))
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert run(argv) == 0, line
+        outputs = [value for flag, value in zip(argv, argv[1:])
+                   if flag in ("--out", "--json-out", "--out-dir")]
+        assert outputs, line
+        for output in outputs:
+            path = tmp_path / output
+            assert (any(path.rglob("*.pgm")) if path.is_dir() else path.stat().st_size > 0), line

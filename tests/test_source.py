@@ -1,8 +1,9 @@
 """Guards over the package source, read with ``ast``: no module keeps an import it
 never uses, no private module-level name goes unused package-wide, the radial
-rule of the moments keeps its one home, a raster keeps its one route to them,
-the stacking of classifier fits stays inside the classifier, the integer rule
-has one home, the synthetic images have one span renderer, one function reads
+rule of the moments keeps its one home, a raster keeps its one route to them
+through the one projection, ``Featurizer._moments``, whose moments only
+``invariants`` takes moduli of, a table number has one format, the stacking of
+classifier fits stays inside the classifier, the integer rule has one home, the synthetic images have one span renderer, one function reads
 files, a PGM is parsed without a byte loop or a copy, one function forks, two end
 a process, one finds distinct labels, one draws noise, the radial basis is
 interpolated without a loop, and polar blocks travel with their rows."""
@@ -121,16 +122,32 @@ def test_the_stacking_of_fits_has_one_home():
 
 
 def test_a_raster_has_one_route_to_its_moments():
-    # imaging._plans makes every bilinear plan, and only moments._moments and a
-    # Featurizer project polar samples; moments compute streams a raster through
-    # moments._raster_moments, never through an R x T array
+    # imaging._plans makes every bilinear plan, and Featurizer._moments alone projects
+    # polar samples: compute_moments, moments._raster_moments and a Featurizer's call
+    # reach it, and only a Featurizer's call takes invariants of what it returns;
+    # moments compute streams a raster through moments._raster_moments, never
+    # through an R x T array
     assert _loading_scopes(TREES["imaging.py"], ("_bilinear_plan",)) == {
         "_bilinear_plan": {"_plans"},
     }
-    assert _loading_scopes(TREES["moments.py"], ("_project",)) == {
-        "_project": {"_moments", "Featurizer.__call__"},
+    assert _homes(lambda node: isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "np.fft.fft") == {
+        "moments.py": {"Featurizer._moments"},
     }
+    assert _named_scopes("_moments") == {
+        "moments.py": {"compute_moments", "_raster_moments", "Featurizer.__call__"},
+    }
+    assert "Featurizer.__call__" in _named_scopes("invariants").get("moments.py", set())
     assert {"to_polar", "compute_moments"} & _references(TREES["cli.py"]) == set()
+
+
+def test_a_table_number_has_one_format():
+    # moments._fmt alone writes a number as table text, for invariants_to_csv and
+    # the stability and classification reports alike, through moments._csv
+    assert _homes(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "repr") == {"moments.py": {"_fmt"}}
+    assert "_fmt" not in set(_private_definitions(TREES["harness.py"]))
+    assert _loading_scopes(TREES["moments.py"], ("_fmt",)) == {"_fmt": {"_csv"}}
 
 
 def test_the_integer_rule_has_one_home():
@@ -199,12 +216,24 @@ def test_one_function_forks():
     }
 
 
+def _homes(match) -> dict[str, set[str]]:
+    """For each module whose code holds a node that ``match`` accepts, the scopes of
+    ``_scopes`` that do."""
+    homes = {module: _scopes(tree, match) for module, tree in TREES.items()}
+    return {module: scopes for module, scopes in homes.items() if scopes}
+
+
 def _attribute_scopes(attr: str) -> dict[str, set[str]]:
     """For each module that names ``<name>.attr``, the scopes of ``_scopes`` that do."""
-    homes = {module: _scopes(tree, lambda node: isinstance(node, ast.Attribute)
-                             and node.attr == attr)
-             for module, tree in TREES.items()}
-    return {module: scopes for module, scopes in homes.items() if scopes}
+    return _homes(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def _named_scopes(name: str) -> dict[str, set[str]]:
+    """For each module that loads ``name`` or names ``<obj>.name``, the scopes of
+    ``_scopes`` that do."""
+    return _homes(lambda node: (isinstance(node, ast.Name) and node.id == name
+                                and not isinstance(node.ctx, ast.Store))
+                  or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_two_functions_end_a_process():
