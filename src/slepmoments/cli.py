@@ -16,7 +16,8 @@ time-based); only the table writers, rotate-test, noise-test and classify, take
 Every path flag (--image, --basis, --moments, --out, --json-out, --data-dir,
 --out-dir) must be non-empty: "" names no file, though Path("") is the working
 directory, so it exits 2 like any other bad value, before anything is read or
-written.
+written. --json-out may not name the file --out names (after symlinks are
+resolved), since the JSON would replace the CSV: that exits 2 too.
 
 Every input file, image, basis or moment, is read by imaging._read_input. It
 must be a regular file (a symlink is followed): a FIFO, device or directory is
@@ -294,7 +295,11 @@ def _add_grid(p: _Parser, rings: int | None, spokes: int | None) -> None:
 
 
 def _build_parser() -> _Parser:
-    top = _Parser(prog="slepmoments", description=__doc__)
+    # --help says what the tool does; the full contract is the module docstring and README
+    top = _Parser(prog="slepmoments", description=(
+        "Slepian (DPSS) moments of grayscale images: basis files, moments, rotation "
+        "invariants, reconstruction, and the rotation, noise and classification studies. "
+        "Exit codes: 0 success, 1 computation, format or input error, 2 usage error."))
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("dpss", help="sequence basis tools")
@@ -521,6 +526,9 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        json_out = getattr(args, "json_out", None)
+        if json_out is not None and os.path.realpath(json_out) == os.path.realpath(args.out):
+            raise _UsageError("argument --json-out: names the same file as --out")
         return args.run(args)
     except _UsageError as exc:
         print(f"slepmoments: usage error: {exc}", file=sys.stderr)

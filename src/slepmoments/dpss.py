@@ -153,14 +153,13 @@ def _enforce_decreasing(lam: np.ndarray) -> np.ndarray:
     the order delivered by the commuting tridiagonal solver), so ties are resolved
     by nudging each value at most a few ulps below its predecessor.
     """
-    out = np.minimum(lam, np.nextafter(1.0, 0.0))
+    out = np.array(lam, dtype=float)
     tiny = np.finfo(float).tiny
-    out[0] = max(out[0], tiny)
-    for k in range(1, len(out)):
-        cap = np.nextafter(out[k - 1], -np.inf)
-        out[k] = max(min(out[k], cap), tiny)
-        if out[k] >= out[k - 1]:  # predecessor already at the positive floor
-            out[k] = out[k - 1] / 2.0
+    for k in range(len(out)):
+        prev = out[k - 1] if k else 1.0  # nextafter(1.0, -inf) caps the first below 1
+        out[k] = max(min(out[k], np.nextafter(prev, -np.inf)), tiny)
+        if out[k] >= prev:  # predecessor already at the positive floor
+            out[k] = prev / 2.0
     return out
 
 
@@ -209,17 +208,15 @@ def _catmull_rom(samples: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Catmull-Rom interpolation of each row of K x N uniformly spaced samples,
     queried at x: a K x ``x.shape`` array.
 
-    x is in sample-index units; end tangents use linearly reflected ghost points.
+    x is in sample-index units; end tangents use ghost points made by odd reflection,
+    2 s_0 - s_1 and 2 s_{N-1} - s_{N-2}. A single sample is held constant.
     All K rows are interpolated at once, with each query's interval i and offset t
     computed once; every value is the same IEEE expression as for one row alone.
     """
     k, n = samples.shape
     if n == 1:
         return np.repeat(samples, x.size, axis=1).reshape(k, *x.shape)
-    padded = np.empty((k, n + 2))
-    padded[:, 1:-1] = samples
-    padded[:, 0] = 2.0 * samples[:, 0] - samples[:, 1]
-    padded[:, -1] = 2.0 * samples[:, -1] - samples[:, -2]
+    padded = np.pad(samples, ((0, 0), (1, 1)), mode="reflect", reflect_type="odd")
     i = np.clip(np.floor(x).astype(int), 0, n - 2)
     t = x - i
     p0, p1, p2, p3 = padded[:, i], padded[:, i + 1], padded[:, i + 2], padded[:, i + 3]

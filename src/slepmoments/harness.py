@@ -350,8 +350,6 @@ def classification_sweep(
     # one contiguous row of repeats per fraction, so the sums below run in the
     # same order as one fit per split
     accs = _fork_rows(len(splits), 1, accuracies).reshape(repeats, len(fractions)).T.copy()
-    means = [float(np.mean(row)) for row in accs]
-    stds = [float(np.std(row)) for row in accs]
     meta = {
         "classes": {int(k): v for k, v in sorted(ds.class_names.items())},
         "items": len(ds.labels),
@@ -362,8 +360,8 @@ def classification_sweep(
     }
     return ClassificationReport(
         train_fractions=fractions,
-        mean_accuracy=np.array(means),
-        std_accuracy=np.array(stds),
+        mean_accuracy=accs.mean(axis=1),
+        std_accuracy=accs.std(axis=1),
         repeats=repeats,
         seed=seed,
         metadata=meta,

@@ -190,13 +190,8 @@ def _bilinear_plan(shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray) -> tu
     tx = xs - x0
     ty = ys - y0
     base = (np.clip(y0, -2, h) + 2) * (w + 4) + (np.clip(x0, -2, w) + 2)
-    weights = []
-    for dy in (0, 1):
-        wy = ty if dy else 1.0 - ty
-        for dx in (0, 1):
-            wx = tx if dx else 1.0 - tx
-            weights.append(wx * wy)
-    return base, tuple(zip((0, 1, w + 4, w + 5), weights))
+    sx, sy = 1.0 - tx, 1.0 - ty
+    return base, ((0, sx * sy), (1, tx * sy), (w + 4, sx * ty), (w + 5, tx * ty))
 
 
 def _plans(shape: tuple[int, int], grid: tuple[int, int], coords):

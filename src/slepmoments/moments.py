@@ -235,11 +235,8 @@ def feature_vector(
 
 def moments_to_json(ms: MomentSet) -> str:
     """Dump as {"metadata": ..., "moments": [{"m","n","re","im"}, ...]}."""
-    entries = []
-    for m in range(ms.max_radial):
-        for n in range(-ms.max_angular, ms.max_angular + 1):
-            v = ms.values[m, ms.max_angular + n]
-            entries.append({"m": m, "n": n, "re": float(v.real), "im": float(v.imag)})
+    entries = [{"m": m, "n": j - ms.max_angular, "re": float(v.real), "im": float(v.imag)}
+               for (m, j), v in np.ndenumerate(ms.values)]
     doc = {
         "metadata": {
             "grid": list(ms.grid),
@@ -291,9 +288,9 @@ def moments_from_json(text: str | bytes) -> MomentSet:
             f"moment orders must cover 0 <= m < {max_radial} and |n| <= {max_angular} "
             f"once each; the document holds {len(orders)} entries"
         )
+    m_idx, n_idx = np.array(orders).T
     values = np.zeros((max_radial, 2 * max_angular + 1), dtype=complex)
-    for (m, n), coeff in zip(orders, coeffs):
-        values[m, max_angular + n] = coeff
+    values[m_idx, n_idx + max_angular] = coeffs
     try:
         return MomentSet(max_radial, max_angular, values, grid, basis_id)
     except ParameterError as exc:

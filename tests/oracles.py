@@ -1,7 +1,8 @@
 """Reference computations the tests check the package against.
 
-The dense sinc kernel, the DPSS spectra and their concentration ratios serve as
-oracles for ``compute_dpss`` (criterion 1 and ``test_dpss.py``).
+The dense sinc kernel, the DPSS spectra and their concentration ratios, one
+sequence at a time or all K at once, serve as oracles for ``compute_dpss``
+(criterion 1 and ``test_dpss.py``).
 ``toeplitz_concentrations`` recomputes its eigenvalues through scipy's FFT
 Toeplitz product, which the blocked numpy route must match bit for bit.
 ``moment_value`` reads one moment by its (m, n) order.
@@ -9,7 +10,8 @@ Toeplitz product, which the blocked numpy route must match bit for bit.
 Slepian's exact extension, which ``radial_basis``'s Catmull-Rom interpolant
 approximates. ``ring_radial_gram`` and ``continuous_radial_gram`` give the Gram
 matrix 2pi integral psi_m psi_k r dr of the radial functions, by a direct sum
-over the rings and by exact quadrature of the piecewise-cubic interpolants.
+over the rings and by exact quadrature of the piecewise-cubic interpolants;
+``radial_gram_defect`` measures how far a ring Gram matrix is from a fine one.
 ``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
 split, one 2-D training loop at a time, as the stacked trainer of
 ``classification_sweep`` must do bit for bit; ``hinge_objective`` gives the
@@ -62,9 +64,17 @@ def dpss_spectrum(basis: DpssBasis, k: int, u_grid) -> np.ndarray:
     return eps_k * (phase @ basis.sequences[k])
 
 
-def simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson rule over an odd number of samples spaced h apart."""
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+def simpson(y: np.ndarray, h: float):
+    """Composite Simpson rule over an odd number of samples spaced h apart, along
+    the first axis."""
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum(axis=0) + 2.0 * y[2:-1:2].sum(axis=0))
+
+
+def _odd_points(quad_points: int) -> int:
+    """The odd Simpson point count of at least ``quad_points``, which must be >= 3."""
+    if quad_points < 3:
+        raise ParameterError(f"quad_points must be >= 3, got {quad_points}")
+    return quad_points + (quad_points + 1) % 2
 
 
 def concentration_ratio(basis: DpssBasis, k: int, quad_points: int) -> float:
@@ -73,9 +83,7 @@ def concentration_ratio(basis: DpssBasis, k: int, quad_points: int) -> float:
     Composite Simpson on both intervals; the result reproduces the eigenvalue
     lambda_k up to quadrature error.
     """
-    if quad_points < 3:
-        raise ParameterError(f"quad_points must be >= 3, got {quad_points}")
-    npts = quad_points + (quad_points + 1) % 2  # odd point count
+    npts = _odd_points(quad_points)
 
     def energy(half_width: float) -> float:
         u = np.linspace(-half_width, half_width, npts)
@@ -84,6 +92,26 @@ def concentration_ratio(basis: DpssBasis, k: int, quad_points: int) -> float:
 
     ratio = float(energy(basis.params.half_bandwidth) / energy(0.5))
     return min(max(ratio, np.finfo(float).tiny), np.nextafter(1.0, 0.0))
+
+
+def concentration_ratios(basis: DpssBasis, quad_points: int) -> np.ndarray:
+    """``concentration_ratio`` of every sequence, a length-K array.
+
+    Each interval's phase matrix is built once and all K spectra are taken in one
+    product; the factor eps_k of ``dpss_spectrum`` has modulus 1, so it is left out
+    of the energies.
+    """
+    npts = _odd_points(quad_points)
+    n = basis.params.n_len
+
+    def energy(half_width: float) -> np.ndarray:
+        u = np.linspace(-half_width, half_width, npts)
+        phase = np.exp(-1j * np.pi * np.outer(u, n - 1 - 2 * np.arange(n)))
+        power = np.abs(phase @ basis.sequences.T) ** 2
+        return simpson(power, 2.0 * half_width / (npts - 1))
+
+    ratios = energy(basis.params.half_bandwidth) / energy(0.5)
+    return np.clip(ratios, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
 def toeplitz_concentrations(basis: DpssBasis) -> np.ndarray:
@@ -119,6 +147,29 @@ def ring_radial_gram(basis: DpssBasis, max_radial: int, n_rings: int) -> np.ndar
     psi = radial_basis(basis, r)[:max_radial]
     return np.array([[2.0 * np.pi * math.fsum(psi[m] * psi[k] * r / n_rings)
                       for k in range(max_radial)] for m in range(max_radial)])
+
+
+def radial_gram_defect(psi, max_radial: int, n_rings: int, reference_rings: int = 8192,
+                       block: int = 512) -> float:
+    """How far the ring Gram matrix 2pi sum_i psi_m(r_i) psi_k(r_i) r_i/R on
+    ``n_rings`` midpoint rings is from the integral it samples, for the radial
+    functions ``psi(r)``, a K x len(r) array of which the first ``max_radial`` rows
+    are used.
+
+    The integral is the same sum on ``reference_rings`` rings; the figure is the
+    largest absolute difference over the reference's largest diagonal entry. Each Gram matrix is summed ``block``
+    rings at a time, so a band-limited extension's N x rings sinc kernel stays small.
+    """
+    def gram(rings: int) -> np.ndarray:
+        total = np.zeros((max_radial, max_radial))
+        for start in range(0, rings, block):
+            r = (np.arange(start, min(start + block, rings)) + 0.5) / rings
+            values = psi(r)[:max_radial]
+            total += (values * r / rings) @ values.T
+        return 2.0 * np.pi * total
+
+    reference = gram(reference_rings)
+    return float(np.abs(gram(n_rings) - reference).max() / np.diag(reference).max())
 
 
 def continuous_radial_gram(basis: DpssBasis, max_radial: int) -> np.ndarray:

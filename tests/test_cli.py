@@ -1162,6 +1162,26 @@ def test_bad_values_exit_two_naming_the_flag(tmp_path, monkeypatch, capsys, argv
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("json_out", ["x", "./x", "link"], ids=["same", "dot-slash", "symlink"])
+@pytest.mark.parametrize("argv", [
+    ["rotate-test", "--angles", "0,90", "--radial", "16", "--angular", "32"],
+    ["noise-test", "--angles", "0,90", "--radial", "16", "--angular", "32"],
+    ["classify", "--classes", "2", "--per-class", "2", "--fractions", "0.5", "--repeats", "1",
+     "--epochs", "1", "--radial", "8", "--angular", "32"],
+], ids=["rotate-test", "noise-test", "classify"])
+def test_json_out_naming_the_out_file_exits_two(tmp_path, monkeypatch, capsys, argv,
+                                                json_out):
+    # one file cannot hold both reports: the CSV renamed into place would be replaced
+    # by the JSON, so the pair is refused before anything is read, computed or written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to("x")
+    assert run([*argv, "--out", "x", "--json-out", json_out]) == 2
+    assert capsys.readouterr().err == (
+        "slepmoments: usage error: argument --json-out: names the same file as --out\n")
+    assert {name: _entry(tmp_path / name) for name in os.listdir(tmp_path)} == {
+        "link": ("link", "x")}
+
+
 class _Reached(Exception):
     pass
 

@@ -31,7 +31,9 @@ from slepmoments.imaging import _polar_grid
 from oracles import (
     bandlimited_extension,
     concentration_ratio,
+    concentration_ratios,
     dpss_spectrum,
+    radial_gram_defect,
     reference_fix_signs,
     simpson,
     sinc_kernel,
@@ -266,6 +268,16 @@ def test_concentration_matches_eigenvalue():
             assert abs(ratio - basis.eigenvalues[k]) < tol
 
 
+def test_concentration_ratios_match_one_sequence_at_a_time():
+    # the batched oracle criterion 1 times is the per-sequence one, to rounding
+    for n, w in ((16, 0.1), (256, 0.25)):
+        basis = compute_dpss(DpssParams(n, w, 10))
+        single = [concentration_ratio(basis, k, 1025) for k in range(10)]
+        assert np.abs(concentration_ratios(basis, 1025) - single).max() < 1e-15
+    with pytest.raises(ParameterError):
+        concentration_ratios(basis, 2)
+
+
 @pytest.mark.parametrize("npts", [3, 5, 101, 8193])
 def test_simpson_matches_scipy(npts):
     scipy_simpson = pytest.importorskip("scipy.integrate").simpson
@@ -410,6 +422,38 @@ def test_radial_basis_stays_near_the_bandlimited_extension(extension_case):
     exact = bandlimited_extension(basis, r * (basis.params.n_len - 1))[:orders]
     defect = np.abs(radial_basis(basis, r)[:orders] - exact).max(axis=1)
     assert (defect / np.abs(exact).max(axis=1)).max() < bound
+
+
+# (basis params or None for the built-in basis, orders M, rings R, then the radial
+# Gram defect of Catmull-Rom and of the band-limited extension, None where the
+# extension reaches rounding), as measured; the evidence of ROADMAP items 2 and 22
+_GRAM_DEFECTS = [
+    (None, 10, 16, 0.3858, 0.3948),
+    (None, 10, 32, 1.538e-3, None),
+    (None, 10, 64, 1.653e-3, None),
+    (None, 10, 128, 6.950e-5, None),
+    ((1024, 0.05, 30), 20, 32, 0.4319, 0.4319),
+    ((1024, 0.05, 30), 20, 64, 1.337e-6, 4.873e-8),
+    ((1024, 0.05, 30), 20, 128, 1.386e-6, None),
+]
+
+
+def test_the_radial_gram_defect_table_holds():
+    # a record: Catmull-Rom plateaus near 1e-3 on the built-in basis, where the
+    # band-limited extension falls to rounding once the rings resolve the basis
+    bases = {None: default_basis(), (1024, 0.05, 30): compute_dpss(DpssParams(1024, 0.05, 30))}
+    for params, orders, rings, catmull_rom, extension in _GRAM_DEFECTS:
+        basis = bases[params]
+        scale = basis.params.n_len - 1
+        found = (radial_gram_defect(lambda r: radial_basis(basis, r), orders, rings),
+                 radial_gram_defect(lambda r: bandlimited_extension(basis, r * scale),
+                                    orders, rings))
+        case = (params, orders, rings, found)
+        assert found[0] == pytest.approx(catmull_rom, rel=0.05), case
+        if extension is None:
+            assert found[1] < 1e-10, case
+        else:
+            assert found[1] == pytest.approx(extension, rel=0.05), case
 
 
 def test_radial_basis_row0_shape():

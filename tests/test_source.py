@@ -6,9 +6,13 @@ through the one projection, ``Featurizer._moments``, whose moments only
 classifier fits stays inside the classifier, the integer rule has one home, the synthetic images have one span renderer, one function reads
 files, a PGM is parsed without a byte loop or a copy, one function forks, two end
 a process, one finds distinct labels, one draws noise, the radial basis is
-interpolated without a loop, and polar blocks travel with their rows."""
+interpolated and a bilinear plan built without a loop, and polar blocks travel with
+their rows. ``code_lines`` is the one count of the package's code lines, and a
+record test pins the total."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -254,12 +258,19 @@ def test_one_function_draws_noise():
     assert _attribute_scopes("normal") == {"imaging.py": {"_noisy"}}
 
 
+def _loop(node) -> bool:
+    return isinstance(node, (ast.For, ast.While, ast.comprehension))
+
+
 def test_the_radial_basis_is_interpolated_without_a_loop():
     # _catmull_rom interpolates all K sequences at once, so neither it nor
     # radial_basis walks the sequences in Python
-    def loop(node):
-        return isinstance(node, (ast.For, ast.While, ast.comprehension))
-    assert _scopes(TREES["dpss.py"], loop) & {"radial_basis", "_catmull_rom"} == set()
+    assert _scopes(TREES["dpss.py"], _loop) & {"radial_basis", "_catmull_rom"} == set()
+
+
+def test_a_bilinear_plan_is_built_without_a_loop():
+    # _bilinear_plan spells out its four corner weights as whole-block products
+    assert "_bilinear_plan" not in _scopes(TREES["imaging.py"], _loop)
 
 
 def test_blocks_travel_with_their_rows():
@@ -272,3 +283,50 @@ def test_blocks_travel_with_their_rows():
                for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "functools" not in modules
+
+
+# tokens that hold no code: layout, comments and the file's end
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER}
+
+
+def code_lines(path) -> int:
+    """The number of lines of the Python file at ``path`` that hold a token other than
+    a comment, a newline, indentation or a docstring: blank lines, comment lines and
+    docstrings count for nothing, and a statement counts every line it spans."""
+    text = Path(path).read_text()
+    docstrings = {line for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None
+                  for line in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in _LAYOUT or (tok.type == tokenize.STRING and tok.start[0] in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def test_code_lines_counts_only_code(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text('''"""Module docstring,
+on two lines."""
+
+# a comment
+def f(x):
+    """Docstring."""
+    text = """a string
+that is code"""
+    return (x +  # a trailing comment
+            1)
+''')
+    assert code_lines(path) == 5
+
+
+def test_the_package_code_line_count_is_recorded():
+    # a record of the src/ total; a change that moves it says so, with the delta
+    total = sum(map(code_lines, SOURCES))
+    assert total == 1512, (
+        f"src/ now holds {total} code lines, not 1512: give the delta in CHANGES.md "
+        f"and pin {total} here")
