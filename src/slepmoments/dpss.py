@@ -153,10 +153,10 @@ def _enforce_decreasing(lam: np.ndarray) -> np.ndarray:
     the order delivered by the commuting tridiagonal solver), so ties are resolved
     by nudging each value at most a few ulps below its predecessor.
     """
-    out = np.array(lam, dtype=float)
+    out = np.minimum(lam, np.nextafter(1.0, -np.inf))  # also caps what follows a NaN
     tiny = np.finfo(float).tiny
     for k in range(len(out)):
-        prev = out[k - 1] if k else 1.0  # nextafter(1.0, -inf) caps the first below 1
+        prev = out[k - 1] if k else 1.0
         out[k] = max(min(out[k], np.nextafter(prev, -np.inf)), tiny)
         if out[k] >= prev:  # predecessor already at the positive floor
             out[k] = prev / 2.0

@@ -149,26 +149,30 @@ def ring_radial_gram(basis: DpssBasis, max_radial: int, n_rings: int) -> np.ndar
                       for k in range(max_radial)] for m in range(max_radial)])
 
 
-def radial_gram_defect(psi, max_radial: int, n_rings: int, reference_rings: int = 8192,
-                       block: int = 512) -> float:
+# the ring count that stands for the integral, and the rings summed at a time
+_REFERENCE_RINGS, _RING_BLOCK = 8192, 512
+
+
+def radial_gram_defect(psi, max_radial: int, n_rings: int) -> float:
     """How far the ring Gram matrix 2pi sum_i psi_m(r_i) psi_k(r_i) r_i/R on
     ``n_rings`` midpoint rings is from the integral it samples, for the radial
     functions ``psi(r)``, a K x len(r) array of which the first ``max_radial`` rows
     are used.
 
-    The integral is the same sum on ``reference_rings`` rings; the figure is the
-    largest absolute difference over the reference's largest diagonal entry. Each Gram matrix is summed ``block``
-    rings at a time, so a band-limited extension's N x rings sinc kernel stays small.
+    The integral is the same sum on 8192 rings; the figure is the largest absolute
+    difference over the reference's largest diagonal entry. Each Gram matrix is
+    summed 512 rings at a time, so a band-limited extension's N x rings sinc kernel
+    stays small.
     """
     def gram(rings: int) -> np.ndarray:
         total = np.zeros((max_radial, max_radial))
-        for start in range(0, rings, block):
-            r = (np.arange(start, min(start + block, rings)) + 0.5) / rings
+        for start in range(0, rings, _RING_BLOCK):
+            r = (np.arange(start, min(start + _RING_BLOCK, rings)) + 0.5) / rings
             values = psi(r)[:max_radial]
             total += (values * r / rings) @ values.T
         return 2.0 * np.pi * total
 
-    reference = gram(reference_rings)
+    reference = gram(_REFERENCE_RINGS)
     return float(np.abs(gram(n_rings) - reference).max() / np.diag(reference).max())
 
 

@@ -515,6 +515,9 @@ def test_enforce_decreasing_halves_below_the_positive_floor():
     tiny = np.finfo(float).tiny
     out = _enforce_decreasing(np.array([1.0, 0.5, 0.0, -1.0, 0.0]))
     assert out.tolist() == [np.nextafter(1.0, 0.0), 0.5, tiny, tiny / 2, tiny / 4]
+    # a value that follows a NaN is still capped below 1
+    out = _enforce_decreasing(np.array([np.nan, 2.0]))
+    assert np.isnan(out[0]) and out[1] == np.nextafter(1.0, 0.0)
 
 
 def test_radial_basis_domain_error():

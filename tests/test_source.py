@@ -258,19 +258,15 @@ def test_one_function_draws_noise():
     assert _attribute_scopes("normal") == {"imaging.py": {"_noisy"}}
 
 
-def _loop(node) -> bool:
-    return isinstance(node, (ast.For, ast.While, ast.comprehension))
-
-
 def test_the_radial_basis_is_interpolated_without_a_loop():
     # _catmull_rom interpolates all K sequences at once, so neither it nor
-    # radial_basis walks the sequences in Python
-    assert _scopes(TREES["dpss.py"], _loop) & {"radial_basis", "_catmull_rom"} == set()
-
-
-def test_a_bilinear_plan_is_built_without_a_loop():
-    # _bilinear_plan spells out its four corner weights as whole-block products
-    assert "_bilinear_plan" not in _scopes(TREES["imaging.py"], _loop)
+    # radial_basis walks the sequences in Python; _bilinear_plan likewise spells
+    # out its four corner weights as whole-block products
+    def loop(node):
+        return isinstance(node, (ast.For, ast.While, ast.comprehension))
+    guarded = {"dpss.py": {"radial_basis", "_catmull_rom"}, "imaging.py": {"_bilinear_plan"}}
+    found = {module: _scopes(TREES[module], loop) & names for module, names in guarded.items()}
+    assert found == {module: set() for module in guarded}
 
 
 def test_blocks_travel_with_their_rows():
