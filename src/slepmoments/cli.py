@@ -385,8 +385,6 @@ def _build_parser() -> _Parser:
                    help="hinge-loss regularization, finite and >= 0")
     p.add_argument("--epochs", type=_epochs, default=300,
                    help="training epochs (at most 100000)")
-    p.add_argument("--no-stratify", action="store_true",
-                   help="use plain random splits instead of per-class stratification")
     p.add_argument("--out", type=_path, required=True, help="output CSV path")
     p.add_argument("--json-out", type=_path, default=None, help="optional JSON report path")
     p.add_argument("--seed", **_SEED)
@@ -488,10 +486,8 @@ def _cmd_classify(args) -> int:
             args.classes or 6, args.per_class or 8, args.rotations or 1,
             seed=args.seed, basis=basis, grid=grid,
         )
-    report = classification_sweep(
-        ds, fractions=args.fractions, repeats=args.repeats, seed=args.seed,
-        stratified=not args.no_stratify, reg=args.reg, epochs=args.epochs,
-    )
+    report = classification_sweep(ds, fractions=args.fractions, repeats=args.repeats,
+                                  seed=args.seed, reg=args.reg, epochs=args.epochs)
     _write_report(args, report)
     return 0
 

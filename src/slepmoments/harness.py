@@ -284,29 +284,10 @@ def _stratified_split(y, fraction, rng, class_names):
     return np.array(train_idx), np.array(test_idx)
 
 
-def _plain_split(y, fraction, rng, class_names):
-    idx = rng.permutation(y.size)
-    count = int(np.floor(fraction * y.size))
-    if count < 2:  # a training set needs two classes, so at least two items
-        raise ParameterError(
-            f"training fraction {fraction} of {y.size} items leaves {count} for "
-            f"training in a plain split (--no-stratify), fewer than two classes need"
-        )
-    labels = _distinct(y[idx[:count]])
-    if labels.size < 2:
-        name = class_names.get(int(labels[0]), str(labels[0]))
-        raise ParameterError(
-            f"training fraction {fraction} drew a plain split (--no-stratify) whose "
-            f"{count} training items all belong to class {name!r}"
-        )
-    return idx[:count], idx[count:]
-
-
 def _draw_splits(ds: LabeledDataset, fraction: float, fi: int, repeats: int,
-                 seed: int, stratified: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+                 seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (train, test) index pair of every repeat at fraction number ``fi``."""
-    split = _stratified_split if stratified else _plain_split
-    return [split(ds.labels, fraction, _rng(seed, fi, rep), ds.class_names)
+    return [_stratified_split(ds.labels, fraction, _rng(seed, fi, rep), ds.class_names)
             for rep in range(repeats)]
 
 
@@ -315,14 +296,13 @@ def classification_sweep(
     fractions=(0.2, 0.3, 0.4, 0.5),
     repeats: int = 10,
     seed: int = DEFAULT_SEED,
-    stratified: bool = True,
     reg: float = 1e-3,
     epochs: int = 300,
 ) -> ClassificationReport:
     """Repeat train/test splits at each fraction and report accuracy mean/std.
 
-    Splits are stratified per class by default (an unstratified mode exists for
-    probing class-dropout effects). Each (fraction, repeat) pair derives its own
+    Splits are stratified: each class sends the floor of ``fraction`` times its
+    size, drawn at random, to training. Each (fraction, repeat) pair derives its own
     child seed, so repeats are independent and order-insensitive. This process
     draws every split, fraction by fraction, so the first failing split raises
     before anything is trained. Then every fit is trained on every usable CPU
@@ -337,8 +317,7 @@ def classification_sweep(
     repeats = _check_integer("repeats", repeats, 1)
     seed = _check_integer("seed", seed, 0)
     x, y = ds.features, ds.labels
-    by_fraction = [_draw_splits(ds, p, fi, repeats, seed, stratified)
-                   for fi, p in enumerate(fractions)]
+    by_fraction = [_draw_splits(ds, p, fi, repeats, seed) for fi, p in enumerate(fractions)]
     splits = [reps[r] for r in range(repeats) for reps in by_fraction]  # row r * F + f
 
     def accuracies(span):
@@ -353,7 +332,7 @@ def classification_sweep(
     meta = {
         "classes": {int(k): v for k, v in sorted(ds.class_names.items())},
         "items": len(ds.labels),
-        "stratified": stratified,
+        "stratified": True,
         "reg": float(reg),  # json cannot encode numpy floats or integers
         "epochs": int(epochs),
         "generator": GENERATOR_NAME,

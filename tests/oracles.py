@@ -14,9 +14,11 @@ over the rings and by exact quadrature of the piecewise-cubic interpolants;
 ``radial_gram_defect`` measures how far a ring Gram matrix is from a fine one.
 ``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
 split, one 2-D training loop at a time, as the stacked trainer of
-``classification_sweep`` must do bit for bit; ``hinge_objective`` gives the
-per-class training objective a fitted model reaches, and ``hinge_optimum`` the
-least value that objective can take, from its SVM dual.
+``classification_sweep`` must do bit for bit; ``reference_sweep`` draws each
+stratified split from the rule's definition, not through the harness.
+``hinge_objective`` gives the per-class training objective a fitted model
+reaches, and ``hinge_optimum`` the least value that objective can take, from
+its SVM dual.
 ``reference_shape_class_image`` renders one shape-class image from scratch,
 coordinates included, as ``synthetic_images`` must do bit for bit from layers
 it builds once per class. ``reference_fix_signs`` flips one row at a time, as
@@ -32,7 +34,6 @@ from scipy.optimize import minimize
 
 from slepmoments import DpssBasis, LinearModel, MomentSet, ParameterError, radial_basis
 from slepmoments.dpss import _enforce_decreasing, _kernel_column
-from slepmoments.harness import _plain_split, _stratified_split
 
 
 def sinc_kernel(n_len: int, half_bandwidth: float) -> np.ndarray:
@@ -270,8 +271,11 @@ def hinge_optimum(x, y, label, reg) -> tuple[float, float]:
     return float(reg / 2.0 * w @ w + hinge.min()), float(dual)
 
 
-def reference_sweep(ds, fractions, repeats, seed, stratified, reg=1e-3, epochs=300):
-    """Mean and std accuracy per fraction, fitting every split on its own."""
+def reference_sweep(ds, fractions, repeats, seed, reg=1e-3, epochs=300):
+    """Mean and std accuracy per fraction, fitting every split on its own. Each split
+    is drawn by the stratified rule's definition: for each label in sorted order, a
+    permutation of that label's indices sends its first floor(p * size) to training
+    and the rest to testing."""
     x, y = ds.features, ds.labels
     means, stds = [], []
     for fi, p in enumerate(fractions):
@@ -280,10 +284,13 @@ def reference_sweep(ds, fractions, repeats, seed, stratified, reg=1e-3, epochs=3
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(fi, rep))
             )
-            if stratified:
-                tr, te = _stratified_split(y, p, rng, ds.class_names)
-            else:
-                tr, te = _plain_split(y, p, rng, ds.class_names)
+            tr, te = [], []
+            for label in sorted(set(y.tolist())):
+                idx = rng.permutation(np.flatnonzero(y == label))
+                count = math.floor(p * idx.size)
+                tr.extend(idx[:count])
+                te.extend(idx[count:])
+            tr, te = np.array(tr), np.array(te)
             model = reference_train_classifier(x[tr], y[tr], reg=reg, epochs=epochs)
             accs.append(float((model.predict(x[te]) == y[te]).mean()))
         means.append(float(np.mean(accs)))

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import importlib
 import inspect
@@ -28,7 +27,7 @@ from slepmoments import (
 from slepmoments.cli import _build_parser, _write_atomic, run
 from slepmoments.dpss import _json_chunks
 
-from test_cli_fuzz import _entry
+from test_cli_fuzz import _entry, _option_strings
 
 forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="classify forks its spans")
 
@@ -400,7 +399,7 @@ def test_the_cli_defaults_are_the_library_defaults(tmp_path, monkeypatch):
                         recorder("synth", harness.synthetic_images, True))
 
     sweep = _defaults(harness.classification_sweep)
-    swept = ("repeats", "seed", "stratified", "reg", "epochs")
+    swept = ("repeats", "seed", "reg", "epochs")
     for argv, source in ((["classify"], "make_synthetic_dataset"),
                          (["classify", "--data-dir", str(tmp_path)], "load_labeled_directory")):
         calls.clear()
@@ -853,7 +852,7 @@ assert run(["classify", "--classes", "2", "--per-class", "3", *sweep,
 assert "numpy.ma" not in sys.modules, "classify"
 assert run(["synth", "--classes", "2", "--per-class", "3", "--size", "32",
             "--out-dir", out + "/synth"]) == 0
-assert run(["classify", "--data-dir", out + "/synth", "--no-stratify", *sweep,
+assert run(["classify", "--data-dir", out + "/synth", *sweep,
             "--out", out + "/clsdir.csv"]) == 0
 assert "numpy.ma" not in sys.modules, "classify --data-dir"
 """
@@ -1070,16 +1069,6 @@ def test_benchmark_traced_figures_name_public_functions():
         assert fn.__name__ == name, f"{module}.{name}"
 
 
-def _option_strings(parser, prefix=()):
-    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subparsers:
-        yield " ".join(prefix), [opt for a in parser._actions for opt in a.option_strings
-                                 if opt not in ("-h", "--help")]
-    for action in subparsers:
-        for name, child in action.choices.items():
-            yield from _option_strings(child, prefix + (name,))
-
-
 def test_each_subcommand_takes_exactly_its_flags():
     stability = ["--image", "--basis", "--angles", "--orders", "--radial", "--angular"]
     assert dict(_option_strings(_build_parser())) == {
@@ -1093,7 +1082,7 @@ def test_each_subcommand_takes_exactly_its_flags():
                                    "--precision"],
         "classify": ["--data-dir", "--classes", "--per-class", "--rotations", "--fractions",
                      "--repeats", "--basis", "--radial", "--angular", "--reg", "--epochs",
-                     "--no-stratify", "--out", "--json-out", "--seed", "--precision"],
+                     "--out", "--json-out", "--seed", "--precision"],
         "synth": ["--classes", "--per-class", "--rotations", "--size", "--out-dir", "--seed"],
     }
 
@@ -1109,14 +1098,16 @@ _CHEAP_STABILITY = ["--angles", "0", "--radial", "16", "--angular", "32"]
     ["rotate-test", *_CHEAP_STABILITY, "--snr-db", "20"],
     ["rotate-test", *_CHEAP_STABILITY, "--seed", "1"],
     ["synth", "--classes", "2", "--per-class", "1", "--size", "16", "--precision", "2"],
+    ["classify", "--classes", "2", "--per-class", "2", "--no-stratify"],
 ], ids=["dpss-seed", "invariants-precision", "reconstruct-seed", "rotate-snr-db",
-        "rotate-seed", "synth-precision"])
+        "rotate-seed", "synth-precision", "classify-no-stratify"])
 def test_removed_flags_exit_two(tmp_path, capsys, moments_path, basis_path, argv):
     argv = [a.format(moments=moments_path, basis=basis_path) for a in argv]
     out = "--out-dir" if argv[0] == "synth" else "--out"
     assert run(argv + [out, str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == f"slepmoments: usage error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    removed = argv[-2:] if argv[-1][0].isdigit() else argv[-1:]  # the flag and any value
+    assert err == f"slepmoments: usage error: unrecognized arguments: {' '.join(removed)}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1428,13 +1419,12 @@ def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch, exc
 
 
 @forking
-def test_a_later_plain_split_failure_reads_the_same_on_any_cpu_count(tmp_path, capsys,
-                                                                      cpus):
-    # every split is drawn before anything is trained, so the 0.04 split fails first
+def test_a_later_split_failure_reads_the_same_on_any_cpu_count(tmp_path, capsys, cpus):
+    # every split is drawn before anything is trained, so the 0.1 split fails first
     out = tmp_path / "c.csv"
-    argv = ["classify", "--classes", "6", "--per-class", "8", "--no-stratify", "--fractions",
-            "0.5,0.04", "--repeats", "4", "--epochs", "5", "--radial", "16", "--angular",
-            "32", "--out", str(out)]
+    argv = ["classify", "--classes", "6", "--per-class", "8", "--fractions", "0.5,0.1",
+            "--repeats", "4", "--epochs", "5", "--radial", "16", "--angular", "32",
+            "--out", str(out)]
     errors = []
     for n in (1, 2):
         forks = cpus(n)
@@ -1443,17 +1433,8 @@ def test_a_later_plain_split_failure_reads_the_same_on_any_cpu_count(tmp_path, c
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].count("\n") == 1
-    assert "training fraction 0.04 " in errors[0] and "(--no-stratify)" in errors[0]
-    assert not out.exists()
-
-
-def test_classify_plain_split_of_one_item_exits_one(tmp_path, capsys):
-    out = tmp_path / "c.csv"
-    assert run(["classify", "--classes", "6", "--per-class", "8", "--no-stratify",
-                "--fractions", "0.04", "--repeats", "10", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "training fraction 0.04 " in err and "(--no-stratify)" in err
+    assert errors[0] == ("slepmoments: error: training fraction 0.1 leaves class 'class1' "
+                         "with no training items (8 available)\n")
     assert not out.exists()
 
 
@@ -1530,10 +1511,10 @@ _GOLDEN = [
     ("classify --seed 5",
      "ca62ad466d0d4b65bfe981a0149d8d9f40f622d4b15c99dfed0ca0cd8305c763",
      "1d9353717d07a325c15a761a07ea830dea1aead45e3ea145551a8d7bbcc97127"),
-    ("classify --seed 5 --classes 3 --per-class 5 --rotations 2 --no-stratify "
-     "--fractions 0.3,0.6 --repeats 4",
+    ("classify --seed 5 --classes 3 --per-class 5 --rotations 2 --fractions 0.3,0.6 "
+     "--repeats 4",
      "40b2cd2d771bef2eb63841dcb4c8bf90f885c82b472684002972e33c86d709db",
-     "40a0b8f707ab0923f0ef37a661ec9218d1f3c51195f9207facc1fe1b428d2444"),
+     "47ca05b415adf4f38728d0b25a110bb60c1fe9d19320575841d3ab3ab2576655"),
     ("classify --seed 5 --data-dir synth --fractions 0.5 --repeats 3",
      "1e8e8ff6707291572c9461159703ae109239d8c101c62e11ebcf6c736229be08",
      "2b8d63ba34df633af5e3f7ccc84194c72250ec2f720bf94fe90e22c2ef033b8d"),

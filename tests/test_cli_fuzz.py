@@ -4,7 +4,9 @@ Each run draws a subcommand and, for each of its flags, a valid value, an edge
 value from the pool of the flag's kind, or no value. Every run works in a fresh
 directory holding the same small inputs. The contract: no exception escapes;
 exit 0 prints nothing and writes its --out; exit 1 or 2 prints exactly one
-stderr line and leaves the directory as it was.
+stderr line and leaves the directory as it was. A test checks that each
+command's pool holds exactly the flags the parser declares for it, so a new
+flag fails that test until it joins its pool and is fuzzed.
 
 The inputs include a FIFO and symlinks, one to a regular input and one to
 /dev/zero, and the input pools name devices, because every input must be a
@@ -13,6 +15,7 @@ is refused too, but never a path under /dev: were that refusal lost, a run
 with the right to write /dev would replace the device node.
 """
 
+import argparse
 import os
 import random
 import resource
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 
 from slepmoments import RasterImage, smooth_test_image, write_pgm
-from slepmoments.cli import run
+from slepmoments.cli import _build_parser, run
 
 SEED = 2016
 RUNS = 400
@@ -107,6 +110,26 @@ _COMMANDS = {
                  ("--size", False, ["8", "16"], _INTEGERS + ["1", "2049"]),
                  ("--out-dir", True, None, _OUT_DIRS)],
 }
+
+
+def _option_strings(parser, prefix=()):
+    """Yield each subcommand of ``parser`` (its words joined by spaces) with its
+    option strings in declaration order, --help left out."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(prefix), [opt for a in parser._actions for opt in a.option_strings
+                                 if opt not in ("-h", "--help")]
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _option_strings(child, prefix + (name,))
+
+
+def test_the_pools_draw_every_flag_the_parser_declares():
+    # a flag no pool names is never fuzzed, so each new flag must join its command's pool
+    pools = {" ".join(command): sorted(flag for flag, *_ in pool)
+             for command, pool in _COMMANDS.items()}
+    assert pools == {command: sorted(flags)
+                     for command, flags in _option_strings(_build_parser())}
 
 
 def _draw(rng: random.Random) -> tuple[list[str], list[str], list[str], bool]:

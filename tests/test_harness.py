@@ -19,6 +19,7 @@ from slepmoments import (
     classification_sweep,
     load_labeled_directory,
     make_synthetic_dataset,
+    rotate_image,
     rotation_stability,
     synthetic,
     train_classifier,
@@ -279,14 +280,13 @@ def test_a_child_delivers_rows_wider_than_a_pipe_buffer_while_the_parent_works(c
 
 
 @forking
-@pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "plain"])
-def test_sweep_bytes_are_equal_on_any_worker_count(cpus, stratified):
+def test_sweep_bytes_are_equal_on_any_worker_count(cpus):
     ds = _overlapping_dataset()
     docs = []
     for n in (1, 2, 3):
         forks = cpus(n)
         docs.append(classification_sweep(ds, (0.3, 0.5), repeats=5, seed=3,
-                                          stratified=stratified, epochs=50).to_json())
+                                          epochs=50).to_json())
         assert len(forks) == n - 1  # one fork trains every fraction's repeats
     assert docs[1:] == docs[:1] * 2
     _assert_no_children()
@@ -413,29 +413,6 @@ def test_sweep_is_deterministic():
     assert a.to_json() == b.to_json()
 
 
-def test_sweep_unstratified_mode_runs():
-    report = classification_sweep(
-        _tiny_dataset(), fractions=(0.5,), repeats=2, seed=1, stratified=False
-    )
-    assert report.metadata["stratified"] is False
-
-
-def test_plain_split_refuses_fewer_than_two_training_items():
-    # 0.2 of 8 items is one training item, which cannot hold two classes
-    with pytest.raises(ParameterError,
-                       match=r"fraction 0\.2 of 8 items leaves 1 .*\(--no-stratify\)"):
-        classification_sweep(_tiny_dataset(), fractions=(0.2,), repeats=1, stratified=False)
-
-
-@pytest.mark.parametrize("seed, name", [(2, "low"), (3, "high")])
-def test_plain_split_refuses_a_single_class_draw(seed, name):
-    # at these seeds the two training items drawn at 0.25 share one class
-    with pytest.raises(ParameterError, match=r"fraction 0\.25 drew a plain split "
-                       rf"\(--no-stratify\) whose 2 training items all belong to class '{name}'"):
-        classification_sweep(_tiny_dataset(), fractions=(0.25,), repeats=1, seed=seed,
-                             stratified=False)
-
-
 def test_sweep_rejects_bad_fraction():
     with pytest.raises(ParameterError):
         classification_sweep(_tiny_dataset(), fractions=(1.5,), repeats=1)
@@ -450,32 +427,25 @@ def _overlapping_dataset(n_classes=8, per_class=12, dim=6):
     return LabeledDataset(features, labels, {k: f"c{k}" for k in range(1, n_classes + 1)})
 
 
-@pytest.mark.parametrize("stratified, fractions", [
-    (True, (0.2, 0.5)),
-    (False, (0.05, 0.3, 0.6)),
-], ids=["stratified", "plain"])
-def test_stacked_sweep_matches_per_split_reference(stratified, fractions, cpus):
+def test_stacked_sweep_matches_per_split_reference(cpus):
     ds = _overlapping_dataset()
-    repeats, seed = _FITS_PER_CALL + 3, 4
-    # the plain 0.05 splits (4 of 96 items) hold different class sets, so they
-    # form several stacks; every fraction stacks more fits than one call takes
+    fractions, repeats, seed = (0.2, 0.5), _FITS_PER_CALL + 3, 4
+    # a stratified split trains on every class, so each fraction's fits form one
+    # stack, which holds more fits than one call takes; stacks of fits whose class
+    # sets differ are test_classifier.py's test_stacked_fits_equal_single_fits
     groups = []
     for fi, p in enumerate(fractions):
         sets = [tuple(np.unique(ds.labels[tr]))
-                for tr, _ in _draw_splits(ds, p, fi, repeats, seed, stratified)]
+                for tr, _ in _draw_splits(ds, p, fi, repeats, seed)]
         groups.append({s: sets.count(s) for s in sets})
-    if stratified:
-        assert all(len(g) == 1 for g in groups)
-    else:
-        assert len(groups[0]) > 1
+    assert all(len(g) == 1 for g in groups)
     assert any(max(g.values()) > _FITS_PER_CALL for g in groups)
 
-    means, stds = reference_sweep(ds, fractions, repeats, seed, stratified)
+    means, stds = reference_sweep(ds, fractions, repeats, seed)
     # in one process a fraction's fits cross the stack cap; over three CPUs no span does
     for n in (1, 3):
         cpus(n)
-        report = classification_sweep(ds, fractions, repeats=repeats, seed=seed,
-                                      stratified=stratified)
+        report = classification_sweep(ds, fractions, repeats=repeats, seed=seed)
         assert report.mean_accuracy.tobytes() == means.tobytes()
         assert report.std_accuracy.tobytes() == stds.tobytes()
     assert np.all(stds > 0)
@@ -501,6 +471,27 @@ def test_synthetic_labels_follow_class_numbers(basis64):
 def test_synthetic_dataset_rotations_multiply_items(basis64):
     ds = make_synthetic_dataset(2, 3, 2, seed=5, basis=basis64, grid=GRID)
     assert len(ds.labels) == 12
+
+
+def test_synthetic_rotations_are_independent_draws():
+    # a record of ROADMAP item 20, to 5%: "rotation r" of an item is a new draw of its
+    # class, no closer to the item than the class's other items are, while a true 35
+    # degree rotation of it moves its features ten times less; the item's fix is
+    # expected to change this test
+    featurize = moments.Featurizer(harness.default_basis(), grid=(64, 128))
+    images = {stem: image for name, stem, image in synthetic_images(2, 3, 3, seed=7)
+              if name == "class1"}
+    item = featurize(images["item000r0"])
+
+    def distance(image):
+        return np.linalg.norm(featurize(image) - item) / np.linalg.norm(item)
+    found = {stem: distance(images[stem])
+             for stem in ("item000r1", "item000r2", "item001r0", "item002r0")}
+    found["rotated"] = distance(rotate_image(images["item000r0"], 35.0))
+    assert found == pytest.approx({"item000r1": 0.0077, "item000r2": 0.0257,
+                                   "item001r0": 0.0162, "item002r0": 0.0153,
+                                   "rotated": 0.0011}, rel=0.05)
+    assert found["item000r2"] > max(found["item001r0"], found["item002r0"])
 
 
 def test_synthetic_classes_form_triplet_margins(basis64):

@@ -1,6 +1,7 @@
 """The README's examples, run as a reader runs them: the Library example in a fresh
 interpreter from an empty working directory, and every CLI example through
-``cli.run`` from a directory that holds the ``face.pgm`` they name."""
+``cli.run`` from a directory that holds the ``face.pgm`` they name. The README
+names every flag the CLI parser declares, and no flag it does not."""
 
 import re
 import shlex
@@ -9,9 +10,10 @@ import sys
 from pathlib import Path
 
 from slepmoments import smooth_test_image, write_pgm
-from slepmoments.cli import run
+from slepmoments.cli import _build_parser, run
 
 from test_cli import _src_env
+from test_cli_fuzz import _option_strings
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +50,12 @@ def test_the_cli_examples_run(tmp_path, monkeypatch):
         for output in outputs:
             path = tmp_path / output
             assert (any(path.rglob("*.pgm")) if path.is_dir() else path.stat().st_size > 0), line
+
+
+def test_the_readme_names_every_flag_and_no_other():
+    # a flag the README never names is undocumented, and one the parser does not
+    # declare, such as a removed flag, is a stale sentence
+    named = set(re.findall(r"(?<![\w-])--\w[\w-]*", README.read_text()))
+    flags = {flag for _, flags in _option_strings(_build_parser()) for flag in flags}
+    assert flags - named == set()
+    assert named - flags == {"--help", "--no-build-isolation"}  # the parser's own, and pip's

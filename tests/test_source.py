@@ -1,14 +1,14 @@
 """Guards over the package source, read with ``ast``: no module keeps an import it
-never uses, no private module-level name goes unused package-wide, the radial
-rule of the moments keeps its one home, a raster keeps its one route to them
-through the one projection, ``Featurizer._moments``, whose moments only
-``invariants`` takes moduli of, a table number has one format, the stacking of
-classifier fits stays inside the classifier, the integer rule has one home, the synthetic images have one span renderer, one function reads
-files, a PGM is parsed without a byte loop or a copy, one function forks, two end
-a process, one finds distinct labels, one draws noise, the radial basis is
-interpolated and a bilinear plan built without a loop, and polar blocks travel with
-their rows. ``code_lines`` is the one count of the package's code lines, and a
-record test pins the total."""
+never uses, no private module-level name goes unused package-wide, the radial rule
+of the moments keeps its one home, a raster keeps its one route to them through the
+one projection, ``Featurizer._moments``, whose moments only ``invariants`` takes
+moduli of, a table number has one format, the stacking of classifier fits stays
+inside the classifier, the integer rule has one home, the synthetic images have one
+span renderer, one function reads files, a PGM is parsed without a byte loop or a
+copy, one function forks, two end a process, one finds distinct labels, one draws
+noise, one draws the sweep's splits, the radial basis is interpolated and a bilinear
+plan built without a loop, and polar blocks travel with their rows. ``code_lines``
+is the one count of the package's code lines, and a record test pins the total."""
 
 import ast
 import io
@@ -258,6 +258,12 @@ def test_one_function_draws_noise():
     assert _attribute_scopes("normal") == {"imaging.py": {"_noisy"}}
 
 
+def test_one_function_draws_the_splits():
+    # harness._stratified_split alone shuffles items, so every sweep, of synthetic
+    # or --data-dir images, splits them by the one per-class rule
+    assert _attribute_scopes("permutation") == {"harness.py": {"_stratified_split"}}
+
+
 def test_the_radial_basis_is_interpolated_without_a_loop():
     # _catmull_rom interpolates all K sequences at once, so neither it nor
     # radial_basis walks the sequences in Python; _bilinear_plan likewise spells
@@ -323,6 +329,6 @@ that is code"""
 def test_the_package_code_line_count_is_recorded():
     # a record of the src/ total; a change that moves it says so, with the delta
     total = sum(map(code_lines, SOURCES))
-    assert total == 1512, (
-        f"src/ now holds {total} code lines, not 1512: give the delta in CHANGES.md "
+    assert total == 1489, (
+        f"src/ now holds {total} code lines, not 1489: give the delta in CHANGES.md "
         f"and pin {total} here")
