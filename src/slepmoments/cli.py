@@ -349,10 +349,12 @@ def _build_parser() -> _Parser:
                        help="basis JSON path (default: built-in)")
         p.add_argument("--angles", type=_reals,
                        default=",".join(str(a) for a in PROTOCOL_ANGLES_DEG),
-                       help="comma-separated rotation angles in degrees")
+                       help="comma-separated rotation angles in degrees; join a list "
+                            "that starts with '-' by '=': --angles=-35,0")
         p.add_argument("--orders", type=_orders,
                        default=";".join(f"{m},{n}" for m, n in PROTOCOL_ORDERS),
-                       help="semicolon-separated m,n pairs")
+                       help="semicolon-separated m,n pairs; join a value that starts "
+                            "with '-' by '=': --orders=-1,1")
         _add_grid(p, 128, 256)
         if name == "noise-test":
             p.add_argument("--snr-db", type=_bounded(-_MAX_SNR_DB, _MAX_SNR_DB, _finite),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slepmoments import ParameterError, make_synthetic_dataset
+from slepmoments import ParameterError, classifier, make_synthetic_dataset
 from slepmoments.classifier import _FITS_PER_CALL, _distinct, train_classifier, train_classifiers
 
 from oracles import hinge_objective, hinge_optimum, reference_train_classifier
@@ -112,6 +112,86 @@ def test_stacked_fits_equal_single_fits(rng):
         assert model.weights.tobytes() == single.weights.tobytes()
         assert model.biases.tobytes() == single.biases.tobytes()
     assert train_classifiers(x, y, []) == []
+
+
+def _same_model(a, b) -> bool:
+    return a.weights.tobytes() == b.weights.tobytes() and a.biases.tobytes() == b.biases.tobytes()
+
+
+def _noisy(rng, n=40, classes=3):
+    # labels that ignore the features: no separator exists, so violators keep moving
+    return rng.normal(0.0, 1.0, (n, 3)), np.arange(n) % classes + 1
+
+
+def _separable(rng, n=20):
+    # two distant blobs: every row clears its margin within a few dozen epochs
+    y = np.repeat([1, 2], n // 2)
+    return rng.normal(0.0, 0.5, (n, 3)) + 4.0 * (y[:, None] == 2), y
+
+
+@pytest.fixture()
+def loss_products(monkeypatch):
+    """Each fit's count of loss-gradient products in one training call, in stack order."""
+    counts = {}
+    real = classifier._loss_gradient
+
+    def spy(violators, targets, z, *out):
+        counts[z.ctypes.data] = counts.get(z.ctypes.data, 0) + 1
+        real(violators, targets, z, *out)
+
+    monkeypatch.setattr(classifier, "_loss_gradient", spy)
+    return counts
+
+
+def test_a_fit_whose_violators_keep_moving_matches_the_reference(rng, loss_products):
+    x, y = _noisy(rng)
+    assert _same_model(train_classifier(x, y), reference_train_classifier(x, y))
+    (recomputed,) = loss_products.values()
+    loss_products.clear()
+    train_classifier(x, y, epochs=299)
+    (before_the_last,) = loss_products.values()
+    # most epochs move the violator set, the last one included
+    assert recomputed > 250 and recomputed == before_the_last + 1
+
+
+def test_a_fit_whose_violators_empty_early_matches_the_reference(rng, loss_products):
+    x, y = _separable(rng)
+    assert _same_model(train_classifier(x, y), reference_train_classifier(x, y))
+    (recomputed,) = loss_products.values()
+    assert recomputed < 30
+
+
+def test_a_stack_of_moving_and_settled_fits_matches_the_reference(rng, loss_products):
+    xs, ys = _separable(rng)
+    xn, yn = _noisy(rng, 20, 2)
+    x, y = np.vstack([xs, xn]), np.concatenate([ys, yn])
+    settled, moving = np.arange(20), np.arange(20, 40)
+    subsets = [settled, moving, settled[::-1], rng.permutation(moving), rng.permutation(settled)]
+    for model, rows in zip(train_classifiers(x, y, subsets), subsets):
+        assert _same_model(model, reference_train_classifier(x[rows], y[rows]))
+    counts = list(loss_products.values())
+    assert len(counts) == len(subsets)
+    assert max(counts[0], counts[2], counts[4]) < 30 and min(counts[1], counts[3]) > 150
+
+
+@pytest.mark.parametrize("reg, epochs", [(0.0, 300), (1e-3, 1), (0.0, 1)])
+@pytest.mark.parametrize("data", [_noisy, _separable])
+def test_zero_reg_and_a_single_epoch_match_the_reference(rng, data, reg, epochs):
+    x, y = data(rng)
+    subsets = [slice(None), rng.permutation(y.size), slice(None, None, -1)]
+    for model, rows in zip(train_classifiers(x, y, subsets, reg=reg, epochs=epochs), subsets):
+        assert _same_model(model, reference_train_classifier(x[rows], y[rows], reg=reg,
+                                                             epochs=epochs))
+
+
+def test_settled_fits_reuse_their_loss_gradient(rng, loss_products):
+    # a fit's loss gradient changes only with its violator set, so it is recomputed
+    # at epoch 1 and when that set moves, not once per epoch
+    x, y = _separable(rng, 40)
+    subsets = [rng.choice(40, 30, replace=False) for _ in range(4)]
+    train_classifiers(x, y, subsets, epochs=300)
+    assert len(loss_products) == 4
+    assert all(1 <= count <= 30 for count in loss_products.values())
 
 
 @pytest.mark.parametrize("labels, subsets, match", [

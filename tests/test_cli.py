@@ -1153,6 +1153,23 @@ def test_bad_values_exit_two_naming_the_flag(tmp_path, monkeypatch, capsys, argv
     assert not any(tmp_path.iterdir())
 
 
+def test_a_list_that_starts_with_a_minus_is_joined_to_its_flag(tmp_path, monkeypatch, capsys):
+    # argparse reads a separate word that starts with '-' as a flag unless it is one
+    # negative number; joined by '=', the list reaches its own parser
+    monkeypatch.chdir(tmp_path)
+    grid = ["--radial", "16", "--angular", "32", "--out", "t.csv"]
+    assert run(["rotate-test", "--angles=-35,0", *grid]) == 0
+    assert [row.split(",")[0] for row in (tmp_path / "t.csv").read_text().splitlines()] == [
+        "angle_deg", "-35.0", "0.0", "std"]
+    assert run(["rotate-test", "--orders=-1,1", *grid]) == 2
+    assert capsys.readouterr().err == (
+        "slepmoments: usage error: argument --orders: orders must be nonnegative, "
+        "got '-1,1'\n")
+    assert run(["rotate-test", "--angles", "-35,0", *grid]) == 2
+    assert capsys.readouterr().err == (
+        "slepmoments: usage error: argument --angles: expected one argument\n")
+
+
 @pytest.mark.parametrize("json_out", ["x", "./x", "link"], ids=["same", "dot-slash", "symlink"])
 @pytest.mark.parametrize("argv", [
     ["rotate-test", "--angles", "0,90", "--radial", "16", "--angular", "32"],

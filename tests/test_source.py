@@ -329,6 +329,6 @@ that is code"""
 def test_the_package_code_line_count_is_recorded():
     # a record of the src/ total; a change that moves it says so, with the delta
     total = sum(map(code_lines, SOURCES))
-    assert total == 1489, (
-        f"src/ now holds {total} code lines, not 1489: give the delta in CHANGES.md "
+    assert total == 1496, (
+        f"src/ now holds {total} code lines, not 1496: give the delta in CHANGES.md "
         f"and pin {total} here")
