@@ -4,14 +4,14 @@ Exit codes: 0 success, 1 computation/format/input errors, 2 usage errors.
 Each flag is checked once, by its argparse type (dpss gen --k, bounded by
 --n, right after parsing), so a bad value exits 2 with one line naming the
 flag. The flags that size one allocation (dpss gen --n, --radial, --angular,
-synth --size, --precision) or a loop (classify --repeats, --epochs) have upper
-bounds, noise-test --snr-db must lie within +-3000 dB and classify --reg must
-be >= 0. classify --classes, --per-class and --rotations size the synthetic
-dataset only, so with --data-dir the first of them given exits 2 ("argument
---classes: not allowed with --data-dir"). Only noise-test, classify and synth
+synth --size) or a loop (classify --repeats, --epochs) have upper bounds,
+noise-test --snr-db must lie within +-3000 dB and classify --reg must be >= 0.
+classify --classes, --per-class and --rotations size the synthetic dataset
+only, so with --data-dir the first of them given exits 2 ("argument --classes:
+not allowed with --data-dir"). Only noise-test, classify and synth
 draw random numbers, so only they take --seed (a fixed default, never
-time-based); only the table writers, rotate-test, noise-test and classify, take
---precision.
+time-based). Every number in a table is the shortest decimal that reads back as
+the same float64.
 
 Every path flag (--image, --basis, --moments, --out, --json-out, --data-dir,
 --out-dir) must be non-empty: "" names no file, though Path("") is the working
@@ -281,9 +281,6 @@ def _orders(text: str) -> list[tuple[int, int]]:
 
 _SEED = dict(type=_natural, default=DEFAULT_SEED,
              help="64-bit seed for all randomness (fixed default)")
-_PRECISION = dict(type=_bounded(0, 100), default=None,
-                  help="fixed decimal places in CSV tables, at most 100 "
-                       "(default: shortest round-trip)")
 
 
 def _add_grid(p: _Parser, rings: int | None, spokes: int | None) -> None:
@@ -362,7 +359,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", **_SEED)
         p.add_argument("--out", type=_path, required=True, help="output CSV path")
         p.add_argument("--json-out", type=_path, default=None, help="optional JSON report path")
-        p.add_argument("--precision", **_PRECISION)
         p.set_defaults(run=_cmd_stability)
 
     p = sub.add_parser("classify", help="train-fraction classification sweep")
@@ -390,7 +386,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", type=_path, required=True, help="output CSV path")
     p.add_argument("--json-out", type=_path, default=None, help="optional JSON report path")
     p.add_argument("--seed", **_SEED)
-    p.add_argument("--precision", **_PRECISION)
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("synth", help="write the synthetic dataset as PGM files")
@@ -454,7 +449,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _write_report(args, report) -> None:
     """Write a table command's CSV to --out and, if asked, its JSON to --json-out."""
-    outputs = [(args.out, report.to_csv(precision=args.precision))]
+    outputs = [(args.out, report.to_csv())]
     if args.json_out is not None:
         outputs.append((args.json_out, report.to_json()))
     _write_atomic(*outputs)

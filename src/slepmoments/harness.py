@@ -79,12 +79,12 @@ class StabilityReport:
     std_row: np.ndarray
     metadata: dict
 
-    def to_csv(self, precision: int | None = None) -> str:
+    def to_csv(self) -> str:
         # one row per angle plus a final std row; the mean row lives in the
         # JSON serialization only
         return _csv(["angle_deg"] + [f"phi_{m}_{n}" for m, n in self.columns],
                     [*([angle, *row] for angle, row in zip(self.angles, self.values)),
-                     ["std", *self.std_row]], precision)
+                     ["std", *self.std_row]])
 
     def to_json(self) -> str:
         doc = {
@@ -251,9 +251,9 @@ class ClassificationReport:
     seed: int
     metadata: dict
 
-    def to_csv(self, precision: int | None = None) -> str:
+    def to_csv(self) -> str:
         return _csv(["train_fraction", "mean_accuracy", "std_accuracy"],
-                    zip(self.train_fractions, self.mean_accuracy, self.std_accuracy), precision)
+                    zip(self.train_fractions, self.mean_accuracy, self.std_accuracy))
 
     def to_json(self) -> str:
         doc = {

@@ -302,15 +302,11 @@ def invariants_to_csv(phi: np.ndarray) -> str:
     return _csv([f"phi_{m}_{n}" for m, n in np.ndindex(phi.shape)], [phi.ravel()])
 
 
-def _fmt(value: float, precision: int | None) -> str:
-    """The one number format of every table: the shortest round-trip decimal, or
-    ``precision`` fixed decimal places."""
-    return repr(float(value)) if precision is None else f"{value:.{precision}f}"
-
-
-def _csv(header, rows, precision: int | None = None) -> str:
+def _csv(header, rows) -> str:
     """CSV text of the header and rows, one line each: a string cell is written as
-    it is, any other through ``_fmt``. No field holds a comma, quote or newline
-    (headers and labels are names, values are formatted numbers), so none is quoted."""
-    return "".join(",".join(cell if isinstance(cell, str) else _fmt(cell, precision)
+    it is, any other as ``repr(float(cell))``, the shortest decimal that reads back
+    as the same float64 and the one number format of every table. No field holds a
+    comma, quote or newline (headers and labels are names, values are numbers), so
+    none is quoted."""
+    return "".join(",".join(cell if isinstance(cell, str) else repr(float(cell))
                             for cell in row) + "\n" for row in (header, *rows))

@@ -146,6 +146,33 @@ def test_noise_test_json_metadata(tmp_path, image_path):
     assert doc["metadata"]["generator"] == "pcg64"
 
 
+@pytest.mark.parametrize("argv", [
+    ["rotate-test", "--image", "{image}", "--angles", "0,35,90", "--radial", "32",
+     "--angular", "64"],
+    ["noise-test", "--image", "{image}", "--angles", "0,35,90", "--radial", "32",
+     "--angular", "64", "--snr-db", "20"],
+    ["classify", "--classes", "2", "--per-class", "4", "--fractions", "0.25,0.5",
+     "--repeats", "3", "--epochs", "5", "--radial", "8", "--angular", "32"],
+], ids=["rotate-test", "noise-test", "classify"])
+def test_a_table_number_reads_back_as_the_json_float(tmp_path, image_path, argv):
+    # every number in a table is the shortest decimal that reads back as the float64
+    # the JSON report holds for its cell: the values and std row, or both accuracies
+    out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    argv = [a.format(image=image_path) for a in argv]
+    assert run([*argv, "--out", str(out), "--json-out", str(json_out)]) == 0
+    doc = json.loads(json_out.read_text())
+    if argv[0] == "classify":
+        expected = [list(row) for row in zip(doc["train_fractions"], doc["mean_accuracy"],
+                                             doc["std_accuracy"])]
+    else:
+        expected = [[angle, *row] for angle, row in zip(doc["angles_deg"], doc["values"])]
+        expected.append(["std", *doc["std"]])
+    _, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    cells = [cell for row in rows for cell in row if cell != "std"]
+    assert cells and all(cell == repr(float(cell)) for cell in cells)
+    assert [[cell if cell == "std" else float(cell) for cell in row] for row in rows] == expected
+
+
 def test_synth_directory_layout(tmp_path):
     root = tmp_path / "data"
     rc = run(["synth", "--classes", "2", "--per-class", "2", "--size", "48",
@@ -1077,12 +1104,11 @@ def test_each_subcommand_takes_exactly_its_flags():
                             "--angle", "--out"],
         "invariants": ["--moments", "--out"],
         "reconstruct": ["--moments", "--basis", "--radial", "--angular", "--out"],
-        "rotate-test": stability + ["--out", "--json-out", "--precision"],
-        "noise-test": stability + ["--snr-db", "--seed", "--out", "--json-out",
-                                   "--precision"],
+        "rotate-test": stability + ["--out", "--json-out"],
+        "noise-test": stability + ["--snr-db", "--seed", "--out", "--json-out"],
         "classify": ["--data-dir", "--classes", "--per-class", "--rotations", "--fractions",
                      "--repeats", "--basis", "--radial", "--angular", "--reg", "--epochs",
-                     "--out", "--json-out", "--seed", "--precision"],
+                     "--out", "--json-out", "--seed"],
         "synth": ["--classes", "--per-class", "--rotations", "--size", "--out-dir", "--seed"],
     }
 
@@ -1099,8 +1125,12 @@ _CHEAP_STABILITY = ["--angles", "0", "--radial", "16", "--angular", "32"]
     ["rotate-test", *_CHEAP_STABILITY, "--seed", "1"],
     ["synth", "--classes", "2", "--per-class", "1", "--size", "16", "--precision", "2"],
     ["classify", "--classes", "2", "--per-class", "2", "--no-stratify"],
+    ["rotate-test", *_CHEAP_STABILITY, "--precision", "4"],
+    ["noise-test", *_CHEAP_STABILITY, "--precision", "4"],
+    ["classify", "--classes", "2", "--per-class", "2", "--precision", "4"],
 ], ids=["dpss-seed", "invariants-precision", "reconstruct-seed", "rotate-snr-db",
-        "rotate-seed", "synth-precision", "classify-no-stratify"])
+        "rotate-seed", "synth-precision", "classify-no-stratify", "rotate-precision",
+        "noise-precision", "classify-precision"])
 def test_removed_flags_exit_two(tmp_path, capsys, moments_path, basis_path, argv):
     argv = [a.format(moments=moments_path, basis=basis_path) for a in argv]
     out = "--out-dir" if argv[0] == "synth" else "--out"
@@ -1115,7 +1145,6 @@ _COMPUTE = ["moments", "compute", "--image", "x.pgm", "--basis", "b.json", "--m"
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["rotate-test", "--precision", "-1"], "--precision"),
     (["noise-test", "--seed", "-1"], "--seed"),
     (["classify", "--classes", "1"], "--classes"),
     (_COMPUTE + ["--l", "1", "--angle", "nan"], "--angle"),
@@ -1140,7 +1169,7 @@ _COMPUTE = ["moments", "compute", "--image", "x.pgm", "--basis", "b.json", "--m"
     (["classify", "--json-out", ""], "--json-out"),
     (["classify", "--data-dir", ""], "--data-dir"),
     (["synth", "--out-dir", ""], "--out-dir"),
-], ids=["precision", "seed", "classes", "angle", "reg", "l", "radial", "angles-empty",
+], ids=["seed", "classes", "angle", "reg", "l", "radial", "angles-empty",
         "fractions-empty", "orders-empty", "orders-negative", "size", "w", "k",
         "reg-negative", "compute-image-empty", "image-empty", "basis-empty",
         "moments-empty", "out-empty", "json-out-empty", "data-dir-empty", "out-dir-empty"])
@@ -1215,7 +1244,6 @@ _CAPPED = [
     (["synth"], "--size", 2048),
     (["classify"], "--repeats", 10_000),
     (["classify"], "--epochs", 100_000),
-    *((argv, "--precision", 100) for argv in (["rotate-test"], ["noise-test"], ["classify"])),
 ]
 
 
@@ -1521,9 +1549,8 @@ _GOLDEN = [
      "ce3c5eff7600c8139c3988b4cdf1766a0ddd7b706d6cbd6f2d9296d11c516eac"),
     ("noise-test",
      "77e8f78568f52df2a5ec73c7f296b7363b4edb216720ee7465a93d0245114cc5", None),
-    ("noise-test --image p64 --basis basis.json --snr-db 20 --seed 3 --precision 4 "
-     "--angles 0,10,20",
-     "8684c768eb45f1c8359cf069a6c283212653f4a15e235e5c0101cad84a5f192b",
+    ("noise-test --image p64 --basis basis.json --snr-db 20 --seed 3 --angles 0,10,20",
+     "d6df9690f780897561bfe333d51913e2955e2b6581ae32c7b9fff78ab813dc8a",
      "64ee287b81cbf4d7b5cab7c6e8272cdf17e74b45fd838c697d1043af9968d344"),
     ("classify --seed 5",
      "ca62ad466d0d4b65bfe981a0149d8d9f40f622d4b15c99dfed0ca0cd8305c763",

@@ -65,8 +65,7 @@ _STABILITY = [("--image", False, ["img.pgm"], _IMAGES),
               ("--orders", False, ["1,1;2,2", "1,2"], _ORDERS),
               *_GRID,
               ("--out", True, None, _OUTPUTS),
-              ("--json-out", False, None, _OUTPUTS),
-              ("--precision", False, ["3"], _INTEGERS + ["101"])]
+              ("--json-out", False, None, _OUTPUTS)]
 _PATHS = (_IMAGES, _BASES, _MOMENTS, _DATA_DIRS, _OUTPUTS, _OUT_DIRS)
 _SYNTHETIC = [("--classes", False, ["2", "3"], _INTEGERS),
               ("--per-class", False, ["2", "3"], _INTEGERS),
@@ -104,8 +103,7 @@ _COMMANDS = {
                     ("--reg", False, ["0.01", "0"], _REALS),
                     ("--epochs", False, ["1", "5"], _INTEGERS),
                     ("--out", True, None, _OUTPUTS),
-                    ("--json-out", False, None, _OUTPUTS),
-                    ("--precision", False, ["3"], _INTEGERS + ["101"])],
+                    ("--json-out", False, None, _OUTPUTS)],
     ("synth",): [*_SYNTHETIC,
                  ("--size", False, ["8", "16"], _INTEGERS + ["1", "2049"]),
                  ("--out-dir", True, None, _OUT_DIRS)],

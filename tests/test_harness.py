@@ -116,10 +116,15 @@ def test_stability_refuses_negative_orders(basis64, test_image, order, message):
 
 def test_stability_csv_layout(basis64, test_image):
     report = rotation_stability(test_image, (0, 90), ORDERS, basis64, GRID)
-    lines = report.to_csv(precision=4).strip().split("\n")
+    lines = report.to_csv().strip().split("\n")
     assert lines[0] == "angle_deg,phi_1_1,phi_2_1,phi_2_2"
     assert len(lines) == 1 + 2 + 1  # header, two angle rows, std row
     assert lines[-1].startswith("std,")
+    # every number is the shortest decimal that reads back as the same float64
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows[:2] == [[repr(float(cell)) for cell in (angle, *values)]
+                        for angle, values in zip((0, 90), report.values)]
+    assert rows[2] == ["std", *(repr(float(cell)) for cell in report.std_row)]
     assert "mean" in report.to_json()  # mean row carried by the JSON form
 
 

@@ -200,6 +200,50 @@ def test_cyclic_shift_leaves_invariants_unchanged(basis32, rng):
         assert np.abs(vec - base).max() < 1e-9
 
 
+# What the invariants cannot see: the moduli drop each moment's phase, so images whose
+# moments differ in phase alone share their invariants. Both records use the built-in
+# basis on a 64 x 128 polar grid with M = 10 and L = 9.
+_BLIND_GRID = (64, 128)
+
+
+def _invariant_gap(f, g):
+    """The largest gap between the invariants of samples f and g, relative to f's largest."""
+    basis = default_basis()
+    phi_f, phi_g = (invariants(compute_moments(x, basis, 10, 9)) for x in (f, g))
+    return np.abs(phi_f - phi_g).max() / phi_f.max()
+
+
+def test_invariants_do_not_see_a_mirror_image(rng):
+    # a record: the mirror f(r, -theta) of a real image has the conjugate moments,
+    # S'[m, n] = conj(S[m, n]), so its invariants are f's to rounding, though the two
+    # images lie 0.70 apart in relative L2
+    f = rng.random(_BLIND_GRID)
+    mirror = f[:, -np.arange(_BLIND_GRID[1]) % _BLIND_GRID[1]]
+    assert np.linalg.norm(mirror - f) / np.linalg.norm(f) == pytest.approx(0.70, rel=0.05)
+    assert _invariant_gap(f, mirror) < 1e-15
+
+
+def test_invariants_do_not_see_a_relative_phase():
+    # a record: f2 turns its order-1 term by 0.7 rad against f1 and keeps its order-3
+    # term. No rotation undoes that: at the best cyclic shift the two still lie 0.46
+    # apart, and the rotation invariant S[2, 3] conj(S[5, 1])^3 has phase 0 for f1 and
+    # -3 x 0.7 for f2. Their moduli, the invariants, agree to rounding all the same.
+    n_r, n_t = _BLIND_GRID
+    basis = default_basis()
+    psi = radial_basis(basis, (np.arange(n_r) + 0.5) / n_r)[:, :, None]
+    theta = 2.0 * np.pi * np.arange(n_t) / n_t
+    f1, f2 = (psi[2] * np.cos(3 * theta) + psi[5] * np.cos(theta + phase)
+              for phase in (0.0, 0.7))
+    nearest = min(np.linalg.norm(np.roll(f2, shift, axis=1) - f1) for shift in range(n_t))
+    assert nearest / np.linalg.norm(f1) == pytest.approx(0.46, rel=0.05)
+    phases = []
+    for f in (f1, f2):
+        ms = compute_moments(f, basis, 10, 9)
+        phases.append(np.angle(moment_value(ms, 2, 3) * np.conj(moment_value(ms, 5, 1)) ** 3))
+    assert phases == pytest.approx([0.0, -2.1], abs=1e-12)
+    assert _invariant_gap(f1, f2) < 1e-14
+
+
 def test_reconstruct_zero_moments(basis32):
     ms = MomentSet(
         max_radial=2, max_angular=1, values=np.zeros((2, 3), complex),
