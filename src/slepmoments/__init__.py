@@ -30,7 +30,6 @@ _HOMES = {
         "classification_sweep",
         "default_basis",
         "load_labeled_directory",
-        "make_synthetic_dataset",
         "rotation_stability",
     ),
     "imaging": (

@@ -6,12 +6,11 @@ Each flag is checked once, by its argparse type (dpss gen --k, bounded by
 flag. The flags that size one allocation (dpss gen --n, --radial, --angular,
 synth --size) or a loop (classify --repeats, --epochs) have upper bounds,
 noise-test --snr-db must lie within +-3000 dB and classify --reg must be >= 0.
-classify --classes, --per-class and --rotations size the synthetic dataset
-only, so with --data-dir the first of them given exits 2 ("argument --classes:
-not allowed with --data-dir"). Only noise-test, classify and synth
-draw random numbers, so only they take --seed (a fixed default, never
-time-based). Every number in a table is the shortest decimal that reads back as
-the same float64.
+classify reads its images from --data-dir, a required flag: the synthetic
+dataset is written by synth --out-dir first, as a user's own images are laid
+out. Only noise-test, classify and synth draw random numbers, so only they take
+--seed (a fixed default, never time-based). Every number in a table is the
+shortest decimal that reads back as the same float64.
 
 Every path flag (--image, --basis, --moments, --out, --json-out, --data-dir,
 --out-dir) must be non-empty: "" names no file, though Path("") is the working
@@ -25,9 +24,8 @@ refused before it is opened, with one line "<kind> file <path>: not a regular
 file", exit 1. So is a file its parser refuses, such as a basis that breaks a
 sequence convention, signs included, or a PGM sample above its maxval; a
 missing or unreadable file exits 1 with the system's line naming the path. A
-synth or synthetic classify of more than a million images (--classes x
---per-class x --rotations) exits 1 too, refused by harness._synthetic_spans
-before anything is rendered.
+synth of more than a million images (--classes x --per-class x --rotations)
+exits 1 too, refused by harness._synthetic_spans before anything is rendered.
 Every output file is written atomically, so identical invocations are
 byte-identical, and a command with two outputs writes both or neither. Its
 temporary file, named by _temporary_affixes, ends in a marker that only this
@@ -77,7 +75,6 @@ from .harness import (
     classification_sweep,
     default_basis,
     load_labeled_directory,
-    make_synthetic_dataset,
     rotation_stability,
 )
 from .imaging import _MAX_SNR_DB, NoiseSpec, _read_input, read_pgm, rotate_image, write_pgm
@@ -230,9 +227,9 @@ _natural = _bounded(0)
 # 256-pixel image peaks near 35 MB. A 2048-pixel synth image peaks near 0.35 GB
 # of render temporaries.
 _grid_size = _bounded(1, 2048)
-# So are the flags that size a loop, which would otherwise run without end: on the
-# default synthetic classify, 10,000 repeats hold about 30 MB of splits and take
-# about 15 s, and 100,000 epochs about 8 s.
+# So are the flags that size a loop, which would otherwise run without end: on a
+# default synth tree, 10,000 repeats hold about 30 MB of splits and take about 15 s,
+# and 100,000 epochs about 8 s.
 _repeats = _bounded(1, 10_000)
 _epochs = _bounded(1, 100_000)
 
@@ -362,16 +359,8 @@ def _build_parser() -> _Parser:
         p.set_defaults(run=_cmd_stability)
 
     p = sub.add_parser("classify", help="train-fraction classification sweep")
-    p.add_argument("--data-dir", type=_path, default=None,
-                   help="directory tree <root>/<class>/<image>.pgm; "
-                        "omit to use the synthetic dataset")
-    # the synthetic dataset's sizes; None stands for 6, 8 and 1, and --data-dir takes none
-    p.add_argument("--classes", type=_bounded(2), default=None,
-                   help="synthetic class count (default 6)")
-    p.add_argument("--per-class", type=_count, default=None,
-                   help="synthetic items per class (default 8)")
-    p.add_argument("--rotations", type=_count, default=None,
-                   help="synthetic rotations per item (default 1)")
+    p.add_argument("--data-dir", type=_path, required=True,
+                   help="directory tree <root>/<class>/<image>.pgm, such as synth writes")
     p.add_argument("--fractions", type=_fractions, default="0.2,0.3,0.4,0.5",
                    help="comma-separated training fractions in (0, 1)")
     p.add_argument("--repeats", type=_repeats, default=10,
@@ -391,7 +380,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="write the synthetic dataset as PGM files")
     p.add_argument("--classes", type=_bounded(2), default=6, help="class count")
     p.add_argument("--per-class", type=_count, default=8, help="items per class")
-    p.add_argument("--rotations", type=_count, default=1, help="rotations per item")
+    p.add_argument("--rotations", type=_count, default=1,
+                   help="independent draws per item, named r0 .. r{R-1}; not R "
+                        "orientations of one item")
     p.add_argument("--size", type=_bounded(2, 2048), default=96,
                    help="image side length (at most 2048)")
     p.add_argument("--out-dir", type=_path, required=True, help="output directory root")
@@ -469,20 +460,9 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    given = [flag for flag, size in (("--classes", args.classes), ("--per-class", args.per_class),
-                                     ("--rotations", args.rotations)) if size is not None]
-    if args.data_dir is not None and given:
-        raise _UsageError(f"argument {given[0]}: not allowed with --data-dir")
     basis = (default_basis() if args.basis is None
              else _read_input(args.basis, basis_from_json, "basis"))
-    grid = (args.radial, args.angular)
-    if args.data_dir is not None:
-        ds = load_labeled_directory(args.data_dir, basis=basis, grid=grid)
-    else:
-        ds = make_synthetic_dataset(
-            args.classes or 6, args.per_class or 8, args.rotations or 1,
-            seed=args.seed, basis=basis, grid=grid,
-        )
+    ds = load_labeled_directory(args.data_dir, basis=basis, grid=(args.radial, args.angular))
     report = classification_sweep(ds, fractions=args.fractions, repeats=args.repeats,
                                   seed=args.seed, reg=args.reg, epochs=args.epochs)
     _write_report(args, report)

@@ -38,7 +38,6 @@ __all__ = [
     "ClassificationReport",
     "rotation_stability",
     "classification_sweep",
-    "make_synthetic_dataset",
     "synthetic_images",
     "load_labeled_directory",
     "default_basis",
@@ -353,25 +352,6 @@ def classification_sweep(
 _IMAGE_SIZE = 96
 
 
-def make_synthetic_dataset(
-    n_classes: int,
-    per_class: int,
-    rotations_per_item: int = 1,
-    seed: int = DEFAULT_SEED,
-    basis: DpssBasis | None = None,
-    grid: tuple[int, int] = (64, 128),
-) -> LabeledDataset:
-    """Generate labeled rotation-invariant features from synthetic shape classes.
-
-    The images are those of ``synthetic_images``, which yields the classes in
-    order, so class ``classK`` gets label K and labels run 1..n_classes. Each
-    worker of ``_featurize`` renders only the images of its own span.
-    """
-    count, names, render = _synthetic_spans(n_classes, per_class, rotations_per_item, seed,
-                                            _IMAGE_SIZE)
-    return _featurize([name for name, _ in names(range(count))], render, basis, grid)
-
-
 def synthetic_images(
     n_classes: int,
     per_class: int,
@@ -446,11 +426,14 @@ def load_labeled_directory(
     basis: DpssBasis | None = None,
     grid: tuple[int, int] = (64, 128),
 ) -> LabeledDataset:
-    """Featurize a directory tree laid out as <root>/<class_name>/<image>.pgm.
+    """Featurize a directory tree laid out as <root>/<class_name>/<image>.pgm with
+    one ``Featurizer``.
 
-    Each worker of ``_featurize`` reads only the images of its own span, each
-    through ``imaging._read_input``, so an image must be a regular file or a
-    symlink to one.
+    The feature rows are filled on every usable CPU (see ``_fork_rows``), each
+    worker reading and featurizing its own span of images one at a time, each
+    through ``imaging._read_input``, so no process holds more than one image, and
+    an image must be a regular file or a symlink to one. The class directories are
+    labeled 1, 2, ... in sorted order of their names.
     """
     root = Path(root)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
@@ -460,29 +443,11 @@ def load_labeled_directory(
     for cdir, paths in classes:
         if not paths:
             raise ParameterError(f"class directory {cdir} holds no .pgm images")
-    items = [(cdir.name, path) for cdir, paths in classes for path in paths]
-    return _featurize([name for name, _ in items],
-                      lambda span: (_read_input(items[i][1], read_pgm, "image") for i in span),
-                      basis, grid)
-
-
-def _featurize(
-    names: list[str], images, basis: DpssBasis | None, grid: tuple[int, int]
-) -> LabeledDataset:
-    """Featurize n items with one ``Featurizer``: item i has class name ``names[i]``,
-    and ``images(span)`` yields the RasterImage of each item of a ``range`` span.
-
-    The feature rows are filled on every usable CPU (see ``_fork_rows``), each
-    worker loading and featurizing its own span of items one at a time, so no
-    process holds more than one image. Labels are numbered 1, 2, ... here, in
-    order of each class name's first appearance.
-    """
+    images = [path for _, paths in classes for path in paths]
     featurize = Featurizer(default_basis() if basis is None else basis, grid=grid)
-    labels: dict[str, int] = {}
-    ys = [labels.setdefault(name, len(labels) + 1) for name in names]
     return LabeledDataset(
-        features=_fork_rows(len(names), featurize._size,
-                            lambda span: map(featurize, images(span))),
-        labels=np.array(ys),
-        class_names={label: name for name, label in labels.items()},
+        features=_fork_rows(len(images), featurize._size, lambda span: (
+            featurize(_read_input(images[i], read_pgm, "image")) for i in span)),
+        labels=np.repeat(np.arange(1, len(classes) + 1), [len(paths) for _, paths in classes]),
+        class_names={label: cdir.name for label, (cdir, _) in enumerate(classes, 1)},
     )

@@ -19,6 +19,9 @@ stratified split from the rule's definition, not through the harness.
 ``hinge_objective`` gives the per-class training objective a fitted model
 reaches, and ``hinge_optimum`` the least value that objective can take, from
 its SVM dual.
+``synthetic_dataset`` featurizes the unquantized synthetic images in memory, with
+one ``Featurizer``, for tests of the sweep and the classifier that need data, not
+the dataset path; the package builds a dataset only from a directory of PGMs.
 ``reference_shape_class_image`` renders one shape-class image from scratch,
 coordinates included, as ``synthetic_images`` must do bit for bit from layers
 it builds once per class. ``reference_fix_signs`` flips one row at a time, as
@@ -32,7 +35,18 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from slepmoments import DpssBasis, LinearModel, MomentSet, ParameterError, radial_basis
+from slepmoments import (
+    DEFAULT_SEED,
+    DpssBasis,
+    Featurizer,
+    LabeledDataset,
+    LinearModel,
+    MomentSet,
+    ParameterError,
+    default_basis,
+    radial_basis,
+)
+from slepmoments.harness import synthetic_images
 from slepmoments.dpss import _enforce_decreasing, _kernel_column
 
 
@@ -304,6 +318,17 @@ def reference_fix_signs(vectors: np.ndarray) -> None:
         nz = np.nonzero(np.abs(v) > 1e-13 * np.abs(v).max())[0]
         if v[nz[0]] < 0:
             np.negative(v, out=v)
+
+
+def synthetic_dataset(n_classes, per_class, rotations_per_item=1, seed=DEFAULT_SEED,
+                      basis=None, grid=(64, 128)) -> LabeledDataset:
+    """The features of ``synthetic_images``, as rendered, one row per image in its
+    order; class ``classK`` gets label K."""
+    featurize = Featurizer(default_basis() if basis is None else basis, grid=grid)
+    names, rows = zip(*((name, featurize(image)) for name, _, image in
+                        synthetic_images(n_classes, per_class, rotations_per_item, seed=seed)))
+    return LabeledDataset(np.array(rows), np.array([int(name[5:]) for name in names]),
+                          {k: f"class{k}" for k in range(1, n_classes + 1)})
 
 
 def reference_shape_class_image(

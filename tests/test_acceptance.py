@@ -13,7 +13,7 @@ from slepmoments import (
     compute_dpss,
     compute_moments,
     invariants,
-    make_synthetic_dataset,
+    load_labeled_directory,
     reconstruct,
     rotation_stability,
     classification_sweep,
@@ -183,11 +183,7 @@ def test_criterion_7_reconstruction_self_consistency(basis64):
     for m in range(6):
         target += coeff[m] * np.outer(psi[m], np.cos(ang[m] * theta + 0.3 * m))
     max_angular = 3
-    full = np.zeros((6, 2 * max_angular + 1), dtype=complex)
-    for m in range(6):
-        c = 0.5 * coeff[m] * np.exp(-1j * 0.3 * m)
-        full[m, max_angular + ang[m]] += c
-        full[m, max_angular - ang[m]] += np.conj(c)
+    full = compute_moments(target, basis64, 6, max_angular).values
     norm = np.linalg.norm(target)
     errors = []
     for max_radial in range(2, 7):
@@ -207,9 +203,13 @@ def test_criterion_7_reconstruction_self_consistency(basis64):
     assert ok, line
 
 
-def test_criterion_8_classification_trend(basis64):
+def test_criterion_8_classification_trend(basis64, tmp_path):
+    # the synthetic experiment as a user runs it: synth writes the images, and
+    # classify --data-dir reads them back
     t0 = time.perf_counter()
-    ds = make_synthetic_dataset(6, 8, 1, seed=DEFAULT_SEED, basis=basis64)
+    assert run(["synth", "--classes", "6", "--per-class", "8", "--seed", str(DEFAULT_SEED),
+                "--out-dir", str(tmp_path)]) == 0
+    ds = load_labeled_directory(tmp_path, basis=basis64)
     report = classification_sweep(
         ds, fractions=(0.2, 0.3, 0.4, 0.5), repeats=10, seed=DEFAULT_SEED
     )
@@ -228,11 +228,14 @@ def test_criterion_8_classification_trend(basis64):
 def test_criterion_9_cli_determinism(tmp_path):
     image_path = tmp_path / "img.pgm"
     image_path.write_bytes(write_pgm(smooth_test_image(64)))
+    data = tmp_path / "data"
+    assert run(["synth", "--classes", "2", "--per-class", "4", "--seed", "9",
+                "--out-dir", str(data)]) == 0
     invocations = [
         ["dpss", "gen", "--n", "48", "--w", "0.15", "--k", "6"],
         ["noise-test", "--image", str(image_path), "--angles", "0,45,90",
          "--radial", "32", "--angular", "64", "--seed", "21"],
-        ["classify", "--classes", "2", "--per-class", "4", "--repeats", "2",
+        ["classify", "--data-dir", str(data), "--repeats", "2",
          "--fractions", "0.5", "--radial", "32", "--angular", "64",
          "--epochs", "60", "--seed", "9"],
     ]

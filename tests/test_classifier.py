@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from slepmoments import ParameterError, classifier, make_synthetic_dataset
+from slepmoments import ParameterError, classifier
 from slepmoments.classifier import _FITS_PER_CALL, _distinct, train_classifier, train_classifiers
 
-from oracles import hinge_objective, hinge_optimum, reference_train_classifier
+from oracles import (
+    hinge_objective,
+    hinge_optimum,
+    reference_train_classifier,
+    synthetic_dataset,
+)
 
 
 def test_separable_one_dimensional():
@@ -205,7 +210,7 @@ def test_subsets_need_one_label_per_row_and_two_classes(labels, subsets, match):
 
 
 def test_training_objective_falls_with_epochs():
-    ds = make_synthetic_dataset(4, 10, 1, seed=1)
+    ds = synthetic_dataset(4, 10, 1, seed=1)
     x, y = ds.features, ds.labels
     objectives = [hinge_objective(train_classifier(x, y, reg=1e-3, epochs=epochs), x, y, 1e-3)
                   for epochs in (100, 300, 1000)]
@@ -215,7 +220,7 @@ def test_training_objective_falls_with_epochs():
 
 def test_svm_dual_oracle_meets_its_primal():
     # an optimum is certified only where its primal and dual values meet
-    ds = make_synthetic_dataset(4, 10, 1, seed=1)
+    ds = synthetic_dataset(4, 10, 1, seed=1)
     for label in np.unique(ds.labels):
         primal, dual = hinge_optimum(ds.features, ds.labels, label, 1e-3)
         assert dual > 0.0 and abs(primal - dual) <= 1e-4 * dual
@@ -226,7 +231,7 @@ def test_trained_objective_is_no_less_than_the_dual_optimum():
     # epochs each class's objective is 5.4 to 7.1 times its optimum (1.99e-5 to
     # 2.90e-5; primal and dual meet there to 1e-14), so the fit is far from
     # converged. The gap is recorded here, not bounded
-    ds = make_synthetic_dataset(4, 10, 1, seed=1)
+    ds = synthetic_dataset(4, 10, 1, seed=1)
     x, y = ds.features, ds.labels
     model = train_classifier(x, y, reg=1e-3, epochs=300)
     optima = [hinge_optimum(x, y, label, 1e-3)[1] for label in model.classes]

@@ -48,6 +48,15 @@ def basis_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def tree_path(tmp_path_factory):
+    """A small synth tree, 2 classes of 4 items, for the classify runs."""
+    path = tmp_path_factory.mktemp("tree") / "synth"
+    assert run(["synth", "--classes", "2", "--per-class", "4", "--size", "48",
+                "--out-dir", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
 def moments_path(tmp_path_factory, image_path, basis_path):
     path = tmp_path_factory.mktemp("moments") / "s.json"
     assert run(["moments", "compute", "--image", str(image_path), "--basis", str(basis_path),
@@ -151,14 +160,14 @@ def test_noise_test_json_metadata(tmp_path, image_path):
      "--angular", "64"],
     ["noise-test", "--image", "{image}", "--angles", "0,35,90", "--radial", "32",
      "--angular", "64", "--snr-db", "20"],
-    ["classify", "--classes", "2", "--per-class", "4", "--fractions", "0.25,0.5",
+    ["classify", "--data-dir", "{tree}", "--fractions", "0.25,0.5",
      "--repeats", "3", "--epochs", "5", "--radial", "8", "--angular", "32"],
 ], ids=["rotate-test", "noise-test", "classify"])
-def test_a_table_number_reads_back_as_the_json_float(tmp_path, image_path, argv):
+def test_a_table_number_reads_back_as_the_json_float(tmp_path, image_path, tree_path, argv):
     # every number in a table is the shortest decimal that reads back as the float64
     # the JSON report holds for its cell: the values and std row, or both accuracies
     out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
-    argv = [a.format(image=image_path) for a in argv]
+    argv = [a.format(image=image_path, tree=tree_path) for a in argv]
     assert run([*argv, "--out", str(out), "--json-out", str(json_out)]) == 0
     doc = json.loads(json_out.read_text())
     if argv[0] == "classify":
@@ -327,7 +336,7 @@ def test_synth_keeps_the_user_files_beside_its_outputs(tmp_path):
 _HUGE = 10**30 - 1
 
 
-@pytest.mark.parametrize("command, out_flag", [("synth", "--out-dir"), ("classify", "--out")])
+@pytest.mark.parametrize("command, out_flag", [("synth", "--out-dir")])
 @pytest.mark.parametrize("argv, sizes", [
     (["--classes", str(_HUGE)], (_HUGE, 8, 1)),
     (["--per-class", str(_HUGE)], (6, _HUGE, 1)),
@@ -351,17 +360,6 @@ def test_a_synthetic_count_above_the_cap_exits_one_with_one_line(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
-def test_classify_synthetic(tmp_path):
-    out = tmp_path / "acc.csv"
-    rc = run(["classify", "--classes", "2", "--per-class", "4", "--repeats", "2",
-              "--fractions", "0.5", "--radial", "32", "--angular", "64",
-              "--epochs", "60", "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "train_fraction,mean_accuracy,std_accuracy"
-    assert len(lines) == 2
-
-
 def test_classify_data_dir(tmp_path):
     root = tmp_path / "data"
     run(["synth", "--classes", "2", "--per-class", "3", "--size", "48",
@@ -371,25 +369,36 @@ def test_classify_data_dir(tmp_path):
               "--repeats", "2", "--radial", "32", "--angular", "64",
               "--epochs", "60", "--out", str(out)])
     assert rc == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "train_fraction,mean_accuracy,std_accuracy"
+    assert len(lines) == 2
 
 
-@pytest.mark.parametrize("flags, named", [
-    (["--classes", "9", "--per-class", "50", "--rotations", "7"], "--classes"),
-    (["--per-class", "50"], "--per-class"),
-    (["--rotations", "7"], "--rotations"),
-    (["--classes", "6"], "--classes"),
+def test_classify_without_data_dir_exits_two(tmp_path, capsys, monkeypatch):
+    # classify has one data source; without it nothing is read, computed or written
+    monkeypatch.chdir(tmp_path)
+    assert run(["classify", "--out", "a.csv"]) == 2
+    assert capsys.readouterr() == (
+        "", "slepmoments: usage error: the following arguments are required: --data-dir\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--classes", "9", "--per-class", "50", "--rotations", "7"],
+    ["--per-class", "50"],
+    ["--rotations", "7"],
+    ["--classes", "6"],
 ], ids=["all", "per-class", "rotations", "the-default-given"])
-def test_classify_data_dir_refuses_the_synthetic_flags(tmp_path, capsys, monkeypatch, flags,
-                                                       named):
-    # they size the synthetic dataset only, and --data-dir used to ignore them, exit 0;
-    # the refusal comes before the tree is read or anything is written
+def test_classify_data_dir_refuses_the_synthetic_flags(tmp_path, capsys, monkeypatch, flags):
+    # they sized the in-memory synthetic dataset, which is gone: classify takes none of
+    # them, and the refusal comes before the tree is read or anything is written
     def loaded(*args, **kwargs):
         raise AssertionError("the directory was read")
     monkeypatch.setattr(cli, "load_labeled_directory", loaded)
     argv = ["classify", "--data-dir", str(tmp_path), *flags, "--out", str(tmp_path / "a.csv")]
     assert run(argv) == 2
     assert capsys.readouterr() == (
-        "", f"slepmoments: usage error: argument {named}: not allowed with --data-dir\n")
+        "", f"slepmoments: usage error: unrecognized arguments: {' '.join(flags)}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -403,7 +412,7 @@ def _defaults(fn) -> dict:
 
 
 def test_the_cli_defaults_are_the_library_defaults(tmp_path, monkeypatch):
-    # each value classify (both modes) and synth pass for an omitted flag is the
+    # each value classify and synth pass for an omitted flag is the
     # signature default of the library function it feeds, so the CLI's experiments
     # and the library's cannot drift apart
     from slepmoments import harness
@@ -418,8 +427,7 @@ def test_the_cli_defaults_are_the_library_defaults(tmp_path, monkeypatch):
             if stop:
                 raise _Recorded(name)
         return record
-    for name, stop in (("make_synthetic_dataset", False), ("load_labeled_directory", False),
-                       ("classification_sweep", True)):
+    for name, stop in (("load_labeled_directory", False), ("classification_sweep", True)):
         monkeypatch.setattr(cli, name, recorder(name, getattr(harness, name), stop))
     # synth feeds what synthetic_images takes, under the same names
     monkeypatch.setattr(cli, "_synthetic_spans",
@@ -427,20 +435,14 @@ def test_the_cli_defaults_are_the_library_defaults(tmp_path, monkeypatch):
 
     sweep = _defaults(harness.classification_sweep)
     swept = ("repeats", "seed", "reg", "epochs")
-    for argv, source in ((["classify"], "make_synthetic_dataset"),
-                         (["classify", "--data-dir", str(tmp_path)], "load_labeled_directory")):
-        calls.clear()
-        with pytest.raises(_Recorded):
-            run([*argv, "--out", str(tmp_path / "a.csv")])
-        assert calls.keys() == {source, "classification_sweep"}
-        passed = calls["classification_sweep"]
-        assert list(passed["fractions"]) == list(sweep["fractions"])
-        assert {name: passed[name] for name in swept} == {name: sweep[name] for name in swept}
-        fed, defaults = calls[source], _defaults(getattr(harness, source))
-        assert fed["grid"] == defaults["grid"] == (64, 128)
-        if source == "make_synthetic_dataset":
-            assert (fed["rotations_per_item"], fed["seed"]) == (
-                defaults["rotations_per_item"], defaults["seed"]) == (1, harness.DEFAULT_SEED)
+    with pytest.raises(_Recorded):
+        run(["classify", "--data-dir", str(tmp_path), "--out", str(tmp_path / "a.csv")])
+    assert calls.keys() == {"load_labeled_directory", "classification_sweep"}
+    passed = calls["classification_sweep"]
+    assert list(passed["fractions"]) == list(sweep["fractions"])
+    assert {name: passed[name] for name in swept} == {name: sweep[name] for name in swept}
+    fed = calls["load_labeled_directory"]
+    assert fed["grid"] == _defaults(harness.load_labeled_directory)["grid"] == (64, 128)
 
     with pytest.raises(_Recorded):
         run(["synth", "--out-dir", str(tmp_path / "tree")])
@@ -454,7 +456,6 @@ def test_the_cli_defaults_are_the_library_defaults(tmp_path, monkeypatch):
         assert {name: _defaults(trainer)[name] for name in ("reg", "epochs")} == {
             name: sweep[name] for name in ("reg", "epochs")}
     grid = _defaults(Featurizer)["grid"]
-    assert _defaults(harness.make_synthetic_dataset)["grid"] == grid
     assert _defaults(harness.load_labeled_directory)["grid"] == grid
     assert list(tmp_path.iterdir()) == []
 
@@ -473,7 +474,8 @@ def test_usage_errors_exit_two(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 2
     assert run(["dpss", "gen", "--unknown-flag", "1"]) == 2
     assert run(["nonsense-command"]) == 2
-    assert run(["classify", "--fractions", "2.0", "--out", str(tmp_path / "y.csv")]) == 2
+    assert run(["classify", "--data-dir", str(tmp_path), "--fractions", "2.0",
+                "--out", str(tmp_path / "y.csv")]) == 2
 
 
 def test_runtime_errors_exit_one(tmp_path, basis_path):
@@ -608,13 +610,15 @@ def test_unwritable_output_error_names_the_output(tmp_path, capsys, out):
 @pytest.mark.parametrize("json_out", ["nodir/a.json", "d"], ids=["missing-directory", "directory"])
 @pytest.mark.parametrize("command", [
     ["rotate-test", "--angles", "0", "--radial", "8", "--angular", "16"],
-    ["classify", "--classes", "2", "--per-class", "2", "--fractions", "0.5", "--repeats", "1",
+    ["classify", "--data-dir", "{tree}", "--fractions", "0.5", "--repeats", "1",
      "--epochs", "1", "--radial", "8", "--angular", "32"],
 ], ids=["rotate-test", "classify"])
-def test_an_unwritable_json_out_leaves_the_out_unwritten(tmp_path, capsys, command, json_out):
+def test_an_unwritable_json_out_leaves_the_out_unwritten(tmp_path, capsys, tree_path, command,
+                                                         json_out):
     # both outputs are written to temporaries before either is renamed; --out was
     # renamed into place before --json-out failed
     (tmp_path / "d").mkdir()
+    command = [a.format(tree=tree_path) for a in command]
     out, target = tmp_path / "t.csv", tmp_path / json_out
     assert run([*command, "--out", str(out), "--json-out", str(target)]) == 1
     assert capsys.readouterr().err.endswith(f"{str(target)!r}\n")
@@ -799,15 +803,13 @@ assert run(["rotate-test", "--angles", "0,90", *grid, "--out", out + "/rot.csv"]
 check("rotate-test")
 assert run(["noise-test", "--angles", "0,90", *grid, "--out", out + "/noise.csv"]) == 0
 check("noise-test")
-sweep = ["--fractions", "0.5", "--repeats", "1", "--epochs", "5", *grid]
-assert run(["classify", "--classes", "2", "--per-class", "2", *sweep,
-            "--out", out + "/cls.csv"]) == 0
-check("classify")
 assert run(["synth", "--classes", "2", "--per-class", "2", "--size", "32",
             "--out-dir", out + "/synth"]) == 0
+check("synth")
+sweep = ["--fractions", "0.5", "--repeats", "1", "--epochs", "5", *grid]
 assert run(["classify", "--data-dir", out + "/synth", *sweep,
-            "--out", out + "/clsdir.csv"]) == 0
-check("classify --data-dir")
+            "--out", out + "/cls.csv"]) == 0
+check("classify")
 """
 
 
@@ -874,14 +876,12 @@ from slepmoments.cli import run
 out = sys.argv[1]
 sweep = ["--fractions", "0.5", "--repeats", "2", "--epochs", "5", "--radial", "16",
          "--angular", "32"]
-assert run(["classify", "--classes", "2", "--per-class", "3", *sweep,
-            "--out", out + "/cls.csv"]) == 0
-assert "numpy.ma" not in sys.modules, "classify"
 assert run(["synth", "--classes", "2", "--per-class", "3", "--size", "32",
             "--out-dir", out + "/synth"]) == 0
+assert "numpy.ma" not in sys.modules, "synth"
 assert run(["classify", "--data-dir", out + "/synth", *sweep,
-            "--out", out + "/clsdir.csv"]) == 0
-assert "numpy.ma" not in sys.modules, "classify --data-dir"
+            "--out", out + "/cls.csv"]) == 0
+assert "numpy.ma" not in sys.modules, "classify"
 """
 
 
@@ -1055,7 +1055,7 @@ _PUBLIC_NAMES = {
     "harness": ["DEFAULT_SEED", "PROTOCOL_ANGLES_DEG", "PROTOCOL_ORDERS",
                 "ClassificationReport", "LabeledDataset", "StabilityReport",
                 "classification_sweep", "default_basis", "load_labeled_directory",
-                "make_synthetic_dataset", "rotation_stability"],
+                "rotation_stability"],
     "imaging": ["GENERATOR_NAME", "NoiseSpec", "RasterImage", "add_gaussian_noise",
                 "read_pgm", "rotate_image", "to_polar", "write_pgm"],
     "moments": ["Featurizer", "MomentSet", "compute_moments", "invariants",
@@ -1106,9 +1106,8 @@ def test_each_subcommand_takes_exactly_its_flags():
         "reconstruct": ["--moments", "--basis", "--radial", "--angular", "--out"],
         "rotate-test": stability + ["--out", "--json-out"],
         "noise-test": stability + ["--snr-db", "--seed", "--out", "--json-out"],
-        "classify": ["--data-dir", "--classes", "--per-class", "--rotations", "--fractions",
-                     "--repeats", "--basis", "--radial", "--angular", "--reg", "--epochs",
-                     "--out", "--json-out", "--seed"],
+        "classify": ["--data-dir", "--fractions", "--repeats", "--basis", "--radial",
+                     "--angular", "--reg", "--epochs", "--out", "--json-out", "--seed"],
         "synth": ["--classes", "--per-class", "--rotations", "--size", "--out-dir", "--seed"],
     }
 
@@ -1124,13 +1123,17 @@ _CHEAP_STABILITY = ["--angles", "0", "--radial", "16", "--angular", "32"]
     ["rotate-test", *_CHEAP_STABILITY, "--snr-db", "20"],
     ["rotate-test", *_CHEAP_STABILITY, "--seed", "1"],
     ["synth", "--classes", "2", "--per-class", "1", "--size", "16", "--precision", "2"],
-    ["classify", "--classes", "2", "--per-class", "2", "--no-stratify"],
+    ["classify", "--data-dir", "d", "--no-stratify"],
     ["rotate-test", *_CHEAP_STABILITY, "--precision", "4"],
     ["noise-test", *_CHEAP_STABILITY, "--precision", "4"],
-    ["classify", "--classes", "2", "--per-class", "2", "--precision", "4"],
+    ["classify", "--data-dir", "d", "--precision", "4"],
+    ["classify", "--data-dir", "d", "--classes", "3"],
+    ["classify", "--data-dir", "d", "--per-class", "8"],
+    ["classify", "--data-dir", "d", "--rotations", "2"],
 ], ids=["dpss-seed", "invariants-precision", "reconstruct-seed", "rotate-snr-db",
         "rotate-seed", "synth-precision", "classify-no-stratify", "rotate-precision",
-        "noise-precision", "classify-precision"])
+        "noise-precision", "classify-precision", "classify-classes", "classify-per-class",
+        "classify-rotations"])
 def test_removed_flags_exit_two(tmp_path, capsys, moments_path, basis_path, argv):
     argv = [a.format(moments=moments_path, basis=basis_path) for a in argv]
     out = "--out-dir" if argv[0] == "synth" else "--out"
@@ -1146,7 +1149,7 @@ _COMPUTE = ["moments", "compute", "--image", "x.pgm", "--basis", "b.json", "--m"
 
 @pytest.mark.parametrize("argv, flag", [
     (["noise-test", "--seed", "-1"], "--seed"),
-    (["classify", "--classes", "1"], "--classes"),
+    (["synth", "--classes", "1"], "--classes"),
     (_COMPUTE + ["--l", "1", "--angle", "nan"], "--angle"),
     (["classify", "--reg", "inf"], "--reg"),
     (_COMPUTE + ["--l", "-1"], "--l"),
@@ -1203,7 +1206,7 @@ def test_a_list_that_starts_with_a_minus_is_joined_to_its_flag(tmp_path, monkeyp
 @pytest.mark.parametrize("argv", [
     ["rotate-test", "--angles", "0,90", "--radial", "16", "--angular", "32"],
     ["noise-test", "--angles", "0,90", "--radial", "16", "--angular", "32"],
-    ["classify", "--classes", "2", "--per-class", "2", "--fractions", "0.5", "--repeats", "1",
+    ["classify", "--data-dir", "synth", "--fractions", "0.5", "--repeats", "1",
      "--epochs", "1", "--radial", "8", "--angular", "32"],
 ], ids=["rotate-test", "noise-test", "classify"])
 def test_json_out_naming_the_out_file_exits_two(tmp_path, monkeypatch, capsys, argv,
@@ -1233,17 +1236,18 @@ def commands_unreachable(monkeypatch):
         monkeypatch.setattr(cli, name, reached)
 
 
+_CLASSIFY = ["classify", "--data-dir", "d"]
 _RECONSTRUCT = ["reconstruct", "--moments", "m.json", "--basis", "b.json",
                 "--radial", "8", "--angular", "8"]
 _CAPPED = [
     (["dpss", "gen", "--w", "0.1", "--k", "1"], "--n", 4096),
     *((argv, flag, 2048)
       for argv in (_COMPUTE + ["--l", "1"], _RECONSTRUCT, ["rotate-test"], ["noise-test"],
-                   ["classify"])
+                   _CLASSIFY)
       for flag in ("--radial", "--angular")),
     (["synth"], "--size", 2048),
-    (["classify"], "--repeats", 10_000),
-    (["classify"], "--epochs", 100_000),
+    (_CLASSIFY, "--repeats", 10_000),
+    (_CLASSIFY, "--epochs", 100_000),
 ]
 
 
@@ -1466,8 +1470,10 @@ def test_memory_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch, exc
 @forking
 def test_a_later_split_failure_reads_the_same_on_any_cpu_count(tmp_path, capsys, cpus):
     # every split is drawn before anything is trained, so the 0.1 split fails first
-    out = tmp_path / "c.csv"
-    argv = ["classify", "--classes", "6", "--per-class", "8", "--fractions", "0.5,0.1",
+    root, out = tmp_path / "data", tmp_path / "c.csv"
+    assert run(["synth", "--classes", "6", "--per-class", "8", "--size", "32",
+                "--out-dir", str(root)]) == 0
+    argv = ["classify", "--data-dir", str(root), "--fractions", "0.5,0.1",
             "--repeats", "4", "--epochs", "5", "--radial", "16", "--angular", "32",
             "--out", str(out)]
     errors = []
@@ -1535,10 +1541,10 @@ _GOLDEN = [
      "fc437883a1b662dd6820eafa6f95030a196164cfd63ffc9bae4c710cefec7113", None),
     ("invariants --moments mom_rot.json",
      "04c3f2daf87e136cd8520565d39455db1af879b87e3097d8eef616b90c5a6409", None),
-    # rec.json changes when reconstruct is made to invert compute_moments
-    # (ROADMAP item 1), under its own exception to the byte-for-byte rule
+    # rec.json moved when reconstruct came to invert compute_moments (ROADMAP item 1),
+    # under its own exception to the byte-for-byte rule; it was 90372389...2265c4f7
     ("reconstruct --moments mom.json --basis basis.json --radial 128 --angular 256",
-     "90372389a2106cf1a75d96c3357e54c29b9833bcec2beffadfccf51d2265c4f7", None),
+     "e84a2355e7766c919be1f51d7c8520534b0404bd9ab97d979e47a9da70bc2ffd", None),
     ("rotate-test --image p128",
      "c37b0ab20fbef1039ce8f97b2d244dc93f7ab3b2958ee9c44fe0933ab37da4a9",
      "3c57a2ef42910ddb4eaa9d5d8d20b0faaddfd585aa838a410e15dd2406e9c8fb"),
@@ -1552,18 +1558,17 @@ _GOLDEN = [
     ("noise-test --image p64 --basis basis.json --snr-db 20 --seed 3 --angles 0,10,20",
      "d6df9690f780897561bfe333d51913e2955e2b6581ae32c7b9fff78ab813dc8a",
      "64ee287b81cbf4d7b5cab7c6e8272cdf17e74b45fd838c697d1043af9968d344"),
-    ("classify --seed 5",
-     "ca62ad466d0d4b65bfe981a0149d8d9f40f622d4b15c99dfed0ca0cd8305c763",
-     "1d9353717d07a325c15a761a07ea830dea1aead45e3ea145551a8d7bbcc97127"),
-    ("classify --seed 5 --classes 3 --per-class 5 --rotations 2 --fractions 0.3,0.6 "
-     "--repeats 4",
+    ("classify --seed 5 --data-dir synth",
+     "1c08ffa97758a5cfca46747c0c18d6e96add8a939d0e6fc90ffe6933dadb19b4",
+     "dc21de67e61a465368b45c40f27d3c968b1c0f77da610a109519184050a1db73"),
+    ("classify --seed 5 --data-dir synth --fractions 0.3,0.6 --repeats 4",
      "40b2cd2d771bef2eb63841dcb4c8bf90f885c82b472684002972e33c86d709db",
-     "47ca05b415adf4f38728d0b25a110bb60c1fe9d19320575841d3ab3ab2576655"),
+     "e88e9ca8c9436b9ced8feb0ca4acfa801d158ef29059f433de5611c4c6988fa1"),
     ("classify --seed 5 --data-dir synth --fractions 0.5 --repeats 3",
      "1e8e8ff6707291572c9461159703ae109239d8c101c62e11ebcf6c736229be08",
      "2b8d63ba34df633af5e3f7ccc84194c72250ec2f720bf94fe90e22c2ef033b8d"),
-    ("classify",
-     "381f6b5d69bc9ce0316ac92645e75d910926a5af9c3f02cc69380e0bb317f3a6", None),
+    ("classify --data-dir synth",
+     "a9f7a4c5e3a3547c54d60ecb60413ad41189c018162f8bd5f0daf8a78b8af68e", None),
 ]
 _GOLDEN_IDS = ["mom.json", "mom_rot.json", "mom_big.json", "phi.csv", "phi_rot.csv",
                "rec.json", "rot.csv", "default_rot.csv", "noise.csv", "default_noise.csv",

@@ -67,10 +67,6 @@ _STABILITY = [("--image", False, ["img.pgm"], _IMAGES),
               ("--out", True, None, _OUTPUTS),
               ("--json-out", False, None, _OUTPUTS)]
 _PATHS = (_IMAGES, _BASES, _MOMENTS, _DATA_DIRS, _OUTPUTS, _OUT_DIRS)
-_SYNTHETIC = [("--classes", False, ["2", "3"], _INTEGERS),
-              ("--per-class", False, ["2", "3"], _INTEGERS),
-              ("--rotations", False, ["1", "2"], _INTEGERS),
-              ("--seed", False, ["5"], _INTEGERS)]
 _COMMANDS = {
     ("dpss", "gen"): [("--n", True, ["8", "32"], _INTEGERS + ["4097"]),
                       ("--w", True, ["0.1", "0.2"], _REALS + ["0.5", "-0.1"]),
@@ -94,8 +90,7 @@ _COMMANDS = {
     ("noise-test",): [*_STABILITY,
                       ("--snr-db", False, ["20"], _REALS + ["3001", "-3001"]),
                       ("--seed", False, ["5"], _INTEGERS)],
-    ("classify",): [("--data-dir", False, ["synth"], _DATA_DIRS),
-                    *_SYNTHETIC,
+    ("classify",): [("--data-dir", True, ["synth"], _DATA_DIRS),
                     ("--fractions", False, ["0.5", "0.4,0.6"], _LISTS),
                     ("--repeats", False, ["1", "2"], _INTEGERS),
                     ("--basis", False, ["b.json"], _BASES),
@@ -103,8 +98,12 @@ _COMMANDS = {
                     ("--reg", False, ["0.01", "0"], _REALS),
                     ("--epochs", False, ["1", "5"], _INTEGERS),
                     ("--out", True, None, _OUTPUTS),
-                    ("--json-out", False, None, _OUTPUTS)],
-    ("synth",): [*_SYNTHETIC,
+                    ("--json-out", False, None, _OUTPUTS),
+                    ("--seed", False, ["5"], _INTEGERS)],
+    ("synth",): [("--classes", False, ["2", "3"], _INTEGERS),
+                 ("--per-class", False, ["2", "3"], _INTEGERS),
+                 ("--rotations", False, ["1", "2"], _INTEGERS),
+                 ("--seed", False, ["5"], _INTEGERS),
                  ("--size", False, ["8", "16"], _INTEGERS + ["1", "2049"]),
                  ("--out-dir", True, None, _OUT_DIRS)],
 }

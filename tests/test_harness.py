@@ -18,7 +18,7 @@ from slepmoments import (
     RasterImage,
     classification_sweep,
     load_labeled_directory,
-    make_synthetic_dataset,
+    read_pgm,
     rotate_image,
     rotation_stability,
     synthetic,
@@ -26,6 +26,7 @@ from slepmoments import (
     write_pgm,
 )
 from slepmoments import harness, moments
+from slepmoments.cli import run
 from slepmoments.classifier import _FITS_PER_CALL
 from slepmoments.harness import (
     PROTOCOL_ANGLES_DEG,
@@ -35,7 +36,7 @@ from slepmoments.harness import (
     synthetic_images,
 )
 
-from oracles import reference_shape_class_image, reference_sweep
+from oracles import reference_shape_class_image, reference_sweep, synthetic_dataset
 
 GRID = (48, 96)
 ORDERS = ((1, 1), (2, 1), (2, 2))
@@ -299,9 +300,11 @@ def test_sweep_bytes_are_equal_on_any_worker_count(cpus):
 
 @forking
 def test_datasets_are_bitwise_equal_on_any_worker_count(basis64, cpus, tmp_path):
-    _write_tree(tmp_path, 3, 3)
-    for make in (lambda: load_labeled_directory(tmp_path, basis=basis64, grid=GRID),
-                 lambda: make_synthetic_dataset(3, 2, 2, seed=5, basis=basis64, grid=GRID)):
+    _write_tree(tmp_path / "tree", 3, 3)
+    synth = _synth_tree(tmp_path / "synth", "--classes", "3", "--per-class", "2",
+                        "--rotations", "2", "--seed", "5")
+    for make in (lambda: load_labeled_directory(tmp_path / "tree", basis=basis64, grid=GRID),
+                 lambda: load_labeled_directory(synth, basis=basis64, grid=GRID)):
         datasets = []
         for n in (1, 2, 3):
             forks = cpus(n)
@@ -311,31 +314,34 @@ def test_datasets_are_bitwise_equal_on_any_worker_count(basis64, cpus, tmp_path)
             assert ds.features.tobytes() == datasets[0].features.tobytes()
             assert ds.labels.tolist() == datasets[0].labels.tolist()
             assert ds.class_names == datasets[0].class_names
-    # the rendered spans are the images synthetic_images yields
+    # synth's spans wrote the images synthetic_images yields, in its order
     featurize = moments.Featurizer(basis64, grid=GRID)
-    reference = [featurize(img) for _, _, img in synthetic_images(3, 2, 2, seed=5)]
+    reference = [featurize(read_pgm(write_pgm(img)))
+                 for _, _, img in synthetic_images(3, 2, 2, seed=5)]
     assert datasets[0].features.tobytes() == np.array(reference).tobytes()
     _assert_no_children()
 
 
 @forking
-def test_a_worker_builds_the_layers_of_the_classes_its_span_touches(cpus, monkeypatch):
+def test_a_worker_builds_the_layers_of_the_classes_its_span_touches(cpus, monkeypatch,
+                                                                   tmp_path):
     calls = []
     disk_coords = synthetic._disk_coords
     monkeypatch.setattr(synthetic, "_disk_coords",
                         lambda size: calls.append(size) or disk_coords(size))
     cpus(2)  # items 0-2 (class1, class1, class2) here, 3-5 in the child
-    make_synthetic_dataset(3, 2, 1, seed=1, grid=GRID)
+    _synth_tree(tmp_path, "--classes", "3", "--per-class", "2", "--seed", "1")
     assert calls == [96, 96]
 
 
 def test_featurizing_holds_one_image_at_a_time(basis64, cpus, tmp_path):
-    # 80 images: 5.6 MiB as 96 x 96 renders, 2.5 MiB as 64 x 64 reads. One at a
-    # time, the peak is 0.8 MiB for either source.
-    _write_tree(tmp_path, 2, 40)
+    # 80 images: 5.6 MiB as 96 x 96 synth reads, 2.5 MiB as 64 x 64 reads. One at
+    # a time, the peak is 0.8 MiB for either tree.
+    _write_tree(tmp_path / "tree", 2, 40)
+    synth = _synth_tree(tmp_path / "synth", "--classes", "2", "--per-class", "40", "--seed", "1")
     cpus(1)
-    for make in (lambda: make_synthetic_dataset(2, 40, 1, seed=1, basis=basis64, grid=GRID),
-                 lambda: load_labeled_directory(tmp_path, basis=basis64, grid=GRID)):
+    for make in (lambda: load_labeled_directory(synth, basis=basis64, grid=GRID),
+                 lambda: load_labeled_directory(tmp_path / "tree", basis=basis64, grid=GRID)):
         tracemalloc.start()
         try:
             make()
@@ -456,25 +462,35 @@ def test_stacked_sweep_matches_per_split_reference(cpus):
     assert np.all(stds > 0)
 
 
-def test_synthetic_dataset_counts_and_determinism(basis64):
-    ds = make_synthetic_dataset(6, 8, 1, seed=9, basis=basis64, grid=GRID)
+def test_synthetic_dataset_counts_and_determinism(basis64, tmp_path):
+    sizes = ("--classes", "6", "--per-class", "8", "--seed", "9")
+    ds = load_labeled_directory(_synth_tree(tmp_path / "a", *sizes), basis=basis64, grid=GRID)
     assert len(ds.labels) == 48
     assert sorted(ds.class_names) == [1, 2, 3, 4, 5, 6]
-    again = make_synthetic_dataset(6, 8, 1, seed=9, basis=basis64, grid=GRID)
+    again = load_labeled_directory(_synth_tree(tmp_path / "b", *sizes), basis=basis64,
+                                   grid=GRID)
     x1, y1 = ds.features, ds.labels
     x2, y2 = again.features, again.labels
     assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
-def test_synthetic_labels_follow_class_numbers(basis64):
-    ds = make_synthetic_dataset(11, 1, 1, seed=3, basis=basis64, grid=GRID)
-    assert ds.class_names == {k: f"class{k}" for k in range(1, 12)}
-    assert ds.class_names[10] == "class10" and ds.class_names[11] == "class11"
+def test_synthetic_labels_follow_class_numbers(basis64, tmp_path):
+    # synthetic_images names class K classK, and a synth tree of them loads with
+    # the labels of its sorted class directories, as any tree does
+    assert [name for name, _, _ in synthetic_images(11, 1, 1, seed=3, image_size=8)] == [
+        f"class{k}" for k in range(1, 12)]
+    tree = _synth_tree(tmp_path, "--classes", "11", "--per-class", "1", "--seed", "3")
+    ds = load_labeled_directory(tree, basis=basis64, grid=GRID)
+    names = sorted(f"class{k}" for k in range(1, 12))
+    assert ds.class_names == {label: name for label, name in enumerate(names, start=1)}
+    assert ds.class_names[2] == "class10" and ds.class_names[3] == "class11"
     assert ds.labels.tolist() == list(range(1, 12))
 
 
-def test_synthetic_dataset_rotations_multiply_items(basis64):
-    ds = make_synthetic_dataset(2, 3, 2, seed=5, basis=basis64, grid=GRID)
+def test_synthetic_dataset_rotations_multiply_items(basis64, tmp_path):
+    tree = _synth_tree(tmp_path, "--classes", "2", "--per-class", "3", "--rotations", "2",
+                       "--seed", "5")
+    ds = load_labeled_directory(tree, basis=basis64, grid=GRID)
     assert len(ds.labels) == 12
 
 
@@ -500,7 +516,7 @@ def test_synthetic_rotations_are_independent_draws():
 
 
 def test_synthetic_classes_form_triplet_margins(basis64):
-    ds = make_synthetic_dataset(2, 8, 1, seed=11, basis=basis64, grid=GRID)
+    ds = synthetic_dataset(2, 8, 1, seed=11, basis=basis64, grid=GRID)
     x, y = ds.features, ds.labels
     a, b = x[y == 1], x[y == 2]
     good = total = 0
@@ -515,9 +531,13 @@ def test_synthetic_classes_form_triplet_margins(basis64):
     assert good / total >= 0.95
 
 
-def test_synthetic_dataset_rejects_single_class():
+def test_synthetic_dataset_rejects_single_class(tmp_path, capsys):
     with pytest.raises(ParameterError):
-        make_synthetic_dataset(1, 4)
+        next(synthetic_images(1, 4))
+    assert run(["synth", "--classes", "1", "--per-class", "4", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "slepmoments: usage error: argument --classes: must be >= 2, got 1\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("use, message", [
@@ -617,14 +637,14 @@ def test_synthetic_images_take_a_non_negative_integer_seed(basis64, seed, refusa
     if refusal is None:
         assert render(seed) == render(3)
         return
-    for use in (render, lambda seed: make_synthetic_dataset(2, 1, seed=seed, basis=basis64,
-                                                            grid=GRID)):
+    # synth takes its images' names and renders from harness._synthetic_spans
+    for use in (render, lambda seed: harness._synthetic_spans(2, 1, 1, seed, 16)):
         with pytest.raises(ParameterError) as exc:
             use(seed)
         assert str(exc.value) == refusal
 
 def test_train_classifier_on_dataset(basis64):
-    ds = make_synthetic_dataset(3, 4, 1, seed=2, basis=basis64, grid=GRID)
+    ds = synthetic_dataset(3, 4, 1, seed=2, basis=basis64, grid=GRID)
     x, y = ds.features, ds.labels
     model = train_classifier(x, y, reg=1e-3, epochs=200)
     assert (model.predict(x) == y).mean() == 1.0
@@ -643,7 +663,7 @@ def test_synthetic_images_match_the_per_image_oracle_bitwise(size):
         assert image.pixels.tobytes() == reference_shape_class_image(cid, rng, size).tobytes()
 
 
-def test_synthetic_image_count_is_capped_at_one_million(monkeypatch):
+def test_synthetic_image_count_is_capped_at_one_million(monkeypatch, tmp_path, capsys):
     # 2 x 500,000 images is the cap, and 101 x 9,901 one image more; the count is
     # refused before anything is rendered
     count, names, _ = harness._synthetic_spans(2, 500_000, 1, 0, 8)
@@ -656,11 +676,13 @@ def test_synthetic_image_count_is_capped_at_one_million(monkeypatch):
     def rendered(*args):
         raise AssertionError("an image was rendered")
     monkeypatch.setattr(harness, "_shape_class_renderer", rendered)
-    for use in (lambda: next(synthetic_images(101, 9_901)),
-                lambda: make_synthetic_dataset(101, 9_901)):
-        with pytest.raises(ParameterError) as exc:
-            use()
-        assert str(exc.value) == message
+    with pytest.raises(ParameterError) as exc:
+        next(synthetic_images(101, 9_901))
+    assert str(exc.value) == message
+    assert run(["synth", "--classes", "101", "--per-class", "9901",
+                "--out-dir", str(tmp_path / "tree")]) == 1
+    assert capsys.readouterr().err == f"slepmoments: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_each_synthetic_span_names_its_images_in_nested_order():
@@ -701,11 +723,17 @@ def test_synthetic_images_hold_one_class_of_layers_at_a_time():
     assert peak <= 22 * 2**20
 
 
+def _synth_tree(root, *flags):
+    """Write a synth tree of 96 x 96 images at ``root``, sized by synth's ``flags``."""
+    assert run(["synth", *flags, "--out-dir", str(root)]) == 0
+    return root
+
+
 def _write_tree(root, n_classes, per_class):
     for class_name, stem, image in synthetic_images(n_classes, per_class, 1, seed=4,
                                                     image_size=64):
         cdir = root / class_name
-        cdir.mkdir(exist_ok=True)
+        cdir.mkdir(parents=True, exist_ok=True)
         (cdir / f"{stem}.pgm").write_bytes(write_pgm(image))
 
 
@@ -762,7 +790,7 @@ def test_directory_with_empty_class_rejected(tmp_path, basis64):
 
 def test_fifty_percent_split_counts(basis64):
     # 6 classes x 8 items at 50% training: 24 train / 24 test
-    ds = make_synthetic_dataset(6, 8, 1, seed=13, basis=basis64, grid=GRID)
+    ds = synthetic_dataset(6, 8, 1, seed=13, basis=basis64, grid=GRID)
     x, y = ds.features, ds.labels
     from slepmoments.harness import _stratified_split
 

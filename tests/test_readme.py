@@ -38,7 +38,7 @@ def _cli_lines() -> list[str]:
 def test_the_cli_examples_run(tmp_path, monkeypatch):
     # in README order, from a directory that holds face.pgm, as a reader runs them
     lines = _cli_lines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     (tmp_path / "face.pgm").write_bytes(write_pgm(smooth_test_image(128)))
     monkeypatch.chdir(tmp_path)
     for line in lines:

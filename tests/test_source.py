@@ -4,8 +4,8 @@ of the moments keeps its one home, a raster keeps its one route to them through 
 one projection, ``Featurizer._moments``, whose moments only ``invariants`` takes
 moduli of, a table number has one format, the stacking of classifier fits stays
 inside the classifier, the integer rule has one home, the synthetic images have one
-span renderer, one function reads files, a PGM is parsed without a byte loop or a
-copy, one function forks, two end a process, one finds distinct labels, one draws
+span renderer, a labeled dataset has one source, one function reads files, a PGM is
+parsed without a byte loop or a copy, one function forks, two end a process, one finds distinct labels, one draws
 noise, one draws the sweep's splits, the radial basis is interpolated and a bilinear
 plan built without a loop, and polar blocks travel with their rows. ``code_lines``
 is the one count of the package's code lines, and a record test pins the total."""
@@ -174,11 +174,11 @@ def test_the_integer_rule_has_one_home():
 
 def test_the_synthetic_images_have_one_span_renderer():
     # harness._synthetic_spans alone numbers, names and renders a span of the
-    # synthetic images, for the generator, the dataset and synth alike; its keys
-    # take each image's place apart by divmod, never by slicing a product
+    # synthetic images, for the generator and synth alike; its keys take each
+    # image's place apart by divmod, never by slicing a product
     assert _loading_scopes(TREES["harness.py"], (
         "_synthetic_spans", "_shape_class_renderer", "keys", "divmod")) == {
-        "_synthetic_spans": {"make_synthetic_dataset", "synthetic_images"},
+        "_synthetic_spans": {"synthetic_images"},
         "_shape_class_renderer": {"_synthetic_spans.render"},
         "keys": {"_synthetic_spans.names", "_synthetic_spans.render"},
         "divmod": {"_synthetic_spans.keys"},
@@ -188,6 +188,15 @@ def test_the_synthetic_images_have_one_span_renderer():
         "_synthetic_spans": {"_cmd_synth"},
         "synthetic_images": set(),
     }
+
+
+def test_a_labeled_dataset_has_one_source():
+    # harness.load_labeled_directory alone builds a LabeledDataset, so classify scores
+    # the synthetic images as synth writes them, by the path a user's own images take
+    def builds(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == (
+            "LabeledDataset")
+    assert _homes(builds) == {"harness.py": {"load_labeled_directory"}}
 
 
 def test_one_function_reads_files():
@@ -264,8 +273,8 @@ def test_one_function_draws_noise():
 
 
 def test_one_function_draws_the_splits():
-    # harness._stratified_split alone shuffles items, so every sweep, of synthetic
-    # or --data-dir images, splits them by the one per-class rule
+    # harness._stratified_split alone shuffles items, so every sweep splits its
+    # images by the one per-class rule
     assert _attribute_scopes("permutation") == {"harness.py": {"_stratified_split"}}
 
 
@@ -334,6 +343,6 @@ that is code"""
 def test_the_package_code_line_count_is_recorded():
     # a record of the src/ total; a change that moves it says so, with the delta
     total = sum(map(code_lines, SOURCES))
-    assert total == 1489, (
-        f"src/ now holds {total} code lines, not 1489: give the delta in CHANGES.md "
+    assert total == 1457, (
+        f"src/ now holds {total} code lines, not 1457: give the delta in CHANGES.md "
         f"and pin {total} here")
