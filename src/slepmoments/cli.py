@@ -18,7 +18,11 @@ directory, so it exits 2 like any other bad value, before anything is read or
 written. --json-out may not name the file --out names (after symlinks are
 resolved), since the JSON would replace the CSV: that exits 2 too.
 
-Every input file, image, basis or moment, is read by imaging._read_input. It
+Every input file, image, basis or moment, is read by imaging._read_input, the
+built-in ones too: the default --image of rotate-test and noise-test is
+pattern128.pgm beside this module, the bytes of write_pgm(smooth_test_image(128)),
+so a default run and one given --image of that file write the same bytes; the
+default --basis is harness.default_basis's default_basis.json. An input file
 must be a regular file (a symlink is followed): a FIFO, device or directory is
 refused before it is opened, with one line "<kind> file <path>: not a regular
 file", exit 1. So is a file its parser refuses, such as a basis that breaks a
@@ -86,7 +90,6 @@ from .moments import (
     moments_to_json,
     reconstruct,
 )
-from .synthetic import smooth_test_image
 
 __all__ = ["run", "main"]
 
@@ -337,8 +340,10 @@ def _build_parser() -> _Parser:
         ("noise-test", "rotation-stability table under Gaussian noise"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--image", type=_path, default=None,
-                       help="input PGM path (default: built-in 128x128 test pattern)")
+        # the default is the shipped write_pgm(smooth_test_image(128))
+        p.add_argument("--image", type=_path,
+                       default=str(Path(__file__).with_name("pattern128.pgm")),
+                       help="input PGM path (default: the built-in pattern128.pgm)")
         p.add_argument("--basis", type=_path, default=None,
                        help="basis JSON path (default: built-in)")
         p.add_argument("--angles", type=_reals,
@@ -447,8 +452,7 @@ def _write_report(args, report) -> None:
 
 
 def _cmd_stability(args) -> int:
-    image = (smooth_test_image(128) if args.image is None
-             else _read_input(args.image, read_pgm, "image"))
+    image = _read_input(args.image, read_pgm, "image")
     basis = (default_basis() if args.basis is None
              else _read_input(args.basis, basis_from_json, "basis"))
     noise = NoiseSpec(args.snr_db, args.seed) if args.command == "noise-test" else None

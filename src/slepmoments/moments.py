@@ -140,10 +140,13 @@ def reconstruct(
     back as its least-squares projection on that span under the ring weights. All
     stored orders contribute, negative n included, so the orders must pass the same
     checks as in ``compute_moments``. An invalid ``grid``, or one coarser than the
-    moment grid, is refused first, then a G that is singular to working precision
-    (``np.linalg.matrix_rank`` below M), as on fewer rings than radial orders or on
-    rings too coarse for the basis. Returns the real part on ``grid`` and the
-    largest absolute imaginary residual.
+    moment grid, is refused first, then a G that is singular or ill-conditioned:
+    the orders it resolves are its eigenvalues above 1e-8 of its largest, and fewer
+    than M are refused, as on fewer rings than radial orders or on rings too coarse
+    for the basis. Well-posed grids read cond(G) below 10, so the bound lies decades
+    from either side, and a solve it lets through loses at most about 8 of its 16
+    digits. Returns the real part on ``grid`` and the largest absolute imaginary
+    residual.
     """
     r, theta = _polar_grid(*grid)
     if r.size < ms.grid[0] or theta.size < ms.grid[1]:
@@ -152,9 +155,10 @@ def reconstruct(
         )
     psi, weights, _, _ = _radial(basis, ms.max_radial, ms.max_angular, ms.grid)
     gram = 2.0 * np.pi * (psi * weights) @ psi.T
-    rank = np.linalg.matrix_rank(gram, hermitian=True)
-    if rank < ms.max_radial:
-        raise ParameterError(f"the rings of moment grid {ms.grid} resolve {rank} of its "
+    eigenvalues = np.linalg.eigvalsh(gram)  # ascending
+    resolved = int(np.count_nonzero(eigenvalues > 1e-8 * eigenvalues[-1]))
+    if resolved < ms.max_radial:
+        raise ParameterError(f"the rings of moment grid {ms.grid} resolve {resolved} of its "
                              f"{ms.max_radial} radial orders: the radial Gram matrix is singular")
     coeffs = np.linalg.solve(gram, ms.values)
     ns = np.arange(-ms.max_angular, ms.max_angular + 1)

@@ -5,7 +5,9 @@ sequence at a time or all K at once, serve as oracles for ``compute_dpss``
 (criterion 1 and ``test_dpss.py``).
 ``toeplitz_concentrations`` recomputes its eigenvalues through scipy's FFT
 Toeplitz product, which the blocked numpy route must match bit for bit.
-``moment_value`` reads one moment by its (m, n) order.
+``moment_value`` reads one moment by its (m, n) order, and ``flusser_invariants``
+gives Flusser's phase-cancelling invariants S[m, n] conj(S[m0, 1])^n, which keep
+the relative phases that the moduli of ``invariants`` discard.
 ``bandlimited_extension`` evaluates each sequence at non-integer index by
 Slepian's exact extension, which ``radial_basis``'s Catmull-Rom interpolant
 approximates. ``ring_radial_gram`` and ``continuous_radial_gram`` give the Gram
@@ -211,6 +213,21 @@ def moment_value(ms: MomentSet, m: int, n: int) -> complex:
     if not (0 <= m < ms.max_radial and -ms.max_angular <= n <= ms.max_angular):
         raise IndexError(f"moment order ({m}, {n}) outside stored range")
     return complex(ms.values[m, ms.max_angular + n])
+
+
+def flusser_invariants(ms: MomentSet, base: int) -> np.ndarray:
+    """Flusser's rotation invariants S[m, n] conj(S[base, 1])^n of a moment set, as an
+    M x (L + 1) complex array with n = 0..L along its columns (Flusser, "On the
+    independence of rotation moment invariants", Pattern Recognition 2000).
+
+    A rotation by alpha turns S[m, n] by exp(-i n alpha) and the base moment by
+    exp(-i alpha), so each product keeps its value; unlike the moduli of
+    ``invariants``, it keeps each moment's phase relative to the base moment's. The
+    mirror f(r, -theta) of a real image has the conjugate moments, so it conjugates
+    every product. The base moment S[base, 1] must not vanish.
+    """
+    n = np.arange(ms.max_angular + 1)
+    return ms.values[:, ms.max_angular:] * np.conj(moment_value(ms, base, 1)) ** n
 
 
 def reference_train_classifier(x, y, reg=1e-3, epochs=300) -> LinearModel:

@@ -360,7 +360,8 @@ def test_the_built_in_basis_stores_tie_broken_eigenvalues(monkeypatch):
 
 
 def test_package_build_ships_the_default_basis_file(tmp_path):
-    # a build from a copy, so the build leaves no egg-info in the source tree
+    # a build from a copy, so the build leaves no egg-info in the source tree; it ships
+    # the built-in pattern that rotate-test and noise-test read beside the basis
     root = Path(__file__).resolve().parents[1]
     shutil.copy(root / "pyproject.toml", tmp_path)
     shutil.copytree(root / "src", tmp_path / "src",
@@ -368,9 +369,9 @@ def test_package_build_ships_the_default_basis_file(tmp_path):
     subprocess.run([sys.executable, "-c", "from setuptools import setup; setup()", "-q",
                     "build_py", "-d", str(tmp_path / "build")],
                    cwd=tmp_path, check=True, capture_output=True)
-    shipped = tmp_path / "build" / "slepmoments" / "default_basis.json"
-    source = root / "src" / "slepmoments" / "default_basis.json"
-    assert shipped.read_bytes() == source.read_bytes()
+    for name in ("default_basis.json", "pattern128.pgm"):
+        shipped = tmp_path / "build" / "slepmoments" / name
+        assert shipped.read_bytes() == (root / "src" / "slepmoments" / name).read_bytes()
 
 
 def test_default_basis_is_a_fresh_object_per_call():
@@ -454,6 +455,26 @@ def test_the_radial_gram_defect_table_holds():
             assert found[1] < 1e-10, case
         else:
             assert found[1] == pytest.approx(extension, rel=0.05), case
+
+
+@pytest.mark.parametrize("params, centre, rim, edge", [
+    (None, 0.0136, 0.0632, 0.0757), ((64, 0.1, 10), 0.0391, 0.276, 0.865),
+], ids=["built-in", "w0.1"])
+def test_the_radial_coverage_of_a_basis_is_recorded(params, centre, rim, edge):
+    # a record (ROADMAP item 23): the half bandwidth W sets the radial support. Over its
+    # first 10 orders on 8192 rings, the built-in basis puts 1.36% of its r-weighted
+    # mass sum psi^2 r below r = 0.2 and 6.32% above r = 0.8, and its largest |psi_m|
+    # at r = 0.1, equal to that at r = 0.9, is 7.57% of the peak; W = 0.1 spreads
+    # them to 3.91%, 27.6% and 86.5%
+    basis = default_basis() if params is None else compute_dpss(DpssParams(*params))
+    r, _ = _polar_grid(8192, 1)
+    psi = radial_basis(basis, r)[:10]
+    mass = (psi**2 * r).sum(axis=0)
+    at = np.abs(radial_basis(basis, np.array([0.1, 0.9]))[:10]).max(axis=0) / np.abs(psi).max()
+    assert mass[r < 0.2].sum() / mass.sum() == pytest.approx(centre, rel=0.05)
+    assert mass[r > 0.8].sum() / mass.sum() == pytest.approx(rim, rel=0.05)
+    assert at[0] == pytest.approx(at[1], rel=1e-9)
+    assert at[0] == pytest.approx(edge, rel=0.05)
 
 
 def test_radial_basis_row0_shape():

@@ -30,7 +30,12 @@ from slepmoments.dpss import basis_from_json, basis_to_json, radial_basis
 from slepmoments.imaging import _polar_plans
 from slepmoments.moments import _radial, _raster_moments, feature_vector
 
-from oracles import continuous_radial_gram, moment_value, ring_radial_gram
+from oracles import (
+    continuous_radial_gram,
+    flusser_invariants,
+    moment_value,
+    ring_radial_gram,
+)
 from test_dpss import _JSON_VALUES
 from test_imaging import MiB, traced_bytes
 
@@ -225,18 +230,25 @@ def test_invariants_do_not_see_a_mirror_image(rng):
     assert _invariant_gap(f, mirror) < 1e-15
 
 
+def _relative_phase_pair():
+    """f1 = psi_2 cos 3theta + psi_5 cos theta, and f2, which turns f1's order-1 term
+    by 0.7 rad and keeps its order-3 term, sampled on the polar grid."""
+    n_r, n_t = _BLIND_GRID
+    psi = radial_basis(default_basis(), (np.arange(n_r) + 0.5) / n_r)[:, :, None]
+    theta = 2.0 * np.pi * np.arange(n_t) / n_t
+    return [psi[2] * np.cos(3 * theta) + psi[5] * np.cos(theta + phase)
+            for phase in (0.0, 0.7)]
+
+
 def test_invariants_do_not_see_a_relative_phase():
     # a record: f2 turns its order-1 term by 0.7 rad against f1 and keeps its order-3
     # term. No rotation undoes that: at the best cyclic shift the two still lie 0.46
     # apart, and the rotation invariant S[2, 3] conj(S[5, 1])^3 has phase 0 for f1 and
     # -3 x 0.7 for f2. Their moduli, the invariants, agree to rounding all the same.
-    n_r, n_t = _BLIND_GRID
     basis = default_basis()
-    psi = radial_basis(basis, (np.arange(n_r) + 0.5) / n_r)[:, :, None]
-    theta = 2.0 * np.pi * np.arange(n_t) / n_t
-    f1, f2 = (psi[2] * np.cos(3 * theta) + psi[5] * np.cos(theta + phase)
-              for phase in (0.0, 0.7))
-    nearest = min(np.linalg.norm(np.roll(f2, shift, axis=1) - f1) for shift in range(n_t))
+    f1, f2 = _relative_phase_pair()
+    nearest = min(np.linalg.norm(np.roll(f2, shift, axis=1) - f1)
+                  for shift in range(_BLIND_GRID[1]))
     assert nearest / np.linalg.norm(f1) == pytest.approx(0.46, rel=0.05)
     phases = []
     for f in (f1, f2):
@@ -244,6 +256,42 @@ def test_invariants_do_not_see_a_relative_phase():
         phases.append(np.angle(moment_value(ms, 2, 3) * np.conj(moment_value(ms, 5, 1)) ** 3))
     assert phases == pytest.approx([0.0, -2.1], abs=1e-12)
     assert _invariant_gap(f1, f2) < 1e-14
+
+
+def _flusser(f):
+    """Flusser's invariants of polar samples f, on the base moment S[5, 1]."""
+    return flusser_invariants(compute_moments(f, default_basis(), 10, 9), 5)
+
+
+def test_flusser_invariants_hold_under_cyclic_rotation(rng):
+    # a roll of the polar samples along theta is an exact rotation of the grid, so
+    # every product S[m, n] conj(S[5, 1])^n keeps its value to rounding, though the
+    # products span 27 decades from n = 0 to n = 9
+    f = rng.random(_BLIND_GRID)
+    base = _flusser(f)
+    for shift in (1, 5, 37):
+        rolled = _flusser(np.roll(f, shift, axis=1))
+        assert (np.abs(rolled - base) / np.abs(base)).max() < 1e-14
+
+
+def test_flusser_invariants_see_a_relative_phase():
+    # the pair the moduli cannot tell apart: S[2, 3] conj(S[5, 1])^3 has phase 0 for f1
+    # and for each of its cyclic rotations, and -3 x 0.7 for f2
+    f1, f2 = _relative_phase_pair()
+    phases = [np.angle(_flusser(np.roll(f1, shift, axis=1))[2, 3]) for shift in (0, 1, 5, 37)]
+    assert phases == pytest.approx([0.0] * 4, abs=1e-15)
+    assert np.angle(_flusser(f2)[2, 3]) == pytest.approx(-2.1, abs=1e-12)
+    assert np.abs(_flusser(f1)[2, 3]) == pytest.approx(np.abs(_flusser(f2)[2, 3]), rel=1e-14)
+
+
+def test_flusser_invariants_conjugate_under_a_mirror(rng):
+    # the mirror f(r, -theta) of a real f has the conjugate moments, so its products
+    # are the conjugates of f's; they are not real, so unlike the moduli they see it
+    f = rng.random(_BLIND_GRID)
+    mirror = f[:, -np.arange(_BLIND_GRID[1]) % _BLIND_GRID[1]]
+    base, mirrored = _flusser(f), _flusser(mirror)
+    assert (np.abs(mirrored - np.conj(base)) / np.abs(base)).max() < 1e-14
+    assert (np.abs(mirrored - base) / np.abs(base))[:, 1:].max() > 1.0
 
 
 def test_reconstruct_zero_moments(basis32):
@@ -312,17 +360,37 @@ def test_reconstruct_solves_the_ring_gram_oracle(basis64):
 
 
 @pytest.mark.parametrize("params, orders, grid, rank", [
-    ((64, 0.2, 10), 10, (4, 8), 4), ((1024, 0.05, 30), 20, (22, 8), 14),
-], ids=["few-rings", "coarse-rings"])
+    ((64, 0.2, 10), 10, (4, 8), 4), ((1024, 0.05, 30), 20, (22, 8), 13),
+    ((1024, 0.05, 30), 20, (32, 8), 18), (None, 10, (10, 8), 9),
+], ids=["few-rings", "coarse-rings", "ill-conditioned", "built-in-ill-conditioned"])
 def test_reconstruct_refuses_a_singular_radial_gram(params, orders, grid, rank):
     # fewer rings than orders leave G singular outright, and 22 rings sample the 20
-    # orders of (1024, 0.05, 30) so coarsely that cond(G) is 1.3e17: no solve of
-    # either would be trusted
+    # orders of (1024, 0.05, 30) so coarsely that cond(G) is 1.3e17. G is full rank
+    # to np.linalg.matrix_rank on 32 rings of that basis (cond 3.2e13) and on 10 rings
+    # of the built-in one (cond 7.2e9), but its smallest eigenvalues lie below 1e-8 of
+    # its largest, so those orders count as unresolved: no solve of any would be
+    # trusted, while every well-posed grid reads cond(G) below 10
+    basis = default_basis() if params is None else compute_dpss(DpssParams(*params))
     ms = MomentSet(orders, 1, np.ones((orders, 3)), grid, "x")
     with pytest.raises(ParameterError) as exc:
-        reconstruct(ms, compute_dpss(DpssParams(*params)), (64, 128))
+        reconstruct(ms, basis, (64, 128))
     assert str(exc.value) == (f"the rings of moment grid {grid} resolve {rank} of its {orders} "
                               "radial orders: the radial Gram matrix is singular")
+
+
+@pytest.mark.parametrize("params, orders, rings", [
+    (None, 10, 16), (None, 10, 32), (None, 10, 64), ((64, 0.1, 10), 10, 128),
+    ((1024, 0.05, 30), 20, 64), ((4096, 0.01, 80), 20, 128), ((256, 0.05, 20), 10, 32),
+], ids=["built-in-16", "built-in-32", "built-in-64", "rec-golden", "mom-big-golden",
+        "batch", "batch-smoke"])
+def test_well_posed_radial_grams_lie_decades_inside_the_refusal(params, orders, rings):
+    # a record: the grids reconstruct serves, the golden and benchmark ones among
+    # them, read cond(G) 2.46-7.5, seven decades below the 1e8 that reconstruct
+    # refuses, and the ill-conditioned cases above lie two or more decades beyond it
+    basis = default_basis() if params is None else compute_dpss(DpssParams(*params))
+    psi, weights, _, _ = _radial(basis, orders, 1, (rings, 8))
+    eigenvalues = np.linalg.eigvalsh(2.0 * np.pi * (psi * weights) @ psi.T)
+    assert 2.4 < eigenvalues[-1] / eigenvalues[0] < 7.6
 
 
 def test_reconstruct_requires_matching_or_finer_grid(basis32):

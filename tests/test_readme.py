@@ -1,7 +1,8 @@
 """The README's examples, run as a reader runs them: the Library example in a fresh
 interpreter from an empty working directory, and every CLI example through
-``cli.run`` from a directory that holds the ``face.pgm`` they name. The README
-names every flag the CLI parser declares, and no flag it does not."""
+``cli.run`` from a directory that holds the ``face.pgm`` they name, and the one
+line that remakes the bundled test pattern. The README names every flag the CLI
+parser declares, and no flag it does not."""
 
 import re
 import shlex
@@ -50,6 +51,22 @@ def test_the_cli_examples_run(tmp_path, monkeypatch):
         for output in outputs:
             path = tmp_path / output
             assert (any(path.rglob("*.pgm")) if path.is_dir() else path.stat().st_size > 0), line
+
+
+def test_the_pattern_line_remakes_the_bundled_pattern(tmp_path):
+    # the README's one python line, run from a root holding src/slepmoments, writes
+    # the bytes the package ships as rotate-test's and noise-test's default image
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("python -c ")]
+    assert len(lines) == 1
+    (tmp_path / "src" / "slepmoments").mkdir(parents=True)
+    proc = subprocess.run([sys.executable, *shlex.split(lines[0])[1:]], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    default = _build_parser().parse_args(["rotate-test", "--out", "t.csv"]).image
+    made = tmp_path / "src" / "slepmoments" / "pattern128.pgm"
+    assert made.read_bytes() == Path(default).read_bytes()
 
 
 def test_the_readme_names_every_flag_and_no_other():

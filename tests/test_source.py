@@ -4,11 +4,13 @@ of the moments keeps its one home, a raster keeps its one route to them through 
 one projection, ``Featurizer._moments``, whose moments only ``invariants`` takes
 moduli of, a table number has one format, the stacking of classifier fits stays
 inside the classifier, the integer rule has one home, the synthetic images have one
-span renderer, a labeled dataset has one source, one function reads files, a PGM is
-parsed without a byte loop or a copy, one function forks, two end a process, one finds distinct labels, one draws
-noise, one draws the sweep's splits, the radial basis is interpolated and a bilinear
-plan built without a loop, and polar blocks travel with their rows. ``code_lines``
-is the one count of the package's code lines, and a record test pins the total."""
+span renderer, a labeled dataset has one source, one function reads files, the
+stability commands read their images by one path, a PGM is parsed without a byte
+loop or a copy, one function forks, two end a process, one finds distinct labels,
+one draws noise, one draws the sweep's splits, the radial basis is interpolated and
+a bilinear plan built without a loop, and polar blocks travel with their rows.
+``code_lines`` is the one count of the package's code lines, and a record test pins
+the total."""
 
 import ast
 import io
@@ -210,6 +212,23 @@ def test_one_function_reads_files():
     assert {module: scopes for module, scopes in homes.items() if scopes} == {
         "imaging.py": {"_read_input"},
     }
+
+
+def test_the_stability_commands_have_one_input_path():
+    # rotate-test and noise-test read every image, the built-in pattern too, from a
+    # PGM file through imaging._read_input: cli renders no image of its own, and
+    # _cmd_stability never branches on --image
+    cli = TREES["cli.py"]
+    assert "synthetic" not in {node.module for node in ast.walk(cli)
+                               if isinstance(node, ast.ImportFrom)}
+    stability = next(node for node in cli.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_cmd_stability")
+    assert [ast.unparse(node.test) for node in ast.walk(stability)
+            if isinstance(node, (ast.If, ast.IfExp, ast.While))
+            and "args.image" in ast.unparse(node.test)] == []
+    assert [ast.unparse(node) for node in ast.walk(stability) if isinstance(node, ast.Call)
+            and "args.image" in map(ast.unparse, node.args)] == [
+        "_read_input(args.image, read_pgm, 'image')"]
 
 
 def test_a_pgm_is_parsed_without_a_byte_loop_or_a_copy():
