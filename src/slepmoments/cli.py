@@ -22,7 +22,12 @@ Every input file, image, basis or moment, is read by imaging._read_input, the
 built-in ones too: the default --image of rotate-test and noise-test is
 pattern128.pgm beside this module, the bytes of write_pgm(smooth_test_image(128)),
 so a default run and one given --image of that file write the same bytes; the
-default --basis is harness.default_basis's default_basis.json. An input file
+default --basis of rotate-test, noise-test and classify is default_basis.json
+beside this module, the file harness._DEFAULT_BASIS names and default_basis()
+reads, so a default run and one given --basis of that file write the same bytes.
+The CLI keeps no basis rule of its own: reconstruct's refusal of moments made
+with another basis is moments.reconstruct's, which the command's line wraps to
+name both files. An input file
 must be a regular file (a symlink is followed): a FIFO, device or directory is
 refused before it is opened, with one line "<kind> file <path>: not a regular
 file", exit 1. So is a file its parser refuses, such as a basis that breaks a
@@ -74,10 +79,10 @@ from .harness import (
     DEFAULT_SEED,
     PROTOCOL_ANGLES_DEG,
     PROTOCOL_ORDERS,
+    _DEFAULT_BASIS,
     _fork_rows,
     _synthetic_spans,
     classification_sweep,
-    default_basis,
     load_labeled_directory,
     rotation_stability,
 )
@@ -227,7 +232,7 @@ _natural = _bounded(0)
 # The flags that size one allocation are capped. A 2048 x 2048 polar grid is
 # 4.2 M samples, 32 MiB as float64, which moments compute never holds: it plans,
 # samples and projects one block of rings at a time, so a whole process of a
-# 256-pixel image peaks near 35 MB. A 2048-pixel synth image peaks near 0.35 GB
+# 256-pixel image peaks near 33 MB. A 2048-pixel synth image peaks near 0.35 GB
 # of render temporaries.
 _grid_size = _bounded(1, 2048)
 # So are the flags that size a loop, which would otherwise run without end: on a
@@ -344,8 +349,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--image", type=_path,
                        default=str(Path(__file__).with_name("pattern128.pgm")),
                        help="input PGM path (default: the built-in pattern128.pgm)")
-        p.add_argument("--basis", type=_path, default=None,
-                       help="basis JSON path (default: built-in)")
+        p.add_argument("--basis", type=_path, default=str(_DEFAULT_BASIS),
+                       help="basis JSON path (default: the built-in default_basis.json)")
         p.add_argument("--angles", type=_reals,
                        default=",".join(str(a) for a in PROTOCOL_ANGLES_DEG),
                        help="comma-separated rotation angles in degrees; join a list "
@@ -370,8 +375,8 @@ def _build_parser() -> _Parser:
                    help="comma-separated training fractions in (0, 1)")
     p.add_argument("--repeats", type=_repeats, default=10,
                    help="splits per fraction (at most 10000)")
-    p.add_argument("--basis", type=_path, default=None,
-                   help="basis JSON path (default: built-in)")
+    p.add_argument("--basis", type=_path, default=str(_DEFAULT_BASIS),
+                   help="basis JSON path (default: the built-in default_basis.json)")
     _add_grid(p, 64, 128)
     p.add_argument("--reg", type=_bounded(0, parse=_finite), default=1e-3,
                    help="hinge-loss regularization, finite and >= 0")
@@ -424,11 +429,6 @@ def _cmd_invariants(args) -> int:
 def _cmd_reconstruct(args) -> int:
     ms = _read_input(args.moments, moments_from_json, "moment")
     basis = _read_input(args.basis, basis_from_json, "basis")
-    if ms.basis_id != basis.basis_id:
-        raise FormatError(
-            f"moment file {args.moments} was computed with basis {ms.basis_id!r}, "
-            f"but {args.basis} is {basis.basis_id!r}"
-        )
     try:
         samples, residual = reconstruct(ms, basis, (args.radial, args.angular))
     except ParameterError as exc:
@@ -453,8 +453,7 @@ def _write_report(args, report) -> None:
 
 def _cmd_stability(args) -> int:
     image = _read_input(args.image, read_pgm, "image")
-    basis = (default_basis() if args.basis is None
-             else _read_input(args.basis, basis_from_json, "basis"))
+    basis = _read_input(args.basis, basis_from_json, "basis")
     noise = NoiseSpec(args.snr_db, args.seed) if args.command == "noise-test" else None
     report = rotation_stability(
         image, args.angles, args.orders, basis, (args.radial, args.angular), noise=noise
@@ -464,8 +463,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    basis = (default_basis() if args.basis is None
-             else _read_input(args.basis, basis_from_json, "basis"))
+    basis = _read_input(args.basis, basis_from_json, "basis")
     ds = load_labeled_directory(args.data_dir, basis=basis, grid=(args.radial, args.angular))
     report = classification_sweep(ds, fractions=args.fractions, repeats=args.repeats,
                                   seed=args.seed, reg=args.reg, epochs=args.epochs)

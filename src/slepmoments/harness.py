@@ -54,14 +54,16 @@ PROTOCOL_ORDERS = (
 )
 
 
-def default_basis() -> DpssBasis:
-    """Basis used when the caller does not supply one (N=64, W=0.2, K=10).
+# The built-in basis (N=64, W=0.2, K=10), which ``slepmoments dpss gen --n 64 --w 0.2
+# --k 10`` wrote: the file default_basis() reads and the CLI's default --basis.
+_DEFAULT_BASIS = Path(__file__).with_name("default_basis.json")
 
-    It is read, through ``basis_from_json``, from ``default_basis.json`` beside
-    this module, which ``slepmoments dpss gen --n 64 --w 0.2 --k 10`` wrote, so
-    no eigenproblem is solved and scipy is never loaded.
-    """
-    return _read_input(Path(__file__).with_name("default_basis.json"), basis_from_json, "basis")
+
+def default_basis() -> DpssBasis:
+    """The built-in basis (N=64, W=0.2, K=10), read from ``default_basis.json``
+    beside this module through ``basis_from_json``, so no eigenproblem is solved
+    and scipy is never loaded."""
+    return _read_input(_DEFAULT_BASIS, basis_from_json, "basis")
 
 
 # --- stability protocol -------------------------------------------------------
@@ -423,11 +425,11 @@ def _synthetic_spans(n_classes, per_class, rotations_per_item, seed, image_size)
 
 def load_labeled_directory(
     root: str | Path,
-    basis: DpssBasis | None = None,
+    basis: DpssBasis,
     grid: tuple[int, int] = (64, 128),
 ) -> LabeledDataset:
     """Featurize a directory tree laid out as <root>/<class_name>/<image>.pgm with
-    one ``Featurizer``.
+    one ``Featurizer`` of ``basis`` on ``grid``.
 
     The feature rows are filled on every usable CPU (see ``_fork_rows``), each
     worker reading and featurizing its own span of images one at a time, each
@@ -444,7 +446,7 @@ def load_labeled_directory(
         if not paths:
             raise ParameterError(f"class directory {cdir} holds no .pgm images")
     images = [path for _, paths in classes for path in paths]
-    featurize = Featurizer(default_basis() if basis is None else basis, grid=grid)
+    featurize = Featurizer(basis, grid=grid)
     return LabeledDataset(
         features=_fork_rows(len(images), featurize._size, lambda span: (
             featurize(_read_input(images[i], read_pgm, "image")) for i in span)),

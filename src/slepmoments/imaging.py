@@ -161,7 +161,9 @@ def write_pgm(image: RasterImage, maxval: int = 255) -> bytes:
 # a time (whole rows, at least one). A block's float64 temporaries are then
 # 64 KiB, below glibc's 128 KiB mmap threshold, so malloc reuses them from the
 # heap instead of mapping, and faulting in, fresh pages for every full-frame
-# temporary. Blocks of 32768 samples faulted five times as often.
+# temporary. Blocks of 32768 samples faulted about four times as often in
+# rotate-test and seven times in noise-test (132 k and 99 k minor faults against
+# 34 k and 15 k, 72 frames at 256 x 512, 2-CPU x86 Linux).
 _BLOCK = 8192
 
 
@@ -211,17 +213,18 @@ def _samples(pixels: np.ndarray, plans):
     0 + w00 v00 + w01 v01 + w10 v10 + w11 v11; the zeros start turns a sum of
     -0.0 terms into +0.0.
     """
-    # the border is made here, at the call: a generator that made it when the first
-    # block was drawn raised rotate-test's minor faults from 13.5 k to 32.8 k
-    # (72 frames at 256 x 512, 2-CPU x86 Linux)
+    # the border is made here, at the call, which needs no generator of its own; one
+    # that made it when the first block was drawn takes as many minor faults
+    # (33.5 k against 33.9 k in rotate-test, 72 frames at 256 x 512, 2-CPU x86 Linux)
     h, w = pixels.shape
     flat = np.zeros((h + 4) * (w + 4))
     flat.reshape(h + 4, w + 4)[2:-2, 2:-2] = pixels
 
     def sample(pair):
         # a plan drawn from _plans is dropped on return, before its block is used; a
-        # generator that held it across its yield raised rotate-test's minor faults
-        # from 33.9 k to 49.1 k (same machine and inputs as above)
+        # generator that held it across its yield raised the minor faults from 33.9 k
+        # to 52.4 k in rotate-test and from 14.8 k to 50.0 k in noise-test (same
+        # machine and inputs as above)
         rows, (base, corners) = pair
         out = np.zeros(base.shape)
         for offset, weight in corners:

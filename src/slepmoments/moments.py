@@ -139,15 +139,19 @@ def reconstruct(
     back to rounding, on the moment grid or on a finer one; any other real f comes
     back as its least-squares projection on that span under the ring weights. All
     stored orders contribute, negative n included, so the orders must pass the same
-    checks as in ``compute_moments``. An invalid ``grid``, or one coarser than the
-    moment grid, is refused first, then a G that is singular or ill-conditioned:
-    the orders it resolves are its eigenvalues above 1e-8 of its largest, and fewer
-    than M are refused, as on fewer rings than radial orders or on rings too coarse
-    for the basis. Well-posed grids read cond(G) below 10, so the bound lies decades
-    from either side, and a solve it lets through loses at most about 8 of its 16
-    digits. Returns the real part on ``grid`` and the largest absolute imaginary
-    residual.
+    checks as in ``compute_moments``. Moments whose ``basis_id`` is not the basis's
+    are refused first, since their series on another basis is another image; then an
+    invalid ``grid``, or one coarser than the moment grid; then a G that is singular
+    or ill-conditioned: the orders it resolves are its eigenvalues above 1e-8 of its
+    largest, and fewer than M are refused, as on fewer rings than radial orders or
+    on rings too coarse for the basis. Well-posed grids read cond(G) below 10, so the
+    bound lies decades from either side, and a solve it lets through loses at most
+    about 8 of its 16 digits. Returns the real part on ``grid`` and the largest
+    absolute imaginary residual.
     """
+    if ms.basis_id != basis.basis_id:
+        raise ParameterError(f"the moments were computed with basis {ms.basis_id!r}, "
+                             f"but the basis is {basis.basis_id!r}")
     r, theta = _polar_grid(*grid)
     if r.size < ms.grid[0] or theta.size < ms.grid[1]:
         raise ParameterError(

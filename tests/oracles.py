@@ -14,6 +14,10 @@ approximates. ``ring_radial_gram`` and ``continuous_radial_gram`` give the Gram
 matrix 2pi integral psi_m psi_k r dr of the radial functions, by a direct sum
 over the rings and by exact quadrature of the piecewise-cubic interpolants;
 ``radial_gram_defect`` measures how far a ring Gram matrix is from a fine one.
+``zernike_radial`` gives the Zernike radial polynomials R_n^l, and
+``radial_fit_error`` how far the least-squares fit of a radial profile in
+L2(r dr) by a set of radial functions misses it, the measure of item 23's
+comparison of the Slepian radial functions with Zernike's.
 ``reference_train_classifier`` and ``reference_sweep`` fit one classifier per
 split, one 2-D training loop at a time, as the stacked trainer of
 ``classification_sweep`` must do bit for bit; ``reference_sweep`` draws each
@@ -191,6 +195,26 @@ def radial_gram_defect(psi, max_radial: int, n_rings: int) -> float:
 
     reference = gram(_REFERENCE_RINGS)
     return float(np.abs(gram(n_rings) - reference).max() / np.diag(reference).max())
+
+
+def zernike_radial(n: int, l: int, r) -> np.ndarray:
+    """The Zernike radial polynomial R_n^l(r), for n >= l >= 0 with n - l even, by
+    its finite sum over k of (-1)^k (n-k)! / (k! ((n+l)/2-k)! ((n-l)/2-k)!) r^(n-2k)."""
+    r = np.asarray(r, dtype=float)
+    return sum((-1) ** k * math.factorial(n - k)
+               / (math.factorial(k) * math.factorial((n + l) // 2 - k)
+                  * math.factorial((n - l) // 2 - k)) * r ** (n - 2 * k)
+               for k in range((n - l) // 2 + 1))
+
+
+def radial_fit_error(functions: np.ndarray, profile: np.ndarray, r: np.ndarray) -> float:
+    """The relative L2(r dr) error of the least-squares fit of ``profile`` by the
+    rows of ``functions``, both sampled at the midpoint rings ``r``:
+    ||f - P f|| / ||f||, with P the projection on the span of the rows."""
+    root = np.sqrt(r)
+    a, b = (functions * root).T, profile * root
+    coeffs = np.linalg.lstsq(a, b, rcond=None)[0]
+    return float(np.linalg.norm(a @ coeffs - b) / np.linalg.norm(b))
 
 
 def continuous_radial_gram(basis: DpssBasis, max_radial: int) -> np.ndarray:

@@ -1332,8 +1332,9 @@ def test_reconstruct_rejects_a_basis_whose_half_bandwidth_differs_past_six_digit
     assert run(["reconstruct", "--moments", str(mom), "--basis", str(other), "--radial", "16",
                 "--angular", "32", "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr() == ("", (
-        f"slepmoments: error: moment file {mom} was computed with basis 'dpss-n64-w0.2-k10', "
-        f"but {other} is 'dpss-n64-w0.2000001-k10'\n"))
+        f"slepmoments: error: moment file {mom} cannot be reconstructed with {other}: the "
+        "moments were computed with basis 'dpss-n64-w0.2-k10', but the basis is "
+        "'dpss-n64-w0.2000001-k10'\n"))
     assert not (tmp_path / "r.json").exists()
 
 

@@ -33,11 +33,13 @@ from oracles import (
     concentration_ratio,
     concentration_ratios,
     dpss_spectrum,
+    radial_fit_error,
     radial_gram_defect,
     reference_fix_signs,
     simpson,
     sinc_kernel,
     toeplitz_concentrations,
+    zernike_radial,
 )
 
 _DEFAULT_BASIS_FILE = Path(slepmoments.__file__).with_name("default_basis.json")
@@ -427,7 +429,10 @@ def test_radial_basis_stays_near_the_bandlimited_extension(extension_case):
 
 # (basis params or None for the built-in basis, orders M, rings R, then the radial
 # Gram defect of Catmull-Rom and of the band-limited extension, None where the
-# extension reaches rounding), as measured; the evidence of ROADMAP items 2 and 22
+# extension reaches rounding), as measured; the evidence of ROADMAP items 2 and 22.
+# The rows after the first seven are the grids that a golden command or a benchmark
+# workload featurizes on; the N=4096 row records Catmull-Rom alone, since its
+# extension takes about 2 s
 _GRAM_DEFECTS = [
     (None, 10, 16, 0.3858, 0.3948),
     (None, 10, 32, 1.538e-3, None),
@@ -436,25 +441,37 @@ _GRAM_DEFECTS = [
     ((1024, 0.05, 30), 20, 32, 0.4319, 0.4319),
     ((1024, 0.05, 30), 20, 64, 1.337e-6, 4.873e-8),
     ((1024, 0.05, 30), 20, 128, 1.386e-6, None),
+    (None, 5, 128, 3.936e-5, None),
+    (None, 5, 256, 9.813e-6, None),
+    ((64, 0.1, 10), 10, 128, 1.142e-4, 9.606e-5),
+    ((64, 0.1, 10), 5, 128, 2.445e-5, 2.160e-9),
+    ((4096, 0.01, 80), 20, 128, 1.870e-8),
+    ((256, 0.05, 20), 10, 32, 5.539e-6, None),
 ]
 
 
 def test_the_radial_gram_defect_table_holds():
     # a record: Catmull-Rom plateaus near 1e-3 on the built-in basis, where the
-    # band-limited extension falls to rounding once the rings resolve the basis
-    bases = {None: default_basis(), (1024, 0.05, 30): compute_dpss(DpssParams(1024, 0.05, 30))}
-    for params, orders, rings, catmull_rom, extension in _GRAM_DEFECTS:
+    # band-limited extension falls to rounding once the rings resolve the basis; every
+    # grid a golden command or a benchmark workload featurizes on reads a Catmull-Rom
+    # defect below 1e-2
+    bases = {params: default_basis() if params is None else compute_dpss(DpssParams(*params))
+             for params, *_ in _GRAM_DEFECTS}
+    for params, orders, rings, catmull_rom, *extension in _GRAM_DEFECTS:
         basis = bases[params]
-        scale = basis.params.n_len - 1
-        found = (radial_gram_defect(lambda r: radial_basis(basis, r), orders, rings),
-                 radial_gram_defect(lambda r: bandlimited_extension(basis, r * scale),
-                                    orders, rings))
+        found = radial_gram_defect(lambda r: radial_basis(basis, r), orders, rings)
         case = (params, orders, rings, found)
-        assert found[0] == pytest.approx(catmull_rom, rel=0.05), case
-        if extension is None:
-            assert found[1] < 1e-10, case
+        assert found == pytest.approx(catmull_rom, rel=0.05), case
+        if not extension:
+            continue
+        scale = basis.params.n_len - 1
+        found = radial_gram_defect(lambda r: bandlimited_extension(basis, r * scale),
+                                   orders, rings)
+        case = (params, orders, rings, found)
+        if extension[0] is None:
+            assert found < 1e-10, case
         else:
-            assert found[1] == pytest.approx(extension, rel=0.05), case
+            assert found == pytest.approx(extension[0], rel=0.05), case
 
 
 @pytest.mark.parametrize("params, centre, rim, edge", [
@@ -475,6 +492,51 @@ def test_the_radial_coverage_of_a_basis_is_recorded(params, centre, rim, edge):
     assert mass[r > 0.8].sum() / mass.sum() == pytest.approx(rim, rel=0.05)
     assert at[0] == pytest.approx(at[1], rel=1e-9)
     assert at[0] == pytest.approx(edge, rel=0.05)
+
+
+# The relative L2(r dr) error of the least-squares fit of each radial profile by the
+# first 10 radial functions of three bases (None for the built-in one), then by 10
+# Zernike polynomials R_n^0 and R_n^3 (the profile times r^3 for l = 3), on 8192
+# rings, as measured; None in a row marks a figure below 1e-3
+_BASES_AGAINST_ZERNIKE = [None, (64, 0.1, 10), (256, 0.05, 20)]
+_ZERNIKE_TABLE = {
+    "ring-0.5-0.05": (0.5, 0.05, (0.01293, 0.09541, 0.01022, 0.3016, 0.2373)),
+    "ring-0.5-0.1": (0.5, 0.1, (None, None, None, 0.03479, 0.02121)),
+    "ring-0.2-0.1": (0.2, 0.1, (0.3991, 0.04461, 0.4460, 0.07435, 0.1031)),
+    "ring-0.8-0.1": (0.8, 0.1, (0.4876, 0.06578, 0.5370, 0.004696, 0.002957)),
+    "step-0.4": (0.4, None, (0.4108, 0.2391, 0.4338, 0.2771, 0.5150)),
+}
+
+
+def test_local_approximation_against_zernike_is_recorded():
+    # a record (ROADMAP item 23) of the paper's claim of good local approximation: a
+    # narrow ring at mid radius is fitted far better by the Slepian functions than by
+    # Zernike's, but the built-in basis concentrates at mid radius, so near the centre
+    # and the rim Zernike wins by a wide margin
+    r, _ = _polar_grid(8192, 1)
+    slepians = [radial_basis(default_basis() if params is None
+                             else compute_dpss(DpssParams(*params)), r)[:10]
+                for params in _BASES_AGAINST_ZERNIKE]
+    zernikes = {l: np.array([zernike_radial(l + 2 * j, l, r) for j in range(10)])
+                for l in (0, 3)}
+    found = {}
+    for name, (centre, width, expected) in _ZERNIKE_TABLE.items():
+        profile = ((r < centre).astype(float) if width is None
+                   else np.exp(-(r - centre) ** 2 / (2 * width**2)))
+        errors = [radial_fit_error(psi, profile, r) for psi in slepians]
+        errors += [radial_fit_error(z, profile * r**l, r) for l, z in zernikes.items()]
+        for error, figure in zip(errors, expected):
+            if figure is None:
+                assert error < 1e-3, (name, errors)
+            else:
+                assert error == pytest.approx(figure, rel=0.05), (name, errors)
+        found[name] = errors
+    slepian, zernike = slice(0, 3), slice(3, 5)
+    # the claim holds for the ring at mid radius, on every basis against both orders
+    assert max(found["ring-0.5-0.05"][slepian]) < min(found["ring-0.5-0.05"][zernike])
+    # and fails near the centre and the rim for the built-in basis, by three times or more
+    for name in ("ring-0.2-0.1", "ring-0.8-0.1"):
+        assert found[name][0] > 3 * max(found[name][zernike]), name
 
 
 def test_radial_basis_row0_shape():

@@ -297,7 +297,7 @@ def test_flusser_invariants_conjugate_under_a_mirror(rng):
 def test_reconstruct_zero_moments(basis32):
     ms = MomentSet(
         max_radial=2, max_angular=1, values=np.zeros((2, 3), complex),
-        grid=(4, 8), basis_id="x",
+        grid=(4, 8), basis_id=basis32.basis_id,
     )
     samples, residual = reconstruct(ms, basis32, (4, 8))
     assert np.all(samples == 0)
@@ -371,7 +371,7 @@ def test_reconstruct_refuses_a_singular_radial_gram(params, orders, grid, rank):
     # its largest, so those orders count as unresolved: no solve of any would be
     # trusted, while every well-posed grid reads cond(G) below 10
     basis = default_basis() if params is None else compute_dpss(DpssParams(*params))
-    ms = MomentSet(orders, 1, np.ones((orders, 3)), grid, "x")
+    ms = MomentSet(orders, 1, np.ones((orders, 3)), grid, basis.basis_id)
     with pytest.raises(ParameterError) as exc:
         reconstruct(ms, basis, (64, 128))
     assert str(exc.value) == (f"the rings of moment grid {grid} resolve {rank} of its {orders} "
@@ -396,7 +396,7 @@ def test_well_posed_radial_grams_lie_decades_inside_the_refusal(params, orders, 
 def test_reconstruct_requires_matching_or_finer_grid(basis32):
     ms = MomentSet(
         max_radial=1, max_angular=0, values=np.zeros((1, 1), complex),
-        grid=(16, 8), basis_id="x",
+        grid=(16, 8), basis_id=basis32.basis_id,
     )
     with pytest.raises(ParameterError):
         reconstruct(ms, basis32, (8, 8))
@@ -413,11 +413,33 @@ def test_reconstruct_refuses_more_radial_orders_than_the_basis_has(basis32):
 
 def test_reconstruct_refuses_a_coarse_grid_before_its_orders(basis32):
     # at (8, 16) both the sixth radial order and the 17 angular orders fail too
-    ms = MomentSet(6, 8, np.ones((6, 17)), (16, 32), "x")
+    ms = MomentSet(6, 8, np.ones((6, 17)), (16, 32), basis32.basis_id)
     with pytest.raises(ParameterError) as exc:
         reconstruct(ms, basis32, (8, 16))
     assert type(exc.value) is ParameterError
     assert str(exc.value) == "target grid (8, 16) must match or refine the moment grid (16, 32)"
+
+
+def test_reconstruct_refuses_moments_of_another_basis():
+    # the series of these moments on (64, 0.1, 10) differed from their own series by
+    # 0.64 against a peak of 0.70, with no word, before reconstruct compared the ids
+    ms = compute_moments(to_polar(smooth_test_image(64), 64, 128), default_basis(), 10, 9)
+    with pytest.raises(ParameterError) as exc:
+        reconstruct(ms, compute_dpss(DpssParams(64, 0.1, 10)), (64, 128))
+    assert str(exc.value) == ("the moments were computed with basis 'dpss-n64-w0.2-k10', "
+                              "but the basis is 'dpss-n64-w0.1-k10'")
+
+
+@pytest.mark.parametrize("target", [(8, 16), (0, 0)], ids=["coarse", "invalid"])
+def test_reconstruct_refuses_another_basis_before_its_grid_and_orders(basis32, target):
+    # a grid too coarse or invalid and a sixth radial order of a five-sequence basis
+    # would each be refused too, but the basis comes first
+    ms = MomentSet(6, 8, np.ones((6, 17)), (16, 32), "dpss-n64-w0.2-k10")
+    with pytest.raises(ParameterError) as exc:
+        reconstruct(ms, basis32, target)
+    assert type(exc.value) is ParameterError
+    assert str(exc.value) == ("the moments were computed with basis 'dpss-n64-w0.2-k10', "
+                              "but the basis is 'dpss-n32-w0.2-k5'")
 
 
 _ORDER_USES = {
@@ -425,7 +447,7 @@ _ORDER_USES = {
     "Featurizer": lambda basis, m, l, grid: Featurizer(basis, m, l, grid),
     # a moment set applies the same range rule when it is made
     "reconstruct": lambda basis, m, l, grid: reconstruct(
-        MomentSet(m, l, np.ones((int(m), 2 * l + 1)), grid, "x"), basis, grid),
+        MomentSet(m, l, np.ones((int(m), 2 * l + 1)), grid, basis.basis_id), basis, grid),
 }
 
 
@@ -472,7 +494,8 @@ def test_ring_gram_converges_to_the_continuous_gram():
 @pytest.mark.parametrize("use", [
     lambda basis, grid: to_polar(smooth_test_image(16), *grid),
     lambda basis, grid: Featurizer(basis, 2, 1, grid),
-    lambda basis, grid: reconstruct(MomentSet(1, 0, np.ones((1, 1)), (1, 1), "x"), basis, grid),
+    lambda basis, grid: reconstruct(
+        MomentSet(1, 0, np.ones((1, 1)), (1, 1), basis.basis_id), basis, grid),
 ], ids=["to_polar", "Featurizer", "reconstruct"])
 def test_zero_grid_dimension_raises_the_one_grid_error(basis32, use, grid, message):
     # sampling, featurizing and synthesis share one polar grid and so one check
@@ -487,7 +510,7 @@ _GRID_USES = {  # each returns its output's bytes
     "Featurizer": lambda basis, grid: Featurizer(basis, 2, 1, grid)(
         smooth_test_image(16)).tobytes(),
     "reconstruct": lambda basis, grid: reconstruct(
-        MomentSet(1, 0, np.ones((1, 1)), (1, 1), "x"), basis, grid)[0].tobytes(),
+        MomentSet(1, 0, np.ones((1, 1)), (1, 1), basis.basis_id), basis, grid)[0].tobytes(),
     "rotation_stability": lambda basis, grid: rotation_stability(
         smooth_test_image(16), (0.0,), ((1, 1),), basis, grid).to_json(),
     "_raster_moments": lambda basis, grid: moments_to_json(  # the route of moments compute

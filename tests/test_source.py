@@ -5,7 +5,8 @@ one projection, ``Featurizer._moments``, whose moments only ``invariants`` takes
 moduli of, a table number has one format, the stacking of classifier fits stays
 inside the classifier, the integer rule has one home, the synthetic images have one
 span renderer, a labeled dataset has one source, one function reads files, the
-stability commands read their images by one path, a PGM is parsed without a byte
+stability commands read their images by one path, the CLI keeps no basis logic and
+reconstruct alone matches moments to their basis, a PGM is parsed without a byte
 loop or a copy, one function forks, two end a process, one finds distinct labels,
 one draws noise, one draws the sweep's splits, the radial basis is interpolated and
 a bilinear plan built without a loop, and polar blocks travel with their rows.
@@ -231,6 +232,29 @@ def test_the_stability_commands_have_one_input_path():
         "_read_input(args.image, read_pgm, 'image')"]
 
 
+def test_the_cli_keeps_no_basis_logic():
+    # rotate-test, noise-test and classify read every basis, the built-in one too,
+    # from its file through imaging._read_input, so cli names no default_basis and
+    # never branches on --basis; moments.reconstruct alone compares basis ids, so a
+    # library caller's moments of another basis are refused as the CLI's are
+    cli = TREES["cli.py"]
+    assert "default_basis" not in _references(cli)
+    for name in ("_cmd_stability", "_cmd_classify"):
+        command = next(node for node in cli.body
+                       if isinstance(node, ast.FunctionDef) and node.name == name)
+        uses = [node for node in ast.walk(command) if ast.unparse(node) == "args.basis"]
+        reads = [ast.unparse(node) for node in ast.walk(command) if isinstance(node, ast.Call)
+                 and "args.basis" in map(ast.unparse, node.args)]
+        assert (len(uses), reads) == (1, ["_read_input(args.basis, basis_from_json, 'basis')"])
+        assert [ast.unparse(node.test) for node in ast.walk(command)
+                if isinstance(node, (ast.If, ast.IfExp, ast.While))
+                and "args.basis" in ast.unparse(node.test)] == []
+    def compares_ids(node):
+        return isinstance(node, ast.Compare) and all(
+            ast.unparse(side).endswith("basis_id") for side in (node.left, *node.comparators))
+    assert _homes(compares_ids) == {"moments.py": {"reconstruct"}}
+
+
 def test_a_pgm_is_parsed_without_a_byte_loop_or_a_copy():
     # a header token is one match of imaging._TOKEN, and the payload is viewed where
     # it lies, so _next_token holds no loop and neither it nor read_pgm slices bytes
@@ -362,6 +386,6 @@ that is code"""
 def test_the_package_code_line_count_is_recorded():
     # a record of the src/ total; a change that moves it says so, with the delta
     total = sum(map(code_lines, SOURCES))
-    assert total == 1457, (
-        f"src/ now holds {total} code lines, not 1457: give the delta in CHANGES.md "
+    assert total == 1454, (
+        f"src/ now holds {total} code lines, not 1454: give the delta in CHANGES.md "
         f"and pin {total} here")
